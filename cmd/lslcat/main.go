@@ -270,26 +270,33 @@ func runSender(routeS, target, file, sizeS, benchS, sockbuf string, eager, noDig
 	}
 }
 
-// runStriped sends src over stripes concurrent self-healing sessions.
-// With a planner the sessions land on link-disjoint routes weighted by
-// predicted throughput; without one, they share the given route.
-func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries int, sockbuf string, quiet bool, planner *lsl.Planner) {
-	opts := []lsl.TransferOption{lsl.WithStripes(stripes)}
+// transferOpts are the options the self-healing engine takes for both a
+// single transfer and a striped group.
+func transferOpts(retries int, quiet bool, planner *lsl.Planner) []lsl.TransferOption {
+	var opts []lsl.TransferOption
 	if retries > 0 {
 		opts = append(opts, lsl.WithTransferPolicy(lsl.TransferPolicy{MaxAttempts: retries + 1}))
-	}
-	if sockbuf != "" {
-		b, err := sizeparse.Parse(sockbuf)
-		if err != nil || b <= 0 || b > 1<<30 {
-			log.Fatalf("bad -sockbuf %q", sockbuf)
-		}
-		opts = append(opts, lsl.WithStripeSocketBuffers(int(b), int(b)))
 	}
 	if planner != nil {
 		opts = append(opts, lsl.WithPlanner(planner))
 	}
 	if !quiet {
 		opts = append(opts, lsl.WithTransferLogf(log.Printf))
+	}
+	return opts
+}
+
+// runStriped sends src over stripes concurrent self-healing sessions.
+// With a planner the sessions land on link-disjoint routes weighted by
+// predicted throughput; without one, they share the given route.
+func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries int, sockbuf string, quiet bool, planner *lsl.Planner) {
+	opts := append(transferOpts(retries, quiet, planner), lsl.WithStripes(stripes))
+	if sockbuf != "" {
+		b, err := sizeparse.Parse(sockbuf)
+		if err != nil || b <= 0 || b > 1<<30 {
+			log.Fatalf("bad -sockbuf %q", sockbuf)
+		}
+		opts = append(opts, lsl.WithStripeSocketBuffers(int(b), int(b)))
 	}
 	start := time.Now()
 	res, err := lsl.StripedTransfer(context.Background(), []lsl.Route{route}, src, size, opts...)
@@ -316,18 +323,9 @@ func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries i
 // the route itself comes from live forecasts and failover goes to the
 // next-best predicted candidate instead.
 func runResilient(route lsl.Route, src io.ReadSeeker, size int64, retries int, noDigest, quiet bool, planner *lsl.Planner) {
-	var opts []lsl.TransferOption
-	if retries > 0 {
-		opts = append(opts, lsl.WithTransferPolicy(lsl.TransferPolicy{MaxAttempts: retries + 1}))
-	}
-	if planner != nil {
-		opts = append(opts, lsl.WithPlanner(planner))
-	}
+	opts := transferOpts(retries, quiet, planner)
 	if noDigest {
 		opts = append(opts, lsl.WithoutTransferDigest())
-	}
-	if !quiet {
-		opts = append(opts, lsl.WithTransferLogf(log.Printf))
 	}
 	start := time.Now()
 	res, err := lsl.Transfer(context.Background(), route, src, size, opts...)

@@ -67,27 +67,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 	}
 }
 
-var (
-	defaultOnce sync.Once
-	defaultReg  *metrics.Registry
-	defaultMet  *Metrics
-)
-
-// DefaultRegistry returns the process-wide registry holding the
-// lsl_logistics_* metrics of planners that did not supply their own sink.
-func DefaultRegistry() *metrics.Registry {
-	defaultOnce.Do(func() {
-		defaultReg = metrics.NewRegistry()
-		defaultMet = NewMetrics(defaultReg)
-	})
-	return defaultReg
-}
-
-func defaultMetrics() *Metrics {
-	DefaultRegistry()
-	return defaultMet
-}
-
 // edgeKey names one directed edge.
 type edgeKey struct{ from, to route.NodeID }
 
@@ -153,6 +132,7 @@ func New(g *route.Graph, self route.NodeID) (*Planner, error) {
 		self:   self,
 		series: make(map[edgeKey]*edgeSeries),
 		byAddr: make(map[string]route.NodeID),
+		met:    &Metrics{}, // nil metrics are no-op sinks
 		now:    time.Now,
 	}
 	for _, id := range g.Nodes() {
@@ -183,19 +163,15 @@ func FromOverlay(r io.Reader, self route.NodeID) (*Planner, error) {
 	return New(g, self)
 }
 
-// SetMetrics directs the planner's counters at m instead of the package
-// default registry.
+// SetMetrics directs the planner's counters at m (see NewMetrics); a
+// planner given none records none.
 func (p *Planner) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = &Metrics{}
+	}
 	p.mu.Lock()
 	p.met = m
 	p.mu.Unlock()
-}
-
-func (p *Planner) metricsLocked() *Metrics {
-	if p.met == nil {
-		p.met = defaultMetrics()
-	}
-	return p.met
 }
 
 // Self returns the node the planner plans from.
@@ -250,9 +226,8 @@ func (p *Planner) observeLocked(from, to route.NodeID, obs func(*edgeSeries)) {
 		es.lossTime = now
 	}
 	p.refreshEdgeLocked(from, to, es)
-	met := p.metricsLocked()
-	met.Observations.Inc()
-	met.ForecastMSE.Set(p.meanMSELocked())
+	p.met.Observations.Inc()
+	p.met.ForecastMSE.Set(p.meanMSELocked())
 }
 
 // refreshEdgeLocked rebuilds the edge's planning metrics: each component
@@ -428,7 +403,7 @@ func (p *Planner) ObserveFailure(r core.Route, hop string) {
 // RecordReplan counts one failover onto the next-best predicted route.
 func (p *Planner) RecordReplan() {
 	p.mu.Lock()
-	p.metricsLocked().Replans.Inc()
+	p.met.Replans.Inc()
 	p.mu.Unlock()
 }
 
@@ -541,7 +516,7 @@ type View struct {
 func (p *Planner) Snapshot() View {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	met := p.metricsLocked()
+	met := p.met
 	v := View{
 		Self:         string(p.self),
 		Observations: met.Observations.Value(),

@@ -7,6 +7,11 @@
 // All metric types are safe for concurrent use; the hot-path operations
 // (Inc/Add/Observe/SetMax) are lock-free atomics so relay goroutines can
 // update them per-read without contending.
+//
+// A nil Counter, FloatGauge, Histogram, CounterVec or GaugeVec is a no-op
+// sink that reads as zero (a nil vec hands out nil children, whose
+// Inc/Add/Set are no-ops too), so a component given no metrics records
+// none without guarding each site.
 package metrics
 
 import (
@@ -25,19 +30,32 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reads the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an integer metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add adjusts the gauge by d and returns the new value (useful for
 // admission checks that reserve a slot atomically).
@@ -69,10 +87,19 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type FloatGauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *FloatGauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value reads the current value (0 before any Set).
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *FloatGauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram counts observations into cumulative buckets with fixed upper
 // bounds, plus a running sum and count, matching the Prometheus histogram
@@ -92,6 +119,9 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v, or the +Inf bucket
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -132,6 +162,9 @@ type CounterVec struct {
 // With returns the child counter for the label value, creating it on
 // first use.
 func (v *CounterVec) With(value string) *Counter {
+	if v == nil {
+		return nil
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	c, ok := v.children[value]
@@ -163,6 +196,9 @@ type GaugeVec struct {
 // With returns the child gauge for the label value, creating it on
 // first use.
 func (v *GaugeVec) With(value string) *Gauge {
+	if v == nil {
+		return nil
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	g, ok := v.children[value]

@@ -4,28 +4,33 @@
 // exists to survive — a conversation "survives the replacement" of its
 // transport connections.
 //
-// Transfer wraps core.Dial + Conn.SendReader in a classify/retry/failover
-// loop:
+// One heal loop (path, in path.go) decides what happens when an attempt
+// on a route fails. Transfer drives one path; StripedTransfer drives one
+// per stripe, for initial attach, mid-flow heal and confirm-replay alike:
 //
 //   - Errors are classified permanent (the session was actively refused,
 //     or integrity is provably broken) or transient (dial failure, reset,
-//     stall timeout, truncation). Only transient errors are retried.
-//   - Retries re-dial with the same session ID and the resume flag, so
-//     the target reports its confirmed offset and the transfer continues
-//     from there; with digesting on, the skipped prefix is re-hashed so
-//     the end-to-end MD5 still covers the complete stream.
+//     stall timeout, truncation). Only transient errors are retried, up
+//     to Policy.MaxAttempts per path.
 //   - Backoff between attempts is capped exponential with seeded jitter
 //     (internal/backoff), interruptible by the context.
-//   - Repeated dial failures at the first hop are treated as a dead
-//     depot: the engine fails over by dropping that depot from Route.Via
-//     (the paper's loose source routes are advisory — the cascade
-//     degrades rather than dies, eventually falling back to a direct
-//     connection to the target).
+//   - With a planner attached the failure is attributed (a dial error
+//     names the dead hop, an in-session break poisons the whole route),
+//     fed into the forecasts, and the path moves onto the best predicted
+//     candidate no sibling path holds.
+//   - Without one, repeated dial failures at the first hop are treated
+//     as a dead depot: the path drops it from Route.Via (the paper's
+//     loose source routes are advisory — the cascade degrades rather
+//     than dies, eventually falling back to a direct connection).
+//
+// A Transfer attempt re-dials with the same session ID and the resume
+// flag, so the target reports its confirmed offset and the stream
+// continues from there; with digesting on, the skipped prefix is
+// re-hashed so the end-to-end MD5 still covers the complete stream.
 //
 // Recovery is observable: every retry, failover, and terminal outcome is
-// counted in lsl_transfer_* metrics (package-default registry, or one the
-// caller supplies), rendered in Prometheus text format exactly like the
-// depot's /metrics endpoint.
+// counted in the lsl_transfer_* and lsl_stripe_* metrics of the Metrics
+// the caller supplies (WithMetrics); a transfer given none records none.
 package resilience
 
 import (
@@ -34,8 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"sync"
 	"time"
 
 	"lsl/internal/backoff"
@@ -52,9 +55,14 @@ var ErrExhausted = errors.New("resilience: retry attempts exhausted")
 // declared content length — unrecoverable protocol disagreement.
 var errOffsetBeyondLength = errors.New("resilience: target resume offset beyond content length")
 
+// confirmTimeout bounds the post-payload drain that confirms the cascade
+// unwound.
+const confirmTimeout = 30 * time.Second
+
 // Policy tunes the retry loop. The zero value means the defaults.
 type Policy struct {
-	// MaxAttempts is the total session attempt budget, first try included
+	// MaxAttempts is the session attempt budget of each path (the
+	// transfer, or each stripe of a group), first try included
 	// (default 8).
 	MaxAttempts int
 	// Backoff shapes the delay between attempts (default 100ms base
@@ -93,7 +101,8 @@ type Result struct {
 	Attempts int
 	// Retries is Attempts minus the first try.
 	Retries int
-	// Failovers counts depots dropped from the route as dead.
+	// Failovers counts moves off a failing route: replans onto another
+	// predicted route, or depots dropped from the route as dead.
 	Failovers int
 	// Route is the route that carried the final, successful sublink.
 	Route core.Route
@@ -103,9 +112,9 @@ type Result struct {
 	Duration time.Duration
 }
 
-// Metrics is the engine's counter set, registered on a metrics.Registry
-// so recovery is observable through the same Prometheus text surface as
-// the depot.
+// Metrics is the engine's metric set — single transfers and striped
+// groups alike — registered on a metrics.Registry so recovery is
+// observable through the same Prometheus text surface as the depot.
 type Metrics struct {
 	// Retries is lsl_transfer_retries_total.
 	Retries *metrics.Counter
@@ -114,17 +123,55 @@ type Metrics struct {
 	// Transfers is lsl_transfers_total by terminal outcome
 	// (delivered / rejected / exhausted / canceled).
 	Transfers *metrics.CounterVec
+	// Groups is lsl_stripe_groups_total.
+	Groups *metrics.Counter
+	// Rebalances is lsl_stripe_rebalances_total.
+	Rebalances *metrics.Counter
+	// StripeHeals is lsl_stripe_stripe_heals_total.
+	StripeHeals *metrics.Counter
+	// FramesReassigned is lsl_stripe_frames_reassigned_total.
+	FramesReassigned *metrics.Counter
+	// FramesStolen is lsl_stripe_frames_stolen_total.
+	FramesStolen *metrics.Counter
+	// FramesSpeculated is lsl_stripe_frames_speculated_total.
+	FramesSpeculated *metrics.Counter
+	// Tail is lsl_stripe_tail_ns: time each group spent between the frame
+	// source running dry and the last stripe draining.
+	Tail *metrics.Histogram
+	// QueuedBytes is lsl_stripe_queued_bytes: each stripe index's
+	// currently committed (queued + in-flight + unacknowledged) bytes,
+	// sampled while a group is running.
+	QueuedBytes *metrics.GaugeVec
 }
 
-// NewMetrics registers the lsl_transfer_* families on reg.
+// NewMetrics registers the lsl_transfer_* and lsl_stripe_* families on
+// reg.
 func NewMetrics(reg *metrics.Registry) *Metrics {
 	return &Metrics{
 		Retries: reg.Counter("lsl_transfer_retries_total",
-			"Transfer session re-dials after a transient failure."),
+			"Session re-dials after a transient failure (transfers and stripes)."),
 		Failovers: reg.Counter("lsl_transfer_failovers_total",
-			"Depots dropped from a transfer's route as dead."),
+			"Paths moved off a failing route: replanned, or a dead first-hop depot dropped."),
 		Transfers: reg.CounterVec("lsl_transfers_total",
-			"Finished transfers, by terminal outcome.", "outcome"),
+			"Finished transfers and striped groups, by terminal outcome.", "outcome"),
+		Groups: reg.Counter("lsl_stripe_groups_total",
+			"Striped transfer groups started."),
+		Rebalances: reg.Counter("lsl_stripe_rebalances_total",
+			"Mid-flow stripe weight recomputations from observed throughput."),
+		StripeHeals: reg.Counter("lsl_stripe_stripe_heals_total",
+			"Individual stripes re-attached after a mid-flow failure."),
+		FramesReassigned: reg.Counter("lsl_stripe_frames_reassigned_total",
+			"Frames requeued off dead or abandoned stripes."),
+		FramesStolen: reg.Counter("lsl_stripe_frames_stolen_total",
+			"Queued frames migrated off slow stripes at end-of-stream."),
+		FramesSpeculated: reg.Counter("lsl_stripe_frames_speculated_total",
+			"Tail frames duplicated onto faster stripes speculatively."),
+		Tail: reg.Histogram("lsl_stripe_tail_ns",
+			"End-of-stream tail per group: frame source dry to group drained (ns).",
+			[]float64{1e6, 5e6, 10e6, 25e6, 50e6, 100e6, 250e6, 1e9, 5e9}),
+		QueuedBytes: reg.GaugeVec("lsl_stripe_queued_bytes",
+			"Committed (queued + in-flight + unacked) bytes per stripe index.",
+			"stripe"),
 	}
 }
 
@@ -135,35 +182,6 @@ const (
 	OutcomeExhausted = "exhausted"
 	OutcomeCanceled  = "canceled"
 )
-
-var (
-	defaultOnce sync.Once
-	defaultReg  *metrics.Registry
-	defaultMet  *Metrics
-	defaultSMet *StripedMetrics
-)
-
-// DefaultRegistry returns the process-wide registry holding the
-// lsl_transfer_* and lsl_stripe_* metrics of transfers that did not
-// supply their own sink (render it with WritePrometheus).
-func DefaultRegistry() *metrics.Registry {
-	defaultOnce.Do(func() {
-		defaultReg = metrics.NewRegistry()
-		defaultMet = NewMetrics(defaultReg)
-		defaultSMet = NewStripedMetrics(defaultReg)
-	})
-	return defaultReg
-}
-
-func defaultMetrics() *Metrics {
-	DefaultRegistry()
-	return defaultMet
-}
-
-func defaultStripedMetrics() *StripedMetrics {
-	DefaultRegistry()
-	return defaultSMet
-}
 
 // Planner ranks candidate session routes by predicted completion time
 // and learns from every attempt. Implemented by internal/logistics; the
@@ -187,28 +205,23 @@ type Planner interface {
 
 // config collects per-transfer options.
 type config struct {
-	policy         Policy
-	dial           core.Dialer
-	digest         bool
-	handshake      time.Duration
-	confirmTimeout time.Duration
-	session        wire.SessionID
-	met            *Metrics
-	logf           func(format string, args ...interface{})
-	planner        Planner
+	policy  Policy
+	dial    core.Dialer
+	digest  bool
+	session wire.SessionID
+	met     *Metrics
+	logf    func(format string, args ...interface{})
+	planner Planner
 	// striped-transfer knobs (see striped.go)
 	stripes        int
 	frameSize      int
-	queueFrames    int
 	rebalanceBytes int64
-	stealThreshold float64
 	inflightBytes  int64
 	sockSnd        int
 	sockRcv        int
-	smet           *StripedMetrics
 }
 
-// Option tunes one Transfer call.
+// Option tunes one Transfer or StripedTransfer call.
 type Option func(*config)
 
 // WithPolicy sets the retry/failover policy.
@@ -222,18 +235,11 @@ func WithDialer(d core.Dialer) Option { return func(c *config) { c.dial = d } }
 // Transfer always knows the content length).
 func WithoutDigest() Option { return func(c *config) { c.digest = false } }
 
-// WithHandshakeTimeout bounds each attempt's session handshake.
-func WithHandshakeTimeout(d time.Duration) Option { return func(c *config) { c.handshake = d } }
-
-// WithConfirmTimeout bounds the post-payload drain that confirms the
-// cascade unwound (default 30s; negative waits indefinitely).
-func WithConfirmTimeout(d time.Duration) Option { return func(c *config) { c.confirmTimeout = d } }
-
 // WithSession pins the session ID (otherwise one is drawn per transfer).
 func WithSession(id wire.SessionID) Option { return func(c *config) { c.session = id } }
 
-// WithMetrics directs the engine's counters at m instead of the package
-// default registry (see NewMetrics).
+// WithMetrics directs the engine's counters at m (see NewMetrics);
+// without it nothing is recorded.
 func WithMetrics(m *Metrics) Option { return func(c *config) { c.met = m } }
 
 // WithLogf receives one line per recovery event.
@@ -247,6 +253,29 @@ func WithLogf(f func(format string, args ...interface{})) Option {
 // route after a transient failure, and feeds every attempt's
 // measurements back into the planner's forecasts.
 func WithPlanner(pl Planner) Option { return func(c *config) { c.planner = pl } }
+
+// begin applies opts over the defaults and builds the heal state the
+// transfer's paths share; the session ID is drawn here unless pinned.
+func begin(kind string, opts []Option, target string, size int64) *pathSet {
+	cfg := &config{digest: true}
+	for _, o := range opts {
+		o(cfg)
+	}
+	if cfg.met == nil {
+		cfg.met = &Metrics{} // nil metrics are no-op sinks
+	}
+	if cfg.logf == nil {
+		cfg.logf = func(string, ...interface{}) {}
+	}
+	if cfg.session == (wire.SessionID{}) {
+		cfg.session = wire.NewSessionID()
+	}
+	pol := cfg.policy.withDefaults()
+	if pol.JitterSeed == 0 {
+		pol.JitterSeed = int64(binary.BigEndian.Uint64(cfg.session[:8]))
+	}
+	return &pathSet{config: cfg, pol: pol, kind: kind, target: target, size: size}
+}
 
 // Permanent reports whether err can never be fixed by retrying: the
 // session was actively refused by a depot or the target (ErrRejected),
@@ -270,28 +299,15 @@ func Permanent(err error) bool {
 
 // Transfer delivers size bytes from src to route's target, healing
 // transient failures automatically: re-dial with resume, capped
-// exponential backoff with jitter, and failover around a dead first-hop
-// depot. A negative size is measured by seeking src to its end. src must
-// remain readable across attempts (SendReader seeks it to the resume
-// offset on every retry).
+// exponential backoff with jitter, and a replan or failover around a
+// dead first-hop depot. A negative size is measured by seeking src to its
+// end. src must remain readable across attempts (SendReader seeks it to
+// the resume offset on every retry).
 //
 // On success the returned Result describes the recovery work performed;
 // on failure it still reports the attempts made, and the error is either
 // permanent (classified by Permanent) or wraps ErrExhausted.
 func Transfer(ctx context.Context, route core.Route, src io.ReadSeeker, size int64, opts ...Option) (*Result, error) {
-	cfg := config{digest: true, confirmTimeout: 30 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pol := cfg.policy.withDefaults()
-	met := cfg.met
-	if met == nil {
-		met = defaultMetrics()
-	}
-	logf := cfg.logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
 	if err := route.Validate(); err != nil {
 		return nil, err
 	}
@@ -302,123 +318,40 @@ func Transfer(ctx context.Context, route core.Route, src io.ReadSeeker, size int
 		}
 		size = end
 	}
-
-	id := cfg.session
-	if id == (wire.SessionID{}) {
-		id = wire.NewSessionID()
-	}
-	seed := pol.JitterSeed
-	if seed == 0 {
-		seed = int64(binary.BigEndian.Uint64(id[:8]))
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// Work on a private copy of the route: failover mutates Via.
-	cur := core.Route{Via: append([]string(nil), route.Via...), Target: route.Target}
-	if cfg.planner != nil {
+	ps := begin("session", opts, route.Target, size)
+	if ps.planner != nil {
 		// Let the planner pick the opening route. Planning failures are
 		// soft: the caller's route still works without forecasts.
-		if routes, perr := cfg.planner.PlanRoutes(route.Target, size); perr == nil && len(routes) > 0 {
-			cur = routes[0]
-			logf("resilience: session %s planner chose route %v (%d candidates)", id, cur.Hops(), len(routes))
+		if routes, perr := ps.planner.PlanRoutes(route.Target, size); perr == nil && len(routes) > 0 {
+			route = routes[0]
+			ps.logf("resilience: %s planner chose route %v (%d candidates)", ps, route.Hops(), len(routes))
 		} else if perr != nil {
-			logf("resilience: session %s planner unavailable (%v); using provided route", id, perr)
+			ps.logf("resilience: %s planner unavailable (%v); using provided route", ps, perr)
 		}
 	}
-	res := &Result{Session: id, Route: cur, Bytes: size}
+	p := ps.addPath(route)
 	start := time.Now()
-	finish := func(outcome string) {
-		met.Transfers.With(outcome).Inc()
-		res.Route = cur
-		res.Duration = time.Since(start)
+	err := p.run(ctx, func(r core.Route) error {
+		st, err := attemptOnce(ctx, ps.config, r, src, size)
+		if err == nil && ps.planner != nil {
+			ps.planner.ObserveSuccess(r, st.bytes, st.seconds, st.dialSeconds)
+		}
+		return err
+	})
+	ps.met.Transfers.With(outcomeOf(ctx, err)).Inc()
+	res := &Result{
+		Session:   ps.session,
+		Attempts:  p.attempts,
+		Retries:   p.attempts - 1,
+		Failovers: ps.failovers,
+		Route:     p.route,
+		Bytes:     size,
+		Duration:  time.Since(start),
 	}
-
-	firstHopFails := 0
-	var lastErr error
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
-		res.Attempts = attempt
-		if attempt > 1 {
-			res.Retries++
-			met.Retries.Inc()
-			if err := backoff.Sleep(ctx, pol.Backoff.Delay(attempt-1, rng)); err != nil {
-				finish(OutcomeCanceled)
-				return res, err
-			}
-		}
-		st, err := attemptOnce(ctx, &cfg, cur, id, src, size)
-		if err == nil {
-			if cfg.planner != nil {
-				cfg.planner.ObserveSuccess(cur, st.bytes, st.seconds, st.dialSeconds)
-			}
-			finish(OutcomeDelivered)
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			finish(OutcomeCanceled)
-			return res, fmt.Errorf("resilience: session %s: %w", id, err)
-		}
-		if Permanent(err) {
-			finish(OutcomeRejected)
-			return res, fmt.Errorf("resilience: session %s: %w", id, err)
-		}
-		logf("resilience: session %s attempt %d/%d failed: %v", id, attempt, pol.MaxAttempts, err)
-
-		var de *core.DialError
-		dialFailed := errors.As(err, &de)
-		if cfg.planner != nil {
-			// Feed the failure back (a dial error names the dead hop; an
-			// in-session failure poisons the whole route) and switch to
-			// whatever the updated forecasts now rank best.
-			failedHop := ""
-			if dialFailed {
-				failedHop = de.Hop
-			}
-			cfg.planner.ObserveFailure(cur, failedHop)
-			if routes, perr := cfg.planner.PlanRoutes(cur.Target, size); perr == nil && len(routes) > 0 {
-				if next := routes[0]; !sameRoute(next, cur) {
-					cur = next
-					res.Failovers++
-					met.Failovers.Inc()
-					cfg.planner.RecordReplan()
-					logf("resilience: session %s replanned onto %v", id, cur.Hops())
-				}
-			}
-			continue
-		}
-
-		// A dead first hop is a failover candidate: after FailoverAfter
-		// consecutive dial failures against it, route around it.
-		if dialFailed && len(cur.Via) > 0 && de.Hop == cur.Via[0] && pol.FailoverAfter > 0 {
-			firstHopFails++
-			if firstHopFails >= pol.FailoverAfter {
-				dead := cur.Via[0]
-				cur.Via = cur.Via[1:]
-				firstHopFails = 0
-				res.Failovers++
-				met.Failovers.Inc()
-				logf("resilience: session %s failing over around dead depot %s (route now %v)",
-					id, dead, cur.Hops())
-			}
-		} else {
-			firstHopFails = 0
-		}
+	if err != nil {
+		return res, fmt.Errorf("resilience: %s: %w", ps, err)
 	}
-	finish(OutcomeExhausted)
-	return res, fmt.Errorf("resilience: session %s: %w after %d attempts: %w", id, ErrExhausted, res.Attempts, lastErr)
-}
-
-// sameRoute reports whether two routes dial the same hop sequence.
-func sameRoute(a, b core.Route) bool {
-	if a.Target != b.Target || len(a.Via) != len(b.Via) {
-		return false
-	}
-	for i := range a.Via {
-		if a.Via[i] != b.Via[i] {
-			return false
-		}
-	}
-	return true
+	return res, nil
 }
 
 // attemptStats are the measurements one attempt feeds back to a planner.
@@ -432,10 +365,10 @@ type attemptStats struct {
 // to the target's confirmed offset, stream the remainder, and drain the
 // backward channel until the cascade unwinds (EOF), which is the signal
 // that the target-side sublink fully consumed the stream.
-func attemptOnce(ctx context.Context, cfg *config, route core.Route, id wire.SessionID, src io.ReadSeeker, size int64) (st attemptStats, err error) {
+func attemptOnce(ctx context.Context, cfg *config, route core.Route, src io.ReadSeeker, size int64) (st attemptStats, err error) {
 	opts := []core.Option{
 		core.WithContentLength(size),
-		core.WithSession(id),
+		core.WithSession(cfg.session),
 		core.WithResume(),
 	}
 	if cfg.digest {
@@ -443,9 +376,6 @@ func attemptOnce(ctx context.Context, cfg *config, route core.Route, id wire.Ses
 	}
 	if cfg.dial != nil {
 		opts = append(opts, core.WithDialer(cfg.dial))
-	}
-	if cfg.handshake > 0 {
-		opts = append(opts, core.WithHandshakeTimeout(cfg.handshake))
 	}
 	start := time.Now()
 	defer func() { st.seconds = time.Since(start).Seconds() }()
@@ -474,9 +404,7 @@ func attemptOnce(ctx context.Context, cfg *config, route core.Route, id wire.Ses
 	// last payload byte but before the target drained it surfaces here as
 	// an error, so the attempt is retried instead of falsely reported
 	// delivered.
-	if cfg.confirmTimeout > 0 {
-		c.SetDeadline(time.Now().Add(cfg.confirmTimeout))
-	}
+	c.SetDeadline(time.Now().Add(confirmTimeout))
 	if _, err := io.Copy(io.Discard, c); err != nil {
 		return st, fmt.Errorf("confirm drain: %w", err)
 	}

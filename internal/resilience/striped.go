@@ -1,31 +1,26 @@
 // Striped self-healing transfers: one logical stream over N concurrent
 // sessions on (ideally) link-disjoint routes, scheduled by the weighted
-// credit dispatcher of internal/stripe and healed per stripe with the
-// same classify/backoff/redial machinery single-path Transfer uses. A
-// stripe that dies mid-flow is re-dialed — after a replan onto the
-// next-best disjoint route when a planner is attached — and the frames it
-// had in flight are reassigned; a stripe whose attempt budget runs out is
-// abandoned and its share flows through the survivors. Delivery is
-// confirmed per stripe by the cascade unwinding, with a replay path for
-// stripes whose confirmation fails after the data phase.
+// credit dispatcher of internal/stripe. Each stripe is one path of the
+// shared heal loop (path.go), so a stripe that dies mid-flow is re-dialed
+// — after a replan onto the best disjoint route when a planner is
+// attached — and the frames it had in flight are reassigned; a stripe
+// whose attempt budget runs out is abandoned and its share flows through
+// the survivors. Delivery is confirmed by the receiver's acks or, per
+// stripe, by the cascade unwinding, with a replay onto a fresh session
+// for a stripe whose confirmation fails after the data phase.
 
 package resilience
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"lsl/internal/backoff"
 	"lsl/internal/core"
-	"lsl/internal/metrics"
 	"lsl/internal/stripe"
 	"lsl/internal/wire"
 )
@@ -41,79 +36,18 @@ type StripePlanner interface {
 	PlanStripes(target string, size int64, k int) ([]core.Route, []float64, error)
 }
 
-// StripedMetrics is the striped engine's counter set.
-type StripedMetrics struct {
-	// Groups is lsl_stripe_groups_total.
-	Groups *metrics.Counter
-	// Rebalances is lsl_stripe_rebalances_total.
-	Rebalances *metrics.Counter
-	// StripeHeals is lsl_stripe_stripe_heals_total.
-	StripeHeals *metrics.Counter
-	// FramesReassigned is lsl_stripe_frames_reassigned_total.
-	FramesReassigned *metrics.Counter
-	// FramesStolen is lsl_stripe_frames_stolen_total.
-	FramesStolen *metrics.Counter
-	// FramesSpeculated is lsl_stripe_frames_speculated_total.
-	FramesSpeculated *metrics.Counter
-	// Tail is lsl_stripe_tail_ns: time each group spent between the frame
-	// source running dry and the last stripe draining.
-	Tail *metrics.Histogram
-	// QueuedBytes is lsl_stripe_queued_bytes: each stripe index's
-	// currently committed (queued + in-flight + unacknowledged) bytes,
-	// sampled while a group is running.
-	QueuedBytes *metrics.GaugeVec
-}
-
-// NewStripedMetrics registers the lsl_stripe_* families on reg.
-func NewStripedMetrics(reg *metrics.Registry) *StripedMetrics {
-	return &StripedMetrics{
-		Groups: reg.Counter("lsl_stripe_groups_total",
-			"Striped transfer groups started."),
-		Rebalances: reg.Counter("lsl_stripe_rebalances_total",
-			"Mid-flow stripe weight recomputations from observed throughput."),
-		StripeHeals: reg.Counter("lsl_stripe_stripe_heals_total",
-			"Individual stripes re-attached after a mid-flow failure."),
-		FramesReassigned: reg.Counter("lsl_stripe_frames_reassigned_total",
-			"Frames requeued off dead or abandoned stripes."),
-		FramesStolen: reg.Counter("lsl_stripe_frames_stolen_total",
-			"Queued frames migrated off slow stripes at end-of-stream."),
-		FramesSpeculated: reg.Counter("lsl_stripe_frames_speculated_total",
-			"Tail frames duplicated onto faster stripes speculatively."),
-		Tail: reg.Histogram("lsl_stripe_tail_ns",
-			"End-of-stream tail per group: frame source dry to group drained (ns).",
-			[]float64{1e6, 5e6, 10e6, 25e6, 50e6, 100e6, 250e6, 1e9, 5e9}),
-		QueuedBytes: reg.GaugeVec("lsl_stripe_queued_bytes",
-			"Committed (queued + in-flight + unacked) bytes per stripe index.",
-			"stripe"),
-	}
-}
-
 // WithStripes sets the stripe count (default: one per provided route).
 func WithStripes(n int) Option { return func(c *config) { c.stripes = n } }
 
 // WithFrameSize sets the striping granularity in bytes.
 func WithFrameSize(n int) Option { return func(c *config) { c.frameSize = n } }
 
-// WithQueueFrames bounds frames queued per stripe ahead of its writer.
-func WithQueueFrames(n int) Option { return func(c *config) { c.queueFrames = n } }
-
 // WithRebalanceBytes recomputes stripe weights from observed throughput
 // every n bytes written (<= 0 disables mid-flow rebalancing).
 func WithRebalanceBytes(n int64) Option { return func(c *config) { c.rebalanceBytes = n } }
 
-// WithStripedMetrics directs the lsl_stripe_* counters at m instead of
-// the package default registry.
-func WithStripedMetrics(m *StripedMetrics) Option { return func(c *config) { c.smet = m } }
-
-// WithStealThreshold sets the rate ratio a fast stripe must hold over a
-// slow one before end-of-stream work stealing and tail speculation kick
-// in (default stripe.DefaultStealThreshold; negative disables tail
-// reclamation entirely).
-func WithStealThreshold(v float64) Option { return func(c *config) { c.stealThreshold = v } }
-
-// WithInflightBytes bounds each stripe's unacknowledged bytes: > 0 is a
-// fixed per-stripe budget, 0 (default) adapts one from the receiver's
-// acked throughput, negative keeps only the legacy QueueFrames bound.
+// WithInflightBytes pins each stripe's unacknowledged-byte budget to n
+// instead of adapting one from the receiver's acked throughput.
 func WithInflightBytes(n int64) Option { return func(c *config) { c.inflightBytes = n } }
 
 // WithSockBuffers pins SO_SNDBUF/SO_RCVBUF (bytes) on every striped
@@ -167,21 +101,13 @@ type StripedResult struct {
 	Duration time.Duration
 }
 
-// stripeCtl is the engine's per-stripe mutable state, guarded by the
-// engine mutex.
+// stripeCtl is one stripe's heal path plus its current connection; the
+// connection fields are guarded by the path set's mutex.
 type stripeCtl struct {
-	route       core.Route
+	*path
 	conn        *core.Conn
 	ackDone     chan error // current conn's ack reader exit status
 	dialSeconds float64
-	attempts    int // session dials consumed from the per-stripe budget
-	dialFails   int // consecutive first-hop dial failures (plannerless failover)
-	rng         *rand.Rand
-	lastErr     error
-}
-
-func routeKey(r core.Route) string {
-	return strings.Join(r.Via, ",") + "|" + r.Target
 }
 
 // StripedTransfer delivers size bytes from src over len(routes) (or
@@ -197,19 +123,6 @@ func routeKey(r core.Route) string {
 // per-frame offsets, TCP checksums, and the receiver's completeness
 // check; pair with an end-to-end digest at a higher layer if required.
 func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, size int64, opts ...Option) (*StripedResult, error) {
-	cfg := config{confirmTimeout: 30 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pol := cfg.policy.withDefaults()
-	smet := cfg.smet
-	if smet == nil {
-		smet = defaultStripedMetrics()
-	}
-	logf := cfg.logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
 	if len(routes) == 0 {
 		return nil, fmt.Errorf("resilience: striped transfer needs at least one route")
 	}
@@ -225,7 +138,9 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	if size < 0 {
 		return nil, fmt.Errorf("resilience: striped transfer needs a known size")
 	}
-	n := cfg.stripes
+	ps := begin("group", opts, target, size)
+	met, logf := ps.met, ps.logf
+	n := ps.stripes
 	if n <= 0 {
 		n = len(routes)
 	}
@@ -236,22 +151,13 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	// Let the planner propose disjoint routes and weights; the caller's
 	// routes remain the fallback when planning is unavailable.
 	var weights []float64
-	if sp, ok := cfg.planner.(StripePlanner); ok {
+	if sp, ok := ps.planner.(StripePlanner); ok {
 		if pr, pw, perr := sp.PlanStripes(target, size, n); perr == nil && len(pr) > 0 {
 			routes, weights = pr, pw
 			logf("resilience: striped planner proposed %d disjoint routes for %d stripes", len(pr), n)
 		} else if perr != nil {
 			logf("resilience: striped planner unavailable (%v); using provided routes", perr)
 		}
-	}
-
-	group := cfg.session
-	if group == (wire.SessionID{}) {
-		group = wire.NewSessionID()
-	}
-	seed := pol.JitterSeed
-	if seed == 0 {
-		seed = int64(binary.BigEndian.Uint64(group[:8]))
 	}
 
 	// Map stripes onto routes cyclically; stripes sharing a route split
@@ -263,11 +169,7 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	ctls := make([]*stripeCtl, n)
 	stripeWeights := make([]float64, n)
 	for i := 0; i < n; i++ {
-		r := routes[i%len(routes)]
-		ctls[i] = &stripeCtl{
-			route: core.Route{Via: append([]string(nil), r.Via...), Target: r.Target},
-			rng:   rand.New(rand.NewSource(seed + int64(i)*7919)),
-		}
+		ctls[i] = &stripeCtl{path: ps.addPath(routes[i%len(routes)])}
 		w := 1.0
 		if len(weights) > 0 && weights[i%len(weights)] > 0 {
 			w = weights[i%len(weights)] / float64(shares[i%len(routes)])
@@ -275,63 +177,55 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		stripeWeights[i] = w
 	}
 
-	res := &StripedResult{Group: group, Stripes: n, Bytes: size}
-	smet.Groups.Inc()
+	res := &StripedResult{Group: ps.session, Stripes: n, Bytes: size}
+	met.Groups.Inc()
 	start := time.Now()
+
+	// drop closes stripe idx's current connection, if any.
+	drop := func(idx int) {
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		if sc := ctls[idx]; sc.conn != nil {
+			sc.conn.Close()
+			sc.conn = nil
+		}
+	}
 
 	type downEvent struct {
 		idx int
 		err error
 	}
-	var emu sync.Mutex // guards ctls fields and res counters
-
 	// Each stripe can die at most once per attach and attach at most
 	// MaxAttempts times, so the channel never blocks the scheduler.
-	downCh := make(chan downEvent, n*(pol.MaxAttempts+2))
-	snd, err := stripe.NewSender(group, src, size, n, stripe.SenderConfig{
-		FrameSize:      cfg.frameSize,
+	downCh := make(chan downEvent, n*(ps.pol.MaxAttempts+2))
+	snd, err := stripe.NewSender(ps.session, src, size, n, stripe.SenderConfig{
+		FrameSize:      ps.frameSize,
 		Weights:        stripeWeights,
-		QueueFrames:    cfg.queueFrames,
-		RebalanceBytes: cfg.rebalanceBytes,
+		RebalanceBytes: ps.rebalanceBytes,
 		Acks:           true,
-		StealThreshold: cfg.stealThreshold,
-		InflightBytes:  cfg.inflightBytes,
+		InflightBytes:  ps.inflightBytes,
 		OnStripeDown:   func(i int, err error) { downCh <- downEvent{i, err} },
-		OnRebalance:    func([]float64) { smet.Rebalances.Inc() },
-		OnReassign:     func(_, frames int) { smet.FramesReassigned.Add(uint64(frames)) },
-		OnSteal: func(_, _, frames int) {
-			smet.FramesStolen.Add(uint64(frames))
-		},
-		OnSpeculate: func(_, _, frames int) {
-			smet.FramesSpeculated.Add(uint64(frames))
-		},
-		OnSuperseded: func(i int) {
-			// The wedged write only returns once its connection dies;
-			// the retired worker then self-retires on its stale
-			// generation, so no down event or heal follows.
-			emu.Lock()
-			if sc := ctls[i]; sc.conn != nil {
-				sc.conn.Close()
-				sc.conn = nil
-			}
-			emu.Unlock()
-		},
-		Logf: logf,
+		OnRebalance:    func([]float64) { met.Rebalances.Inc() },
+		OnReassign:     func(_, frames int) { met.FramesReassigned.Add(uint64(frames)) },
+		OnSteal:        func(_, _, frames int) { met.FramesStolen.Add(uint64(frames)) },
+		OnSpeculate:    func(_, _, frames int) { met.FramesSpeculated.Add(uint64(frames)) },
+		// The wedged write only returns once its connection dies; the
+		// retired worker then self-retires on its stale generation, so no
+		// down event or heal follows.
+		OnSuperseded: drop,
+		Logf:         logf,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	dialStripe := func(r core.Route) (*core.Conn, error) {
+	dial := func(r core.Route) (*core.Conn, error) {
 		opts := []core.Option{core.WithSession(wire.NewSessionID())}
-		if cfg.dial != nil {
-			opts = append(opts, core.WithDialer(cfg.dial))
+		if ps.dial != nil {
+			opts = append(opts, core.WithDialer(ps.dial))
 		}
-		if cfg.handshake > 0 {
-			opts = append(opts, core.WithHandshakeTimeout(cfg.handshake))
-		}
-		if cfg.sockSnd > 0 || cfg.sockRcv > 0 {
-			opts = append(opts, core.WithSocketBuffers(cfg.sockSnd, cfg.sockRcv))
+		if ps.sockSnd > 0 || ps.sockRcv > 0 {
+			opts = append(opts, core.WithSocketBuffers(ps.sockSnd, ps.sockRcv))
 		}
 		return core.Dial(ctx, r, opts...)
 	}
@@ -340,7 +234,9 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	// generation gen: every delivery report feeds the scheduler's flow
 	// control and tail reclamation, and the reader's exit status (io.EOF
 	// once the cascade unwinds cleanly) lands on done for the confirm
-	// phase to collect.
+	// phase to collect. A replayed session reads as generation -1, which
+	// updates only the group-level flushed and attribution state, never a
+	// live stripe's rate.
 	readAcks := func(idx, gen int, c *core.Conn, done chan error) {
 		for {
 			a, rerr := stripe.ReadAck(c)
@@ -352,139 +248,51 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		}
 	}
 
-	// replanStripe moves a stripe whose route keeps failing onto the best
-	// candidate no other stripe is using; without a planner it falls back
-	// to dropping a dead first-hop depot, like single-path failover.
-	replanStripe := func(idx int) {
-		sc := ctls[idx]
-		var cand []core.Route
-		if sp, ok := cfg.planner.(StripePlanner); ok {
-			if rs, _, perr := sp.PlanStripes(target, size, 0); perr == nil {
-				cand = rs
-			}
-		} else if cfg.planner != nil {
-			if rs, perr := cfg.planner.PlanRoutes(target, size); perr == nil {
-				cand = rs
-			}
+	// abandon retires stripe idx for good; its share flows through the
+	// survivors.
+	abandon := func(idx int, err error) {
+		if ctx.Err() == nil {
+			ps.mu.Lock()
+			res.Abandoned++
+			ps.mu.Unlock()
+			logf("resilience: %s stripe %d abandoned: %v", ps, idx, err)
 		}
-		emu.Lock()
-		defer emu.Unlock()
-		if len(cand) > 0 {
-			used := make(map[string]bool)
-			for j, other := range ctls {
-				if j != idx {
-					used[routeKey(other.route)] = true
-				}
-			}
-			next := cand[0]
-			for _, c := range cand {
-				if !used[routeKey(c)] {
-					next = c
-					break
-				}
-			}
-			if !sameRoute(next, sc.route) {
-				logf("resilience: group %s stripe %d replanned %v -> %v",
-					group, idx, sc.route.Hops(), next.Hops())
-				sc.route = next
-				sc.dialFails = 0
-				res.Replans++
-				cfg.planner.RecordReplan()
-			}
-			return
-		}
-		if cfg.planner == nil && pol.FailoverAfter > 0 &&
-			sc.dialFails >= pol.FailoverAfter && len(sc.route.Via) > 0 {
-			dead := sc.route.Via[0]
-			sc.route.Via = sc.route.Via[1:]
-			sc.dialFails = 0
-			res.Replans++
-			logf("resilience: group %s stripe %d failing over around dead depot %s", group, idx, dead)
-		}
+		snd.Abandon(idx, err)
 	}
 
-	// healStripe dials stripe idx (initial attach or heal) within the
-	// stripe's attempt budget, abandoning it when the budget runs out.
-	healStripe := func(idx int, isHeal bool) {
+	healed := func(idx int, how string) {
+		met.StripeHeals.Inc()
+		ps.mu.Lock()
+		res.Heals++
+		ps.mu.Unlock()
+		logf("resilience: %s stripe %d %s", ps, idx, how)
+	}
+
+	// attach brings stripe idx up (initial attach or heal) within the
+	// stripe's attempt budget, abandoning it when the heal loop gives up.
+	attach := func(idx int, heal bool) {
 		sc := ctls[idx]
-		for {
-			if ctx.Err() != nil {
-				snd.Abandon(idx, ctx.Err())
-				return
+		err := sc.run(ctx, func(r core.Route) error {
+			c, err := dial(r)
+			if err != nil {
+				return err
 			}
-			emu.Lock()
-			if sc.attempts >= pol.MaxAttempts {
-				err := sc.lastErr
-				res.Abandoned++
-				emu.Unlock()
-				logf("resilience: group %s stripe %d abandoned after %d attempts", group, idx, pol.MaxAttempts)
-				snd.Abandon(idx, err)
-				return
+			done := make(chan error, 1)
+			ps.mu.Lock()
+			sc.conn, sc.ackDone, sc.dialSeconds = c, done, c.DialDuration().Seconds()
+			ps.mu.Unlock()
+			gen, err := snd.AttachGen(idx, c)
+			if err != nil {
+				drop(idx)
+				return err
 			}
-			sc.attempts++
-			attempt := sc.attempts
-			r := sc.route
-			emu.Unlock()
-			if attempt > 1 {
-				if err := backoff.Sleep(ctx, pol.Backoff.Delay(attempt-1, sc.rng)); err != nil {
-					snd.Abandon(idx, err)
-					return
-				}
-			}
-			c, derr := dialStripe(r)
-			if derr != nil {
-				emu.Lock()
-				sc.lastErr = derr
-				emu.Unlock()
-				if Permanent(derr) {
-					emu.Lock()
-					res.Abandoned++
-					emu.Unlock()
-					snd.Abandon(idx, derr)
-					return
-				}
-				hop := ""
-				var de *core.DialError
-				if errors.As(derr, &de) {
-					hop = de.Hop
-				}
-				emu.Lock()
-				if len(r.Via) > 0 && hop == r.Via[0] {
-					sc.dialFails++
-				} else {
-					sc.dialFails = 0
-				}
-				emu.Unlock()
-				if cfg.planner != nil {
-					cfg.planner.ObserveFailure(r, hop)
-				}
-				logf("resilience: group %s stripe %d dial %v failed (attempt %d/%d): %v",
-					group, idx, r.Hops(), attempt, pol.MaxAttempts, derr)
-				replanStripe(idx)
-				continue
-			}
-			ackDone := make(chan error, 1)
-			emu.Lock()
-			sc.conn = c
-			sc.ackDone = ackDone
-			sc.dialFails = 0
-			sc.dialSeconds = c.DialDuration().Seconds()
-			emu.Unlock()
-			gen, aerr := snd.AttachGen(idx, c)
-			if aerr != nil {
-				// Abandoned (or already live) while we were dialing.
-				c.Close()
-				return
-			}
-			go readAcks(idx, gen, c, ackDone)
-			if isHeal {
-				smet.StripeHeals.Inc()
-				emu.Lock()
-				res.Heals++
-				emu.Unlock()
-				logf("resilience: group %s stripe %d healed onto %v", group, idx, r.Hops())
-			}
-			return
+			go readAcks(idx, gen, c, done)
+			return nil
+		})
+		if err != nil {
+			abandon(idx, err)
+		} else if heal {
+			healed(idx, "re-attached")
 		}
 	}
 
@@ -505,11 +313,11 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 			select {
 			case <-t.C:
 				for i, qb := range snd.QueuedBytes() {
-					smet.QueuedBytes.With(strconv.Itoa(i)).Set(qb)
+					met.QueuedBytes.With(strconv.Itoa(i)).Set(qb)
 				}
 			case <-sampleStop:
 				for i := 0; i < n; i++ {
-					smet.QueuedBytes.With(strconv.Itoa(i)).Set(0)
+					met.QueuedBytes.With(strconv.Itoa(i)).Set(0)
 				}
 				return
 			}
@@ -518,27 +326,26 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	defer func() { close(sampleStop); sampleWG.Wait() }()
 
 	var healWG sync.WaitGroup
-	for i := 0; i < n; i++ {
+	spawn := func(idx int, heal bool) {
 		healWG.Add(1)
-		go func(idx int) {
+		go func() {
 			defer healWG.Done()
-			healStripe(idx, false)
-		}(i)
+			attach(idx, heal)
+		}()
+	}
+	for i := 0; i < n; i++ {
+		spawn(i, false)
 	}
 
-	closeAll := func() {
-		emu.Lock()
-		defer emu.Unlock()
-		for _, sc := range ctls {
-			if sc.conn != nil {
-				sc.conn.Close()
-				sc.conn = nil
-			}
+	// finish closes every stripe, fills in the result and counts the
+	// group's terminal outcome.
+	finish := func(err error) (*StripedResult, error) {
+		for i := range ctls {
+			drop(i)
 		}
-	}
-	finish := func() {
-		emu.Lock()
-		defer emu.Unlock()
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		res.Replans = ps.failovers
 		res.Rebalances = snd.Rebalances()
 		res.FramesReassigned = snd.Reassigned()
 		res.FramesStolen = snd.Stolen()
@@ -546,18 +353,20 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		res.Superseded = int(snd.Superseded())
 		res.Confirmed = snd.Confirmed()
 		res.Tail = snd.TailDuration()
-		if res.Confirmed {
-			// The receiver's attribution: which stripe landed each byte
-			// first, speculative duplicates excluded.
-			res.StripeBytes = snd.AcceptedBytes()
-		} else {
-			res.StripeBytes = snd.StripeBytes()
-		}
+		res.StripeBytes = deliveredBytes(snd)
 		res.Routes = make([]core.Route, n)
 		for i, sc := range ctls {
 			res.Routes[i] = sc.route
 		}
 		res.Duration = time.Since(start)
+		met.Transfers.With(outcomeOf(ctx, err)).Inc()
+		if err != nil {
+			return res, fmt.Errorf("resilience: %s: %w", ps, err)
+		}
+		if res.Tail > 0 {
+			met.Tail.Observe(float64(res.Tail.Nanoseconds()))
+		}
+		return res, nil
 	}
 
 	var runErr error
@@ -565,163 +374,84 @@ events:
 	for {
 		select {
 		case ev := <-downCh:
-			emu.Lock()
-			sc := ctls[ev.idx]
-			if sc.conn != nil {
-				sc.conn.Close()
-				sc.conn = nil
+			drop(ev.idx)
+			if ctls[ev.idx].failed(ev.err) {
+				abandon(ev.idx, ev.err)
+			} else {
+				spawn(ev.idx, true)
 			}
-			route := sc.route
-			emu.Unlock()
-			logf("resilience: group %s stripe %d died mid-stream: %v", group, ev.idx, ev.err)
-			if cfg.planner != nil {
-				// A mid-session break cannot be attributed to one hop.
-				cfg.planner.ObserveFailure(route, "")
-			}
-			replanStripe(ev.idx)
-			healWG.Add(1)
-			go func(idx int) {
-				defer healWG.Done()
-				healStripe(idx, true)
-			}(ev.idx)
 		case runErr = <-runDone:
 			break events
 		}
 	}
 	healWG.Wait()
 	if runErr != nil {
-		closeAll()
-		finish()
-		return res, fmt.Errorf("resilience: group %s: %w", group, runErr)
+		return finish(runErr)
 	}
 
-	// Confirm each stripe's delivery. The backward channel belongs to the
-	// stripe's ack reader, so the drain half-closes and then waits for the
-	// reader to see the cascade unwind (io.EOF) — or for the receiver's
-	// flushed-everything ack, whichever lands first. A stripe that cannot
-	// confirm is replayed in full onto a fresh session (the receiver drops
-	// the duplicates).
-	confirmStripe := func(idx int) error {
+	// drain confirms one stripe session's delivery. The backward channel
+	// belongs to the session's ack reader, so the drain half-closes and
+	// then waits for the reader to see the cascade unwind (io.EOF) — or for
+	// the receiver's flushed-everything ack, whichever lands first.
+	drain := func(c *core.Conn, done chan error) error {
+		if err := c.CloseWrite(); err != nil {
+			return err
+		}
+		c.SetDeadline(time.Now().Add(confirmTimeout))
+		select {
+		case derr := <-done:
+			if errors.Is(derr, io.EOF) {
+				return nil
+			}
+			return derr
+		case <-snd.ConfirmedChan():
+			return nil
+		}
+	}
+	// confirm drains stripe idx; a stripe that cannot confirm is one more
+	// failed attempt on its path, healed by replaying it in full onto a
+	// fresh session (the receiver drops the duplicates).
+	confirm := func(idx int) error {
 		sc := ctls[idx]
-		emu.Lock()
-		c := sc.conn
-		done := sc.ackDone
-		emu.Unlock()
+		ps.mu.Lock()
+		c, done := sc.conn, sc.ackDone
+		ps.mu.Unlock()
 		if c == nil {
 			// Abandoned or superseded; its bytes were confirmed via the
 			// survivors.
 			return nil
 		}
-		drain := func(c *core.Conn, done chan error) error {
-			if err := c.CloseWrite(); err != nil {
-				return err
-			}
-			if cfg.confirmTimeout > 0 {
-				c.SetDeadline(time.Now().Add(cfg.confirmTimeout))
-			}
-			select {
-			case derr := <-done:
-				if errors.Is(derr, io.EOF) {
-					return nil
-				}
-				return derr
-			case <-snd.ConfirmedChan():
-				return nil
-			}
-		}
-		// A replayed session has no standing ack reader: pump the acks
-		// inline (generation -1 updates only the group-level flushed and
-		// attribution state, never a live stripe's rate) until the unwind.
-		replayDrain := func(c *core.Conn) error {
-			if err := c.CloseWrite(); err != nil {
-				return err
-			}
-			if cfg.confirmTimeout > 0 {
-				c.SetDeadline(time.Now().Add(cfg.confirmTimeout))
-			}
-			for {
-				a, rerr := stripe.ReadAck(c)
-				if rerr != nil {
-					if errors.Is(rerr, io.EOF) {
-						return nil
-					}
-					return rerr
-				}
-				snd.Ack(idx, -1, a)
-			}
-		}
 		err := drain(c, done)
 		if err == nil {
 			return nil
 		}
-		logf("resilience: group %s stripe %d confirm failed: %v", group, idx, err)
-		for {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			emu.Lock()
-			if sc.attempts >= pol.MaxAttempts {
-				emu.Unlock()
-				return fmt.Errorf("stripe %d: %w: confirm: %w", idx, ErrExhausted, err)
-			}
-			sc.attempts++
-			attempt := sc.attempts
-			r := sc.route
-			emu.Unlock()
-			if serr := backoff.Sleep(ctx, pol.Backoff.Delay(attempt-1, sc.rng)); serr != nil {
-				return serr
-			}
-			c2, derr := dialStripe(r)
-			if derr != nil {
-				err = derr
-				if Permanent(derr) {
-					return derr
+		if !sc.failed(err) {
+			err = sc.run(ctx, func(r core.Route) error {
+				c, err := dial(r)
+				if err != nil {
+					return err
 				}
-				if cfg.planner != nil {
-					hop := ""
-					var de *core.DialError
-					if errors.As(derr, &de) {
-						hop = de.Hop
-					}
-					cfg.planner.ObserveFailure(r, hop)
+				defer c.Close()
+				done := make(chan error, 1)
+				go readAcks(idx, -1, c, done)
+				if err := snd.ReplayStripe(idx, c); err != nil {
+					return err
 				}
-				replanStripe(idx)
-				continue
-			}
-			if rerr := snd.ReplayStripe(idx, c2); rerr != nil {
-				c2.Close()
-				err = rerr
-				if cfg.planner != nil {
-					cfg.planner.ObserveFailure(r, "")
-				}
-				continue
-			}
-			if derr := replayDrain(c2); derr != nil {
-				c2.Close()
-				err = derr
-				continue
-			}
-			emu.Lock()
-			if sc.conn != nil {
-				sc.conn.Close()
-			}
-			sc.conn = c2
-			sc.ackDone = nil
-			emu.Unlock()
-			smet.StripeHeals.Inc()
-			emu.Lock()
-			res.Heals++
-			emu.Unlock()
-			logf("resilience: group %s stripe %d confirmed via replay", group, idx)
-			return nil
+				return drain(c, done)
+			})
 		}
+		if err != nil {
+			return fmt.Errorf("stripe %d: confirm: %w", idx, err)
+		}
+		healed(idx, "confirmed via replay")
+		return nil
 	}
 	// With the receiver's flushed-everything ack already in hand there is
 	// nothing left to confirm: every byte is delivered and attributed, so
 	// skip the per-stripe unwind (and with it any wait on a slow path's
 	// buffered backlog — the whole point of the tail work).
 	if snd.Confirmed() {
-		logf("resilience: group %s confirmed by receiver ack", group)
+		logf("resilience: %s confirmed by receiver ack", ps)
 	} else {
 		confErrs := make(chan error, n)
 		var confWG sync.WaitGroup
@@ -729,38 +459,38 @@ events:
 			confWG.Add(1)
 			go func(idx int) {
 				defer confWG.Done()
-				if err := confirmStripe(idx); err != nil {
-					confErrs <- fmt.Errorf("resilience: group %s: %w", group, err)
+				if err := confirm(idx); err != nil {
+					confErrs <- err
 				}
 			}(i)
 		}
 		confWG.Wait()
 		close(confErrs)
 		if err := <-confErrs; err != nil {
-			closeAll()
-			finish()
-			return res, err
+			return finish(err)
 		}
 	}
 
-	if cfg.planner != nil {
-		sb := snd.StripeBytes()
-		if snd.Confirmed() {
-			sb = snd.AcceptedBytes()
-		}
+	if ps.planner != nil {
+		sb := deliveredBytes(snd)
 		dur := time.Since(start).Seconds()
-		emu.Lock()
+		ps.mu.Lock()
 		for i, sc := range ctls {
 			if sb[i] > 0 {
-				cfg.planner.ObserveSuccess(sc.route, sb[i], dur, sc.dialSeconds)
+				ps.planner.ObserveSuccess(sc.route, sb[i], dur, sc.dialSeconds)
 			}
 		}
-		emu.Unlock()
+		ps.mu.Unlock()
 	}
-	closeAll()
-	finish()
-	if res.Tail > 0 {
-		smet.Tail.Observe(float64(res.Tail.Nanoseconds()))
+	return finish(nil)
+}
+
+// deliveredBytes is the per-stripe payload attribution: the receiver's
+// (which stripe landed each byte first, speculative duplicates excluded)
+// once it acked the whole stream as flushed, the sender's own otherwise.
+func deliveredBytes(snd *stripe.Sender) []int64 {
+	if snd.Confirmed() {
+		return snd.AcceptedBytes()
 	}
-	return res, nil
+	return snd.StripeBytes()
 }

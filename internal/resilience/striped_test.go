@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
+	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -144,7 +147,7 @@ func TestStripedTransferHealsDeadStripe(t *testing.T) {
 	fn.Script(depBAddr, faultnet.Step{WriteLatency: pace})
 	fn.Script(st.addr(), faultnet.Step{WriteLatency: pace})
 
-	smet := resilience.NewStripedMetrics(metrics.NewRegistry())
+	smet := resilience.NewMetrics(metrics.NewRegistry())
 	res, err := resilience.StripedTransfer(context.Background(),
 		[]core.Route{{Target: st.addr()}}, // planner overrides this
 		bytes.NewReader(payload), int64(len(payload)),
@@ -154,7 +157,7 @@ func TestStripedTransferHealsDeadStripe(t *testing.T) {
 		resilience.WithPlanner(pl),
 		resilience.WithFrameSize(32<<10),
 		resilience.WithRebalanceBytes(256<<10),
-		resilience.WithStripedMetrics(smet),
+		resilience.WithMetrics(smet),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatalf("striped transfer did not heal: %v", err)
@@ -213,7 +216,7 @@ func TestStripedTransferCleanPath(t *testing.T) {
 		bytes.NewReader(payload), int64(len(payload)),
 		resilience.WithPolicy(fastPolicy()),
 		resilience.WithFrameSize(64<<10),
-		resilience.WithStripedMetrics(resilience.NewStripedMetrics(metrics.NewRegistry())),
+		resilience.WithMetrics(resilience.NewMetrics(metrics.NewRegistry())),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +252,7 @@ func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
 	fn.Script(depAAddr, faultnet.Step{WriteLatency: 200 * time.Microsecond})
 	fn.Script(depBAddr, faultnet.Step{WriteLatency: time.Millisecond, StallAfterBytes: 400_000})
 
-	smet := resilience.NewStripedMetrics(metrics.NewRegistry())
+	smet := resilience.NewMetrics(metrics.NewRegistry())
 	res, err := resilience.StripedTransfer(context.Background(),
 		[]core.Route{
 			{Via: []string{depAAddr}, Target: st.addr()},
@@ -262,7 +265,7 @@ func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
 		// A fixed in-flight budget keeps frames queued on the wedged
 		// stripe (deterministic steal bait) instead of adapting down.
 		resilience.WithInflightBytes(256<<10),
-		resilience.WithStripedMetrics(smet),
+		resilience.WithMetrics(smet),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatalf("striped transfer did not reclaim the stalled tail: %v", err)
@@ -334,7 +337,7 @@ func TestStripedTransferAbandonsHopelessStripe(t *testing.T) {
 		resilience.WithPolicy(pol),
 		resilience.WithDialer(fn.DialContext),
 		resilience.WithFrameSize(32<<10),
-		resilience.WithStripedMetrics(resilience.NewStripedMetrics(metrics.NewRegistry())),
+		resilience.WithMetrics(resilience.NewMetrics(metrics.NewRegistry())),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
 		t.Fatalf("group should survive an abandoned stripe: %v", err)
@@ -348,5 +351,98 @@ func TestStripedTransferAbandonsHopelessStripe(t *testing.T) {
 	}
 	if res.StripeBytes[0] != int64(len(payload)) {
 		t.Fatalf("surviving stripe carried %d, want all %d", res.StripeBytes[0], len(payload))
+	}
+}
+
+// A stripe's route dies between the data phase and the confirm: every
+// frame and both end frames are in, but depot B vanishes before its
+// cascade unwinds. Confirming is one more attempt on the stripe's path,
+// so the replay must follow the same policy as a mid-flow heal — two
+// refused dials at the dead first hop, then failover past it — and land
+// on the direct route.
+func TestStripedTransferConfirmReplayFailsOver(t *testing.T) {
+	depAAddr, _ := startDepot(t, depot.Config{})
+	depBAddr, _ := startDepot(t, depot.Config{})
+	payload := randBytes(1<<20, 25)
+
+	// A target that never acks (it reads each session through a read-only
+	// view), so the group has to confirm stripe by stripe, and that holds
+	// every session open until the route has been killed.
+	l, err := core.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var buf bytes.Buffer
+	recv := stripe.NewReceiver(&buf)
+	ended := make(chan struct{}, 8) // one token per stream whose end frame arrived
+	release := make(chan struct{})
+	go func() {
+		for {
+			sc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				if recv.Attach(struct{ io.Reader }{sc}) == nil {
+					ended <- struct{}{}
+				}
+				<-release
+				sc.Close()
+			}()
+		}
+	}()
+
+	var mu sync.Mutex
+	var viaB []net.Conn
+	dead := false
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if addr == depBAddr && dead {
+			return nil, errors.New("depot B is gone")
+		}
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil && addr == depBAddr {
+			viaB = append(viaB, c)
+		}
+		return c, err
+	}
+	go func() {
+		<-ended
+		<-ended
+		mu.Lock()
+		dead = true
+		for _, c := range viaB {
+			c.Close()
+		}
+		mu.Unlock()
+		close(release)
+	}()
+
+	res, err := resilience.StripedTransfer(context.Background(),
+		[]core.Route{
+			{Via: []string{depAAddr}, Target: l.Addr().String()},
+			{Via: []string{depBAddr}, Target: l.Addr().String()},
+		},
+		bytes.NewReader(payload), int64(len(payload)),
+		resilience.WithPolicy(fastPolicy()),
+		resilience.WithDialer(dial),
+		resilience.WithFrameSize(32<<10),
+		resilience.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatalf("confirm did not heal around the dead depot: %v", err)
+	}
+	if !recv.Complete() || !bytes.Equal(buf.Bytes(), payload) {
+		t.Fatalf("reassembled %d of %d bytes", recv.Written(), len(payload))
+	}
+	if res.Confirmed {
+		t.Fatal("an ackless target cannot confirm by ack")
+	}
+	if len(res.Routes[1].Via) != 0 {
+		t.Fatalf("stripe 1 finished on %v, want the direct route", res.Routes[1].Hops())
+	}
+	if res.Heals != 1 || res.Replans != 1 || res.Abandoned != 0 {
+		t.Fatalf("heals=%d replans=%d abandoned=%d, want 1/1/0", res.Heals, res.Replans, res.Abandoned)
 	}
 }

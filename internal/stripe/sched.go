@@ -11,13 +11,11 @@ import (
 	"lsl/internal/wire"
 )
 
-// This file replaces the synchronous round-robin Send loop with a
-// scheduler: a weighted-credit dispatcher feeds one writer goroutine per
-// stripe, weights adjust mid-flow from observed per-stripe throughput
-// (TCP-Trunking-style proportional splitting instead of round-robin), and
-// a stripe's unacknowledged frames are reassigned when it dies. Send is
-// kept as the simple one-shot path; Sender is the engine the resilience
-// layer drives.
+// This file is the striped sender: a weighted-credit dispatcher feeds one
+// writer goroutine per stripe, weights adjust mid-flow from observed
+// per-stripe throughput (TCP-Trunking-style proportional splitting, not
+// round-robin), and a stripe's unacknowledged frames are reassigned when
+// it dies.
 
 // Stripe lifecycle states.
 const (
@@ -43,9 +41,10 @@ const DefaultQueueFrames = 4
 
 // Tail-reclamation tuning (see steal.go).
 const (
-	// DefaultStealThreshold is the rate ratio a thief must have over a
-	// victim before queued frames migrate or sent frames are speculated.
-	DefaultStealThreshold = 1.5
+	// stealThreshold is the receiver-measured rate ratio a thief must
+	// have over a victim before queued frames migrate or sent frames are
+	// speculated.
+	stealThreshold = 1.5
 	// DefaultStuckTimeout is how long one frame write may block before
 	// the stripe is treated as wedged (rate 0) and, once every one of its
 	// frames is covered by another stripe, superseded outright.
@@ -126,15 +125,10 @@ type SenderConfig struct {
 	// (feed the records in via Sender.Ack). Old receivers reject "LSLT",
 	// so only enable against peers known to run this version.
 	Acks bool
-	// StealThreshold is the thief/victim rate ratio gating end-of-stream
-	// work stealing and tail speculation. 0 means DefaultStealThreshold;
-	// negative disables stealing, speculation, and supersession.
-	StealThreshold float64
 	// InflightBytes bounds each stripe's unacknowledged bytes once acks
-	// are flowing: >0 is a fixed per-stripe budget, 0 derives one
-	// adaptively from acked throughput (rate × a short horizon,
-	// BDP-style), and negative keeps the legacy QueueFrames frame-count
-	// bound only. Without acks the frame-count bound always governs.
+	// are flowing: > 0 is a fixed per-stripe budget, otherwise one is
+	// derived adaptively from acked throughput (rate × a short horizon,
+	// BDP-style). Without acks the QueueFrames bound governs.
 	InflightBytes int64
 	// StuckTimeout is how long one frame write may block before the
 	// stripe counts as wedged (default DefaultStuckTimeout).
@@ -201,7 +195,6 @@ type Sender struct {
 	queueFrames    int
 	rebalanceBytes int64
 	acks           bool
-	stealThreshold float64 // < 0: reclamation disabled
 	inflightBytes  int64
 	stuckTimeout   time.Duration
 	onStripeDown   func(int, error)
@@ -218,7 +211,6 @@ type Sender struct {
 	phase   int
 	nextOff int64
 	requeue []frame
-	written int64 // payload bytes written across all stripes
 
 	sinceRebalance int64
 	rebalances     int64
@@ -266,10 +258,6 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 	if qf <= 0 {
 		qf = DefaultQueueFrames
 	}
-	steal := cfg.StealThreshold
-	if steal == 0 {
-		steal = DefaultStealThreshold
-	}
 	stuck := cfg.StuckTimeout
 	if stuck <= 0 {
 		stuck = DefaultStuckTimeout
@@ -282,7 +270,6 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 		queueFrames:    qf,
 		rebalanceBytes: cfg.RebalanceBytes,
 		acks:           cfg.Acks,
-		stealThreshold: steal,
 		inflightBytes:  cfg.InflightBytes,
 		stuckTimeout:   stuck,
 		onStripeDown:   cfg.OnStripeDown,
@@ -583,7 +570,6 @@ func (s *Sender) worker(index, gen int) {
 		st.inflight = false
 		st.curSpec = false
 		st.pipeWritten += int64(f.n)
-		s.written += int64(f.n)
 		if isSpec {
 			// The duplicate is on the wire, but the frame still belongs to
 			// its victim: record coverage, never credit the thief's sent
@@ -734,22 +720,20 @@ func (s *Sender) Run(ctx context.Context) error {
 		case <-stop:
 		}
 	}()
-	if s.stealThreshold >= 0 || s.acks {
-		// Stuck-write detection, ack staleness, and the end-frame gate are
-		// time-based; nudge the dispatcher while it would otherwise sleep.
-		go func() {
-			t := time.NewTicker(maintenanceTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.cond.Broadcast()
-				case <-stop:
-					return
-				}
+	// Stuck-write detection, ack staleness, and the end-frame gate are
+	// time-based; nudge the dispatcher while it would otherwise sleep.
+	go func() {
+		t := time.NewTicker(maintenanceTick)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.cond.Broadcast()
+			case <-stop:
+				return
 			}
-		}()
-	}
+		}
+	}()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -826,9 +810,6 @@ func (s *Sender) Run(ctx context.Context) error {
 // (sourceDry); supersession helps whenever a wedged stripe blocks the
 // group.
 func (s *Sender) runMaintenance(sourceDry bool) bool {
-	if s.stealThreshold < 0 {
-		return false
-	}
 	var cb func()
 	if sourceDry {
 		cb = s.stealLocked()
@@ -940,15 +921,6 @@ func (s *Sender) ReplayStripe(index int, w io.Writer) error {
 	return nil
 }
 
-// SetWeight overrides one stripe's dispatch weight mid-flow.
-func (s *Sender) SetWeight(index int, w float64) {
-	s.mu.Lock()
-	if index >= 0 && index < len(s.stripes) && w > 0 {
-		s.stripes[index].weight = w
-	}
-	s.mu.Unlock()
-}
-
 // Weights returns the current per-stripe dispatch weights.
 func (s *Sender) Weights() []float64 {
 	s.mu.Lock()
@@ -971,14 +943,6 @@ func (s *Sender) StripeBytes() []int64 {
 		out[i] = st.bytes
 	}
 	return out
-}
-
-// Written returns total payload bytes written across all stripes
-// (replayed frames count once per write).
-func (s *Sender) Written() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.written
 }
 
 // Rebalances returns how many throughput-driven weight recomputations

@@ -44,6 +44,40 @@ func (s *slowWriter) Write(p []byte) (int, error) {
 	return s.buf.Write(p)
 }
 
+// heldWriter blocks every write until release is closed. Tests that need
+// one particular stripe to carry a given share hold its siblings back, so
+// the split does not depend on goroutine scheduling.
+type heldWriter struct {
+	w       io.Writer
+	release <-chan struct{}
+}
+
+func (h heldWriter) Write(p []byte) (int, error) {
+	<-h.release
+	return h.w.Write(p)
+}
+
+// pipeStripe attaches stripe i of snd to recv over an in-memory pipe
+// whose write side is wrapped by wrap (nil: the bare pipe). The receiving
+// goroutine is counted on wg; its error is dropped because a dying
+// stripe's is expected.
+func pipeStripe(t *testing.T, snd *Sender, recv *Receiver, wg *sync.WaitGroup, i int, wrap func(*io.PipeWriter) io.Writer) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	var w io.Writer = pw
+	if wrap != nil {
+		w = wrap(pw)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		recv.Attach(pr)
+	}()
+	if err := snd.Attach(i, w); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSenderRoundTrip(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(11)).Read(payload)
@@ -147,24 +181,13 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	attach := func(i, failAt int) {
-		pr, pw := io.Pipe()
-		var w io.Writer = pw
-		if failAt > 0 {
-			w = &failAfter{pw: pw, n: failAt}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			recv.Attach(pr) // the dying stripe's error is expected
-		}()
-		if err := snd.Attach(i, w); err != nil {
-			t.Error(err)
-		}
-	}
-	attach(0, 0)
-	attach(1, 200<<10) // dies partway through
-	attach(2, 0)
+	release := make(chan struct{})
+	held := func(pw *io.PipeWriter) io.Writer { return heldWriter{w: pw, release: release} }
+	pipeStripe(t, snd, recv, &wg, 0, held)
+	pipeStripe(t, snd, recv, &wg, 1, func(pw *io.PipeWriter) io.Writer {
+		return &failAfter{pw: pw, n: 200 << 10} // dies partway through
+	})
+	pipeStripe(t, snd, recv, &wg, 2, held)
 
 	runErr := make(chan error, 1)
 	go func() { runErr <- snd.Run(context.Background()) }()
@@ -174,7 +197,8 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 		if idx != 1 {
 			t.Errorf("stripe %d down, expected 1", idx)
 		}
-		attach(idx, 0) // heal with a fresh stream
+		close(release)
+		pipeStripe(t, snd, recv, &wg, idx, nil) // heal with a fresh stream
 	case <-time.After(10 * time.Second):
 		t.Fatal("stripe never died")
 	}
@@ -199,7 +223,9 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 }
 
 // TestSenderAbandonRedistributes gives up on a dead stripe entirely; the
-// survivors must deliver its frames.
+// survivors must deliver its frames. The survivor is held back until the
+// other stripe has died, so the dispatcher has to route the stream
+// through the doomed stripe whatever the goroutine scheduling.
 func TestSenderAbandonRedistributes(t *testing.T) {
 	payload := make([]byte, 512<<10)
 	rand.New(rand.NewSource(13)).Read(payload)
@@ -217,29 +243,16 @@ func TestSenderAbandonRedistributes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	attach := func(i, failAt int) {
-		pr, pw := io.Pipe()
-		var w io.Writer = pw
-		if failAt > 0 {
-			w = &failAfter{pw: pw, n: failAt}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			recv.Attach(pr)
-		}()
-		if err := snd.Attach(i, w); err != nil {
-			t.Error(err)
-		}
-	}
-	attach(0, 0)
-	attach(1, 64<<10)
+	release := make(chan struct{})
+	pipeStripe(t, snd, recv, &wg, 0, func(pw *io.PipeWriter) io.Writer { return heldWriter{w: pw, release: release} })
+	pipeStripe(t, snd, recv, &wg, 1, func(pw *io.PipeWriter) io.Writer { return &failAfter{pw: pw, n: 64 << 10} })
 
 	runErr := make(chan error, 1)
 	go func() { runErr <- snd.Run(context.Background()) }()
 	select {
 	case idx := <-downCh:
 		snd.Abandon(idx, errInjectedWrite)
+		close(release)
 	case <-time.After(10 * time.Second):
 		t.Fatal("stripe never died")
 	}
@@ -351,6 +364,39 @@ func TestSenderWeightedDispatch(t *testing.T) {
 	}
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("weighted streams did not reassemble")
+	}
+}
+
+// TestSenderAcklessLiveWritersNeverSteal is the regression for stealing on
+// write-side evidence: writers that swallow frames instantly give the
+// write EWMA memcpy-noise "rates", and with no acks nothing says either
+// path is slow. Queued frames must stay where the credit dispatcher put
+// them, so the 3:1 split is exact on every run.
+func TestSenderAcklessLiveWritersNeverSteal(t *testing.T) {
+	payload := make([]byte, 1<<20)
+	rand.New(rand.NewSource(16)).Read(payload)
+	for run := 0; run < 20; run++ {
+		var b0, b1 bytes.Buffer
+		snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
+			SenderConfig{FrameSize: 16 << 10, Weights: []float64{3, 1}, QueueFrames: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := snd.Attach(0, &b0); err != nil {
+			t.Fatal(err)
+		}
+		if err := snd.Attach(1, &b1); err != nil {
+			t.Fatal(err)
+		}
+		if err := snd.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := snd.Stolen(); n != 0 {
+			t.Fatalf("run %d: %d frames stolen between unmeasured live stripes", run, n)
+		}
+		if sb := snd.StripeBytes(); sb[0] != 3*sb[1] {
+			t.Fatalf("run %d: weight 3:1 produced split %d:%d", run, sb[0], sb[1])
+		}
 	}
 }
 

@@ -167,16 +167,15 @@ func (s *Sender) budgetLocked(st *stripeState) int64 {
 
 // capacityLocked returns how many more frames and bytes the stripe may
 // take on right now. Until the stripe's stream has acked at least once
-// (or when byte budgets are disabled), the legacy frame-count bound
-// governs; after that, the byte budget does. The adaptive budget
-// additionally waits for a measured drain rate — sizing it off the
-// write-side EWMA would let relay buffers that swallow writes instantly
-// inflate the budget without bound.
+// the frame-count bound governs; after that, the byte budget does. The
+// adaptive budget additionally waits for a measured drain rate — sizing
+// it off the write-side EWMA would let relay buffers that swallow writes
+// instantly inflate the budget without bound.
 func (s *Sender) capacityLocked(st *stripeState) (frames int, bytes int64) {
 	if st.state != stripeLive {
 		return 0, 0
 	}
-	if s.inflightBytes < 0 || !st.genAcked || (s.inflightBytes == 0 && st.ackBps == 0) {
+	if !st.genAcked || (s.inflightBytes <= 0 && st.ackBps == 0) {
 		q := len(st.queue) + len(st.specq)
 		if st.inflight {
 			q++
@@ -211,17 +210,29 @@ func (s *Sender) mayEndLocked() bool {
 	return time.Since(s.lastAckProgress) > s.stuckTimeout
 }
 
+// measuredLocked reports that the stripe's current stream has a
+// receiver-measured drain rate. The write-side EWMA rates local buffer
+// acceptance, not delivery — against a fast writer it reads in memcpy
+// units — so it is never proof that one live path is slower than another.
+func measuredLocked(st *stripeState) bool {
+	return st.genAcked && st.ackBps > 0
+}
+
 // stealLocked migrates queued-but-unwritten frames from the slowest live
 // stripe to the fastest one with free budget. Only provably useful moves
-// happen: the victim's measured rate must trail the thief's by the steal
-// threshold (or its write must be wedged), so symmetric paths never
-// steal. Returns the callback to fire outside the lock, or nil.
+// happen: the victim's write must be wedged, or both stripes must have
+// receiver-measured rates with the victim's trailing the thief's by the
+// steal threshold — so symmetric paths, and paths nobody has measured,
+// never steal. Returns the callback to fire outside the lock, or nil.
 func (s *Sender) stealLocked() func() {
 	victim := -1
 	var vRate float64
 	for i, st := range s.stripes {
 		if st.state != stripeLive || len(st.queue) == 0 {
 			continue
+		}
+		if !s.writeStuckLocked(st) && !measuredLocked(st) {
+			continue // not provably slow
 		}
 		r := s.effRateLocked(st)
 		if victim < 0 || r < vRate {
@@ -233,9 +244,6 @@ func (s *Sender) stealLocked() func() {
 	}
 	vs := s.stripes[victim]
 	vStuck := s.writeStuckLocked(vs)
-	if !vStuck && vRate <= 0 {
-		return nil // unmeasured, not provably slow
-	}
 	thief := -1
 	var tRate float64
 	for i, st := range s.stripes {
@@ -246,7 +254,7 @@ func (s *Sender) stealLocked() func() {
 		if r <= 0 {
 			continue
 		}
-		if !vStuck && r < s.stealThreshold*vRate {
+		if !vStuck && (!measuredLocked(st) || r < stealThreshold*vRate) {
 			continue
 		}
 		if !s.eligibleLocked(st, vs.queue[len(vs.queue)-1].n) {
@@ -325,15 +333,9 @@ func (s *Sender) speculateLocked() func() {
 			}
 			if !vStuck {
 				// Against a merely-slow (not wedged) victim, duplication
-				// costs real bandwidth, so it demands proof: both sides
-				// must have receiver-measured drain rates. The write-side
-				// EWMA rates local buffer acceptance, not delivery — on a
-				// buffered path it reads in memcpy units and would happily
-				// elect the slow stripe as the "fast" thief.
-				if !ts.genAcked || ts.ackBps <= 0 || !vs.genAcked || vs.ackBps <= 0 {
-					continue
-				}
-				if r < s.stealThreshold*vRate {
+				// costs real bandwidth, so it demands the same proof as
+				// stealing: receiver-measured drain rates on both sides.
+				if !measuredLocked(ts) || !measuredLocked(vs) || r < stealThreshold*vRate {
 					continue
 				}
 				// Only duplicate when the thief would land the tail before

@@ -26,7 +26,9 @@
 // bytes this particular stream has delivered (duplicates included — it
 // measures pipe drain, not contribution), and accepted[i] is how many
 // non-duplicate payload bytes stripe index i has contributed so far.
-// "LSLS" streams get no acks, keeping old senders compatible.
+// "LSLS" is the ackless header: it is what a Sender over one-way writers
+// (SenderConfig.Acks off) and pre-ack senders open with, and it gets no
+// ack records back.
 package stripe
 
 import (
@@ -232,62 +234,6 @@ func readFrame(r io.Reader) (uint64, uint32, error) {
 		return 0, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, length, MaxFrameSize)
 	}
 	return off, length, nil
-}
-
-// Send stripes src (of length total) across the given writers, frame by
-// frame round-robin, and finishes each stripe with an end frame. Writers
-// are typically core.Conn sessions dialed over different routes. frameSize
-// <= 0 uses DefaultFrameSize.
-//
-// Frames are distributed round-robin synchronously; with similarly fast
-// stripes this keeps them evenly loaded, and a slow stripe naturally
-// backpressures only its share.
-func Send(group wire.SessionID, writers []io.Writer, src io.Reader, total int64, frameSize int) error {
-	n := len(writers)
-	if n == 0 || n > MaxStripes {
-		return fmt.Errorf("stripe: %d stripes out of range", n)
-	}
-	if frameSize <= 0 {
-		frameSize = DefaultFrameSize
-	}
-	if frameSize > MaxFrameSize {
-		frameSize = MaxFrameSize
-	}
-	for i, w := range writers {
-		gh := &GroupHeader{Group: group, Index: uint8(i), Count: uint8(n), TotalLen: uint64(total)}
-		if _, err := w.Write(gh.Encode()); err != nil {
-			return fmt.Errorf("stripe %d: group header: %w", i, err)
-		}
-	}
-	buf := make([]byte, frameSize)
-	var offset int64
-	idx := 0
-	for offset < total {
-		want := int64(frameSize)
-		if rem := total - offset; rem < want {
-			want = rem
-		}
-		m, err := io.ReadFull(src, buf[:want])
-		if m > 0 {
-			if werr := writeFrame(writers[idx], uint64(offset), buf[:m]); werr != nil {
-				return fmt.Errorf("stripe %d: %w", idx, werr)
-			}
-			offset += int64(m)
-			idx = (idx + 1) % n
-		}
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return fmt.Errorf("%w: source ended at %d of %d", ErrShortStream, offset, total)
-			}
-			return err
-		}
-	}
-	for i, w := range writers {
-		if err := writeFrame(w, uint64(total), nil); err != nil {
-			return fmt.Errorf("stripe %d: end frame: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Receiver reassembles one stripe group into a contiguous stream. Attach

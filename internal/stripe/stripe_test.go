@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"net"
@@ -45,6 +46,21 @@ func TestGroupHeaderRejectsBad(t *testing.T) {
 	}
 }
 
+// send stripes src across writers, one stripe per writer, through an
+// ackless Sender (the writers are one-way).
+func send(writers []io.Writer, src io.ReaderAt, total int64, frameSize int) error {
+	snd, err := NewSender(wire.NewSessionID(), src, total, len(writers), SenderConfig{FrameSize: frameSize})
+	if err != nil {
+		return err
+	}
+	for i, w := range writers {
+		if err := snd.Attach(i, w); err != nil {
+			return err
+		}
+	}
+	return snd.Run(context.Background())
+}
+
 // sendRecv stripes payload over n in-memory pipes and reassembles it.
 func sendRecv(t *testing.T, payload []byte, n, frameSize int) []byte {
 	t.Helper()
@@ -67,7 +83,7 @@ func sendRecv(t *testing.T, payload []byte, n, frameSize int) []byte {
 			}
 		}(readers[i])
 	}
-	if err := Send(wire.NewSessionID(), writers, bytes.NewReader(payload), int64(len(payload)), frameSize); err != nil {
+	if err := send(writers, bytes.NewReader(payload), int64(len(payload)), frameSize); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -124,7 +140,7 @@ func TestStripePropertyRoundTrip(t *testing.T) {
 			readers[i] = &bytes.Buffer{}
 			writers[i] = readers[i]
 		}
-		if err := Send(wire.NewSessionID(), writers, bytes.NewReader(payload), int64(size), frame); err != nil {
+		if err := send(writers, bytes.NewReader(payload), int64(size), frame); err != nil {
 			return false
 		}
 		var out bytes.Buffer
@@ -144,7 +160,7 @@ func TestStripePropertyRoundTrip(t *testing.T) {
 
 func TestStripeShortSource(t *testing.T) {
 	var sink bytes.Buffer
-	err := Send(wire.NewSessionID(), []io.Writer{&sink}, bytes.NewReader([]byte("abc")), 10, 4)
+	err := send([]io.Writer{&sink}, bytes.NewReader([]byte("abc")), 10, 4)
 	if err == nil {
 		t.Fatal("short source accepted")
 	}
@@ -155,10 +171,10 @@ func TestStripeTooMany(t *testing.T) {
 	for i := range writers {
 		writers[i] = &bytes.Buffer{}
 	}
-	if err := Send(wire.NewSessionID(), writers, bytes.NewReader(nil), 0, 0); err == nil {
+	if err := send(writers, bytes.NewReader(nil), 0, 0); err == nil {
 		t.Fatal("too many stripes accepted")
 	}
-	if err := Send(wire.NewSessionID(), nil, bytes.NewReader(nil), 0, 0); err == nil {
+	if err := send(nil, bytes.NewReader(nil), 0, 0); err == nil {
 		t.Fatal("zero stripes accepted")
 	}
 }
@@ -232,7 +248,7 @@ func TestStripeOverRealSockets(t *testing.T) {
 		conns[i] = nc
 		writers[i] = nc
 	}
-	if err := Send(wire.NewSessionID(), writers, bytes.NewReader(payload), int64(len(payload)), 32<<10); err != nil {
+	if err := send(writers, bytes.NewReader(payload), int64(len(payload)), 32<<10); err != nil {
 		t.Fatal(err)
 	}
 	for _, nc := range conns {

@@ -249,9 +249,10 @@ type BackoffPolicy = backoff.Policy
 // TransferOption tunes one Transfer call.
 type TransferOption = resilience.Option
 
-// TransferMetrics is the engine's counter set (lsl_transfer_*); register
-// one on your own MetricsRegistry with NewTransferMetrics, or let
-// transfers default to TransferMetricsRegistry.
+// TransferMetrics is the engine's metric set, shared by Transfer and
+// StripedTransfer (lsl_transfer_*, lsl_stripe_*); register one on your
+// own MetricsRegistry with NewTransferMetrics and pass it with
+// WithTransferMetrics. A transfer given none records none.
 type TransferMetrics = resilience.Metrics
 
 // ErrTransferExhausted wraps the last transient error once a transfer's
@@ -260,9 +261,9 @@ var ErrTransferExhausted = resilience.ErrExhausted
 
 // Transfer delivers size bytes from src to route's target, healing
 // transient failures automatically: re-dial with resume, capped
-// exponential backoff with jitter, and failover around a dead first-hop
-// depot. A negative size is measured by seeking src to its end. See
-// internal/resilience for the full failure model.
+// exponential backoff with jitter, and a replan or failover around a
+// dead first-hop depot. A negative size is measured by seeking src to its
+// end. See internal/resilience for the full failure model.
 func Transfer(ctx context.Context, route Route, src io.ReadSeeker, size int64, opts ...TransferOption) (*TransferResult, error) {
 	return resilience.Transfer(ctx, route, src, size, opts...)
 }
@@ -271,15 +272,13 @@ func Transfer(ctx context.Context, route Route, src io.ReadSeeker, size int64, o
 // (rejection, digest mismatch, malformed request, canceled context).
 func TransferPermanent(err error) bool { return resilience.Permanent(err) }
 
-// NewTransferMetrics registers the lsl_transfer_* counter families on reg.
+// NewTransferMetrics registers the lsl_transfer_* and lsl_stripe_*
+// families on reg (render it with WritePrometheus, like a depot's
+// /metrics).
 func NewTransferMetrics(reg *MetricsRegistry) *TransferMetrics { return resilience.NewMetrics(reg) }
 
-// TransferMetricsRegistry returns the process-wide registry behind
-// transfers that did not supply their own metrics (render it with
-// WritePrometheus, like a depot's /metrics).
-func TransferMetricsRegistry() *MetricsRegistry { return resilience.DefaultRegistry() }
-
-// Transfer options, re-exported.
+// Transfer options, re-exported; they tune Transfer and StripedTransfer
+// alike.
 var (
 	// WithTransferPolicy sets the retry/failover policy.
 	WithTransferPolicy = resilience.WithPolicy
@@ -290,14 +289,10 @@ var (
 	WithoutTransferDigest = resilience.WithoutDigest
 	// WithTransferSession pins the session ID.
 	WithTransferSession = resilience.WithSession
-	// WithTransferMetrics directs the engine's counters at a custom set.
+	// WithTransferMetrics directs the engine's counters at a metric set.
 	WithTransferMetrics = resilience.WithMetrics
 	// WithTransferLogf receives one line per recovery event.
 	WithTransferLogf = resilience.WithLogf
-	// WithTransferHandshakeTimeout bounds each attempt's handshake.
-	WithTransferHandshakeTimeout = resilience.WithHandshakeTimeout
-	// WithTransferConfirmTimeout bounds the post-payload confirm drain.
-	WithTransferConfirmTimeout = resilience.WithConfirmTimeout
 	// WithPlanner drives route selection by a live logistics Planner: the
 	// transfer starts on the predicted-fastest route, fails over to the
 	// next-best predicted route on transient failure, and feeds every

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,6 +150,23 @@ func TestPublicTransferAPI(t *testing.T) {
 	}
 	if met.Retries.Value() != 1 {
 		t.Fatalf("retries counter = %d, want 1", met.Retries.Value())
+	}
+	// The one injected struct carries both families: what the transfers
+	// above recorded, and the striped engine's counters next to it.
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"lsl_transfer_retries_total 1",
+		`lsl_transfers_total{outcome="delivered"} 1`,
+		`lsl_transfers_total{outcome="exhausted"} 1`,
+		"lsl_stripe_groups_total 0",
+		"lsl_stripe_tail_ns_count 0",
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Fatalf("metrics text missing %q:\n%s", want, text.String())
+		}
 	}
 }
 

@@ -96,12 +96,9 @@ func PlannerFromOverlay(r io.Reader, self NodeID) (*Planner, error) {
 	return logistics.FromOverlay(r, self)
 }
 
-// NewPlannerMetrics registers the lsl_logistics_* families on reg.
+// NewPlannerMetrics registers the lsl_logistics_* families on reg; hand
+// the set to Planner.SetMetrics (a planner given none records none).
 func NewPlannerMetrics(reg *MetricsRegistry) *PlannerMetrics { return logistics.NewMetrics(reg) }
-
-// PlannerMetricsRegistry returns the process-wide registry behind
-// planners that did not supply their own metrics.
-func PlannerMetricsRegistry() *MetricsRegistry { return logistics.DefaultRegistry() }
 
 // --- forecast gossip (internal/gossip) ---
 

@@ -2,14 +2,11 @@ package lsl
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 
-	"lsl/internal/core"
 	"lsl/internal/resilience"
 	"lsl/internal/stripe"
-	"lsl/internal/wire"
 )
 
 // The striped-session surface (paper §VII future work: session-layer
@@ -17,31 +14,10 @@ import (
 // logical stream over several concurrent sessions, each with its own
 // loose source route — parallel sockets and multi-path in one mechanism.
 
-// StripeGroupHeader opens each stripe stream.
-type StripeGroupHeader = stripe.GroupHeader
-
-// StripeReceiver reassembles a stripe group.
-type StripeReceiver = stripe.Receiver
-
-// NewStripeReceiver builds a reassembler writing the logical stream to out.
-func NewStripeReceiver(out io.Writer) *StripeReceiver { return stripe.NewReceiver(out) }
-
 // StripedTransferResult reports how a striped transfer was achieved:
 // per-stripe routes and byte counts, heals, replans, abandonments, and
 // mid-flow weight rebalances.
 type StripedTransferResult = resilience.StripedResult
-
-// StripedTransferMetrics is the striped engine's counter set
-// (lsl_stripe_*); register one on your own MetricsRegistry with
-// NewStripedTransferMetrics, or let transfers default to
-// TransferMetricsRegistry.
-type StripedTransferMetrics = resilience.StripedMetrics
-
-// NewStripedTransferMetrics registers the lsl_stripe_* counter families
-// on reg.
-func NewStripedTransferMetrics(reg *MetricsRegistry) *StripedTransferMetrics {
-	return resilience.NewStripedMetrics(reg)
-}
 
 // Striped transfer options, re-exported (they compose with the
 // WithTransfer* options in lsl.go).
@@ -50,25 +26,9 @@ var (
 	WithStripes = resilience.WithStripes
 	// WithStripeFrameSize sets the striping granularity in bytes.
 	WithStripeFrameSize = resilience.WithFrameSize
-	// WithStripeQueueFrames bounds frames queued per stripe ahead of its
-	// writer (backpressure granularity).
-	WithStripeQueueFrames = resilience.WithQueueFrames
 	// WithStripeRebalanceBytes recomputes stripe weights from observed
 	// throughput every n bytes written (<= 0 disables).
 	WithStripeRebalanceBytes = resilience.WithRebalanceBytes
-	// WithStripedTransferMetrics directs the lsl_stripe_* counters at a
-	// custom set.
-	WithStripedTransferMetrics = resilience.WithStripedMetrics
-	// WithStripeStealThreshold sets the rate ratio a fast stripe must hold
-	// over a slow one before end-of-stream work stealing and speculative
-	// tail replication kick in (default 1.5; negative disables tail
-	// reclamation).
-	WithStripeStealThreshold = resilience.WithStealThreshold
-	// WithStripeInflightBytes bounds each stripe's unacknowledged bytes:
-	// > 0 is a fixed per-stripe budget, 0 (default) adapts one from the
-	// receiver's acked throughput, negative keeps only the frame-count
-	// bound.
-	WithStripeInflightBytes = resilience.WithInflightBytes
 	// WithStripeSocketBuffers pins SO_SNDBUF/SO_RCVBUF (bytes) on every
 	// stripe dial; 0 keeps the kernel default for that direction.
 	WithStripeSocketBuffers = resilience.WithSockBuffers
@@ -83,64 +43,9 @@ var (
 // the survivors. With a planner, the routes argument is a fallback — the
 // planner proposes up to WithStripes(n) link-disjoint routes weighted by
 // predicted throughput. src must support concurrent ReadAt. Receive with
-// StripedReceive (or a StripeReceiver).
+// StripedReceive.
 func StripedTransfer(ctx context.Context, routes []Route, src io.ReaderAt, size int64, opts ...TransferOption) (*StripedTransferResult, error) {
 	return resilience.StripedTransfer(ctx, routes, src, size, opts...)
-}
-
-// StripedSend opens one session per route (dialed concurrently) and
-// stripes total bytes from src across them with frame granularity
-// frameSize (<=0 uses the default). Integrity of the logical stream
-// rides on per-frame offsets plus TCP checksums; the per-session MD5
-// trailer is not used in striped mode because stripe lengths are
-// data-dependent. StripedSend does not heal failures — use
-// StripedTransfer for the self-healing engine.
-func StripedSend(ctx context.Context, routes []Route, src io.Reader, total int64, frameSize int, opts ...Option) error {
-	if len(routes) == 0 {
-		return fmt.Errorf("lsl: striped send needs at least one route")
-	}
-	group := wire.NewSessionID()
-	conns := make([]*core.Conn, len(routes))
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	dialErrs := make([]error, len(routes))
-	for i, r := range routes {
-		wg.Add(1)
-		go func(i int, r Route) {
-			defer wg.Done()
-			c, err := core.Dial(ctx, r, opts...)
-			if err != nil {
-				dialErrs[i] = fmt.Errorf("lsl: stripe %d: %w", i, err)
-				return
-			}
-			conns[i] = c
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range dialErrs {
-		if err != nil {
-			return err
-		}
-	}
-	writers := make([]io.Writer, len(conns))
-	for i, c := range conns {
-		writers[i] = c
-	}
-	if err := stripe.Send(group, writers, src, total, frameSize); err != nil {
-		return err
-	}
-	for _, c := range conns {
-		if err := c.CloseWrite(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // StripedReceive accepts a stripe group's sessions from ln and

@@ -160,66 +160,52 @@ func BenchmarkStripedThroughput(b *testing.B) {
 }
 
 // BenchmarkStripedTail isolates the end-of-stream tail on a short
-// transfer, where the slow path's buffered backlog dominates wall time.
-// "reclaim" runs the tail-reclamation machinery (receiver acks, adaptive
-// in-flight bounding, work stealing, speculative tail replication);
-// "legacy" disables all of it, reproducing the pre-reclamation engine
-// where the slow path drains its hoard alone while the fast path idles.
+// transfer, where the slow path's buffered backlog dominates wall time
+// unless the tail-reclamation machinery (receiver acks, adaptive
+// in-flight bounding, work stealing, speculative tail replication) keeps
+// the fast path busy. The "reclaim" sub-benchmark name is what CI's
+// ceiling matches.
 func BenchmarkStripedTail(b *testing.B) {
 	const tailSize = 8 << 20
-	variants := []struct {
-		name string
-		opts []lsl.TransferOption
-	}{
-		{"reclaim", nil},
-		{"legacy", []lsl.TransferOption{
-			lsl.WithStripeStealThreshold(-1),
-			lsl.WithStripeInflightBytes(-1),
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			env := newBenchStripedEnv(b, func(r io.Reader) error { return nil })
-			b.SetBytes(tailSize)
-			var busy, tail time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ln, err := lsl.Listen("127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				routes := make([]lsl.Route, len(env.routes))
-				for j, r := range env.routes {
-					routes[j] = lsl.Route{Via: r.Via, Target: ln.Addr().String()}
-				}
-				recvDone := make(chan error, 1)
-				go func() {
-					_, rerr := lsl.StripedReceive(ln, len(routes), io.Discard)
-					recvDone <- rerr
-				}()
-				b.StartTimer()
-				t0 := time.Now()
-				opts := append([]lsl.TransferOption{
-					lsl.WithStripeFrameSize(64 << 10),
-					lsl.WithStripeRebalanceBytes(512 << 10),
-				}, v.opts...)
-				res, err := lsl.StripedTransfer(context.Background(), routes,
-					bytes.NewReader(env.payload[:tailSize]), tailSize, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rerr := <-recvDone; rerr != nil {
-					b.Fatal(rerr)
-				}
-				busy += time.Since(t0)
-				tail += res.Tail
-				b.StopTimer()
-				ln.Close()
-				b.StartTimer()
+	b.Run("reclaim", func(b *testing.B) {
+		env := newBenchStripedEnv(b, func(r io.Reader) error { return nil })
+		b.SetBytes(tailSize)
+		var busy, tail time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ln, err := lsl.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
 			}
-			reportMbps(b, tailSize, busy)
-			b.ReportMetric(float64(tail.Nanoseconds())/float64(b.N), "tail_ns/op")
-		})
-	}
+			routes := make([]lsl.Route, len(env.routes))
+			for j, r := range env.routes {
+				routes[j] = lsl.Route{Via: r.Via, Target: ln.Addr().String()}
+			}
+			recvDone := make(chan error, 1)
+			go func() {
+				_, rerr := lsl.StripedReceive(ln, len(routes), io.Discard)
+				recvDone <- rerr
+			}()
+			b.StartTimer()
+			t0 := time.Now()
+			res, err := lsl.StripedTransfer(context.Background(), routes,
+				bytes.NewReader(env.payload[:tailSize]), tailSize,
+				lsl.WithStripeFrameSize(64<<10),
+				lsl.WithStripeRebalanceBytes(512<<10))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rerr := <-recvDone; rerr != nil {
+				b.Fatal(rerr)
+			}
+			busy += time.Since(t0)
+			tail += res.Tail
+			b.StopTimer()
+			ln.Close()
+			b.StartTimer()
+		}
+		reportMbps(b, tailSize, busy)
+		b.ReportMetric(float64(tail.Nanoseconds())/float64(b.N), "tail_ns/op")
+	})
 }

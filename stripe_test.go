@@ -50,9 +50,13 @@ func TestStripedTransferThroughDepots(t *testing.T) {
 		got <- result{n, err, &out}
 	}()
 
-	if err := lsl.StripedSend(context.Background(), routes,
-		bytes.NewReader(payload), int64(len(payload)), 64<<10); err != nil {
+	res, err := lsl.StripedTransfer(context.Background(), routes,
+		bytes.NewReader(payload), int64(len(payload)), lsl.WithStripeFrameSize(64<<10))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stripes != stripes || res.Heals != 0 || res.Abandoned != 0 {
+		t.Fatalf("clean striped transfer did recovery work: %+v", res)
 	}
 
 	select {
@@ -203,12 +207,6 @@ func TestStripedTransferHealsViaPublicAPI(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("timeout waiting for striped receive")
-	}
-}
-
-func TestStripedSendNeedsRoutes(t *testing.T) {
-	if err := lsl.StripedSend(context.Background(), nil, bytes.NewReader(nil), 0, 0); err == nil {
-		t.Fatal("no routes accepted")
 	}
 }
 
