@@ -20,6 +20,12 @@
 // handled inline), which is what keeps the trunk deadlock-free when both
 // directions are saturated.
 //
+// DATA payloads are received into pooled blocks, and each block has one
+// owner at a time: the read loop while it reads the payload in, then the
+// stream's chunk list, then whoever drains the chunk (Read or Close), who
+// returns it to the pool. Steady state allocates nothing per frame in
+// either direction.
+//
 // Only the dialing side of a link opens streams; the accepting side
 // serves them (AcceptStream). That matches the cascade topology — trunk
 // direction follows session direction — and keeps stream-ID allocation
@@ -33,9 +39,11 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lsl/internal/wire"
+	"lsl/internal/xfer"
 )
 
 // Link lifecycle errors.
@@ -59,9 +67,10 @@ type LinkConfig struct {
 	// accepted (default 128); past it new streams are reset.
 	AcceptBacklog int
 	// WriteTimeout bounds one frame write on the underlying conn
-	// (default 30s). A trunk peer that stalls past it is declared dead
-	// and the link is torn down — every stream errors and resilient
-	// callers re-dial over a fresh link.
+	// (default 30s). A trunk peer that stalls past it — by at most as
+	// much again, see armWrite — is declared dead and the link is torn
+	// down: every stream errors and resilient callers re-dial over a
+	// fresh link.
 	WriteTimeout time.Duration
 	// Logf, when set, receives one line per link event.
 	Logf func(format string, args ...interface{})
@@ -96,7 +105,13 @@ type Link struct {
 
 	sendWindow uint32 // peer-granted initial per-stream credit
 
-	wmu sync.Mutex // serializes frame writes on nc
+	wmu   sync.Mutex                         // serializes frame writes on nc; guards the fields below
+	whdr  [2*wire.MuxFrameHeaderLen + 4]byte // encoding scratch: [OPEN +] one header, or a WINDOW frame
+	wvec  [2][]byte                          // backing array of wbuf
+	wbuf  net.Buffers                        // header and payload of the DATA frame being written
+	wdead time.Time                          // write deadline armed on nc
+
+	rd frameReader // read loop only
 
 	mu       sync.Mutex
 	streams  map[uint32]*Stream
@@ -149,6 +164,7 @@ func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link {
 	return &Link{
 		nc:         nc,
+		rd:         frameReader{nc: nc},
 		cfg:        cfg,
 		client:     client,
 		sendWindow: sendWindow,
@@ -329,43 +345,169 @@ func (l *Link) lookup(id uint32) *Stream {
 	return l.streams[id]
 }
 
+// readAhead is how far the read loop reads past what it needs right now:
+// enough for the header of the next frame and a few control frames behind
+// it, so a busy trunk costs one read per frame.
+const readAhead = 64
+
+// blockSize is the size class DATA payloads are received into: the
+// largest payload a frame may carry and the read-ahead behind it.
+const blockSize = wire.MaxMuxPayload + readAhead
+
+var blocks = xfer.PoolFor(blockSize)
+
+// poison, which only tests set, overwrites every block on its way back to
+// the pool, so a chunk read after its release shows up as corrupt data.
+var poison atomic.Bool
+
+func putBlock(bp *[]byte) {
+	if poison.Load() {
+		b := *bp
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	blocks.Put(bp)
+}
+
+// frameReader reads frames off the trunk in as few reads as the traffic
+// allows, without a copy of bulk payload: headers and WINDOW payloads come
+// through a small read-ahead buffer, DATA payloads go straight from the
+// conn into the block they stay in, and what a payload read brings in
+// behind the payload — on a busy trunk the next frame's header — is kept
+// for the next call. Neither call waits for more than it was asked for.
+type frameReader struct {
+	nc   io.Reader
+	buf  [readAhead]byte
+	r, w int // buf[r:w] is read and not yet consumed
+}
+
+// next returns the next n ≤ readAhead bytes, valid until the next call.
+// io.EOF means the link ended between frames.
+func (fr *frameReader) next(n int) ([]byte, error) {
+	if fr.w-fr.r < n {
+		fr.w = copy(fr.buf[:], fr.buf[fr.r:fr.w])
+		fr.r = 0
+		got, err := io.ReadAtLeast(fr.nc, fr.buf[fr.w:], n-fr.w)
+		if err == io.EOF && fr.w > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		fr.w += got
+		if err != nil {
+			return nil, err
+		}
+	}
+	fr.r += n
+	return fr.buf[fr.r-n : fr.r], nil
+}
+
+// payload reads the next n bytes into p[:n]; p may be longer, and up to
+// readAhead bytes of it past n are scratch for the read-ahead.
+func (fr *frameReader) payload(p []byte, n int) error {
+	k := copy(p[:n], fr.buf[fr.r:fr.w])
+	fr.r += k
+	if k == n {
+		return nil
+	}
+	got, err := io.ReadAtLeast(fr.nc, p[k:min(len(p), n+readAhead)], n-k)
+	if err != nil {
+		return err
+	}
+	fr.r, fr.w = 0, copy(fr.buf[:], p[n:k+got])
+	return nil
+}
+
 // readLoop dispatches inbound frames until the conn dies. It must never
 // block on application state: DATA lands in credit-bounded buffers,
 // control frames are handled inline, and a full accept backlog resets the
 // excess stream instead of waiting.
 func (l *Link) readLoop() {
 	for {
-		f, err := wire.ReadMuxFrame(l.nc)
-		if err != nil {
+		if err := l.readFrame(); err != nil {
 			l.closeWithError(fmt.Errorf("mux: link read: %w", err))
 			return
 		}
-		switch f.Type {
-		case wire.MuxOpen:
-			l.handleOpen(f.Stream)
-		case wire.MuxData:
-			if s := l.lookup(f.Stream); s != nil {
-				if err := s.deliverData(f.Payload); err != nil {
-					l.closeWithError(err)
-					return
-				}
-			}
-			// Unknown stream: recently closed locally; drop quietly.
-		case wire.MuxWindow:
-			if s := l.lookup(f.Stream); s != nil {
-				s.addCredit(f.Credit)
-			}
-		case wire.MuxClose:
-			if s := l.lookup(f.Stream); s != nil {
-				s.deliverEOF()
-			}
-		case wire.MuxReset:
-			if s := l.lookup(f.Stream); s != nil {
-				s.deliverReset(ErrStreamReset)
-				l.removeStream(f.Stream)
-			}
+	}
+}
+
+// readFrame reads and dispatches one frame. io.EOF is the link ending
+// between frames.
+func (l *Link) readFrame() error {
+	hdr, err := l.rd.next(wire.MuxFrameHeaderLen)
+	if err != nil {
+		if err != io.EOF {
+			err = wire.MuxReadErr(err)
+		}
+		return err
+	}
+	h, err := wire.DecodeMuxHeader(hdr)
+	if err != nil {
+		return err
+	}
+	switch h.Type {
+	case wire.MuxOpen:
+		l.handleOpen(h.Stream)
+	case wire.MuxData:
+		return l.readData(h)
+	case wire.MuxWindow:
+		pay, err := l.rd.next(int(h.Length))
+		if err != nil {
+			return wire.MuxReadErr(err)
+		}
+		credit, err := wire.DecodeMuxCredit(pay)
+		if err != nil {
+			return err
+		}
+		if s := l.lookup(h.Stream); s != nil {
+			s.addCredit(credit)
+		}
+	case wire.MuxClose:
+		if s := l.lookup(h.Stream); s != nil {
+			s.deliverEOF()
+		}
+	case wire.MuxReset:
+		if s := l.lookup(h.Stream); s != nil {
+			s.deliverReset(ErrStreamReset)
+			l.removeStream(h.Stream)
 		}
 	}
+	return nil
+}
+
+// readData reads one DATA payload off the conn into a pooled block and
+// hands it to its stream. The stream picks the place (reserve): the spare
+// capacity of its tail block when the payload fits there, otherwise a
+// fresh block. DATA for a stream that is gone or finished locally (it was
+// in flight when the stream closed) is read into a block that goes
+// straight back.
+func (l *Link) readData(h wire.MuxHeader) error {
+	n := int(h.Length)
+	var bp *[]byte
+	off := 0
+	s := l.lookup(h.Stream)
+	if s != nil {
+		var live bool
+		var err error
+		if bp, off, live, err = s.reserve(n); err != nil {
+			return err
+		}
+		if !live {
+			s = nil
+		}
+	}
+	if bp == nil {
+		bp = blocks.Get()
+	}
+	err := wire.MuxReadErr(l.rd.payload((*bp)[off:], n))
+	if err != nil {
+		n = 0
+	}
+	if s != nil {
+		s.commit(bp, off, n)
+	} else {
+		putBlock(bp)
+	}
+	return err
 }
 
 func (l *Link) handleOpen(id uint32) {
@@ -385,7 +527,7 @@ func (l *Link) handleOpen(id uint32) {
 	}
 	if l.draining {
 		l.mu.Unlock()
-		l.writeFrame(wire.MuxReset, id, nil)
+		l.writeFrame(wire.MuxReset, id, false)
 		return
 	}
 	s := newStream(l, id, l.sendWindow)
@@ -403,60 +545,81 @@ func (l *Link) handleOpen(id uint32) {
 		l.logf("mux: accept backlog full, resetting stream %d", id)
 		s.deliverReset(ErrStreamReset)
 		l.removeStream(id)
-		l.writeFrame(wire.MuxReset, id, nil)
+		l.writeFrame(wire.MuxReset, id, false)
 	}
 }
 
-// writeFrame sends one control or data frame under the link write lock
-// and the frame write timeout. A write failure kills the link.
-func (l *Link) writeFrame(typ uint8, stream uint32, payload []byte) error {
-	buf := wire.AppendMuxFrame(nil, typ, stream, payload)
-	return l.writeRaw(buf)
-}
-
-func (l *Link) writeRaw(buf []byte) error {
+// writeFrame sends one payload-free frame (CLOSE or RESET), behind the
+// stream's OPEN when that is still pending. A write failure kills the
+// link.
+func (l *Link) writeFrame(typ uint8, stream uint32, withOpen bool) error {
 	l.wmu.Lock()
-	l.nc.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout))
-	_, err := l.nc.Write(buf)
-	l.nc.SetWriteDeadline(time.Time{})
-	l.wmu.Unlock()
-	if err != nil {
-		l.closeWithError(fmt.Errorf("mux: link write: %w", err))
+	buf := l.whdr[:0]
+	if withOpen {
+		buf = wire.AppendMuxHeader(buf, wire.MuxOpen, stream, 0)
 	}
-	return err
+	err := l.writeLocked(wire.AppendMuxHeader(buf, typ, stream, 0))
+	l.wmu.Unlock()
+	return l.wrote(err)
+}
+
+// writeWindow grants the peer credit more bytes on stream.
+func (l *Link) writeWindow(stream uint32, credit int) error {
+	l.wmu.Lock()
+	err := l.writeLocked(wire.AppendMuxWindow(l.whdr[:0], stream, uint32(credit)))
+	l.wmu.Unlock()
+	return l.wrote(err)
 }
 
 // writeData sends [OPEN]+DATA for one credit-reserved chunk. The pending
 // OPEN coalesces with the first DATA into one writev (one segment on the
 // wire), so opening a session over a warm trunk costs no extra packet.
 func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
-	hdr := make([]byte, 0, 2*wire.MuxFrameHeaderLen)
-	if withOpen {
-		hdr = wire.AppendMuxFrame(hdr, wire.MuxOpen, stream, nil)
-	}
-	var frame [wire.MuxFrameHeaderLen]byte
-	frame[0] = wire.MuxData
-	putUint32(frame[1:5], stream)
-	putUint32(frame[5:9], uint32(len(p)))
-	hdr = append(hdr, frame[:]...)
-
 	l.wmu.Lock()
-	l.nc.SetWriteDeadline(time.Now().Add(l.cfg.WriteTimeout))
-	bufs := net.Buffers{hdr, p}
-	_, err := bufs.WriteTo(l.nc)
-	l.nc.SetWriteDeadline(time.Time{})
+	hdr := l.whdr[:0]
+	if withOpen {
+		hdr = wire.AppendMuxHeader(hdr, wire.MuxOpen, stream, 0)
+	}
+	l.wvec[0], l.wvec[1] = wire.AppendMuxHeader(hdr, wire.MuxData, stream, len(p)), p
+	l.wbuf = l.wvec[:]
+	l.armWrite()
+	_, err := l.wbuf.WriteTo(l.nc)
+	l.wvec[1] = nil
 	l.wmu.Unlock()
+	return l.wrote(err)
+}
+
+// writeLocked writes buf under the frame write timeout; wmu is held.
+func (l *Link) writeLocked(buf []byte) error {
+	l.armWrite()
+	_, err := l.nc.Write(buf)
+	return err
+}
+
+// armWrite gives the frame about to be written at least WriteTimeout;
+// wmu is held. The conn's deadline stays armed between frames and is
+// pushed out once per WriteTimeout, not set and cleared around every
+// frame, so a stalled peer is declared dead after one to two timeouts.
+func (l *Link) armWrite() {
+	if now := time.Now(); l.wdead.Sub(now) < l.cfg.WriteTimeout {
+		l.wdead = now.Add(2 * l.cfg.WriteTimeout)
+		l.nc.SetWriteDeadline(l.wdead)
+	}
+}
+
+// wrote kills the link when a frame write failed.
+func (l *Link) wrote(err error) error {
 	if err != nil {
 		l.closeWithError(fmt.Errorf("mux: link write: %w", err))
 	}
 	return err
 }
 
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
+// chunk is received payload waiting in a pooled block: (*bp)[off:end] is
+// unread.
+type chunk struct {
+	bp       *[]byte
+	off, end int
 }
 
 // Stream is one multiplexed session sublink. It implements net.Conn:
@@ -472,9 +635,12 @@ type Stream struct {
 
 	// Receive side. chunks is bounded by the advertised window because
 	// the peer respects credit; unacked counts delivered-but-ungranted
-	// bytes for window accounting and protocol enforcement.
-	chunks     [][]byte
-	chunkOff   int
+	// bytes for window accounting and protocol enforcement. While filling
+	// is set the read loop is reading a payload into the spare capacity of
+	// the last chunk's block: that chunk stays in the list and its block
+	// out of the pool until commit, whoever drains it meanwhile.
+	chunks     []chunk
+	filling    bool
 	buffered   int
 	unacked    int
 	readClosed bool // peer sent CLOSE
@@ -506,25 +672,51 @@ func (s *Stream) StreamID() uint32 { return s.id }
 // Link returns the trunk carrying the stream.
 func (s *Stream) Link() *Link { return s.link }
 
-// deliverData queues inbound payload (called from the link read loop; the
-// slice is owned by the stream from here on). A peer overrunning its
-// credit is a protocol violation that kills the link.
-func (s *Stream) deliverData(p []byte) error {
+// reserve picks where the read loop reads the next n-byte DATA payload:
+// at off in the tail chunk's block when it has n bytes to spare — so a
+// peer sending small frames fills blocks instead of pinning one per frame
+// — or, with bp nil, in a fresh block. live is false for stale data (the
+// stream finished locally while the frame was in flight). A peer
+// overrunning its credit is a protocol violation that kills the link.
+func (s *Stream) reserve(n int) (bp *[]byte, off int, live bool, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed || s.resetErr != nil || s.readClosed {
-		s.mu.Unlock()
-		return nil // stale data for a locally finished stream
+		return nil, 0, false, nil
 	}
-	if s.unacked+len(p) > s.link.cfg.Window {
-		s.mu.Unlock()
-		return fmt.Errorf("mux: stream %d overran its %d-byte receive window", s.id, s.link.cfg.Window)
+	if s.unacked+n > s.link.cfg.Window {
+		return nil, 0, false, fmt.Errorf("stream %d overran its %d-byte receive window", s.id, s.link.cfg.Window)
 	}
-	s.chunks = append(s.chunks, p)
-	s.buffered += len(p)
-	s.unacked += len(p)
+	if k := len(s.chunks); k > 0 {
+		if tail := s.chunks[k-1]; len(*tail.bp)-tail.end >= n {
+			s.filling = true
+			return tail.bp, tail.end, true, nil
+		}
+	}
+	return nil, 0, true, nil
+}
+
+// commit ends the reservation: the read loop read n payload bytes to
+// (*bp)[off:], or none (n == 0) because the link died. The bytes become
+// readable only here, under s.mu. A Close in between dropped the chunk
+// list, and the block with it is the read loop's to return.
+func (s *Stream) commit(bp *[]byte, off, n int) {
+	s.mu.Lock()
+	switch {
+	case s.closed, n == 0 && !s.filling:
+		s.mu.Unlock()
+		putBlock(bp)
+		return
+	case s.filling:
+		s.filling = false
+		s.chunks[len(s.chunks)-1].end += n
+	default:
+		s.chunks = append(s.chunks, chunk{bp: bp, end: n})
+	}
+	s.buffered += n
+	s.unacked += n
 	s.mu.Unlock()
 	s.readCond.Broadcast()
-	return nil
 }
 
 func (s *Stream) deliverEOF() {
@@ -580,16 +772,18 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 	n := 0
 	for n < len(p) && s.buffered > 0 {
-		chunk := s.chunks[0][s.chunkOff:]
-		c := copy(p[n:], chunk)
-		n += c
-		s.buffered -= c
-		if c == len(chunk) {
-			s.chunks[0] = nil
-			s.chunks = s.chunks[1:]
-			s.chunkOff = 0
-		} else {
-			s.chunkOff += c
+		c := &s.chunks[0]
+		k := copy(p[n:], (*c.bp)[c.off:c.end])
+		n += k
+		c.off += k
+		s.buffered -= k
+		if c.off == c.end && !(s.filling && len(s.chunks) == 1) {
+			// Drained, and not the block the read loop is appending to
+			// (that chunk stays listed, empty, until commit).
+			putBlock(c.bp)
+			k := copy(s.chunks, s.chunks[1:])
+			s.chunks[k] = chunk{}
+			s.chunks = s.chunks[:k]
 		}
 	}
 	// Replenish the peer's credit once we've drained a meaningful share
@@ -601,7 +795,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 	s.mu.Unlock()
 	if grant > 0 {
-		s.link.writeRaw(wire.AppendMuxWindow(nil, s.id, uint32(grant)))
+		s.link.writeWindow(s.id, grant)
 	}
 	return n, nil
 }
@@ -664,12 +858,7 @@ func (s *Stream) CloseWrite() error {
 	withOpen := s.openPending
 	s.openPending = false
 	s.mu.Unlock()
-	var buf []byte
-	if withOpen {
-		buf = wire.AppendMuxFrame(buf, wire.MuxOpen, s.id, nil)
-	}
-	buf = wire.AppendMuxFrame(buf, wire.MuxClose, s.id, nil)
-	return s.link.writeRaw(buf)
+	return s.link.writeFrame(wire.MuxClose, s.id, withOpen)
 }
 
 // Close finishes the stream locally. Unless both directions already
@@ -684,13 +873,21 @@ func (s *Stream) Close() error {
 	s.closed = true
 	clean := s.writeClosed && (s.readClosed || s.resetErr != nil)
 	sendReset := !clean && s.resetErr == nil && !s.openPending
+	// Unread payload goes back to the pool, except a block the read loop
+	// is filling right now: commit returns that one.
+	for i, c := range s.chunks {
+		if !s.filling || i < len(s.chunks)-1 {
+			putBlock(c.bp)
+		}
+	}
 	s.chunks = nil
+	s.filling = false
 	s.buffered = 0
 	s.mu.Unlock()
 	s.readCond.Broadcast()
 	s.writeCond.Broadcast()
 	if sendReset {
-		s.link.writeFrame(wire.MuxReset, s.id, nil)
+		s.link.writeFrame(wire.MuxReset, s.id, false)
 	}
 	s.link.removeStream(s.id)
 	return nil

@@ -15,7 +15,7 @@ import (
 )
 
 // linkPair establishes a client/server link pair over loopback TCP.
-func linkPair(t *testing.T, cfg LinkConfig) (*Link, *Link) {
+func linkPair(t testing.TB, cfg LinkConfig) (*Link, *Link) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

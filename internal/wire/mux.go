@@ -21,9 +21,10 @@
 // the trunk. DATA payloads are additionally capped at MaxMuxPayload so a
 // single frame cannot monopolize the link for long.
 //
-// Like the open-header decoder, the frame decoder is bounded: it never
-// allocates more than MaxMuxPayload for a frame and never panics on
-// malformed input.
+// Like the open-header decoder, the frame decoder is bounded: a header is
+// validated (DecodeMuxHeader) before anything is allocated or read for its
+// payload, so no frame costs more than MaxMuxPayload, and malformed input
+// never panics.
 
 package wire
 
@@ -120,16 +121,19 @@ type MuxFrame struct {
 	Credit  uint32 // WINDOW only
 }
 
+// AppendMuxHeader appends the header of a frame whose payload is length
+// bytes, for a sender that writes the payload from where it already is.
+func AppendMuxHeader(dst []byte, typ uint8, stream uint32, length int) []byte {
+	dst = append(dst, typ)
+	dst = binary.BigEndian.AppendUint32(dst, stream)
+	return binary.BigEndian.AppendUint32(dst, uint32(length))
+}
+
 // AppendMuxFrame appends an encoded frame header plus payload to dst and
 // returns the extended slice. The caller is responsible for honoring
 // MaxMuxPayload.
 func AppendMuxFrame(dst []byte, typ uint8, stream uint32, payload []byte) []byte {
-	var hdr [MuxFrameHeaderLen]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:5], stream)
-	binary.BigEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return append(AppendMuxHeader(dst, typ, stream, len(payload)), payload...)
 }
 
 // AppendMuxWindow appends an encoded WINDOW frame granting credit bytes.
@@ -139,52 +143,96 @@ func AppendMuxWindow(dst []byte, stream uint32, credit uint32) []byte {
 	return AppendMuxFrame(dst, MuxWindow, stream, pay[:])
 }
 
-// ReadMuxFrame reads and decodes one frame. Allocation is bounded by the
-// declared payload length, which is validated against MaxMuxPayload before
-// any payload allocation, so a malformed length cannot over-allocate.
+// MuxHeader is the fixed header in front of every frame.
+type MuxHeader struct {
+	Type   uint8
+	Stream uint32
+	Length uint32 // payload bytes that follow
+}
+
+// DecodeMuxHeader decodes and validates the first MuxFrameHeaderLen bytes
+// of b: the type is known, the length is one that type may carry (so a
+// hostile length is refused before anything is allocated or read for it),
+// and the stream id is not 0. It is the one frame decoder: the trunk's
+// read loop calls it on the buffer it read into, ReadMuxFrame on a header
+// it read itself.
+func DecodeMuxHeader(b []byte) (MuxHeader, error) {
+	h := MuxHeader{
+		Type:   b[0],
+		Stream: binary.BigEndian.Uint32(b[1:5]),
+		Length: binary.BigEndian.Uint32(b[5:9]),
+	}
+	switch h.Type {
+	case MuxOpen, MuxClose, MuxReset:
+		if h.Length != 0 {
+			return h, fmt.Errorf("%w: %s frame with %d-byte payload", ErrBadMuxFrame, MuxTypeString(h.Type), h.Length)
+		}
+	case MuxWindow:
+		if h.Length != 4 {
+			return h, fmt.Errorf("%w: WINDOW frame with %d-byte payload", ErrBadMuxFrame, h.Length)
+		}
+	case MuxData:
+		if h.Length == 0 || h.Length > MaxMuxPayload {
+			return h, fmt.Errorf("%w: DATA frame length %d", ErrBadMuxFrame, h.Length)
+		}
+	default:
+		return h, fmt.Errorf("%w: unknown type %d", ErrBadMuxFrame, h.Type)
+	}
+	if h.Stream == 0 {
+		return h, fmt.Errorf("%w: stream id 0", ErrBadMuxFrame)
+	}
+	return h, nil
+}
+
+// DecodeMuxCredit decodes and validates a WINDOW frame's 4-byte payload.
+func DecodeMuxCredit(b []byte) (uint32, error) {
+	credit := binary.BigEndian.Uint32(b[:4])
+	if credit == 0 || credit > MaxMuxWindow {
+		return 0, ErrBadMuxWindow
+	}
+	return credit, nil
+}
+
+// MuxReadErr maps the error of a read that ended inside a frame: the
+// stream ending there is a truncated frame, anything else (a deadline, a
+// closed connection) is reported as what it is.
+func MuxReadErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTruncated
+	}
+	return err
+}
+
+// ReadMuxFrame reads one frame into a freshly allocated MuxFrame. The
+// payload is allocated only after DecodeMuxHeader has bounded its length.
+// io.EOF before the first header byte passes through: a clean end of link.
 func ReadMuxFrame(r io.Reader) (*MuxFrame, error) {
 	var hdr [MuxFrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
+		if err == io.EOF {
+			return nil, err
 		}
-		return nil, err // io.EOF passes through: clean end-of-link
+		return nil, MuxReadErr(err)
 	}
-	f := &MuxFrame{
-		Type:   hdr[0],
-		Stream: binary.BigEndian.Uint32(hdr[1:5]),
+	h, err := DecodeMuxHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[5:9])
-	switch f.Type {
-	case MuxOpen, MuxClose, MuxReset:
-		if length != 0 {
-			return nil, fmt.Errorf("%w: %s frame with %d-byte payload", ErrBadMuxFrame, MuxTypeString(f.Type), length)
-		}
+	f := &MuxFrame{Type: h.Type, Stream: h.Stream}
+	switch h.Type {
 	case MuxWindow:
-		if length != 4 {
-			return nil, fmt.Errorf("%w: WINDOW frame with %d-byte payload", ErrBadMuxFrame, length)
-		}
 		var pay [4]byte
 		if _, err := io.ReadFull(r, pay[:]); err != nil {
-			return nil, ErrTruncated
+			return nil, MuxReadErr(err)
 		}
-		f.Credit = binary.BigEndian.Uint32(pay[:])
-		if f.Credit == 0 || f.Credit > MaxMuxWindow {
-			return nil, ErrBadMuxWindow
+		if f.Credit, err = DecodeMuxCredit(pay[:]); err != nil {
+			return nil, err
 		}
 	case MuxData:
-		if length == 0 || length > MaxMuxPayload {
-			return nil, fmt.Errorf("%w: DATA frame length %d", ErrBadMuxFrame, length)
-		}
-		f.Payload = make([]byte, length)
+		f.Payload = make([]byte, h.Length)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, ErrTruncated
+			return nil, MuxReadErr(err)
 		}
-	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMuxFrame, f.Type)
-	}
-	if f.Stream == 0 {
-		return nil, fmt.Errorf("%w: stream id 0", ErrBadMuxFrame)
 	}
 	return f, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"testing"
+	"testing/iotest"
 )
 
 func TestMuxHelloRoundTrip(t *testing.T) {
@@ -121,6 +123,36 @@ func TestMuxFrameCleanEOF(t *testing.T) {
 	}
 	if _, err := ReadMuxFrame(bytes.NewReader([]byte{MuxData, 0})); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("mid-header cut: err=%v, want %v", err, ErrTruncated)
+	}
+}
+
+// TestMuxFrameReadErrors: only the stream ending inside a frame reads as
+// a truncated frame; a deadline or a closed connection keeps its cause.
+func TestMuxFrameReadErrors(t *testing.T) {
+	data := AppendMuxFrame(nil, MuxData, 1, []byte("hello"))
+	window := AppendMuxWindow(nil, 1, 4096)
+	cases := []struct {
+		name string
+		raw  []byte
+		err  error
+		want error
+	}{
+		{"EOF mid DATA payload", data[:11], io.EOF, ErrTruncated},
+		{"EOF mid WINDOW payload", window[:10], io.EOF, ErrTruncated},
+		{"EOF mid header", data[:3], io.EOF, ErrTruncated},
+		{"deadline mid DATA payload", data[:11], os.ErrDeadlineExceeded, os.ErrDeadlineExceeded},
+		{"deadline mid WINDOW payload", window[:10], os.ErrDeadlineExceeded, os.ErrDeadlineExceeded},
+		{"deadline mid header", data[:3], os.ErrDeadlineExceeded, os.ErrDeadlineExceeded},
+		{"closed before payload", data[:MuxFrameHeaderLen], io.ErrClosedPipe, io.ErrClosedPipe},
+	}
+	for _, c := range cases {
+		_, err := ReadMuxFrame(io.MultiReader(bytes.NewReader(c.raw), iotest.ErrReader(c.err)))
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err=%v, want %v", c.name, err, c.want)
+		}
+		if c.want != ErrTruncated && errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: cause %v reported as a truncated frame", c.name, c.err)
+		}
 	}
 }
 
