@@ -51,6 +51,10 @@ import (
 	"lsl/internal/sizeparse"
 )
 
+// confirmTimeout bounds the plain sender's wait for the cascade to unwind
+// after the last payload byte (the engine's bound for the same step).
+const confirmTimeout = 30 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lslcat: ")
@@ -61,7 +65,7 @@ func main() {
 		file    = flag.String("file", "", "send this file (enables digest, sets size)")
 		sizeS   = flag.String("size", "", "payload size in bytes when sending from stdin")
 		benchS  = flag.String("bench", "", "send this much synthetic data (e.g. 64M) and report throughput")
-		eager   = flag.Bool("eager", false, "stream without waiting for the end-to-end accept")
+		eager   = flag.Bool("eager", false, "pipeline the open: stream behind the header without waiting for the end-to-end accept")
 		noDig   = flag.Bool("no-digest", false, "disable the end-to-end MD5 trailer")
 		retries = flag.Int("retries", 0, "self-heal transient failures with up to this many re-dials (resume + failover; needs a seekable source: -file or -bench)")
 		graphF  = flag.String("graph", "", "overlay graph file (lslplan format) for -auto-route")
@@ -226,7 +230,7 @@ func runSender(routeS, target, file, sizeS, benchS, sockbuf string, eager, noDig
 			log.Fatal("-retries/-auto-route need a seekable source: use -file or -bench, not stdin")
 		}
 		if eager {
-			log.Fatal("-retries/-auto-route and -eager are mutually exclusive (healing needs the resume handshake)")
+			log.Fatal("-retries/-auto-route and -eager are mutually exclusive: the self-healing engine already pipelines its first attempt, -eager has nothing to add")
 		}
 		runResilient(route, rs, size, retries, noDigest, quiet, planner)
 		return
@@ -259,6 +263,15 @@ func runSender(routeS, target, file, sizeS, benchS, sockbuf string, eager, noDig
 	}
 	if err := c.CloseWrite(); err != nil {
 		log.Fatal(err)
+	}
+	// Wait for the cascade to unwind before calling it sent. With -eager
+	// nothing has looked at the backward channel yet: this read is where a
+	// busy or misrouted cascade's refusal surfaces. Bounded, as the engine
+	// bounds the same step: a cascade that never closes the backward
+	// channel is a failure, not a reason to hang.
+	c.SetDeadline(time.Now().Add(confirmTimeout))
+	if _, err := io.Copy(io.Discard, c); err != nil {
+		log.Fatalf("session %s: %v", c.SessionID(), err)
 	}
 	el := time.Since(start)
 	if !quiet {

@@ -16,6 +16,24 @@
 //	   |=== payload ======> |=== payload ==========> |
 //	   |--- MD5 trailer --->|----------------------->| verify
 //
+// Protocol flow (pipelined mode, WithEager): the payload follows the
+// header without waiting a cascade round trip; every hop relays the bytes
+// that arrive behind a header, and the accept is read lazily, when the
+// initiator first needs something from the backward channel (SendReader
+// reads it alongside the copy, so the open stays bounded by the handshake
+// timeout even against a hop that never answers):
+//
+//	initiator            depot(s)                target
+//	   |--- TCP connect --->|                        |
+//	   |--- OpenHeader ---->|--- TCP connect ------->|
+//	   |=== payload ======> |--- OpenHeader(hop+1)-->|
+//	   |--- MD5 trailer --->|=== payload ==========> | verify
+//	   |<-- AcceptFrame ----|<-- AcceptFrame --------|
+//
+// Either way one code path (Conn.awaitAccept) reads and checks the
+// accept frame, so a rejection is always the typed ErrRejected and the
+// frame itself never reaches the application.
+//
 // Everything rides ordinary TCP streams; depots relay bytes in both
 // directions, so the accept frame and any application replies flow
 // backward through the same cascade.
@@ -29,6 +47,7 @@ import (
 	"hash"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"lsl/internal/mux"
@@ -93,8 +112,12 @@ type Options struct {
 	Digest bool
 	// ContentLength declares the payload size; <0 means unknown (stream).
 	ContentLength int64
-	// Eager streams payload without waiting for the end-to-end accept
-	// (the cascade absorbs data while the tail is still dialing).
+	// Eager pipelines the session open: Dial returns once the first hop
+	// is connected and payload streams behind the header without waiting
+	// for the end-to-end accept (the cascade absorbs data while the tail
+	// is still dialing). The accept is read and checked on first use of
+	// the backward channel (Read, AwaitCustody), alongside a SendReader,
+	// or when a write fails.
 	Eager bool
 	// Session forces a session ID (used with Resume); zero means random.
 	Session wire.SessionID
@@ -133,7 +156,8 @@ func WithDigest() Option { return func(o *Options) { o.Digest = true } }
 // WithContentLength declares the payload size in bytes.
 func WithContentLength(n int64) Option { return func(o *Options) { o.ContentLength = n } }
 
-// WithEager disables the synchronous end-to-end accept wait.
+// WithEager pipelines the open: payload follows the header without the
+// synchronous end-to-end accept wait (see Options.Eager).
 func WithEager() Option { return func(o *Options) { o.Eager = true } }
 
 // WithSession pins the session identifier (for resumption).
@@ -177,29 +201,55 @@ func buildOptions(opts []Option) Options {
 // closeWriter is implemented by *net.TCPConn and by the emulator's conns.
 type closeWriter interface{ CloseWrite() error }
 
-// Conn is the initiator's end of a session.
+// Conn is the initiator's end of a session. Like a net.Conn it may be
+// read by one goroutine while another writes, and SetDeadline or Close
+// from any goroutine interrupts either: no lock is held across transport
+// I/O.
 type Conn struct {
 	nc   net.Conn
 	id   wire.SessionID
 	opts Options
 
-	hash        hash.Hash
-	written     int64
-	startOffset int64
-	wclosed     bool
-	// pending is the encoded open header staged for coalescing with the
-	// first payload write (eager sessions only; nil once flushed).
-	pending []byte
+	hash    hash.Hash
+	written int64
+	wclosed bool
 
-	// dialDur and acceptDur time the first-hop transport dial and the
-	// end-to-end accept round trip — the raw RTT observations the live
-	// logistics planner (internal/logistics) feeds into its forecasters.
-	dialDur   time.Duration
-	acceptDur time.Duration
+	// mu guards the fields below, which the accept path shares with the
+	// forward path and with SetDeadline. It is never held across a
+	// transport read or write.
+	mu sync.Mutex
+	// pending is the encoded open header, staged by Dial and claimed
+	// exactly once: by the first payload Write, which sends it in the same
+	// gathered write, or on its own by whoever needs the peer to have it
+	// first (nil once claimed).
+	pending []byte
+	// deadline is the caller's SetDeadline; handshakeBy is non-zero while
+	// the accept read has the transport's read deadline on loan.
+	deadline    time.Time
+	handshakeBy time.Time
+	// startOffset and acceptDur are the accept's findings.
+	startOffset int64
+	acceptDur   time.Duration
+
+	// hdrOut is closed once no payload write can overtake the header: when
+	// the forward path claims it (that goroutine writes it first), or when
+	// a flush started by the accept path has returned.
+	hdrOut chan struct{}
+
+	// acceptOnce runs the session's one accept read; acceptErr is its
+	// verdict, replayed to every later caller of awaitAccept.
+	acceptOnce sync.Once
+	acceptErr  error
+
+	// dialDur times the first-hop transport dial; with acceptDur it is the
+	// raw RTT observation the live logistics planner (internal/logistics)
+	// feeds into its forecasters.
+	dialDur time.Duration
 }
 
 // Dial opens a session along route. With Options.Eager unset it blocks
-// until the end-to-end accept returns through the cascade.
+// until the end-to-end accept returns through the cascade; with it set
+// the accept is awaited lazily (see Conn.Read).
 func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 	o := buildOptions(opts)
 	if err := route.Validate(); err != nil {
@@ -273,80 +323,182 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	deadline := time.Now().Add(o.HandshakeTimeout)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
-		deadline = dl
-	}
-	nc.SetDeadline(deadline)
-	c := &Conn{nc: nc, id: id, opts: o, dialDur: dialDur}
+	// The header is always staged, never written here: a synchronous open
+	// flushes it on its way into the accept read below, a pipelined one
+	// coalesces it with the first payload Write (net.Buffers), so that
+	// open is one packet, not a tiny header packet followed by a
+	// delayed-ACK stall before the payload.
+	c := &Conn{nc: nc, id: id, opts: o, dialDur: dialDur, pending: enc, hdrOut: make(chan struct{})}
 	if o.Digest {
 		c.hash = md5.New()
 	}
-	if o.Eager {
-		// Stage the header instead of writing it now: the first payload
-		// Write coalesces it into one segment (net.Buffers), so an eager
-		// session open is one packet, not a tiny header packet followed
-		// by a delayed-ACK stall before the payload.
-		c.pending = enc
-	} else if _, err := nc.Write(enc); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("lsl: send header: %w", err)
-	}
 	if !o.Eager {
-		acceptStart := time.Now()
-		acc, err := wire.ReadAcceptFrame(nc)
-		c.acceptDur = time.Since(acceptStart)
+		// The context's deadline bounds the handshake the way a caller's
+		// SetDeadline bounds a lazy one; it does not outlive Dial.
+		c.deadline, _ = ctx.Deadline()
+		err = c.awaitAccept(true)
+		c.deadline = time.Time{}
+		nc.SetDeadline(time.Time{})
 		if err != nil {
 			nc.Close()
-			return nil, fmt.Errorf("lsl: waiting for session accept: %w", err)
+			return nil, err
 		}
-		if acc.Session != id {
-			nc.Close()
-			return nil, fmt.Errorf("lsl: accept for wrong session %s", acc.Session)
+	}
+	return c, nil
+}
+
+// awaitAccept is the one place a session's accept is read: it flushes the
+// staged header, reads the accept frame under the handshake timeout (or
+// the caller's deadline, whichever is sooner), checks session and code,
+// and records the resume offset. Idempotent and safe for concurrent use —
+// the first caller does the read, every caller gets its verdict, and the
+// verdict is final: an accept read cut short by the caller's deadline has
+// consumed part of the frame or none, and there is no telling which.
+// Synchronous Dial calls it before returning; a pipelined Conn calls it
+// from whatever first needs the backward channel. flush is false only for
+// SendReader's guard, whose header is about to leave with the first
+// payload write and must not be split off it.
+func (c *Conn) awaitAccept(flush bool) error {
+	c.acceptOnce.Do(func() { c.acceptErr = c.readAccept(flush) })
+	return c.acceptErr
+}
+
+func (c *Conn) readAccept(flush bool) error {
+	c.mu.Lock()
+	by := time.Now().Add(c.opts.HandshakeTimeout)
+	if !c.deadline.IsZero() && c.deadline.Before(by) {
+		by = c.deadline
+	}
+	c.handshakeBy = by
+	c.nc.SetReadDeadline(by)
+	var hdr []byte
+	if flush && c.pending != nil {
+		// Nothing has been written yet, so no writer's deadline is in the
+		// way: the header flush is part of the handshake and bounded by it.
+		hdr, c.pending = c.pending, nil
+		c.nc.SetWriteDeadline(by)
+	}
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.handshakeBy = time.Time{}
+		c.nc.SetReadDeadline(c.deadline)
+		c.mu.Unlock()
+	}()
+	if hdr != nil {
+		_, err := c.nc.Write(hdr)
+		c.mu.Lock()
+		c.nc.SetWriteDeadline(c.deadline)
+		c.mu.Unlock()
+		close(c.hdrOut)
+		if err != nil {
+			return fmt.Errorf("lsl: send header: %w", err)
 		}
-		if acc.Code != wire.CodeOK {
-			nc.Close()
-			return nil, fmt.Errorf("%w: %s", ErrRejected, wire.CodeString(acc.Code))
-		}
+	}
+	start := time.Now()
+	acc, err := wire.ReadAcceptFrame(c.nc)
+	c.mu.Lock()
+	c.acceptDur = time.Since(start)
+	if err == nil && acc.Session == c.id && acc.Code == wire.CodeOK {
 		c.startOffset = int64(acc.Offset)
 	}
-	nc.SetDeadline(time.Time{})
-	return c, nil
+	c.mu.Unlock()
+	switch {
+	case err != nil:
+		return fmt.Errorf("lsl: waiting for session accept: %w", err)
+	case acc.Session != c.id:
+		return fmt.Errorf("lsl: accept for wrong session %s", acc.Session)
+	case acc.Code != wire.CodeOK:
+		return fmt.Errorf("%w: %s", ErrRejected, wire.CodeString(acc.Code))
+	}
+	return nil
+}
+
+// header is the forward path's gate. It returns the staged open header
+// when the caller is the one to send it — ahead of anything else — and
+// nil once it is out, waiting first for a flush the accept path has in
+// flight so that payload never overtakes the header.
+func (c *Conn) header() []byte {
+	c.mu.Lock()
+	hdr := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	if hdr != nil {
+		close(c.hdrOut)
+		return hdr
+	}
+	<-c.hdrOut
+	return nil
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// rejection upgrades a failed write's transport error with what the accept
+// path knows. A cascade that refuses a pipelined session answers with a
+// reject frame and hangs up, which the writer sees as a broken pipe before
+// it ever looks at the backward channel: read the accept that is (or is
+// not) waiting there and report the refusal as what it is. An accept that
+// never came within its bound is likewise the reason the session was torn
+// down under the write (see SendReader). Any other verdict leaves err
+// alone.
+func (c *Conn) rejection(err error) error {
+	if isTimeout(err) {
+		return err // a stalled peer has sent nothing worth waiting for
+	}
+	if aerr := c.awaitAccept(true); errors.Is(aerr, ErrRejected) || isTimeout(aerr) {
+		return aerr
+	}
+	return err
 }
 
 // SessionID returns the 128-bit session identifier.
 func (c *Conn) SessionID() wire.SessionID { return c.id }
 
 // Offset returns the target's already-received byte count reported in the
-// accept (non-zero only for resumed sessions).
-func (c *Conn) Offset() int64 { return c.startOffset }
+// accept (non-zero only for resumed sessions). A pipelined session has no
+// accept yet when Dial returns: Offset reads 0 until Read or AwaitCustody
+// has seen it.
+func (c *Conn) Offset() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.startOffset
+}
 
 // DialDuration returns how long the first-hop transport dial took — a
 // first-hop RTT proxy the logistics planner folds into its forecasts.
 func (c *Conn) DialDuration() time.Duration { return c.dialDur }
 
 // AcceptDuration returns how long the end-to-end accept took to return
-// through the cascade after the open header was sent (zero for eager
-// sessions, which never wait for it).
-func (c *Conn) AcceptDuration() time.Duration { return c.acceptDur }
+// through the cascade after the open header was sent. On a pipelined
+// session it is only how long the lazy accept read blocked (zero before
+// it), not a round-trip measurement.
+func (c *Conn) AcceptDuration() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.acceptDur
+}
 
 // Written returns the session's logical stream position: bytes written on
 // this sublink plus, after SendReader on a resumed session, the prefix the
 // target had already confirmed.
 func (c *Conn) Written() int64 { return c.written }
 
-// Write sends payload bytes toward the target. The first write of an
-// eager session carries the staged open header in the same segment
+// Write sends payload bytes toward the target. The first write of a
+// pipelined session carries the staged open header in the same segment
 // (writev via net.Buffers), so a session open plus its first payload
-// bytes cost one packet on the wire.
+// bytes cost one packet on the wire. A write the cascade cut short
+// because it refused the session fails with ErrRejected.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.wclosed {
 		return 0, ErrClosedWrite
 	}
 	var n int
 	var err error
-	if c.pending != nil {
-		n, err = c.writeCoalesced(p)
+	if hdr := c.header(); hdr != nil {
+		n, err = c.writeCoalesced(hdr, p)
 	} else {
 		n, err = c.nc.Write(p)
 	}
@@ -356,40 +508,33 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		c.written += int64(n)
 	}
+	if err != nil {
+		err = c.rejection(err)
+	}
 	return n, err
 }
 
-// writeCoalesced sends the staged open header and p as one gathered
-// write, returning the count of payload bytes (header excluded).
-func (c *Conn) writeCoalesced(p []byte) (int, error) {
-	hdrLen := len(c.pending)
-	bufs := net.Buffers{c.pending, p}
+// writeCoalesced sends the open header and p as one gathered write,
+// returning the count of payload bytes (header excluded). One shot: a
+// partial write means a dead transport.
+func (c *Conn) writeCoalesced(hdr, p []byte) (int, error) {
+	bufs := net.Buffers{hdr, p}
 	total, err := bufs.WriteTo(c.nc)
-	c.pending = nil // one shot: a partial write means a dead transport
-	n := int(total) - hdrLen
+	n := int(total) - len(hdr)
 	if n < 0 {
 		n = 0
 	}
 	return n, err
 }
 
-// flushPending writes the staged header on its own (an eager session
-// that reads or half-closes before its first payload write).
-func (c *Conn) flushPending() error {
-	if c.pending == nil {
-		return nil
-	}
-	enc := c.pending
-	c.pending = nil
-	if _, err := c.nc.Write(enc); err != nil {
-		return fmt.Errorf("lsl: send header: %w", err)
-	}
-	return nil
-}
-
-// Read receives backward-channel bytes from the target.
+// Read receives backward-channel bytes from the target. On a pipelined
+// session the first Read consumes and checks the accept first, so a
+// refused session fails with ErrRejected and the application never sees
+// the frame. That accept read honours the caller's deadline, but a
+// deadline that cuts it short is terminal for the Conn: every later Read
+// repeats the error.
 func (c *Conn) Read(p []byte) (int, error) {
-	if err := c.flushPending(); err != nil {
+	if err := c.awaitAccept(true); err != nil {
 		return 0, err
 	}
 	return c.nc.Read(p)
@@ -403,13 +548,20 @@ func (c *Conn) CloseWrite() error {
 		return nil
 	}
 	c.wclosed = true
-	if err := c.flushPending(); err != nil {
-		return err
-	}
-	if c.hash != nil {
-		if _, err := c.nc.Write(c.hash.Sum(nil)); err != nil {
-			return fmt.Errorf("lsl: send digest trailer: %w", err)
+	var err error
+	if hdr := c.header(); hdr != nil {
+		// A session that half-closes before its first payload write.
+		if _, err = c.nc.Write(hdr); err != nil {
+			err = fmt.Errorf("lsl: send header: %w", err)
 		}
+	}
+	if err == nil && c.hash != nil {
+		if _, err = c.nc.Write(c.hash.Sum(nil)); err != nil {
+			err = fmt.Errorf("lsl: send digest trailer: %w", err)
+		}
+	}
+	if err != nil {
+		return c.rejection(err)
 	}
 	if cw, ok := c.nc.(closeWriter); ok {
 		return cw.CloseWrite()
@@ -429,7 +581,9 @@ func (c *Conn) AwaitCustody() error {
 	if !c.opts.Staged {
 		return errors.New("lsl: AwaitCustody on a non-staged session")
 	}
-	if err := c.flushPending(); err != nil {
+	// A pipelined session still has the depot's admission accept ahead of
+	// the custody frame.
+	if err := c.awaitAccept(true); err != nil {
 		return err
 	}
 	c.nc.SetReadDeadline(time.Now().Add(c.opts.HandshakeTimeout))
@@ -456,8 +610,21 @@ func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 // RemoteAddr returns the first hop's address.
 func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
-// SetDeadline applies to the underlying first sublink.
-func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
+// SetDeadline applies to the underlying first sublink and, like a
+// net.Conn's, to reads and writes already blocked on it. It never extends
+// an accept read in progress past the handshake timeout.
+func (c *Conn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deadline = t
+	if err := c.nc.SetWriteDeadline(t); err != nil {
+		return err
+	}
+	if by := c.handshakeBy; !by.IsZero() && (t.IsZero() || by.Before(t)) {
+		t = by
+	}
+	return c.nc.SetReadDeadline(t)
+}
 
 // sendBufferSize is the SendReader copy buffer — the same default size
 // class the depot relay uses, so both ends share one buffer pool.
@@ -469,22 +636,36 @@ const sendBufferSize = 256 << 10
 // prefix so the end-to-end digest still covers the complete stream. It
 // finishes with CloseWrite. The copy runs through the pooled data plane
 // (internal/xfer), so repeated sends perform no buffer allocation.
+//
+// On a pipelined session the accept is still out while the payload
+// streams, so SendReader reads it alongside the copy, under the same bound
+// a synchronous open has. A first hop that takes the connection and never
+// answers would otherwise hold a write blocked on full socket buffers
+// forever; instead the session is closed under it and the write reports
+// the accept that failed.
 func (c *Conn) SendReader(r io.ReadSeeker) error {
-	if c.startOffset > 0 {
+	if c.opts.Eager {
+		go func() {
+			if c.awaitAccept(false) != nil {
+				c.nc.Close()
+			}
+		}()
+	}
+	if off := c.Offset(); off > 0 {
 		if c.hash != nil {
 			if _, err := r.Seek(0, io.SeekStart); err != nil {
 				return err
 			}
-			if _, err := io.CopyN(c.hash, r, c.startOffset); err != nil {
+			if _, err := io.CopyN(c.hash, r, off); err != nil {
 				return fmt.Errorf("lsl: rehash resumed prefix: %w", err)
 			}
-		} else if _, err := r.Seek(c.startOffset, io.SeekStart); err != nil {
+		} else if _, err := r.Seek(off, io.SeekStart); err != nil {
 			return err
 		}
 		// The skipped prefix counts as written stream position either way,
 		// so Written reports the logical offset, not just this sublink's
 		// bytes.
-		c.written = c.startOffset
+		c.written = off
 	}
 	if _, err := xfer.CopyCounted(c, r, xfer.PoolFor(sendBufferSize), xfer.CopyConfig{}); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,20 +71,20 @@ func TestEagerDialAgainstRejectingCascade(t *testing.T) {
 	defer c.Close()
 
 	// The depot absorbs some payload while dialing, then rejects. The
-	// reject frame arrives on the backward channel.
+	// refusal comes back on the backward channel, where the first Read
+	// consumes the frame and names it — the application parses nothing.
 	c.SetDeadline(time.Now().Add(10 * time.Second))
 	c.Write(payload)
 	c.CloseWrite()
-	acc, err := wire.ReadAcceptFrame(c)
-	if err != nil {
-		t.Fatalf("reading reject frame from cascade: %v", err)
+	n, err := c.Read(make([]byte, 64))
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("Read = %d, %v; want ErrRejected", n, err)
 	}
-	if acc.Code != wire.CodeRejectRoute {
-		t.Fatalf("accept code = %s, want %s",
-			wire.CodeString(acc.Code), wire.CodeString(wire.CodeRejectRoute))
+	if n != 0 {
+		t.Fatalf("Read handed %d bytes of the reject frame to the application", n)
 	}
-	if acc.Session != c.SessionID() {
-		t.Fatal("reject frame names the wrong session")
+	if want := wire.CodeString(wire.CodeRejectRoute); !strings.Contains(err.Error(), want) {
+		t.Fatalf("rejection %q does not carry the depot's code %q", err, want)
 	}
 }
 

@@ -184,9 +184,14 @@ func (l *Listener) ResumeStates() int {
 	return len(l.sessions)
 }
 
-func (l *Listener) dropSession(id wire.SessionID) {
+// dropSession forgets st. A fresh open may have replaced the state under
+// the same ID since this sublink started (a restarted transfer); that
+// newer state is not this sublink's to drop.
+func (l *Listener) dropSession(id wire.SessionID, st *sessionState) {
 	l.mu.Lock()
-	delete(l.sessions, id)
+	if l.sessions[id] == st {
+		delete(l.sessions, id)
+	}
 	l.mu.Unlock()
 }
 
@@ -261,7 +266,7 @@ func (s *ServerConn) Read(p []byte) (int, error) {
 	}
 	if err == io.EOF && s.remaining < 0 {
 		// Unverified stream completed; forget the session.
-		s.l.dropSession(s.hdr.Session)
+		s.l.dropSession(s.hdr.Session, s.st)
 	}
 	if err == nil && s.remaining == 0 {
 		if derr := s.finishDigest(); derr != nil {
@@ -288,11 +293,11 @@ func (s *ServerConn) finishDigest() error {
 		// hash is wrong, so no resume can ever verify. Delete it so a fresh
 		// retry of the session starts clean instead of inheriting the
 		// corruption.
-		s.l.dropSession(s.hdr.Session)
+		s.l.dropSession(s.hdr.Session, s.st)
 		return s.failed
 	}
 	s.verified = true
-	s.l.dropSession(s.hdr.Session)
+	s.l.dropSession(s.hdr.Session, s.st)
 	return nil
 }
 

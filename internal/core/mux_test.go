@@ -94,7 +94,8 @@ func TestEagerFirstWriteCarriesHeader(t *testing.T) {
 
 // TestEagerReadFlushesStagedHeader covers the other first-use path: an
 // eager session that reads the backward channel before writing any
-// payload must still deliver the open header first.
+// payload must still deliver the open header first — and gets the peer's
+// reply, not the accept frame that precedes it.
 func TestEagerReadFlushesStagedHeader(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -107,9 +108,11 @@ func TestEagerReadFlushesStagedHeader(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		if _, err := wire.ReadOpenHeader(nc); err != nil {
+		hdr, err := wire.ReadOpenHeader(nc)
+		if err != nil {
 			return
 		}
+		nc.Write((&wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session}).Encode())
 		nc.Write([]byte("pong"))
 	}()
 

@@ -583,10 +583,19 @@ func (d *Depot) writeControl(c netConnLike, f *wire.AcceptFrame) bool {
 	return err == nil
 }
 
-// reject writes a reject frame under the control write deadline and
-// closes the transport.
+// reject writes a reject frame under the control write deadline and lets
+// go of the transport without a reset chasing the frame. An initiator
+// that pipelines its payload behind the header is still sending: closing
+// on unread bytes makes the kernel answer with RST, and a reset can cost
+// the peer the frame it has not read yet. So half-close, then discard
+// what arrives until EOF, one relay buffer's worth, or the write timeout
+// — whichever comes first — and only then close.
 func (d *Depot) reject(nc netConnLike, id wire.SessionID, code uint8) {
-	d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id})
+	if d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id}) {
+		halfClose(nc)
+		nc.SetReadDeadline(time.Now().Add(d.cfg.WriteTimeout))
+		io.CopyN(io.Discard, nc, int64(d.cfg.BufferSize)) // best effort: any outcome ends in Close
+	}
 	nc.Close()
 }
 
@@ -921,19 +930,17 @@ func (s *session) fail(counter *metrics.Counter, outcome string, code uint8) {
 }
 
 // finish is the single exit path for every session state: it releases the
-// admission slot, writes the reject frame when asked, closes both
-// transports, and records the ring entry plus the per-outcome duration
-// histogram (and the session-bytes histogram once the session went live).
+// admission slot, records the ring entry plus the per-outcome duration
+// histogram (and the session-bytes histogram once the session went live),
+// and closes both transports — upstream last and, when asked for a reject
+// frame, through the lingering reject, which must neither hold the slot
+// nor stretch the recorded duration.
 func (s *session) finish(outcome string, code uint8) {
 	if s.state == stateDone {
 		return
 	}
 	s.state = stateDone
 	d := s.d
-	if code != 0 {
-		d.reject(s.up, s.hdr.Session, code)
-	}
-	s.up.Close()
 	if s.down != nil {
 		s.down.Close()
 	}
@@ -969,6 +976,11 @@ func (s *session) finish(outcome string, code uint8) {
 		d.sessions.record(info)
 	}
 	d.sessionDur.With(outcome).Observe(dur.Seconds())
+	if code != 0 {
+		d.reject(s.up, s.hdr.Session, code)
+	} else {
+		s.up.Close()
+	}
 }
 
 // remoteAddr names a peer for session records (nil-safe).
@@ -980,7 +992,7 @@ func remoteAddr(c net.Conn) string {
 }
 
 // halfClose propagates EOF without tearing down the reverse direction.
-func halfClose(c net.Conn) {
+func halfClose(c netConnLike) {
 	type closeWriter interface{ CloseWrite() error }
 	if cw, ok := c.(closeWriter); ok {
 		cw.CloseWrite()

@@ -132,8 +132,8 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 	if hdr.ContentLen == wire.UnknownLength {
 		d.rejectedProto.Inc()
 		d.logf("depot: staged session %s needs a content length", hdr.Session)
-		d.writeControl(up, &wire.AcceptFrame{Code: wire.CodeRejectProto, Session: hdr.Session})
 		fail(OutcomeRejectedProto)
+		d.reject(up, hdr.Session, wire.CodeRejectProto)
 		return
 	}
 	total := int64(hdr.ContentLen)
@@ -143,8 +143,8 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 	if total > d.cfg.MaxStageBytes {
 		d.rejectedBusy.Inc()
 		d.logf("depot: staged session %s too large (%d > %d)", hdr.Session, total, d.cfg.MaxStageBytes)
-		d.writeControl(up, &wire.AcceptFrame{Code: wire.CodeRejectBusy, Session: hdr.Session})
 		fail(OutcomeRejectedBusy)
+		d.reject(up, hdr.Session, wire.CodeRejectBusy)
 		return
 	}
 	// Global custody budget: reserve atomically (add, then check) so
@@ -156,8 +156,8 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 		d.stageShed.Inc()
 		d.logf("depot: staged session %s shed: custody budget exhausted (%d in custody, limit %d)",
 			hdr.Session, d.custodyBytes.Value(), d.cfg.MaxTotalStageBytes)
-		d.writeControl(up, &wire.AcceptFrame{Code: wire.CodeRejectShed, Session: hdr.Session})
 		fail(OutcomeStagedShed)
+		d.reject(up, hdr.Session, wire.CodeRejectShed)
 		return
 	}
 	release := func() { d.custodyBytes.Add(-total) }

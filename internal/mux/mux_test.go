@@ -312,6 +312,39 @@ func TestResetAbortsPeer(t *testing.T) {
 	}
 }
 
+// TestResetKeepsBufferedDataReadable pins the ordering a depot's reject
+// relies on: a peer that writes a last message and then aborts the stream
+// has not taken the message back. The writer learns of the RESET first
+// (its Write fails), and the bytes that arrived ahead of it still read.
+func TestResetKeepsBufferedDataReadable(t *testing.T) {
+	client, srv := linkPair(t, LinkConfig{})
+	cs, err := client.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Write([]byte("x"))
+	ss := acceptOne(t, srv)
+	ss.Write([]byte("refused"))
+	ss.Close() // unread "x", no half-close → RESET behind the message
+
+	cs.SetDeadline(time.Now().Add(5 * time.Second))
+	chunk := make([]byte, 32<<10)
+	for err == nil {
+		_, err = cs.Write(chunk)
+	}
+	if !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("write into an aborted stream = %v, want ErrStreamReset", err)
+	}
+	buf := make([]byte, 16)
+	n, err := io.ReadFull(cs, buf[:7])
+	if err != nil || string(buf[:n]) != "refused" {
+		t.Fatalf("read after the reset = %q, %v; want the message sent ahead of it", buf[:n], err)
+	}
+	if _, err := cs.Read(buf); !errors.Is(err, ErrStreamReset) {
+		t.Fatalf("read past the buffered message = %v, want ErrStreamReset", err)
+	}
+}
+
 func TestDrainClosesIdleLink(t *testing.T) {
 	client, srv := linkPair(t, LinkConfig{})
 	srv.Drain()

@@ -23,10 +23,17 @@
 //     loose source routes are advisory — the cascade degrades rather
 //     than dies, eventually falling back to a direct connection).
 //
-// A Transfer attempt re-dials with the same session ID and the resume
-// flag, so the target reports its confirmed offset and the stream
-// continues from there; with digesting on, the skipped prefix is
-// re-hashed so the end-to-end MD5 still covers the complete stream.
+// A Transfer's first attempt has nothing to resume, so it opens a fresh
+// session pipelined: header, payload and trailer leave back to back, and
+// the end-to-end accept is checked when the confirm drain reads it — no
+// cascade round trip is spent waiting before the first payload byte.
+// Every later attempt re-dials with the same session ID and the resume
+// flag, waits for the accept, and continues from the offset the target
+// reports; with digesting on, the skipped prefix is re-hashed so the
+// end-to-end MD5 still covers the complete stream. The engine resumes
+// only what it started itself: a second Transfer call that reuses a
+// pinned session ID starts over from byte 0, replacing whatever state
+// the target held under that ID.
 //
 // Recovery is observable: every retry, failover, and terminal outcome is
 // counted in the lsl_transfer_* and lsl_stripe_* metrics of the Metrics
@@ -302,7 +309,9 @@ func Permanent(err error) bool {
 // exponential backoff with jitter, and a replan or failover around a
 // dead first-hop depot. A negative size is measured by seeking src to its
 // end. src must remain readable across attempts (SendReader seeks it to
-// the resume offset on every retry).
+// the resume offset on every retry). Each call delivers src from byte 0:
+// pinning a session ID (WithSession) names the transfer, it does not
+// continue an earlier call's.
 //
 // On success the returned Result describes the recovery work performed;
 // on failure it still reports the attempts made, and the error is either
@@ -331,8 +340,10 @@ func Transfer(ctx context.Context, route core.Route, src io.ReadSeeker, size int
 	}
 	p := ps.addPath(route)
 	start := time.Now()
+	first := true
 	err := p.run(ctx, func(r core.Route) error {
-		st, err := attemptOnce(ctx, ps.config, r, src, size)
+		st, err := attemptOnce(ctx, ps.config, r, src, size, first)
+		first = false
 		if err == nil && ps.planner != nil {
 			ps.planner.ObserveSuccess(r, st.bytes, st.seconds, st.dialSeconds)
 		}
@@ -361,15 +372,25 @@ type attemptStats struct {
 	dialSeconds float64 // first-hop transport dial time
 }
 
-// attemptOnce runs one complete session attempt: dial with resume, seek
-// to the target's confirmed offset, stream the remainder, and drain the
-// backward channel until the cascade unwinds (EOF), which is the signal
-// that the target-side sublink fully consumed the stream.
-func attemptOnce(ctx context.Context, cfg *config, route core.Route, src io.ReadSeeker, size int64) (st attemptStats, err error) {
+// attemptOnce runs one complete session attempt and drains the backward
+// channel until the cascade unwinds (EOF), which is the signal that the
+// target-side sublink fully consumed the stream. The transfer's first
+// attempt opens a fresh session and pipelines the payload behind the
+// header; a retry dials with resume, waits for the accept, and seeks to
+// the target's confirmed offset — the target registered the session on
+// the first attempt, so there is something to resume. Either way the
+// session open is bounded while the payload streams (core.SendReader reads
+// a pipelined accept alongside the copy), and the attempt ends when ctx
+// does: its sublink is closed under whatever it is blocked on.
+func attemptOnce(ctx context.Context, cfg *config, route core.Route, src io.ReadSeeker, size int64, first bool) (st attemptStats, err error) {
 	opts := []core.Option{
 		core.WithContentLength(size),
 		core.WithSession(cfg.session),
-		core.WithResume(),
+	}
+	if first {
+		opts = append(opts, core.WithEager())
+	} else {
+		opts = append(opts, core.WithResume())
 	}
 	if cfg.digest {
 		opts = append(opts, core.WithDigest())
@@ -378,12 +399,20 @@ func attemptOnce(ctx context.Context, cfg *config, route core.Route, src io.Read
 		opts = append(opts, core.WithDialer(cfg.dial))
 	}
 	start := time.Now()
-	defer func() { st.seconds = time.Since(start).Seconds() }()
+	defer func() {
+		st.seconds = time.Since(start).Seconds()
+		if err != nil && ctx.Err() != nil {
+			// Whatever the torn-down sublink reported, this is why.
+			err = fmt.Errorf("%w: %w", ctx.Err(), err)
+		}
+	}()
 	c, err := core.Dial(ctx, route, opts...)
 	if err != nil {
 		return st, err
 	}
 	defer c.Close()
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	defer stop()
 	st.dialSeconds = c.DialDuration().Seconds()
 	if c.Offset() > size {
 		return st, fmt.Errorf("%w: %d > %d", errOffsetBeyondLength, c.Offset(), size)
@@ -403,7 +432,8 @@ func attemptOnce(ctx context.Context, cfg *config, route core.Route, src io.Read
 	// Confirm: wait for the cascade to unwind. A depot dying after the
 	// last payload byte but before the target drained it surfaces here as
 	// an error, so the attempt is retried instead of falsely reported
-	// delivered.
+	// delivered. A pipelined attempt also meets its accept here: the first
+	// Read checks it, so a refused session ends the drain with ErrRejected.
 	c.SetDeadline(time.Now().Add(confirmTimeout))
 	if _, err := io.Copy(io.Discard, c); err != nil {
 		return st, fmt.Errorf("confirm drain: %w", err)

@@ -35,12 +35,13 @@ func fastPolicy() resilience.Policy {
 // verifyingTarget is a session target that reassembles a session's
 // payload across sublinks (resume fragments arrive in accept order) and
 // reports the full stream once a sublink completes with the digest
-// verified.
+// verified. frags keeps what each sublink carried, in arrival order.
 type verifyingTarget struct {
-	l    *core.Listener
-	mu   sync.Mutex
-	data bytes.Buffer
-	done chan []byte
+	l     *core.Listener
+	mu    sync.Mutex
+	data  bytes.Buffer
+	frags [][]byte
+	done  chan []byte
 }
 
 func newVerifyingTarget(t *testing.T) *verifyingTarget {
@@ -63,6 +64,7 @@ func newVerifyingTarget(t *testing.T) *verifyingTarget {
 			frag, rerr := io.ReadAll(sc)
 			vt.mu.Lock()
 			vt.data.Write(frag)
+			vt.frags = append(vt.frags, frag)
 			if rerr == nil && sc.Verified() {
 				full := append([]byte(nil), vt.data.Bytes()...)
 				select {

@@ -188,7 +188,9 @@ var (
 	WithDigest = core.WithDigest
 	// WithContentLength declares the payload size (required for digest).
 	WithContentLength = core.WithContentLength
-	// WithEager streams without waiting for the end-to-end accept.
+	// WithEager pipelines the open: payload streams behind the header
+	// without waiting for the end-to-end accept, which the first Read (or
+	// AwaitCustody) consumes and checks.
 	WithEager = core.WithEager
 	// WithSession pins the session ID (for resumption).
 	WithSession = core.WithSession
@@ -262,8 +264,10 @@ var ErrTransferExhausted = resilience.ErrExhausted
 // Transfer delivers size bytes from src to route's target, healing
 // transient failures automatically: re-dial with resume, capped
 // exponential backoff with jitter, and a replan or failover around a
-// dead first-hop depot. A negative size is measured by seeking src to its
-// end. See internal/resilience for the full failure model.
+// dead first-hop depot. The first attempt pipelines the payload behind
+// the session header; only retries wait for the resume handshake. A
+// negative size is measured by seeking src to its end. See
+// internal/resilience for the full failure model.
 func Transfer(ctx context.Context, route Route, src io.ReadSeeker, size int64, opts ...TransferOption) (*TransferResult, error) {
 	return resilience.Transfer(ctx, route, src, size, opts...)
 }
@@ -287,7 +291,9 @@ var (
 	WithTransferDialer = resilience.WithDialer
 	// WithoutTransferDigest disables the end-to-end MD5 trailer.
 	WithoutTransferDigest = resilience.WithoutDigest
-	// WithTransferSession pins the session ID.
+	// WithTransferSession pins the session ID. It names the transfer; it
+	// does not continue an earlier call's — every call delivers from
+	// byte 0.
 	WithTransferSession = resilience.WithSession
 	// WithTransferMetrics directs the engine's counters at a metric set.
 	WithTransferMetrics = resilience.WithMetrics
