@@ -142,6 +142,7 @@ func TestDialWithMuxFallsBackAgainstClassicTarget(t *testing.T) {
 	defer pool.Close()
 
 	payload := randBytes(64_000, 7)
+	start := time.Now()
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},
 		core.WithMux(pool), core.WithDigest(),
 		core.WithContentLength(int64(len(payload))))
@@ -164,6 +165,10 @@ func TestDialWithMuxFallsBackAgainstClassicTarget(t *testing.T) {
 		t.Fatal(err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("timeout")
+	}
+	// The target refuses the trunk hello within a round trip.
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("transfer took %v: the trunk probe waited out its timeout", took)
 	}
 	if pool.Links() != 0 {
 		t.Fatalf("pool kept %d trunks to a classic target", pool.Links())

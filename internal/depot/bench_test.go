@@ -153,7 +153,7 @@ func muxSink(b *testing.B) string {
 					nc.Close()
 					return
 				}
-				pc := newPrefixConn(nc, probe)
+				pc := &prefixConn{Conn: nc, prefix: probe}
 				if !wire.IsMuxMagic(probe) {
 					sinkSession(pc)
 					return

@@ -56,7 +56,8 @@ type Config struct {
 	MaxSessions int
 	// DialTimeout bounds next-hop connection establishment (default 10s).
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds the header read (default 15s).
+	// HandshakeTimeout bounds the accept dispatch's read of a stream's
+	// magic together with the rest of its open header (default 15s).
 	HandshakeTimeout time.Duration
 	// WriteTimeout bounds depot-originated control-frame writes (accept
 	// and reject frames) so a stalled peer cannot pin a handler goroutine
@@ -105,13 +106,14 @@ type Config struct {
 	// StageDeadline bounds how long staged payloads are retried before
 	// being discarded.
 	StageDeadline time.Duration
-	// Mux enables persistent inter-hop trunks: the depot accepts
-	// multiplexed upstream links alongside classic connections
-	// (dispatching on the first bytes — "LSLM" vs "LSL1" — so mixed
-	// fleets interoperate) and keeps warm trunks to each distinct next
-	// hop, skipping the per-session TCP handshake and cold congestion
-	// window. Non-mux next hops transparently fall back to
-	// one-connection-per-session.
+	// Mux enables persistent inter-hop trunks: the accept dispatch serves
+	// a raw connection opening with the trunk hello ("LSLM") as a
+	// multiplexed upstream link beside classic "LSL1" sessions on the same
+	// port, and the depot keeps warm trunks to each distinct next hop,
+	// skipping the per-session TCP handshake and cold congestion window.
+	// Without Mux a trunk hello is refused at its magic, so a mux peer
+	// falls back within one round trip; likewise non-mux next hops refuse
+	// this depot's hello and are dialed one connection per session.
 	Mux bool
 	// LinkIdleTimeout closes a next-hop trunk that has carried no
 	// sessions for this long (default 60s; negative keeps trunks open
@@ -135,12 +137,12 @@ type Config struct {
 	// (the logistics planner's forecast snapshot). Kept as an opaque
 	// closure so the depot does not depend on the planner package.
 	PlanView func() interface{}
-	// OnGossip, when set, receives inbound forecast-gossip exchanges:
-	// connections (classic or mux streams) whose first bytes carry the
-	// LSLG magic are handed over whole instead of entering the session
-	// path. The handler owns the connection and must close it. Kept as
-	// an opaque callback so the depot does not depend on the gossip
-	// package.
+	// OnGossip, when set, receives inbound forecast-gossip exchanges: the
+	// accept dispatch hands a connection or trunk stream opening with the
+	// "LSLG" magic over whole, magic included, with no read deadline.
+	// Unset, such a connection is refused like any foreign protocol. The
+	// handler owns the connection and must close it. Kept as an opaque
+	// callback so the depot does not depend on the gossip package.
 	OnGossip func(net.Conn)
 }
 
@@ -482,7 +484,7 @@ func (d *Depot) Serve(ln net.Listener) error {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			d.handleConn(d.root, nc)
+			d.handle(d.root, nc, true)
 		}()
 	}
 }
@@ -629,29 +631,33 @@ type session struct {
 	canceled atomic.Bool
 }
 
-// handleConn dispatches one inbound transport connection: with mux
-// enabled it probes the first four bytes — "LSLM" marks a trunk carrying
-// many sessions, anything else (classic "LSL1" headers included) is
-// handled as one per-session connection — so mux and non-mux peers share
-// one listening port.
-func (d *Depot) handleConn(ctx context.Context, nc net.Conn) {
-	if !d.cfg.Mux {
-		d.handle(ctx, nc)
-		return
+// handle is the depot's one accept dispatch, for raw connections (raw)
+// and trunk streams alike. It reads the front of the stream once, under
+// the handshake timeout, and routes on the 4-byte magic: "LSLM" starts a
+// trunk (raw connections on a Mux depot only), "LSLG" is a forecast-gossip
+// exchange (when OnGossip is set), and anything else enters the session
+// path, whose header decoder refuses every magic but "LSL1". A refusal —
+// including a stream that ends before its magic — is counted as a proto
+// rejection and closed at once, so a peer probing for a protocol this
+// depot does not speak learns that within one round trip.
+func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
+	s := &session{d: d, up: nc, peer: remoteAddr(nc), start: time.Now(), state: stateHandshaking}
+	nc.SetReadDeadline(s.start.Add(d.cfg.HandshakeTimeout))
+	head := make([]byte, wire.OpenFixedLen)
+	n, err := io.ReadAtLeast(nc, head, 4)
+	head = head[:n]
+	switch {
+	case err != nil:
+		d.logf("depot: no magic from %v: %v", s.peer, err)
+		s.fail(d.rejectedProto, OutcomeRejectedProto, 0)
+	case raw && d.cfg.Mux && wire.IsMuxMagic(head):
+		d.serveLink(ctx, &prefixConn{Conn: nc, prefix: head})
+	case d.cfg.OnGossip != nil && wire.IsGossipMagic(head):
+		nc.SetReadDeadline(time.Time{})
+		d.cfg.OnGossip(&prefixConn{Conn: nc, prefix: head})
+	default:
+		s.run(ctx, head)
 	}
-	nc.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-	var magic [4]byte
-	if _, err := io.ReadFull(nc, magic[:]); err != nil {
-		d.logf("depot: probe read from %v: %v", nc.RemoteAddr(), err)
-		nc.Close()
-		return
-	}
-	if wire.IsMuxMagic(magic[:]) {
-		d.serveLink(ctx, newPrefixConn(nc, magic[:]))
-		return
-	}
-	nc.SetReadDeadline(time.Time{})
-	d.handle(ctx, newPrefixConn(nc, magic[:]))
 }
 
 // serveLink runs one accept-side trunk: every stream the peer opens is
@@ -698,33 +704,9 @@ func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
 		go func(st *mux.Stream) {
 			defer d.wg.Done()
 			defer d.muxStreams.Dec()
-			d.handle(ctx, st)
+			d.handle(ctx, st, false)
 		}(st)
 	}
-}
-
-// handle runs one inbound transport connection as a session — unless
-// gossip is enabled and the first bytes carry the LSLG magic, in which
-// case the whole connection is handed to the gossip handler. The probe
-// happens here (not just in handleConn) so gossip exchanges arrive
-// equally over classic connections and mux trunk streams.
-func (d *Depot) handle(ctx context.Context, up net.Conn) {
-	if d.cfg.OnGossip != nil {
-		var magic [4]byte
-		up.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-		if _, err := io.ReadFull(up, magic[:]); err != nil {
-			up.Close()
-			return
-		}
-		up.SetReadDeadline(time.Time{})
-		if wire.IsGossipMagic(magic[:]) {
-			d.cfg.OnGossip(newPrefixConn(up, magic[:]))
-			return
-		}
-		up = newPrefixConn(up, magic[:])
-	}
-	s := &session{d: d, up: up, peer: remoteAddr(up), start: time.Now(), state: stateHandshaking}
-	s.run(ctx)
 }
 
 // Dialer returns the depot's next-hop dialer: a stream on a warm mux
@@ -735,14 +717,11 @@ func (d *Depot) Dialer() func(ctx context.Context, addr string) (net.Conn, error
 	return d.dialNext
 }
 
-// prefixConn replays probed bytes ahead of the underlying conn's stream.
+// prefixConn replays the bytes the dispatch read ahead of the stream it
+// hands off whole (a trunk, a gossip exchange).
 type prefixConn struct {
 	net.Conn
 	prefix []byte
-}
-
-func newPrefixConn(nc net.Conn, prefix []byte) net.Conn {
-	return &prefixConn{Conn: nc, prefix: append([]byte(nil), prefix...)}
 }
 
 func (p *prefixConn) Read(b []byte) (int, error) {
@@ -754,18 +733,9 @@ func (p *prefixConn) Read(b []byte) (int, error) {
 	return p.Conn.Read(b)
 }
 
-// CloseWrite forwards half-close so EOF propagation still works through
-// the wrapper.
-func (p *prefixConn) CloseWrite() error {
-	if cw, ok := p.Conn.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
-func (s *session) run(ctx context.Context) {
+func (s *session) run(ctx context.Context, head []byte) {
 	d := s.d
-	if !s.handshake() {
+	if !s.handshake(head) {
 		return
 	}
 	if s.hdr.Flags&wire.FlagStaged != 0 {
@@ -778,13 +748,13 @@ func (s *session) run(ctx context.Context) {
 	s.relay(ctx)
 }
 
-// handshake reads and validates the open header.
-func (s *session) handshake() bool {
+// handshake finishes reading the open header the dispatch read head of
+// (under the dispatch's handshake deadline) and validates it.
+func (s *session) handshake(head []byte) bool {
 	d := s.d
-	s.up.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-	hdr, err := wire.ReadOpenHeader(s.up)
+	hdr, err := wire.FinishOpenHeader(head, s.up)
 	if err != nil {
-		d.logf("depot: bad header from %v: %v", s.up.RemoteAddr(), err)
+		d.logf("depot: bad header from %v: %v", s.peer, err)
 		s.fail(d.rejectedProto, OutcomeRejectedProto, 0)
 		return false
 	}

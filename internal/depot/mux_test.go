@@ -157,14 +157,25 @@ func TestMixedFleetInterop(t *testing.T) {
 
 	payload := make([]byte, 256<<10)
 	rand.Read(payload)
-	// Two transfers: the first pays the failed probe against the classic
-	// depot, the second comes straight from the negative cache.
+	// Two transfers: the first pays the refused probe against the classic
+	// depot (and depot2 against the target), the second comes straight
+	// from the negative cache. A refusal costs one round trip, not a
+	// probe timeout.
+	start := time.Now()
 	for i := 0; i < 2; i++ {
 		sendDigestPayload(t, route, payload, core.WithMux(pool))
 		expectPayload(t, got, payload)
 	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("mixed-fleet transfers took %v: a trunk probe waited out its timeout", took)
+	}
 	if pool.Links() != 0 {
 		t.Fatalf("client holds %d trunks to a classic depot, want 0", pool.Links())
+	}
+	// Session teardown at the depot trails the client's confirm drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for d1.Stats().Completed < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
 	if gotN := d1.Stats().Completed; gotN != 2 {
 		t.Fatalf("classic depot completed %d sessions, want 2", gotN)
@@ -181,8 +192,14 @@ func TestMuxDepotServesClassicClients(t *testing.T) {
 	payload := make([]byte, 64<<10)
 	rand.Read(payload)
 	route := core.Route{Via: []string{addr1}, Target: targetAddr}
+	start := time.Now()
 	sendDigestPayload(t, route, payload) // no WithMux: classic dialing
 	expectPayload(t, got, payload)
+	// The depot probes the classic target for a trunk first; the target
+	// refuses within a round trip.
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("transfer took %v: the depot's trunk probe waited out its timeout", took)
+	}
 }
 
 // TestMuxDepotDrainsTrunksOnClose opens a trunk, finishes its sessions,

@@ -73,6 +73,12 @@ func TestStagedMaxStageBytesBoundary(t *testing.T) {
 	if !strings.Contains(err.Error(), wire.CodeString(wire.CodeRejectBusy)) {
 		t.Fatalf("over-cap rejection not busy-typed: %v", err)
 	}
+	// The delivery is counted after the target's confirm, which can trail
+	// the target's read of the payload.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Stats().StagedDelivered == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if st := d.Stats(); st.StagedDelivered != 1 {
 		t.Fatalf("stats after boundary probe: %+v", st)
 	}

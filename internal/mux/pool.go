@@ -55,18 +55,17 @@ func (m *PoolMetrics) closed() {
 	}
 }
 
-// StreamDelta adjusts the live-stream gauge (exported for accept-side
-// accounting in the depot).
-func (m *PoolMetrics) StreamDelta(d int64) {
-	if m != nil && m.Streams != nil {
-		m.Streams.Add(d)
+// streams moves the live-stream gauge by delta and raises the high-water
+// gauge to high.
+func (m *PoolMetrics) streams(delta, high int) {
+	if m == nil {
+		return
 	}
-}
-
-// StreamHigh raises the high-water gauge.
-func (m *PoolMetrics) StreamHigh(n int64) {
-	if m != nil && m.StreamHighWater != nil {
-		m.StreamHighWater.SetMax(n)
+	if m.Streams != nil {
+		m.Streams.Add(int64(delta))
+	}
+	if m.StreamHighWater != nil {
+		m.StreamHighWater.SetMax(int64(high))
 	}
 }
 
@@ -75,28 +74,16 @@ type PoolConfig struct {
 	// Dial establishes trunk (and fallback) transport connections
 	// (default net.Dialer).
 	Dial Dialer
-	// Window is the per-stream receive window granted on each trunk.
-	Window int
 	// MaxStreamsPerLink opens a second trunk to the same address once a
 	// link carries this many live streams (default 64).
 	MaxStreamsPerLink int
 	// IdleTimeout closes a trunk that has carried no streams for this
 	// long (default 60s; negative keeps idle trunks forever).
 	IdleTimeout time.Duration
-	// ProbeTimeout bounds the hello exchange that detects whether a peer
-	// speaks the trunk protocol (default 5s).
-	ProbeTimeout time.Duration
-	// NegativeTTL is how long a peer that failed the probe is remembered
-	// as mux-incapable and dialed classically without re-probing
-	// (default 60s).
-	NegativeTTL time.Duration
 	// SockSndBuf/SockRcvBuf tune every pool-dialed conn (trunks and
 	// classic fallbacks); zero leaves kernel defaults.
 	SockSndBuf int
 	SockRcvBuf int
-	// WriteTimeout bounds one frame write per trunk (see
-	// LinkConfig.WriteTimeout).
-	WriteTimeout time.Duration
 	// Metrics observes the pool.
 	Metrics *PoolMetrics
 	// Logf, when set, receives one line per pool event.
@@ -114,14 +101,18 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 60 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 5 * time.Second
-	}
-	if c.NegativeTTL <= 0 {
-		c.NegativeTTL = 60 * time.Second
-	}
 	return c
 }
+
+// A peer that does not speak the trunk protocol refuses the hello within
+// one round trip, since LSL targets and depots check its magic first; the
+// pool then dials it classically for negativeTTL before probing again.
+// probeTimeout only bounds the probe of an older peer that waits for a
+// whole open header before answering.
+const (
+	probeTimeout = 5 * time.Second
+	negativeTTL  = 60 * time.Second
+)
 
 // Pool keeps warm trunks per destination address. DialContext matches
 // core.Dialer, so a pool drops in anywhere a transport dialer goes: it
@@ -137,9 +128,10 @@ type Pool struct {
 }
 
 type pooledLink struct {
-	link *Link
-	mu   sync.Mutex
-	idle *time.Timer
+	link    *Link
+	mu      sync.Mutex
+	idle    *time.Timer
+	streams int // live streams the gauge counts for this link
 }
 
 // NewPool builds a link pool.
@@ -228,17 +220,15 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 		return nil, err
 	}
 	sockopt.Tune(nc, p.cfg.SockSndBuf, p.cfg.SockRcvBuf)
-	deadline := time.Now().Add(p.cfg.ProbeTimeout)
+	deadline := time.Now().Add(probeTimeout)
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
 	}
 	nc.SetDeadline(deadline)
 	pl := &pooledLink{}
 	link, err := Client(nc, LinkConfig{
-		Window:       p.cfg.Window,
-		WriteTimeout: p.cfg.WriteTimeout,
-		Logf:         p.cfg.Logf,
-		StreamCount:  func(n int) { p.streamCountChanged(pl, n) },
+		Logf:        p.cfg.Logf,
+		StreamCount: func(int) { p.streamCountChanged(pl) },
 	})
 	if err != nil {
 		nc.Close()
@@ -246,11 +236,10 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 			return nil, ctx.Err()
 		}
 		// The peer is reachable but does not speak the trunk protocol
-		// (classic depots close the conn on the bad magic, old targets
-		// likewise). Remember that and fall back to a per-session
-		// connection.
+		// (targets and non-mux depots close the conn on the bad magic).
+		// Remember that and fall back to a per-session connection.
 		p.mu.Lock()
-		p.nonMux[addr] = time.Now().Add(p.cfg.NegativeTTL)
+		p.nonMux[addr] = time.Now().Add(negativeTTL)
 		p.mu.Unlock()
 		p.logf("mux: %s is not trunk-capable (%v), falling back to per-session dialing", addr, err)
 		return p.dialClassic(ctx, network, addr)
@@ -288,13 +277,18 @@ func (p *Pool) dialClassic(ctx context.Context, network, addr string) (net.Conn,
 	return nc, nil
 }
 
-// streamCountChanged runs the idle timer: a trunk that hits zero streams
-// gets IdleTimeout to pick up a new session before it is closed; any new
-// stream cancels the countdown. It also keeps the stream gauges.
-func (p *Pool) streamCountChanged(pl *pooledLink, n int) {
-	p.cfg.Metrics.StreamHigh(int64(pl.link.HighWater()))
+// streamCountChanged keeps the stream gauges and runs the idle timer: a
+// trunk that hits zero streams gets IdleTimeout to pick up a new session
+// before it is closed; any new stream cancels the countdown. The link
+// reports counts outside its locks, so reports can arrive out of order;
+// re-reading the count under pl.mu makes the last one to run see the
+// latest count, and the gauge moves by the change since the previous one.
+func (p *Pool) streamCountChanged(pl *pooledLink) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	n := pl.link.NumStreams()
+	p.cfg.Metrics.streams(n-pl.streams, pl.link.HighWater())
+	pl.streams = n
 	if n > 0 {
 		if pl.idle != nil {
 			pl.idle.Stop()

@@ -95,10 +95,7 @@ func (h *MuxHello) Encode() []byte {
 func ReadMuxHello(r io.Reader) (*MuxHello, error) {
 	buf := make([]byte, MuxHelloLen)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err
+		return nil, truncated(err)
 	}
 	if !IsMuxMagic(buf) {
 		return nil, ErrBadMagic
@@ -196,12 +193,7 @@ func DecodeMuxCredit(b []byte) (uint32, error) {
 // MuxReadErr maps the error of a read that ended inside a frame: the
 // stream ending there is a truncated frame, anything else (a deadline, a
 // closed connection) is reported as what it is.
-func MuxReadErr(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
-	}
-	return err
-}
+func MuxReadErr(err error) error { return truncated(err) }
 
 // ReadMuxFrame reads one frame into a freshly allocated MuxFrame. The
 // payload is allocated only after DecodeMuxHeader has bounded its length.

@@ -153,9 +153,12 @@ func (h *OpenHeader) Validate() error {
 	return nil
 }
 
-// fixed part: magic(4) version(1) flags(2) headerLen(2) session(16)
-// hopIndex(1) routeLen(1) contentLen(8) offset(8) = 43 bytes.
-const openFixedLen = 43
+// OpenFixedLen is the fixed front of every open header: magic(4)
+// version(1) flags(2) headerLen(2) session(16) hopIndex(1) routeLen(1)
+// contentLen(8) offset(8). A dispatcher may read up to this many bytes
+// before handing the rest to FinishOpenHeader without reading past the
+// header.
+const OpenFixedLen = 43
 
 // Encode serializes the header.
 func (h *OpenHeader) Encode() ([]byte, error) {
@@ -190,24 +193,39 @@ func (h *OpenHeader) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// ReadOpenHeader reads and decodes an open header from r.
+// ReadOpenHeader reads and decodes an open header from r. A foreign magic
+// is refused as soon as its 4 bytes have arrived, so a peer opening with
+// another protocol (a trunk hello, a gossip frame) hears "no" within one
+// round trip instead of after the reader's handshake timeout.
 func ReadOpenHeader(r io.Reader) (*OpenHeader, error) {
-	fixed := make([]byte, openFixedLen)
-	if _, err := io.ReadFull(r, fixed); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
+	return FinishOpenHeader(nil, r)
+}
+
+// FinishOpenHeader decodes an open header whose first bytes a dispatcher
+// already read off r into head (at most OpenFixedLen of them), reading the
+// rest from r.
+func FinishOpenHeader(head []byte, r io.Reader) (*OpenHeader, error) {
+	fixed := make([]byte, OpenFixedLen)
+	n := copy(fixed, head)
+	if n < len(magicOpen) {
+		k, err := io.ReadAtLeast(r, fixed[n:], len(magicOpen)-n)
+		if err != nil {
+			return nil, truncated(err)
 		}
-		return nil, err
+		n += k
 	}
 	if !bytes.Equal(fixed[:4], magicOpen[:]) {
 		return nil, ErrBadMagic
+	}
+	if _, err := io.ReadFull(r, fixed[n:]); err != nil {
+		return nil, truncated(err)
 	}
 	if fixed[4] != Version {
 		return nil, ErrBadVersion
 	}
 	h := &OpenHeader{Flags: binary.BigEndian.Uint16(fixed[5:7])}
 	total := int(binary.BigEndian.Uint16(fixed[7:9]))
-	if total < openFixedLen || total > MaxHeaderLen {
+	if total < OpenFixedLen || total > MaxHeaderLen {
 		return nil, ErrTooLarge
 	}
 	copy(h.Session[:], fixed[9:25])
@@ -218,7 +236,7 @@ func ReadOpenHeader(r io.Reader) (*OpenHeader, error) {
 	if routeLen == 0 || routeLen > MaxRouteEntries {
 		return nil, ErrBadRoute
 	}
-	rest := make([]byte, total-openFixedLen)
+	rest := make([]byte, total-OpenFixedLen)
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, ErrTruncated
 	}
@@ -292,10 +310,7 @@ func (a *AcceptFrame) Encode() []byte {
 func ReadAcceptFrame(r io.Reader) (*AcceptFrame, error) {
 	buf := make([]byte, acceptLen)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err
+		return nil, truncated(err)
 	}
 	if !bytes.Equal(buf[:4], magicAccept[:]) {
 		return nil, ErrBadMagic
@@ -307,6 +322,16 @@ func ReadAcceptFrame(r io.Reader) (*AcceptFrame, error) {
 	copy(a.Session[:], buf[6:22])
 	a.Offset = binary.BigEndian.Uint64(buf[22:30])
 	return a, nil
+}
+
+// truncated maps the error of a read that ended inside a frame: the
+// stream ending there is a truncated frame, anything else (a deadline, a
+// closed connection) is reported as what it is.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrTruncated
+	}
+	return err
 }
 
 // CodeString names an accept code for diagnostics.

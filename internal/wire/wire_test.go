@@ -3,9 +3,12 @@ package wire
 import (
 	"bytes"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"time"
 )
 
 func sampleHeader() *OpenHeader {
@@ -126,6 +129,43 @@ func TestDecodeBadMagic(t *testing.T) {
 	}
 }
 
+// TestForeignMagicRefusedEarly pins the refusal a trunk probe relies on: a
+// reader handed a trunk hello (12 bytes, fewer than a fixed header) on a
+// connection that stays open answers ErrBadMagic at once instead of
+// waiting for the rest of a header that will never come.
+func TestForeignMagicRefusedEarly(t *testing.T) {
+	c, s := net.Pipe()
+	defer c.Close()
+	defer s.Close()
+	go c.Write(append([]byte("LSLM"), make([]byte, 8)...))
+	s.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err := ReadOpenHeader(s)
+	if err != ErrBadMagic {
+		t.Fatalf("err=%v, want ErrBadMagic", err)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("refusal took %v", took)
+	}
+}
+
+// TestFinishOpenHeaderAnySplit decodes one header however a dispatcher
+// split it: any front it already read (none to the whole fixed part), with
+// the rest arriving one byte per read.
+func TestFinishOpenHeaderAnySplit(t *testing.T) {
+	h := sampleHeader()
+	enc, _ := h.Encode()
+	for k := 0; k <= OpenFixedLen; k++ {
+		got, err := FinishOpenHeader(enc[:k], iotest.OneByteReader(bytes.NewReader(enc[k:])))
+		if err != nil {
+			t.Fatalf("head %d: %v", k, err)
+		}
+		if got.Session != h.Session || len(got.Route) != len(h.Route) {
+			t.Fatalf("head %d: decoded %+v", k, got)
+		}
+	}
+}
+
 func TestDecodeBadVersion(t *testing.T) {
 	enc, _ := sampleHeader().Encode()
 	enc[4] = 99
@@ -136,7 +176,7 @@ func TestDecodeBadVersion(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	enc, _ := sampleHeader().Encode()
-	for _, cut := range []int{0, 3, 10, openFixedLen - 1, openFixedLen + 1, len(enc) - 1} {
+	for _, cut := range []int{0, 3, 10, OpenFixedLen - 1, OpenFixedLen + 1, len(enc) - 1} {
 		if _, err := ReadOpenHeader(bytes.NewReader(enc[:cut])); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}

@@ -223,8 +223,10 @@ var (
 // with WithMux.
 type LinkPool = mux.Pool
 
-// LinkPoolConfig tunes a LinkPool: per-stream window, streams per link,
-// idle timeout, probe/negative-cache behavior, socket buffers.
+// LinkPoolConfig tunes a LinkPool: the dialer, streams per link, idle
+// timeout, socket buffers, metrics and logging. Peers that do not speak
+// the trunk protocol refuse its hello within one round trip and are then
+// dialed classically; that fallback has no knobs.
 type LinkPoolConfig = mux.PoolConfig
 
 // LinkPoolMetrics observes a pool's trunks (lsl_link_* counter family
