@@ -337,7 +337,7 @@ func New(cfg Config) *Depot {
 	d.active = reg.Gauge("lsd_sessions_active",
 		"Relay sessions in flight right now.")
 	d.relayHigh = reg.Gauge("lsd_relay_buffer_high_water_bytes",
-		"Largest single relay-buffer fill observed, bounded by the configured buffer size.")
+		"Largest single relay-buffer fill observed, bounded by the configured buffer size. A direction sourced by a trunk stream borrows no relay buffer: it records the largest batch of received blocks handed to the next sublink in one write (at most 256 KiB).")
 	d.sessionDur = reg.HistogramVec("lsd_session_duration_seconds",
 		"Session duration from header receipt to teardown, by outcome.", "outcome", durationBuckets)
 	d.sessionBytes = reg.Histogram("lsd_session_bytes",

@@ -22,6 +22,9 @@ import (
 // the test compares.
 func init() { poison.Store(true) }
 
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
 // pattern is a payload whose every byte depends on its position and the
 // seed, so a misplaced, stale or poisoned range cannot go unnoticed.
 func pattern(seed, n int) []byte {
@@ -252,8 +255,39 @@ func TestCloseDuringFill(t *testing.T) {
 // one link with every way a chunk can leave a stream — read whole, read
 // in pieces, dropped by a local Close, cut short by the peer's RESET —
 // and frames from 1 B to 64 KiB. With released blocks poisoned, each
-// stream must still deliver exactly the bytes that were sent.
+// stream must still deliver exactly the bytes that were sent. The
+// WriteTo variants drain the streams by handing their blocks through to a
+// stream on a second trunk, or to a TCP conn, with the Close racing the
+// batches in flight.
 func TestPooledChunksNeverReadAfterRelease(t *testing.T) {
+	t.Run("Read", func(t *testing.T) { poisonSuite(t, nil) })
+	t.Run("WriteTo/stream", func(t *testing.T) {
+		client, srv := linkPair(t, LinkConfig{})
+		poisonSuite(t, &sinks{
+			open:   func() (net.Conn, error) { return client.OpenStream() },
+			accept: func() (net.Conn, error) { return srv.AcceptStream() },
+		})
+	})
+	t.Run("WriteTo/conn", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		poisonSuite(t, &sinks{
+			open:   func() (net.Conn, error) { return net.Dial("tcp", ln.Addr().String()) },
+			accept: ln.Accept,
+		})
+	})
+}
+
+// sinks is where the WriteTo variants of the poison suite hand streams
+// through to: open gives a relay its destination, accept the far end.
+type sinks struct {
+	open, accept func() (net.Conn, error)
+}
+
+func poisonSuite(t *testing.T, to *sinks) {
 	client, srv := linkPair(t, LinkConfig{})
 	const streams = 8
 	const size = 3 << 20
@@ -261,7 +295,7 @@ func TestPooledChunksNeverReadAfterRelease(t *testing.T) {
 	readSizes := []int{1, 3, 1000, 5000, wire.MaxMuxPayload, 256 << 10}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*streams)
+	errs := make(chan error, 3*streams)
 	// Receivers: the stream's first byte names its sender.
 	for i := 0; i < streams; i++ {
 		wg.Add(1)
@@ -279,6 +313,12 @@ func TestPooledChunksNeverReadAfterRelease(t *testing.T) {
 				return
 			}
 			id := int(first[0])
+			if to != nil {
+				if err := handThrough(s, id, size, to); err != nil {
+					errs <- err
+				}
+				return
+			}
 			rng := mrand.New(mrand.NewSource(int64(100 + id)))
 			want := pattern(id, size)
 			stopAt := size // id%4 == 2: the receiver closes halfway
@@ -318,6 +358,17 @@ func TestPooledChunksNeverReadAfterRelease(t *testing.T) {
 				s.CloseWrite()
 			}
 		}()
+	}
+	if to != nil {
+		for i := 0; i < streams; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := checkSink(to, size); err != nil {
+					errs <- err
+				}
+			}()
+		}
 	}
 	for i := 0; i < streams; i++ {
 		wg.Add(1)
@@ -362,40 +413,169 @@ func TestPooledChunksNeverReadAfterRelease(t *testing.T) {
 	}
 }
 
+// handThrough relays the rest of stream id from s to a fresh sink with
+// WriteTo, behind the id byte. When id%4 == 2 a goroutine closes s once a
+// quarter has gone through, racing the batches still in flight.
+func handThrough(s *Stream, id, size int, to *sinks) error {
+	dst, err := to.open()
+	if err != nil {
+		return err
+	}
+	defer dst.Close()
+	if _, err := dst.Write([]byte{byte(id)}); err != nil {
+		return err
+	}
+	var n int64
+	if id%4 == 2 {
+		for n < int64(size/4) && err == nil {
+			var k int
+			k, err = s.WriteBatchTo(dst)
+			n += int64(k)
+		}
+		go s.Close()
+	}
+	if err == nil {
+		var m int64
+		m, err = s.WriteTo(dst)
+		n += m
+	}
+	switch {
+	case id%4 == 3: // the sender aborts halfway
+		if !errors.Is(err, ErrStreamReset) || n > int64(size/2) {
+			return fmt.Errorf("stream %d: handed through %d bytes, then %v; want at most %d and a reset", id, n, err, size/2)
+		}
+	case id%4 == 2:
+		if (err != nil && !errors.Is(err, ErrLinkClosed)) || n > int64(size) {
+			return fmt.Errorf("stream %d: handed through %d bytes, then %v; want at most %d and the close", id, n, err, size)
+		}
+	default:
+		if err != nil || n != int64(size) {
+			return fmt.Errorf("stream %d: handed through %d of %d bytes: %v", id, n, size, err)
+		}
+		s.CloseWrite()
+	}
+	dst.(interface{ CloseWrite() error }).CloseWrite()
+	io.Copy(io.Discard, dst) // the sink's half-close: a stream's Close is then clean
+	return nil
+}
+
+// checkSink takes the far end of one hand-through and checks it carries
+// the id byte, then a clean prefix of that stream's payload — all of it
+// unless the stream was cut short on purpose.
+func checkSink(to *sinks, size int) error {
+	c, err := to.accept()
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	var first [1]byte
+	if _, err := io.ReadFull(c, first[:]); err != nil {
+		return err
+	}
+	id := int(first[0])
+	want := pattern(id, size)
+	buf := make([]byte, 64<<10)
+	got, crc := 0, uint32(0)
+	for {
+		n, err := c.Read(buf)
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
+		got += n
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("sink %d: %v after %d bytes", id, err, got)
+		}
+	}
+	switch {
+	case got > size || crc != crc32.ChecksumIEEE(want[:got]):
+		return fmt.Errorf("sink %d: first %d bytes corrupted", id, got)
+	case id%4 < 2 && got != size:
+		return fmt.Errorf("sink %d: got %d of %d bytes", id, got, size)
+	}
+	c.(interface{ CloseWrite() error }).CloseWrite()
+	return nil
+}
+
 // TestDataFrameAllocs: on a warm link, sending a 64 KiB DATA frame and
 // receiving and draining it — the WINDOW grant back included — allocates
-// nothing on either side.
+// nothing on either side; nor does relaying it from a trunk stream to a
+// stream on a second trunk with WriteBatchTo.
 func TestDataFrameAllocs(t *testing.T) {
-	client, srv := linkPair(t, LinkConfig{})
-	cs, err := client.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
 	frame := pattern(1, wire.MaxMuxPayload)
 	got := make([]byte, len(frame))
-	var ss *Stream
-	round := func() {
-		if _, err := cs.Write(frame); err != nil {
+	check := func(t *testing.T, what string, round func()) {
+		for i := 0; i < 16; i++ { // warm up: pool, chunk list, netpoll
+			round()
+		}
+		if !bytes.Equal(got, frame) {
+			t.Fatal("payload corrupted")
+		}
+		if raceEnabled {
+			t.Skip("under the race detector sync.Pool drops a quarter of what is put back, so blocks are reallocated")
+		}
+		if avg := testing.AllocsPerRun(200, round); avg != 0 {
+			t.Fatalf("a 64 KiB DATA frame %s costs %v allocations, want 0", what, avg)
+		}
+	}
+	t.Run("direct", func(t *testing.T) {
+		client, srv := linkPair(t, LinkConfig{})
+		cs, err := client.OpenStream()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if ss == nil {
-			ss = acceptOne(t, srv)
-		}
-		if _, err := io.ReadFull(ss, got); err != nil {
+		defer cs.Close()
+		var ss *Stream
+		defer func() { ss.Close() }()
+		check(t, "sent, received and drained", func() {
+			if _, err := cs.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if ss == nil {
+				ss = acceptOne(t, srv)
+			}
+			if _, err := io.ReadFull(ss, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	t.Run("relayed", func(t *testing.T) {
+		in, inSrv := linkPair(t, LinkConfig{})
+		out, outSrv := linkPair(t, LinkConfig{})
+		cs, err := in.OpenStream()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 16; i++ { // warm up: pool, chunk list, netpoll
-		round()
-	}
-	defer ss.Close()
-	if avg := testing.AllocsPerRun(200, round); avg != 0 {
-		t.Fatalf("a 64 KiB DATA frame sent, received and drained costs %v allocations, want 0", avg)
-	}
-	if !bytes.Equal(got, frame) {
-		t.Fatal("payload corrupted")
-	}
+		defer cs.Close()
+		ds, err := out.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		var ss, fs *Stream
+		defer func() { ss.Close(); fs.Close() }()
+		check(t, "relayed stream to stream", func() {
+			if _, err := cs.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if ss == nil {
+				ss = acceptOne(t, inSrv)
+			}
+			for moved := 0; moved < len(frame); {
+				n, err := ss.WriteBatchTo(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved += n
+			}
+			if fs == nil {
+				fs = acceptOne(t, outSrv)
+			}
+			if _, err := io.ReadFull(fs, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }
 
 // BenchmarkStreamThroughput moves 8 MiB per stream over one loopback
@@ -446,5 +626,73 @@ func BenchmarkStreamThroughput(b *testing.B) {
 				wg.Wait()
 			}
 		})
+	}
+}
+
+// BenchmarkRelayHandThrough relays 8 MiB per op from a stream on one
+// loopback trunk to a stream on a second one with WriteTo: a depot's
+// trunk-to-trunk hop, blocks handed through without a relay copy.
+func BenchmarkRelayHandThrough(b *testing.B) {
+	poison.Store(false)
+	defer poison.Store(true)
+	const size = 8 << 20
+	payload := pattern(1, size)
+	in, inSrv := linkPair(b, LinkConfig{})
+	out, outSrv := linkPair(b, LinkConfig{})
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { // the sender
+			defer wg.Done()
+			s, err := in.OpenStream()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer s.Close()
+			if _, err := s.Write(payload); err != nil {
+				b.Error(err)
+			}
+			s.CloseWrite()
+			io.Copy(io.Discard, s) // the relay's half-close: Close is then clean
+		}()
+		go func() { // the relay
+			defer wg.Done()
+			src, err := inSrv.AcceptStream()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer src.Close()
+			dst, err := out.OpenStream()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer dst.Close()
+			if n, err := src.WriteTo(dst); err != nil || n != size {
+				b.Errorf("relayed %d of %d bytes: %v", n, size, err)
+			}
+			src.CloseWrite()
+			dst.CloseWrite()
+			io.Copy(io.Discard, dst)
+		}()
+		go func() { // the sink
+			defer wg.Done()
+			s, err := outSrv.AcceptStream()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer s.Close()
+			if n, err := io.Copy(io.Discard, s); err != nil || n != size {
+				b.Errorf("received %d of %d bytes: %v", n, size, err)
+			}
+			s.CloseWrite()
+		}()
+		wg.Wait()
 	}
 }

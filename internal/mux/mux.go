@@ -22,9 +22,10 @@
 //
 // DATA payloads are received into pooled blocks, and each block has one
 // owner at a time: the read loop while it reads the payload in, then the
-// stream's chunk list, then whoever drains the chunk (Read or Close), who
-// returns it to the pool. Steady state allocates nothing per frame in
-// either direction.
+// stream's chunk list, then whoever drains the chunk (Read, Close, or
+// WriteBatchTo, which lends whole blocks to the next sublink's write), who
+// returns it to the pool. A stream sends up to four DATA frames per
+// writev. Steady state allocates nothing per frame in either direction.
 //
 // Only the dialing side of a link opens streams; the accepting side
 // serves them (AcceptStream). That matches the cascade topology — trunk
@@ -105,11 +106,14 @@ type Link struct {
 
 	sendWindow uint32 // peer-granted initial per-stream credit
 
-	wmu   sync.Mutex                         // serializes frame writes on nc; guards the fields below
-	whdr  [2*wire.MuxFrameHeaderLen + 4]byte // encoding scratch: [OPEN +] one header, or a WINDOW frame
-	wvec  [2][]byte                          // backing array of wbuf
-	wbuf  net.Buffers                        // header and payload of the DATA frame being written
-	wdead time.Time                          // write deadline armed on nc
+	wmu   sync.Mutex                                       // serializes frame writes on nc; guards the fields below
+	whdr  [(1 + batchFrames) * wire.MuxFrameHeaderLen]byte // encoding scratch: [OPEN +] a batch's DATA headers, or one control frame
+	wvec  [][]byte                                         // backing array of wbuf
+	wbuf  net.Buffers                                      // the frames being written
+	wdead time.Time                                        // write deadline armed on nc
+	// writev sends wbuf in one gathered write (writev on a TCP conn);
+	// tests replace it to see where a batch ends.
+	writev func(*net.Buffers, io.Writer) (int64, error)
 
 	rd frameReader // read loop only
 
@@ -164,6 +168,8 @@ func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link {
 	return &Link{
 		nc:         nc,
+		wvec:       make([][]byte, 0, 3*batchFrames),
+		writev:     (*net.Buffers).WriteTo,
 		rd:         frameReader{nc: nc},
 		cfg:        cfg,
 		client:     client,
@@ -355,6 +361,15 @@ const readAhead = 64
 const blockSize = wire.MaxMuxPayload + readAhead
 
 var blocks = xfer.PoolFor(blockSize)
+
+// A batch is what a stream puts on the link in one writev: at most
+// batchFrames DATA frames, maxBatch bytes. It bounds how long one stream
+// holds the link before another stream's frames get their turn, and how
+// many blocks WriteBatchTo lends at once.
+const (
+	batchFrames = 4
+	maxBatch    = batchFrames * wire.MaxMuxPayload
+)
 
 // poison, which only tests set, overwrites every block on its way back to
 // the pool, so a chunk read after its release shows up as corrupt data.
@@ -571,22 +586,40 @@ func (l *Link) writeWindow(stream uint32, credit int) error {
 	return l.wrote(err)
 }
 
-// writeData sends [OPEN]+DATA for one credit-reserved chunk. The pending
-// OPEN coalesces with the first DATA into one writev (one segment on the
-// wire), so opening a session over a warm trunk costs no extra packet.
-func (l *Link) writeData(stream uint32, p []byte, withOpen bool) error {
+// writeData sends the first n bytes of bufs — one credit-reserved batch,
+// n ≤ maxBatch — as DATA frames of at most MaxMuxPayload bytes, all in
+// one writev. A pending OPEN rides in front of the first frame, so opening
+// a session over a warm trunk costs no extra segment. Headers are encoded
+// in link scratch: a batch allocates nothing. It returns what is left of
+// bufs, having trimmed the slice it stopped inside in place.
+func (l *Link) writeData(stream uint32, bufs [][]byte, n int, withOpen bool) ([][]byte, error) {
 	l.wmu.Lock()
 	hdr := l.whdr[:0]
 	if withOpen {
 		hdr = wire.AppendMuxHeader(hdr, wire.MuxOpen, stream, 0)
 	}
-	l.wvec[0], l.wvec[1] = wire.AppendMuxHeader(hdr, wire.MuxData, stream, len(p)), p
-	l.wbuf = l.wvec[:]
+	vec, from := l.wvec[:0], 0
+	for n > 0 {
+		k := min(n, wire.MaxMuxPayload)
+		n -= k
+		hdr = wire.AppendMuxHeader(hdr, wire.MuxData, stream, k)
+		vec, from = append(vec, hdr[from:]), len(hdr)
+		for k > 0 {
+			b := bufs[0]
+			if len(b) > k {
+				vec, bufs[0] = append(vec, b[:k]), b[k:]
+				break
+			}
+			vec, bufs, k = append(vec, b), bufs[1:], k-len(b)
+		}
+	}
+	l.wbuf = vec
 	l.armWrite()
-	_, err := l.wbuf.WriteTo(l.nc)
-	l.wvec[1] = nil
+	_, err := l.writev(&l.wbuf, l.nc)
+	clear(vec) // drop the payload references
+	l.wvec = vec[:0]
 	l.wmu.Unlock()
-	return l.wrote(err)
+	return bufs, l.wrote(err)
 }
 
 // writeLocked writes buf under the frame write timeout; wmu is held.
@@ -655,6 +688,15 @@ type Stream struct {
 
 	rdeadline deadline
 	wdeadline deadline
+
+	// Hand-through (WriteBatchTo): the chunks lent out of the list for one
+	// batch and the vector over their bytes. lmu serializes batches and
+	// guards these; the lent blocks are in no list, so Close cannot free
+	// them while the batch is being written.
+	lmu  sync.Mutex
+	lent [batchFrames]chunk
+	lvec [batchFrames][]byte
+	lbuf net.Buffers
 }
 
 func newStream(l *Link, id uint32, credit uint32) *Stream {
@@ -744,8 +786,12 @@ func (s *Stream) addCredit(n uint32) {
 	s.writeCond.Broadcast()
 }
 
-// Read returns stream payload; EOF after the peer's CLOSE drains.
+// Read returns stream payload; EOF after the peer's CLOSE drains. A
+// zero-length Read returns at once, as on a TCP conn.
 func (s *Stream) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
 	s.mu.Lock()
 	for {
 		if s.buffered > 0 {
@@ -786,13 +832,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 			s.chunks = s.chunks[:k]
 		}
 	}
-	// Replenish the peer's credit once we've drained a meaningful share
-	// of the window, batching grants to keep frame chatter low.
-	var grant int
-	if consumed := s.unacked - s.buffered; consumed >= s.link.cfg.Window/4 || (s.buffered == 0 && consumed > 0) {
-		grant = consumed
-		s.unacked -= consumed
-	}
+	grant := s.grantLocked()
 	s.mu.Unlock()
 	if grant > 0 {
 		s.link.writeWindow(s.id, grant)
@@ -800,49 +840,179 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write sends payload toward the peer, blocking on stream credit (the
-// session-layer backpressure) and splitting at the frame payload cap.
-func (s *Stream) Write(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		s.mu.Lock()
-		for {
+// grantLocked returns the credit to give back to the peer now that bytes
+// have left the buffer, once a meaningful share of the window has —
+// batching grants keeps frame chatter low — or once the buffer is empty.
+// s.mu is held.
+func (s *Stream) grantLocked() int {
+	consumed := s.unacked - s.buffered
+	if consumed >= s.link.cfg.Window/4 || (s.buffered == 0 && consumed > 0) {
+		s.unacked -= consumed
+		return consumed
+	}
+	return 0
+}
+
+// WriteBatchTo hands one batch of received payload to w without copying
+// it. It waits as Read does, takes up to maxBatch bytes of committed
+// chunks off the front of the list — never the block the read loop is
+// filling — and grants the peer credit for them as Read would. Then it
+// writes the batch in one vectored write: coalesced DATA frames when w is
+// a *Stream, one writev (net.Buffers) otherwise. The blocks belong to the
+// batch until that write returns and go back to the pool after it. It
+// returns the bytes w took, and io.EOF once the peer's CLOSE drains.
+func (s *Stream) WriteBatchTo(w io.Writer) (int, error) {
+	s.lmu.Lock()
+	defer s.lmu.Unlock()
+	lent, n, grant, err := s.lend()
+	if err != nil {
+		return 0, err
+	}
+	if grant > 0 {
+		s.link.writeWindow(s.id, grant)
+	}
+	vec := s.lvec[:len(lent)]
+	for i, c := range lent {
+		vec[i] = (*c.bp)[c.off:c.end]
+	}
+	var wrote int
+	if ds, ok := w.(*Stream); ok {
+		wrote, err = ds.send(vec, n)
+	} else {
+		s.lbuf = vec
+		var w64 int64
+		w64, err = s.lbuf.WriteTo(w)
+		wrote = int(w64)
+	}
+	for i := range lent {
+		putBlock(lent[i].bp)
+	}
+	clear(lent)
+	clear(vec)
+	return wrote, err
+}
+
+// lend waits for committed payload and takes a batch of it out of the
+// chunk list into s.lent: whole chunks from the front, at most
+// batchFrames of them and — past the first — maxBatch bytes, stopping at
+// a tail the read loop is filling. Committed bytes in that tail alone are
+// not enough to return: commit is on its way and will wake the wait.
+// s.lmu is held.
+func (s *Stream) lend() (lent []chunk, n, grant int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		lendable := s.buffered
+		if s.filling {
+			tail := s.chunks[len(s.chunks)-1]
+			lendable -= tail.end - tail.off
+		}
+		if lendable > 0 {
+			break
+		}
+		if s.buffered == 0 {
 			if s.resetErr != nil {
-				err := s.resetErr
-				s.mu.Unlock()
-				return total, err
+				return nil, 0, 0, s.resetErr
 			}
-			if s.writeClosed || s.closed {
-				s.mu.Unlock()
-				return total, ErrWriteClosed
+			if s.readClosed {
+				return nil, 0, 0, io.EOF
 			}
-			if s.wdeadline.expired() {
-				s.mu.Unlock()
-				return total, os.ErrDeadlineExceeded
-			}
-			if s.sendCredit > 0 {
-				break
-			}
-			s.writeCond.Wait()
 		}
-		k := len(p)
-		if k > int(s.sendCredit) {
-			k = int(s.sendCredit)
+		if s.closed {
+			return nil, 0, 0, ErrLinkClosed
 		}
-		if k > wire.MaxMuxPayload {
-			k = wire.MaxMuxPayload
+		if s.rdeadline.expired() {
+			return nil, 0, 0, os.ErrDeadlineExceeded
 		}
-		s.sendCredit -= uint32(k)
-		withOpen := s.openPending
-		s.openPending = false
-		s.mu.Unlock()
-		if err := s.link.writeData(s.id, p[:k], withOpen); err != nil {
+		s.readCond.Wait()
+	}
+	avail := len(s.chunks)
+	if s.filling {
+		avail--
+	}
+	k := 0
+	for ; k < min(avail, batchFrames); k++ {
+		c := s.chunks[k]
+		if k > 0 && n+c.end-c.off > maxBatch {
+			break
+		}
+		s.lent[k] = c
+		n += c.end - c.off
+	}
+	rest := copy(s.chunks, s.chunks[k:])
+	clear(s.chunks[rest:])
+	s.chunks = s.chunks[:rest]
+	s.buffered -= n
+	return s.lent[:k], n, s.grantLocked(), nil
+}
+
+// WriteTo hands the stream's payload to w batch by batch (WriteBatchTo)
+// until the peer's CLOSE drains, so io.Copy from a stream copies nothing
+// in user space.
+func (s *Stream) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		n, err := s.WriteBatchTo(w)
+		total += int64(n)
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// Write sends payload toward the peer, blocking on stream credit (the
+// session-layer backpressure); each batch of up to four frames is one
+// writev.
+func (s *Stream) Write(p []byte) (int, error) {
+	return s.send([][]byte{p}, len(p))
+}
+
+// send writes the n bytes of bufs as DATA, a batch at a time: each batch
+// waits for credit, takes up to maxBatch bytes of it, and goes out in one
+// writeData. It consumes bufs in place.
+func (s *Stream) send(bufs [][]byte, n int) (int, error) {
+	total := 0
+	for total < n {
+		k, withOpen, err := s.takeCredit(n - total)
+		if err != nil {
+			return total, err
+		}
+		if bufs, err = s.link.writeData(s.id, bufs, k, withOpen); err != nil {
 			return total, err
 		}
 		total += k
-		p = p[k:]
 	}
 	return total, nil
+}
+
+// takeCredit waits for send credit and reserves up to want bytes of it,
+// at most one batch. withOpen reports that the stream's OPEN has yet to
+// go out, in front of this batch.
+func (s *Stream) takeCredit(want int) (k int, withOpen bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if s.resetErr != nil {
+			return 0, false, s.resetErr
+		}
+		if s.writeClosed || s.closed {
+			return 0, false, ErrWriteClosed
+		}
+		if s.wdeadline.expired() {
+			return 0, false, os.ErrDeadlineExceeded
+		}
+		if s.sendCredit > 0 {
+			break
+		}
+		s.writeCond.Wait()
+	}
+	k = min(want, int(s.sendCredit), maxBatch)
+	s.sendCredit -= uint32(k)
+	withOpen, s.openPending = s.openPending, false
+	return k, withOpen, nil
 }
 
 // CloseWrite half-closes the stream: the peer reads EOF once buffered
@@ -930,6 +1100,10 @@ type deadline struct {
 	cond  *sync.Cond
 }
 
+// set arms the deadline; the stream mutex is held. The timer broadcasts
+// under the mutex too: a waiter that found the deadline unexpired is then
+// either still before that check or already asleep in Wait, never in
+// between where a bare Broadcast would miss it.
 func (d *deadline) set(t time.Time) {
 	d.t = t
 	if d.timer != nil {
@@ -943,7 +1117,11 @@ func (d *deadline) set(t time.Time) {
 	if dur := time.Until(t); dur <= 0 {
 		cond.Broadcast()
 	} else {
-		d.timer = time.AfterFunc(dur, cond.Broadcast)
+		d.timer = time.AfterFunc(dur, func() {
+			cond.L.Lock()
+			cond.Broadcast()
+			cond.L.Unlock()
+		})
 	}
 }
 

@@ -6,12 +6,14 @@ package mux
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"time"
 
 	"lsl/internal/metrics"
 	"lsl/internal/sockopt"
+	"lsl/internal/xfer"
 )
 
 // ErrPoolClosed reports a dial on a closed pool.
@@ -376,9 +378,12 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// Compile-time checks: streams satisfy net.Conn and the half-close
-// interface the relay's EOF propagation relies on.
+// Compile-time checks: streams satisfy net.Conn, the half-close interface
+// the relay's EOF propagation relies on, and the batch source the data
+// plane hands blocks through.
 var (
 	_ net.Conn                        = (*Stream)(nil)
 	_ interface{ CloseWrite() error } = (*Stream)(nil)
+	_ xfer.BatchSource                = (*Stream)(nil)
+	_ io.WriterTo                     = (*Stream)(nil)
 )

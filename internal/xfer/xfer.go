@@ -9,7 +9,9 @@
 // Buffers come from size-classed sync.Pool-backed pools (PoolFor), so a
 // depot moving millions of sessions performs no per-session buffer
 // allocation: a session borrows a buffer for exactly as long as bytes are
-// moving and returns it on the way out.
+// moving and returns it on the way out. A source that already holds its
+// bytes in buffers of its own (a trunk stream, BatchSource) hands them to
+// the destination instead, and no relay buffer is borrowed at all.
 package xfer
 
 import (
@@ -92,6 +94,17 @@ func (a AtomicAdder) Add(n uint64) { a.U.Add(n) }
 // MaxSetter tracks a high-water mark. *metrics.Gauge satisfies it.
 type MaxSetter interface{ SetMax(v int64) }
 
+// BatchSource is a source that writes what it has buffered to the
+// destination itself, one batch per call, so a copy moves it without
+// passing it through a relay buffer. A trunk stream (mux.Stream) is one:
+// it lends its received blocks to the destination's vectored write.
+type BatchSource interface {
+	// WriteBatchTo waits for data, writes one batch of it to w, and
+	// returns the bytes w took; io.EOF once the source is drained and
+	// finished.
+	WriteBatchTo(w io.Writer) (int, error)
+}
+
 // CopyConfig threads per-session observability and lifecycle into one
 // counted copy. The zero value is a plain pooled copy.
 type CopyConfig struct {
@@ -99,7 +112,10 @@ type CopyConfig struct {
 	// session's live byte counter, the depot-wide direction total, ...).
 	Counters []Adder
 	// HighWater, when set, records the largest single read — the relay
-	// buffer fill level.
+	// buffer fill level. On a hand-through from a BatchSource no buffer
+	// is borrowed, and it records the largest batch instead: the most
+	// received bytes held out of the source's window while the
+	// destination write was under way.
 	HighWater MaxSetter
 	// Progress, when set, is called with each chunk's size after it is
 	// written (rate estimation, per-transfer progress).
@@ -116,19 +132,20 @@ type CopyConfig struct {
 // pool, returning the byte count and the first error. A clean EOF from
 // src is not an error. Each chunk is credited to every configured counter
 // only after it has been written downstream, so counters never run ahead
-// of the receiver.
+// of the receiver. A src that is a BatchSource writes its batches to dst
+// itself and no buffer is borrowed; the counters, HighWater and Ctx then
+// apply per batch.
 func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int64, error) {
+	if bs, ok := src.(BatchSource); ok {
+		return copyBatches(dst, bs, cfg)
+	}
 	bp := pool.Get()
 	defer pool.Put(bp)
 	buf := *bp
 	var moved int64
 	for {
-		if cfg.Ctx != nil {
-			select {
-			case <-cfg.Ctx.Done():
-				return moved, cfg.Ctx.Err()
-			default:
-			}
+		if err := cfg.canceled(); err != nil {
+			return moved, err
 		}
 		n, rerr := src.Read(buf)
 		if n > 0 {
@@ -138,12 +155,7 @@ func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int6
 			nw, werr := dst.Write(buf[:n])
 			if nw > 0 {
 				moved += int64(nw)
-				for _, c := range cfg.Counters {
-					c.Add(uint64(nw))
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(nw)
-				}
+				cfg.credit(nw)
 			}
 			if werr != nil {
 				return moved, werr
@@ -158,5 +170,52 @@ func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int6
 			}
 			return moved, rerr
 		}
+	}
+}
+
+// copyBatches is CopyCounted for a source that writes its own batches.
+func copyBatches(dst io.Writer, src BatchSource, cfg CopyConfig) (int64, error) {
+	var moved int64
+	for {
+		if err := cfg.canceled(); err != nil {
+			return moved, err
+		}
+		n, err := src.WriteBatchTo(dst)
+		if n > 0 {
+			if cfg.HighWater != nil {
+				cfg.HighWater.SetMax(int64(n))
+			}
+			moved += int64(n)
+			cfg.credit(n)
+		}
+		if err == io.EOF {
+			return moved, nil
+		}
+		if err != nil {
+			return moved, err
+		}
+	}
+}
+
+// canceled reports Ctx's error once it is done.
+func (cfg *CopyConfig) canceled() error {
+	if cfg.Ctx == nil {
+		return nil
+	}
+	select {
+	case <-cfg.Ctx.Done():
+		return cfg.Ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// credit reports n bytes written downstream to the counters and Progress.
+func (cfg *CopyConfig) credit(n int) {
+	for _, c := range cfg.Counters {
+		c.Add(uint64(n))
+	}
+	if cfg.Progress != nil {
+		cfg.Progress(n)
 	}
 }

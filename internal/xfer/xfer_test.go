@@ -112,6 +112,65 @@ func TestCopyCountedCancel(t *testing.T) {
 	}
 }
 
+// batchSource hands its batches to the writer in order, then io.EOF; a
+// copy that reads it through a buffer instead fails.
+type batchSource struct{ batches [][]byte }
+
+func (s *batchSource) Read([]byte) (int, error) {
+	return 0, errors.New("a BatchSource was read through a relay buffer")
+}
+
+func (s *batchSource) WriteBatchTo(w io.Writer) (int, error) {
+	if len(s.batches) == 0 {
+		return 0, io.EOF
+	}
+	b := s.batches[0]
+	s.batches = s.batches[1:]
+	return w.Write(b)
+}
+
+// TestCopyCountedHandsThrough: a BatchSource writes its own batches; the
+// copy credits the counters per batch after the write, records the
+// largest batch as its high-water mark, checks Ctx between batches and
+// stops at a destination's error.
+func TestCopyCountedHandsThrough(t *testing.T) {
+	batches := func() [][]byte {
+		return [][]byte{bytes.Repeat([]byte("a"), 300), bytes.Repeat([]byte("b"), 1000), bytes.Repeat([]byte("c"), 50)}
+	}
+	var dst bytes.Buffer
+	var live atomic.Uint64
+	var high maxGauge
+	var progress []int
+	n, err := CopyCounted(&dst, &batchSource{batches()}, NewPool(16), CopyConfig{
+		Counters:  []Adder{AtomicAdder{U: &live}},
+		HighWater: &high,
+		Progress:  func(n int) { progress = append(progress, n) },
+	})
+	if err != nil || n != 1350 || dst.Len() != 1350 || !bytes.Equal(dst.Bytes(), bytes.Join(batches(), nil)) {
+		t.Fatalf("n=%d err=%v dst=%d bytes", n, err, dst.Len())
+	}
+	if live.Load() != 1350 || high.v != 1000 || len(progress) != 3 || progress[1] != 1000 {
+		t.Fatalf("live=%d high=%d progress=%v; want 1350, the largest batch, one call per batch", live.Load(), high.v, progress)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	n, err = CopyCounted(io.Discard, &batchSource{batches()}, NewPool(16), CopyConfig{
+		Ctx:      ctx,
+		Progress: func(n int) { cancel() },
+	})
+	if !errors.Is(err, context.Canceled) || n != 300 {
+		t.Fatalf("canceled after the first batch: n=%d err=%v", n, err)
+	}
+
+	var total counter
+	n, err = CopyCounted(failWriter{2, errors.New("full")}, &batchSource{batches()}, NewPool(16), CopyConfig{
+		Counters: []Adder{&total},
+	})
+	if err == nil || n != 2 || total.v != 2 {
+		t.Fatalf("failing destination: n=%d total=%d err=%v; want the 2 bytes it took and its error", n, total.v, err)
+	}
+}
+
 func BenchmarkCopyCounted(b *testing.B) {
 	payload := bytes.Repeat([]byte("y"), 1<<20)
 	pool := PoolFor(256 << 10)
