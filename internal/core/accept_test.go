@@ -400,6 +400,67 @@ func TestSetDeadlineInterruptsStalledFirstWrite(t *testing.T) {
 	}
 }
 
+// closeSignalConn is a classic sublink that reports its first Close.
+type closeSignalConn struct {
+	*net.TCPConn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeSignalConn) Close() error {
+	err := c.TCPConn.Close()
+	c.once.Do(func() { close(c.closed) })
+	return err
+}
+
+// gatedReader yields first, then blocks until gate closes and ends.
+type gatedReader struct {
+	first []byte
+	gate  <-chan struct{}
+}
+
+func (r *gatedReader) Read(p []byte) (int, error) {
+	if len(r.first) > 0 {
+		n := copy(p, r.first)
+		r.first = r.first[n:]
+		return n, nil
+	}
+	<-r.gate
+	return 0, io.EOF
+}
+
+func (r *gatedReader) Seek(int64, int) (int64, error) { return 0, nil }
+
+// SendReader's guard closes the sublink once it reads a refusal; when that
+// lands before SendReader's own half-close, the half-close fails on a
+// closed transport, and that failure must still say the session was
+// refused — otherwise a caller classifies a permanent refusal as a
+// transient transport error and retries it.
+func TestSendReaderRefusalBeforeCloseWrite(t *testing.T) {
+	peer := startAcceptPeer(t, false, peerRejects)
+	closed := make(chan struct{})
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &closeSignalConn{TCPConn: nc.(*net.TCPConn), closed: closed}, nil
+	}
+	c, err := core.Dial(context.Background(),
+		core.Route{Via: []string{peer}, Target: "target.invalid:1"},
+		core.WithEager(), core.WithDialer(dial), core.WithHandshakeTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The payload's tail is held back until the guard has closed the
+	// sublink, so the half-close is the first call to meet it.
+	err = c.SendReader(&gatedReader{first: randBytes(1000, 91), gate: closed})
+	if !errors.Is(err, core.ErrRejected) {
+		t.Fatalf("SendReader = %v, want ErrRejected", err)
+	}
+}
+
 // Offset and AcceptDuration may be polled by the writer while the reader
 // meets the lazy accept (run under -race).
 func TestOffsetConcurrentWithLazyAccept(t *testing.T) {

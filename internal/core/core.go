@@ -1,10 +1,12 @@
 // Package core implements the Logistical Session Layer endpoints over real
-// TCP: Dial opens a session across a loose source route of depots, Listen
-// accepts sessions at the target. The interface deliberately mirrors the
-// socket idiom the paper describes ("a similar programming interface to
-// that provided by the Unix socket abstraction"): a session behaves like a
-// net.Conn, but the conversation may be carried by multiple cascaded
-// transport connections and survives their replacement (resume).
+// TCP: Dial opens a session across a loose source route of depots, Forward
+// opens one with a prebuilt header on a sublink the caller already dialed
+// (a depot delivering custody), Listen accepts sessions at the target.
+// The interface deliberately mirrors the socket idiom the paper describes
+// ("a similar programming interface to that provided by the Unix socket
+// abstraction"): a session behaves like a net.Conn, but the conversation
+// may be carried by multiple cascaded transport connections and survives
+// their replacement (resume).
 //
 // Protocol flow (synchronous mode):
 //
@@ -32,7 +34,8 @@
 //
 // Either way one code path (Conn.awaitAccept) reads and checks the
 // accept frame, so a rejection is always the typed ErrRejected and the
-// frame itself never reaches the application.
+// frame itself never reaches the application — for a Dial and a Forward
+// alike.
 //
 // Everything rides ordinary TCP streams; depots relay bytes in both
 // directions, so the accept frame and any application replies flow
@@ -318,6 +321,33 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 		Route:      hops,
 		ContentLen: contentLen,
 	}
+	deadline, _ := ctx.Deadline()
+	c, err := open(nc, hdr, o, deadline)
+	if err != nil {
+		return nil, err
+	}
+	c.dialDur = dialDur
+	if o.Digest {
+		c.hash = md5.New()
+	}
+	return c, nil
+}
+
+// Forward opens a session on a sublink the caller already dialed, with a
+// header the caller already built — a depot handing a custody payload on.
+// The header goes out as given (hop index, flags and route unchanged), and
+// the Conn never digests: a digesting session's stored payload already
+// ends in its MD5 trailer, which the caller forwards verbatim. Of the
+// options only WithEager and WithHandshakeTimeout apply; the open
+// pipelines or waits for the accept exactly as Dial's does. On error nc is
+// closed.
+func Forward(nc net.Conn, hdr *wire.OpenHeader, opts ...Option) (*Conn, error) {
+	return open(nc, hdr, buildOptions(opts), time.Time{})
+}
+
+// open stages hdr on nc and, unless o.Eager, reads the accept before
+// returning, bounded by the handshake timeout and deadline (zero: none).
+func open(nc net.Conn, hdr *wire.OpenHeader, o Options, deadline time.Time) (*Conn, error) {
 	enc, err := hdr.Encode()
 	if err != nil {
 		nc.Close()
@@ -328,14 +358,11 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 	// coalesces it with the first payload Write (net.Buffers), so that
 	// open is one packet, not a tiny header packet followed by a
 	// delayed-ACK stall before the payload.
-	c := &Conn{nc: nc, id: id, opts: o, dialDur: dialDur, pending: enc, hdrOut: make(chan struct{})}
-	if o.Digest {
-		c.hash = md5.New()
-	}
+	c := &Conn{nc: nc, id: hdr.Session, opts: o, pending: enc, hdrOut: make(chan struct{})}
 	if !o.Eager {
-		// The context's deadline bounds the handshake the way a caller's
-		// SetDeadline bounds a lazy one; it does not outlive Dial.
-		c.deadline, _ = ctx.Deadline()
+		// The deadline bounds the handshake the way a caller's SetDeadline
+		// bounds a lazy one; it does not outlive the open.
+		c.deadline = deadline
 		err = c.awaitAccept(true)
 		c.deadline = time.Time{}
 		nc.SetDeadline(time.Time{})
@@ -560,11 +587,13 @@ func (c *Conn) CloseWrite() error {
 			err = fmt.Errorf("lsl: send digest trailer: %w", err)
 		}
 	}
+	if cw, ok := c.nc.(closeWriter); ok && err == nil {
+		// SendReader's guard may have closed the sublink under us on a
+		// refusal: the half-close then fails for the refusal's reason.
+		err = cw.CloseWrite()
+	}
 	if err != nil {
 		return c.rejection(err)
-	}
-	if cw, ok := c.nc.(closeWriter); ok {
-		return cw.CloseWrite()
 	}
 	return nil
 }

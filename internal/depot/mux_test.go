@@ -110,6 +110,25 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 		expectPayload(t, got, payload)
 	}
 
+	// Registry recorded the muxed sessions with normal outcomes. Session
+	// teardown at the depot (counter, then ring entry) trails the client's
+	// confirm drain.
+	ringCompleted := func() int {
+		n := 0
+		for _, s := range d1.Sessions().Recent {
+			if s.Outcome == OutcomeCompleted {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for ringCompleted() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := ringCompleted(); n != 2 {
+		t.Errorf("depot1 ring has %d completed sessions, want 2", n)
+	}
 	if got := d1.Stats().Completed; got != 2 {
 		t.Fatalf("depot1 completed %d sessions, want 2", got)
 	}
@@ -128,17 +147,6 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 	// The target does not speak mux: depot2 fell back to classic there.
 	if v := d2.linkOpened.With("dial").Value(); v != 0 {
 		t.Errorf("depot2 opened %d trunks to a non-mux target, want 0", v)
-	}
-	// Registry recorded the muxed sessions with normal outcomes.
-	snap := d1.Sessions()
-	completed := 0
-	for _, s := range snap.Recent {
-		if s.Outcome == OutcomeCompleted {
-			completed++
-		}
-	}
-	if completed != 2 {
-		t.Errorf("depot1 ring has %d completed sessions, want 2", completed)
 	}
 }
 

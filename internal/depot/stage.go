@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lsl/internal/backoff"
+	"lsl/internal/core"
 	"lsl/internal/custody"
 	"lsl/internal/wire"
 	"lsl/internal/xfer"
@@ -64,23 +65,24 @@ const (
 	DefaultTotalStageFactor = 4
 )
 
-// payloadSource opens one redelivery attempt's view of a custody payload
-// starting at offset. Journal-backed sources open the spill file per
-// attempt, so a custody session pins no payload heap between attempts;
-// memory-backed sources (no journal) wrap the buffered bytes.
+// payloadSource opens one redelivery attempt's view of a custody payload;
+// a resumed delivery seeks it to the target's offset (core's SendReader).
+// Journal-backed sources open the spill file per attempt, so a custody
+// session pins no payload heap between attempts; memory-backed sources
+// (no journal) wrap the buffered bytes.
 type payloadSource interface {
-	Open(offset int64) (io.ReadCloser, error)
+	Open() (io.ReadSeekCloser, error)
 }
 
 // memSource is the in-memory custody buffer (journal-less depots).
 type memSource []byte
 
-func (m memSource) Open(offset int64) (io.ReadCloser, error) {
-	if offset < 0 || offset > int64(len(m)) {
-		return nil, fmt.Errorf("depot: custody offset %d out of range", offset)
-	}
-	return io.NopCloser(bytes.NewReader(m[offset:])), nil
-}
+func (m memSource) Open() (io.ReadSeekCloser, error) { return memReader{bytes.NewReader(m)}, nil }
+
+// memReader is one attempt's view of a memSource; closing it is a no-op.
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
 
 // journalSource streams a custody payload from its write-ahead spill
 // file.
@@ -89,16 +91,10 @@ type journalSource struct {
 	id wire.SessionID
 }
 
-func (s journalSource) Open(offset int64) (io.ReadCloser, error) {
+func (s journalSource) Open() (io.ReadSeekCloser, error) {
 	f, err := s.j.OpenPayload(s.id)
 	if err != nil {
 		return nil, err
-	}
-	if offset > 0 {
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
 	}
 	return f, nil
 }
@@ -196,7 +192,7 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 
 	ls := d.sessions.add(info)
 	ls.bytesFwd.Add(uint64(total))
-	d.spawnDelivery(ctx, hdr, src, total, ls, start, release)
+	d.spawnDelivery(ctx, hdr, src, ls, start, release)
 }
 
 // stagePayload reads the complete custody payload from the initiator:
@@ -244,12 +240,12 @@ func (d *Depot) stagePayload(ctx context.Context, up netConnLike, hdr *wire.Open
 // compaction on delivery/abort, journal retention on shutdown
 // cancellation (that entry is precisely what the next process recovers),
 // and the custody-budget release either way.
-func (d *Depot) spawnDelivery(ctx context.Context, hdr *wire.OpenHeader, src payloadSource, total int64, ls *liveSession, start time.Time, release func()) {
+func (d *Depot) spawnDelivery(ctx context.Context, hdr *wire.OpenHeader, src payloadSource, ls *liveSession, start time.Time, release func()) {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		defer release()
-		if err := d.deliverStaged(ctx, hdr, src, total); err != nil {
+		if err := d.deliverStaged(ctx, hdr, src); err != nil {
 			if ctx.Err() != nil {
 				d.canceled.Inc()
 				d.finishStaged(ls, OutcomeCanceled, start)
@@ -315,7 +311,7 @@ func (d *Depot) recoverCustody() {
 		ls := d.sessions.add(info)
 		ls.bytesFwd.Add(uint64(total))
 		d.logf("depot: recovered staged session %s from custody journal (%d bytes)", hdr.Session, total)
-		d.spawnDelivery(d.root, hdr, journalSource{j: d.cfg.Custody, id: hdr.Session}, total, ls,
+		d.spawnDelivery(d.root, hdr, journalSource{j: d.cfg.Custody, id: hdr.Session}, ls,
 			info.Started, func() { d.custodyBytes.Add(-total) })
 	}
 }
@@ -338,12 +334,11 @@ func stagedPeer(c netConnLike) string {
 
 // deliverStaged pushes a custody payload over the remaining route,
 // retrying with capped exponential backoff until the stage deadline or
-// cancellation. Jitter is seeded from the depot's RetryJitterSeed XOR the
-// session ID: deterministic under test, but concurrent staged sessions
-// that failed together spread out instead of retrying in lockstep against
-// a receiver that is just coming back (the thundering-herd mode of the
-// old fixed-interval retry).
-func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src payloadSource, total int64) error {
+// cancellation. The deadline bounds an attempt in flight too: it closes
+// the sublink, so a target that accepts and stops reading cannot hold a
+// delivery until shutdown. Shutdown (ctx) and giving up (the deadline)
+// stay distinct errors for the caller's accounting.
+func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src payloadSource) error {
 	next, ok := hdr.NextHop()
 	if !ok {
 		return fmt.Errorf("staged session terminates at a depot")
@@ -351,37 +346,51 @@ func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src pay
 	fwd := *hdr
 	fwd.HopIndex++
 	fwd.Flags &^= wire.FlagStaged // downstream runs as an ordinary session
-	enc, err := fwd.Encode()
-	if err != nil {
-		return err
-	}
-	pol := backoff.Policy{Base: d.cfg.StageRetryInterval, Max: d.cfg.StageRetryMax}
-	rng := rand.New(rand.NewSource(d.cfg.RetryJitterSeed ^ int64(binary.BigEndian.Uint64(fwd.Session[:8]))))
-	deadline := time.Now().Add(d.cfg.StageDeadline)
-	attempt := 0
-	for {
-		attempt++
+	delay := d.retryDelays(fwd.Session)
+	sctx, cancel := context.WithTimeout(ctx, d.cfg.StageDeadline)
+	defer cancel()
+	for attempt := 1; ; attempt++ {
 		d.stagedAttempts.Inc()
-		err := d.attemptDelivery(ctx, next, enc, src, total, fwd.Session)
+		err := d.attemptDelivery(sctx, next, &fwd, src)
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("depot shutting down: %w", err)
+		if sctx.Err() == nil {
+			d.logf("depot: staged session %s delivery attempt %d failed: %v", fwd.Session, attempt, err)
+			// Backoff that shutdown and the deadline interrupt — never an
+			// uninterruptible sleep on the drain path.
+			backoff.Sleep(sctx, delay(attempt))
 		}
-		if time.Now().After(deadline) {
+		switch {
+		case ctx.Err() != nil:
+			return fmt.Errorf("depot shutting down: %w", err)
+		case sctx.Err() != nil:
 			return fmt.Errorf("gave up after %d attempts: %w", attempt, err)
-		}
-		d.logf("depot: staged session %s delivery attempt %d failed: %v", fwd.Session, attempt, err)
-		// Backoff that shutdown can interrupt — never an uninterruptible
-		// sleep on the drain path.
-		if err := backoff.Sleep(ctx, pol.Delay(attempt, rng)); err != nil {
-			return fmt.Errorf("depot shutting down: %w", err)
 		}
 	}
 }
 
-func (d *Depot) attemptDelivery(ctx context.Context, next string, hdr []byte, src payloadSource, total int64, id wire.SessionID) error {
+// retryDelays draws a custody session's redelivery backoff, jittered from
+// RetryJitterSeed XOR the session ID: deterministic under test, yet staged
+// sessions that failed together do not retry in lockstep. The source is
+// seeded at the first failure; most deliveries never draw.
+func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
+	pol := backoff.Policy{Base: d.cfg.StageRetryInterval, Max: d.cfg.StageRetryMax}
+	var rng *rand.Rand
+	return func(attempt int) time.Duration {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(d.cfg.RetryJitterSeed ^ int64(binary.BigEndian.Uint64(id[:8]))))
+		}
+		return pol.Delay(attempt, rng)
+	}
+}
+
+// attemptDelivery is one delivery of a custody payload to next: dial, open
+// through core.Forward, stream, wait for the target's EOF. The payload
+// rides behind the header unless the header asks to resume, whose accept
+// names the offset to start at. ctx firing (shutdown, the stage deadline)
+// closes the sublink.
+func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.OpenHeader, src payloadSource) error {
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
 	down, err := d.dialNext(dctx, next)
 	cancel()
@@ -389,47 +398,34 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, hdr []byte, sr
 		d.nextHopDialFail.With(next).Inc()
 		return err
 	}
-	defer down.Close()
 	unwatch := closeOnDone(ctx, down)
 	defer unwatch()
-	if _, err := down.Write(hdr); err != nil {
+	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.HandshakeTimeout)}
+	if fwd.Flags&wire.FlagResume == 0 {
+		opts = append(opts, core.WithEager()) // a fresh session starts at offset 0
+	}
+	c, err := core.Forward(down, fwd, opts...)
+	if err != nil {
 		return err
 	}
-	// The downstream accept comes back through the new sublink.
-	down.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-	acc, err := wire.ReadAcceptFrame(down)
-	if err != nil {
-		return fmt.Errorf("accept: %w", err)
-	}
-	if acc.Session != id {
-		return fmt.Errorf("accept for wrong session")
-	}
-	if acc.Code != wire.CodeOK {
-		return fmt.Errorf("rejected: %s", wire.CodeString(acc.Code))
-	}
-	down.SetReadDeadline(time.Time{})
-	start := int64(0)
-	if acc.Offset > 0 && acc.Offset < uint64(total) {
-		start = int64(acc.Offset) // resumed delivery
-	}
+	defer c.Close()
 	// The payload opens fresh per attempt: journal-backed custody streams
 	// from the spill file, so nothing is pinned while the session sits in
 	// retry backoff.
-	payload, err := src.Open(start)
+	payload, err := src.Open()
 	if err != nil {
 		return fmt.Errorf("custody payload: %w", err)
 	}
 	defer payload.Close()
-	if _, err := xfer.CopyCounted(down, payload, d.bufs, xfer.CopyConfig{Ctx: ctx}); err != nil {
+	if err := c.SendReader(payload); err != nil {
 		return err
 	}
-	halfClose(down)
 	// Wait for the receiver to finish (EOF on the backward channel) so a
 	// mid-delivery crash is retried rather than silently dropped. The
 	// drain error matters: a receiver dying here means the delivery is NOT
 	// confirmed and must be retried, not counted as delivered.
-	down.SetReadDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
-	if _, err := io.Copy(io.Discard, down); err != nil {
+	c.SetDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
+	if _, err := io.Copy(io.Discard, c); err != nil {
 		return fmt.Errorf("confirm drain: %w", err)
 	}
 	return nil
