@@ -141,8 +141,7 @@ func main() {
 		Mux:                *muxOn,
 		LinkIdleTimeout:    *linkIdle,
 		LinkMaxStreams:     *linkMax,
-		SockSndBuf:         *sockBuf,
-		SockRcvBuf:         *sockBuf,
+		SockBuf:            *sockBuf,
 		MaxStageBytes:      maxStageBytes,
 		MaxTotalStageBytes: maxStageTotal,
 		Custody:            journal,

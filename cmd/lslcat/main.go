@@ -309,7 +309,7 @@ func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries i
 		if err != nil || b <= 0 || b > 1<<30 {
 			log.Fatalf("bad -sockbuf %q", sockbuf)
 		}
-		opts = append(opts, lsl.WithStripeSocketBuffers(int(b), int(b)))
+		opts = append(opts, lsl.WithStripeSocketBuffers(int(b)))
 	}
 	start := time.Now()
 	res, err := lsl.StripedTransfer(context.Background(), []lsl.Route{route}, src, size, opts...)

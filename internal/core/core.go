@@ -142,12 +142,11 @@ type Options struct {
 	// that do not speak the trunk protocol transparently fall back to a
 	// per-session connection.
 	Pool *mux.Pool
-	// SockSndBuf/SockRcvBuf override SO_SNDBUF/SO_RCVBUF on the first
-	// sublink when it is a direct TCP connection (the paper's §V
-	// hand-tuning); zero keeps kernel defaults. Trunk connections take
-	// their sizes from the pool's own config.
-	SockSndBuf int
-	SockRcvBuf int
+	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on the first sublink
+	// when it is a direct TCP connection (the paper's §V hand-tuning);
+	// zero keeps kernel defaults. Trunk connections take their size from
+	// the pool's own config.
+	SockBuf int
 }
 
 // Option mutates Options.
@@ -186,11 +185,11 @@ func WithDialer(d Dialer) Option { return func(o *Options) { o.Dial = d } }
 // the hop does not speak the trunk protocol).
 func WithMux(p *mux.Pool) Option { return func(o *Options) { o.Pool = p } }
 
-// WithSocketBuffers overrides SO_SNDBUF/SO_RCVBUF on the session's first
-// sublink (zero keeps the kernel default for that direction). TCP_NODELAY
+// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
+// session's first sublink (zero keeps the kernel defaults). TCP_NODELAY
 // is always set on direct sublinks regardless of this option.
-func WithSocketBuffers(snd, rcv int) Option {
-	return func(o *Options) { o.SockSndBuf, o.SockRcvBuf = snd, rcv }
+func WithSocketBuffers(n int) Option {
+	return func(o *Options) { o.SockBuf = n }
 }
 
 func buildOptions(opts []Option) Options {
@@ -286,7 +285,7 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 	} else {
 		nc, err = dial(ctx, "tcp", hops[0])
 		if err == nil {
-			sockopt.Tune(nc, o.SockSndBuf, o.SockRcvBuf)
+			sockopt.Tune(nc, o.SockBuf)
 		}
 	}
 	dialDur := time.Since(dialStart)

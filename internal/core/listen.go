@@ -46,10 +46,9 @@ type Listener struct {
 	// resumable sessions. Non-positive disables the sweep (completed
 	// sessions are still deleted eagerly).
 	SessionTTL time.Duration
-	// SockSndBuf/SockRcvBuf override SO_SNDBUF/SO_RCVBUF on accepted
-	// sublinks (zero keeps kernel defaults); TCP_NODELAY is always set.
-	SockSndBuf int
-	SockRcvBuf int
+	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on accepted sublinks
+	// (zero keeps kernel defaults); TCP_NODELAY is always set.
+	SockBuf int
 }
 
 // Listen starts an LSL target listener on addr.
@@ -86,7 +85,7 @@ func (l *Listener) Accept() (*ServerConn, error) {
 		if err != nil {
 			return nil, err
 		}
-		sockopt.Tune(nc, l.SockSndBuf, l.SockRcvBuf)
+		sockopt.Tune(nc, l.SockBuf)
 		sc, err := l.handshake(nc)
 		if err != nil {
 			nc.Close()

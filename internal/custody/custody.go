@@ -26,7 +26,6 @@
 package custody
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -114,16 +113,11 @@ type Entry struct {
 	Total int64
 }
 
-// validate mirrors the wire header limits so a journal can never admit
-// an entry the forwarding path would refuse to encode.
+// validate applies the wire route rule so a journal can never admit an
+// entry the forwarding path would refuse to encode.
 func (e *Entry) validate() error {
-	if len(e.Route) == 0 || len(e.Route) > wire.MaxRouteEntries {
-		return fmt.Errorf("custody: bad route length %d", len(e.Route))
-	}
-	for _, a := range e.Route {
-		if a == "" || len(a) > wire.MaxAddrLen {
-			return fmt.Errorf("custody: bad route entry %q", a)
-		}
+	if err := wire.ValidRoute(e.Route); err != nil {
+		return fmt.Errorf("custody: %w", err)
 	}
 	if e.Total < 0 {
 		return fmt.Errorf("custody: negative payload size %d", e.Total)
@@ -141,100 +135,66 @@ type Record struct {
 	Delivered bool
 }
 
+// admitFixedLen is the admit body before the route entries: type(1)
+// session(16) flags(2) hopIndex(1) contentLen(8) offset(8) total(8)
+// routeLen(1).
+const admitFixedLen = 1 + 16 + 2 + 1 + 8 + 8 + 8 + 1
+
 // encodeAdmit serializes an admit record body.
 func encodeAdmit(e *Entry) []byte {
-	n := 1 + 16 + 2 + 1 + 8 + 8 + 8 + 1
-	for _, a := range e.Route {
-		n += 2 + len(a)
-	}
-	body := make([]byte, 0, n)
+	body := make([]byte, 0, admitFixedLen+wire.RouteSize(e.Route))
 	body = append(body, RecAdmit)
 	body = append(body, e.Session[:]...)
-	body = binary.BigEndian.AppendUint16(body, e.Flags)
+	body = wire.AppendU16(body, e.Flags)
 	body = append(body, e.HopIndex)
-	body = binary.BigEndian.AppendUint64(body, e.ContentLen)
-	body = binary.BigEndian.AppendUint64(body, e.Offset)
-	body = binary.BigEndian.AppendUint64(body, uint64(e.Total))
+	body = wire.AppendU64(body, e.ContentLen)
+	body = wire.AppendU64(body, e.Offset)
+	body = wire.AppendU64(body, uint64(e.Total))
 	body = append(body, uint8(len(e.Route)))
-	for _, a := range e.Route {
-		body = binary.BigEndian.AppendUint16(body, uint16(len(a)))
-		body = append(body, a...)
-	}
-	return body
+	return wire.AppendRoute(body, e.Route)
 }
 
 // encodeDone serializes a done record body.
 func encodeDone(id wire.SessionID, delivered bool) []byte {
-	body := make([]byte, 0, 18)
-	body = append(body, RecDone)
+	body := append(make([]byte, 0, 18), RecDone)
 	body = append(body, id[:]...)
 	if delivered {
-		body = append(body, 1)
-	} else {
-		body = append(body, 0)
+		return append(body, 1)
 	}
-	return body
+	return append(body, 0)
 }
-
-// admitFixedLen is the admit body before the route entries.
-const admitFixedLen = 1 + 16 + 2 + 1 + 8 + 8 + 8 + 1
 
 // decodeBody parses one record body. It never panics on malformed input
 // and bounds every allocation by the already-checked body length.
 func decodeBody(body []byte) (*Record, error) {
-	if len(body) == 0 {
-		return nil, ErrCorrupt
-	}
-	switch body[0] {
+	d := wire.NewDec(body)
+	r := &Record{Type: d.U8()}
+	switch r.Type {
 	case RecAdmit:
-		if len(body) < admitFixedLen {
-			return nil, ErrCorrupt
-		}
-		r := &Record{Type: RecAdmit}
 		e := &r.Entry
-		copy(e.Session[:], body[1:17])
-		e.Flags = binary.BigEndian.Uint16(body[17:19])
-		e.HopIndex = body[19]
-		e.ContentLen = binary.BigEndian.Uint64(body[20:28])
-		e.Offset = binary.BigEndian.Uint64(body[28:36])
-		total := binary.BigEndian.Uint64(body[36:44])
-		if total > uint64(1)<<62 {
+		d.Fill(e.Session[:])
+		e.Flags = d.U16()
+		e.HopIndex = d.U8()
+		e.ContentLen = d.U64()
+		e.Offset = d.U64()
+		total := d.U64()
+		e.Route = d.Route(int(d.U8()))
+		if d.Err() != nil || d.Len() != 0 || total > 1<<62 {
 			return nil, ErrCorrupt
 		}
 		e.Total = int64(total)
-		routeN := int(body[44])
-		rest := body[admitFixedLen:]
-		if routeN == 0 || routeN > wire.MaxRouteEntries {
-			return nil, ErrCorrupt
-		}
-		for i := 0; i < routeN; i++ {
-			if len(rest) < 2 {
-				return nil, ErrCorrupt
-			}
-			n := int(binary.BigEndian.Uint16(rest[:2]))
-			rest = rest[2:]
-			if n == 0 || n > wire.MaxAddrLen || len(rest) < n {
-				return nil, ErrCorrupt
-			}
-			e.Route = append(e.Route, string(rest[:n]))
-			rest = rest[n:]
-		}
-		if len(rest) != 0 {
-			return nil, ErrCorrupt
-		}
-		if err := e.validate(); err != nil {
-			return nil, ErrCorrupt
-		}
-		return r, nil
 	case RecDone:
-		if len(body) != 18 {
+		d.Fill(r.Session[:])
+		delivered := d.U8()
+		// The encoder writes delivered as 0 or 1 only.
+		if d.Err() != nil || d.Len() != 0 || delivered > 1 {
 			return nil, ErrCorrupt
 		}
-		r := &Record{Type: RecDone, Delivered: body[17] == 1}
-		copy(r.Session[:], body[1:17])
-		return r, nil
+		r.Delivered = delivered == 1
+	default:
+		return nil, ErrCorrupt
 	}
-	return nil, ErrCorrupt
+	return r, nil
 }
 
 // ReadRecord reads and decodes one journal record from r. A clean EOF at
@@ -244,25 +204,13 @@ func decodeBody(body []byte) (*Record, error) {
 // MaxRecordLen for one record.
 func ReadRecord(r io.Reader) (*Record, error) {
 	var hdr [recordHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
+	if err := wire.ReadNext(r, hdr[:], ErrTruncated); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n == 0 || n > MaxRecordLen {
-		return nil, ErrCorrupt
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
+	d := wire.NewDec(hdr[:])
+	n, sum := d.U32(), d.U32()
+	body, err := wire.ReadBody(r, int(n), MaxRecordLen, ErrCorrupt, ErrTruncated)
+	if err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(body) != sum {
@@ -273,11 +221,10 @@ func ReadRecord(r io.Reader) (*Record, error) {
 
 // frameRecord wraps a body with its length + CRC header.
 func frameRecord(body []byte) []byte {
-	out := make([]byte, recordHeaderLen+len(body))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(body))
-	copy(out[recordHeaderLen:], body)
-	return out
+	out := make([]byte, 0, recordHeaderLen+len(body))
+	out = wire.AppendU32(out, uint32(len(body)))
+	out = wire.AppendU32(out, crc32.ChecksumIEEE(body))
+	return append(out, body...)
 }
 
 // Config tunes a journal.

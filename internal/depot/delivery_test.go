@@ -341,8 +341,7 @@ func TestDeliveryWedgedTargetAbortsAtStageDeadline(t *testing.T) {
 			d, depotAddr := stagedDepot(t, Config{
 				Mux:           tr.trunk,
 				StageDeadline: 500 * time.Millisecond,
-				SockSndBuf:    64 << 10,
-				SockRcvBuf:    64 << 10,
+				SockBuf:       64 << 10,
 			})
 			stageThrough(t, depotAddr, target, payload)
 			<-accepted

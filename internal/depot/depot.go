@@ -122,11 +122,10 @@ type Config struct {
 	// LinkMaxStreams opens a second trunk to the same next hop once one
 	// carries this many concurrent sessions (default 64). Mux only.
 	LinkMaxStreams int
-	// SockSndBuf/SockRcvBuf override SO_SNDBUF/SO_RCVBUF on every
-	// accepted and dialed transport connection (zero keeps kernel
-	// defaults); TCP_NODELAY is always set on TCP sublinks.
-	SockSndBuf int
-	SockRcvBuf int
+	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on every accepted and
+	// dialed transport connection (zero keeps kernel defaults);
+	// TCP_NODELAY is always set on TCP sublinks.
+	SockBuf int
 	// OnSessionEnd, when set, receives every finished session record
 	// (including rejections) right after it enters the recent ring. The
 	// logistics control plane uses this to feed per-next-hop relay
@@ -383,8 +382,7 @@ func New(cfg Config) *Depot {
 			Dial:              mux.Dialer(cfg.Dial),
 			IdleTimeout:       cfg.LinkIdleTimeout,
 			MaxStreamsPerLink: cfg.LinkMaxStreams,
-			SockSndBuf:        cfg.SockSndBuf,
-			SockRcvBuf:        cfg.SockRcvBuf,
+			SockBuf:           cfg.SockBuf,
 			Metrics:           d.poolMetrics,
 			Logf:              cfg.Logf,
 		})
@@ -404,7 +402,7 @@ func (d *Depot) dialNext(ctx context.Context, addr string) (net.Conn, error) {
 	}
 	nc, err := d.cfg.Dial(ctx, "tcp", addr)
 	if err == nil {
-		sockopt.Tune(nc, d.cfg.SockSndBuf, d.cfg.SockRcvBuf)
+		sockopt.Tune(nc, d.cfg.SockBuf)
 	}
 	return nc, err
 }
@@ -480,7 +478,7 @@ func (d *Depot) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		sockopt.Tune(nc, d.cfg.SockSndBuf, d.cfg.SockRcvBuf)
+		sockopt.Tune(nc, d.cfg.SockBuf)
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()

@@ -3,7 +3,6 @@ package depot
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -379,7 +378,7 @@ func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
 	var rng *rand.Rand
 	return func(attempt int) time.Duration {
 		if rng == nil {
-			rng = rand.New(rand.NewSource(d.cfg.RetryJitterSeed ^ int64(binary.BigEndian.Uint64(id[:8]))))
+			rng = rand.New(rand.NewSource(d.cfg.RetryJitterSeed ^ id.Seed()))
 		}
 		return pol.Delay(attempt, rng)
 	}

@@ -451,7 +451,7 @@ func (l *Link) readFrame() error {
 	hdr, err := l.rd.next(wire.MuxFrameHeaderLen)
 	if err != nil {
 		if err != io.EOF {
-			err = wire.MuxReadErr(err)
+			err = wire.ReadErr(err, wire.ErrTruncated)
 		}
 		return err
 	}
@@ -467,7 +467,7 @@ func (l *Link) readFrame() error {
 	case wire.MuxWindow:
 		pay, err := l.rd.next(int(h.Length))
 		if err != nil {
-			return wire.MuxReadErr(err)
+			return wire.ReadErr(err, wire.ErrTruncated)
 		}
 		credit, err := wire.DecodeMuxCredit(pay)
 		if err != nil {
@@ -513,7 +513,7 @@ func (l *Link) readData(h wire.MuxHeader) error {
 	if bp == nil {
 		bp = blocks.Get()
 	}
-	err := wire.MuxReadErr(l.rd.payload((*bp)[off:], n))
+	err := wire.ReadErr(l.rd.payload((*bp)[off:], n), wire.ErrTruncated)
 	if err != nil {
 		n = 0
 	}

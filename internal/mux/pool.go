@@ -82,10 +82,9 @@ type PoolConfig struct {
 	// IdleTimeout closes a trunk that has carried no streams for this
 	// long (default 60s; negative keeps idle trunks forever).
 	IdleTimeout time.Duration
-	// SockSndBuf/SockRcvBuf tune every pool-dialed conn (trunks and
-	// classic fallbacks); zero leaves kernel defaults.
-	SockSndBuf int
-	SockRcvBuf int
+	// SockBuf sets SO_SNDBUF and SO_RCVBUF on every pool-dialed conn
+	// (trunks and classic fallbacks); zero leaves kernel defaults.
+	SockBuf int
 	// Metrics observes the pool.
 	Metrics *PoolMetrics
 	// Logf, when set, receives one line per pool event.
@@ -221,7 +220,7 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	sockopt.Tune(nc, p.cfg.SockSndBuf, p.cfg.SockRcvBuf)
+	sockopt.Tune(nc, p.cfg.SockBuf)
 	deadline := time.Now().Add(probeTimeout)
 	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
 		deadline = dl
@@ -275,7 +274,7 @@ func (p *Pool) dialClassic(ctx context.Context, network, addr string) (net.Conn,
 	if err != nil {
 		return nil, err
 	}
-	sockopt.Tune(nc, p.cfg.SockSndBuf, p.cfg.SockRcvBuf)
+	sockopt.Tune(nc, p.cfg.SockBuf)
 	return nc, nil
 }
 

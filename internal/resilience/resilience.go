@@ -42,7 +42,6 @@ package resilience
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -224,8 +223,7 @@ type config struct {
 	frameSize      int
 	rebalanceBytes int64
 	inflightBytes  int64
-	sockSnd        int
-	sockRcv        int
+	sockBuf        int
 }
 
 // Option tunes one Transfer or StripedTransfer call.
@@ -279,7 +277,7 @@ func begin(kind string, opts []Option, target string, size int64) *pathSet {
 	}
 	pol := cfg.policy.withDefaults()
 	if pol.JitterSeed == 0 {
-		pol.JitterSeed = int64(binary.BigEndian.Uint64(cfg.session[:8]))
+		pol.JitterSeed = cfg.session.Seed()
 	}
 	return &pathSet{config: cfg, pol: pol, kind: kind, target: target, size: size}
 }

@@ -50,12 +50,12 @@ func WithRebalanceBytes(n int64) Option { return func(c *config) { c.rebalanceBy
 // instead of adapting one from the receiver's acked throughput.
 func WithInflightBytes(n int64) Option { return func(c *config) { c.inflightBytes = n } }
 
-// WithSockBuffers pins SO_SNDBUF/SO_RCVBUF (bytes) on every striped
-// stripe dial; 0 keeps the kernel default. Shrinking the send buffer
-// caps how much a slow path can absorb ahead of delivery — the kernel's
-// contribution to the end-of-stream tail.
-func WithSockBuffers(snd, rcv int) Option {
-	return func(c *config) { c.sockSnd, c.sockRcv = snd, rcv }
+// WithSockBuffers pins SO_SNDBUF and SO_RCVBUF to n bytes on every
+// striped stripe dial; 0 keeps the kernel defaults. Shrinking the send
+// buffer caps how much a slow path can absorb ahead of delivery — the
+// kernel's contribution to the end-of-stream tail.
+func WithSockBuffers(n int) Option {
+	return func(c *config) { c.sockBuf = n }
 }
 
 // StripedResult reports how a striped transfer was achieved.
@@ -220,12 +220,9 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	}
 
 	dial := func(r core.Route) (*core.Conn, error) {
-		opts := []core.Option{core.WithSession(wire.NewSessionID())}
+		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithSocketBuffers(ps.sockBuf)}
 		if ps.dial != nil {
 			opts = append(opts, core.WithDialer(ps.dial))
-		}
-		if ps.sockSnd > 0 || ps.sockRcv > 0 {
-			opts = append(opts, core.WithSocketBuffers(ps.sockSnd, ps.sockRcv))
 		}
 		return core.Dial(ctx, r, opts...)
 	}

@@ -2,10 +2,30 @@ package stripe
 
 import (
 	"bytes"
+	"sort"
+	"strings"
 	"testing"
 
 	"lsl/internal/wire"
 )
+
+// addGolden seeds f with every golden vector whose name has prefix.
+func addGolden(f *testing.F, prefix string) {
+	g, err := readGolden(goldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := make([]string, 0, len(g))
+	for name := range g {
+		if strings.HasPrefix(name, prefix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(g[name])
+	}
+}
 
 // FuzzReadGroupHeader must never panic or accept a header that violates
 // the stripe invariants (count in [1,MaxStripes], index < count).
@@ -14,6 +34,7 @@ func FuzzReadGroupHeader(f *testing.F) {
 	f.Add(g.Encode())
 	f.Add([]byte("LSLS"))
 	f.Add(make([]byte, groupHeaderLen))
+	addGolden(f, "group_")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gh, err := ReadGroupHeader(bytes.NewReader(data))
 		if err != nil {
@@ -37,6 +58,7 @@ func FuzzReadAck(f *testing.F) {
 	f.Add(ok.Encode())
 	f.Add((&Ack{}).Encode())
 	f.Add([]byte("LSLA"))
+	addGolden(f, "ack_")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ReadAck(bytes.NewReader(data))
 		if err != nil {
@@ -61,8 +83,9 @@ func FuzzReadAck(f *testing.F) {
 	})
 }
 
-// FuzzReadStripeFrame must never panic and must never hand back a length
-// above MaxFrameSize — that length is fed to make([]byte, n) by callers.
+// FuzzReadStripeFrame must never panic, must never hand back a payload
+// above MaxFrameSize, and anything it accepts must re-encode to exactly
+// the bytes it consumed.
 func FuzzReadStripeFrame(f *testing.F) {
 	var ok bytes.Buffer
 	writeFrame(&ok, 4096, []byte("payload"))
@@ -72,13 +95,19 @@ func FuzzReadStripeFrame(f *testing.F) {
 	huge.Bytes()[8] = 0xff // length 0xff000000: over MaxFrameSize
 	f.Add(huge.Bytes())
 	f.Add([]byte{})
+	addGolden(f, "frame_")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, length, err := readFrame(bytes.NewReader(data))
+		off, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if length > MaxFrameSize {
-			t.Fatalf("oversized frame length %d accepted", length)
+		if len(payload) > MaxFrameSize {
+			t.Fatalf("oversized frame length %d accepted", len(payload))
+		}
+		var enc bytes.Buffer
+		writeFrame(&enc, off, payload)
+		if !bytes.Equal(enc.Bytes(), data[:enc.Len()]) {
+			t.Fatalf("re-encoded %x, consumed %x", enc.Bytes(), data[:enc.Len()])
 		}
 	})
 }

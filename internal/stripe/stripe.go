@@ -32,7 +32,6 @@
 package stripe
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -105,41 +104,33 @@ type GroupHeader struct {
 
 // Encode serializes the group header.
 func (g *GroupHeader) Encode() []byte {
-	out := make([]byte, groupHeaderLen)
+	magic := magicStripe
 	if g.Acks {
-		copy(out, magicStripeAck[:])
-	} else {
-		copy(out, magicStripe[:])
+		magic = magicStripeAck
 	}
-	out[4] = wire.Version
-	copy(out[5:21], g.Group[:])
-	out[21] = g.Index
-	out[22] = g.Count
-	binary.BigEndian.PutUint64(out[23:31], g.TotalLen)
-	return out
+	out := append(make([]byte, 0, groupHeaderLen), magic[:]...)
+	out = append(out, wire.Version)
+	out = append(out, g.Group[:]...)
+	out = append(out, g.Index, g.Count)
+	return wire.AppendU64(out, g.TotalLen)
 }
 
 // ReadGroupHeader decodes a group header from r. Both the classic "LSLS"
 // magic and the ack-requesting "LSLT" are accepted; the latter sets Acks.
+// Every failure matches ErrBadGroupHeader; a read failure also matches its
+// cause (wire.ErrTruncated for a stream ending inside the header).
 func ReadGroupHeader(r io.Reader) (*GroupHeader, error) {
-	buf := make([]byte, groupHeaderLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadGroupHeader, err)
+	var buf [groupHeaderLen]byte
+	if err := wire.ReadFull(r, buf[:], wire.ErrTruncated); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadGroupHeader, err)
 	}
-	acks := false
-	switch string(buf[:4]) {
-	case string(magicStripe[:]):
-	case string(magicStripeAck[:]):
-		acks = true
-	default:
+	g := &GroupHeader{Acks: [4]byte(buf[:]) == magicStripeAck}
+	d := wire.NewDec(buf[4:])
+	if (!g.Acks && [4]byte(buf[:]) != magicStripe) || d.U8() != wire.Version {
 		return nil, ErrBadGroupHeader
 	}
-	if buf[4] != wire.Version {
-		return nil, ErrBadGroupHeader
-	}
-	g := &GroupHeader{Index: buf[21], Count: buf[22], Acks: acks}
-	copy(g.Group[:], buf[5:21])
-	g.TotalLen = binary.BigEndian.Uint64(buf[23:31])
+	d.Fill(g.Group[:])
+	g.Index, g.Count, g.TotalLen = d.U8(), d.U8(), d.U64()
 	if g.Count == 0 || g.Count > MaxStripes || g.Index >= g.Count {
 		return nil, ErrBadGroupHeader
 	}
@@ -159,48 +150,49 @@ type Ack struct {
 
 // Encode serializes the ack record.
 func (a *Ack) Encode() []byte {
-	out := make([]byte, ackFixedLen+8*len(a.Accepted))
-	copy(out, magicAck[:])
-	binary.BigEndian.PutUint64(out[4:12], uint64(a.Flushed))
-	binary.BigEndian.PutUint64(out[12:20], uint64(a.Seen))
-	out[20] = uint8(len(a.Accepted))
-	for i, v := range a.Accepted {
-		binary.BigEndian.PutUint64(out[ackFixedLen+8*i:], uint64(v))
+	out := append(make([]byte, 0, ackFixedLen+8*len(a.Accepted)), magicAck[:]...)
+	out = wire.AppendU64(out, uint64(a.Flushed))
+	out = wire.AppendU64(out, uint64(a.Seen))
+	out = append(out, uint8(len(a.Accepted)))
+	for _, v := range a.Accepted {
+		out = wire.AppendU64(out, uint64(v))
 	}
 	return out
 }
 
 // ReadAck decodes one ack record from r. All counts come off the network,
 // so they are bounds-checked: at most MaxStripes per-stripe entries and
-// no value may overflow int64.
+// no value may overflow int64. io.EOF before the first byte passes
+// through: the backward channel ended between records. Every other
+// failure matches ErrBadAck; a read failure also matches its cause
+// (wire.ErrTruncated for a stream ending inside the record).
 func ReadAck(r io.Reader) (*Ack, error) {
-	buf := make([]byte, ackFixedLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	var buf [ackFixedLen + 8*MaxStripes]byte
+	if err := wire.ReadNext(r, buf[:ackFixedLen], wire.ErrTruncated); err != nil {
+		if err == io.EOF {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %w", ErrBadAck, err)
 	}
-	if string(buf[:4]) != string(magicAck[:]) {
-		return nil, ErrBadAck
-	}
-	flushed := binary.BigEndian.Uint64(buf[4:12])
-	seen := binary.BigEndian.Uint64(buf[12:20])
-	n := int(buf[20])
-	if n > MaxStripes || flushed > 1<<62 || seen > 1<<62 {
+	d := wire.NewDec(buf[4:]) // the fixed part, then the entries read below
+	flushed, seen, n := d.U64(), d.U64(), int(d.U8())
+	if [4]byte(buf[:]) != magicAck || n > MaxStripes || flushed > 1<<62 || seen > 1<<62 {
 		return nil, ErrBadAck
 	}
 	a := &Ack{Flushed: int64(flushed), Seen: int64(seen)}
-	if n > 0 {
-		body := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadAck, err)
+	if n == 0 {
+		return a, nil
+	}
+	if err := wire.ReadFull(r, buf[ackFixedLen:ackFixedLen+8*n], wire.ErrTruncated); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadAck, err)
+	}
+	a.Accepted = make([]int64, n)
+	for i := range a.Accepted {
+		v := d.U64()
+		if v > 1<<62 {
+			return nil, ErrBadAck
 		}
-		a.Accepted = make([]int64, n)
-		for i := range a.Accepted {
-			v := binary.BigEndian.Uint64(body[8*i:])
-			if v > 1<<62 {
-				return nil, ErrBadAck
-			}
-			a.Accepted[i] = int64(v)
-		}
+		a.Accepted[i] = int64(v)
 	}
 	return a, nil
 }
@@ -208,9 +200,7 @@ func ReadAck(r io.Reader) (*Ack, error) {
 // writeFrame emits one offset-tagged frame.
 func writeFrame(w io.Writer, offset uint64, payload []byte) error {
 	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint64(hdr[0:8], offset)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(wire.AppendU32(wire.AppendU64(hdr[:0], offset), uint32(len(payload)))); err != nil {
 		return err
 	}
 	if len(payload) == 0 {
@@ -220,20 +210,19 @@ func writeFrame(w io.Writer, offset uint64, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame header and returns (offset, length). The
-// length field is untrusted network input: anything above MaxFrameSize is
-// rejected before a buffer of that size can be allocated.
-func readFrame(r io.Reader) (uint64, uint32, error) {
+// readFrame reads one frame and returns its offset and payload (empty for
+// the end frame). The length field is untrusted network input: anything
+// above MaxFrameSize is rejected before a buffer of that size can be
+// allocated. io.EOF before the first header byte passes through.
+func readFrame(r io.Reader) (uint64, []byte, error) {
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, err
+	if err := wire.ReadNext(r, hdr[:], wire.ErrTruncated); err != nil {
+		return 0, nil, err
 	}
-	off := binary.BigEndian.Uint64(hdr[0:8])
-	length := binary.BigEndian.Uint32(hdr[8:12])
-	if length > MaxFrameSize {
-		return 0, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, length, MaxFrameSize)
-	}
-	return off, length, nil
+	d := wire.NewDec(hdr[:])
+	off, length := d.U64(), d.U32()
+	payload, err := wire.ReadBody(r, int(length), MaxFrameSize, ErrFrameTooLarge, wire.ErrTruncated)
+	return off, payload, err
 }
 
 // Receiver reassembles one stripe group into a contiguous stream. Attach
@@ -337,22 +326,18 @@ func (r *Receiver) Attach(stream io.Reader) error {
 		lastAcked = seen
 	}
 	for {
-		off, length, err := readFrame(stream)
+		off, payload, err := readFrame(stream)
 		if err != nil {
 			return fmt.Errorf("stripe %d: %w", gh.Index, err)
 		}
-		if length == 0 {
+		if len(payload) == 0 {
 			if int64(off) != r.total {
 				return fmt.Errorf("stripe %d: end frame at %d, want %d", gh.Index, off, r.total)
 			}
 			sendAck()
 			return nil
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(stream, payload); err != nil {
-			return fmt.Errorf("stripe %d: frame body: %w", gh.Index, err)
-		}
-		seen += int64(length)
+		seen += int64(len(payload))
 		completed, err := r.ingest(int(gh.Index), int64(off), payload)
 		if err != nil {
 			return err

@@ -27,8 +27,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -96,64 +94,48 @@ type GossipFrame struct {
 	Obs  []GossipObs
 }
 
-func validGossipName(s string) bool { return s != "" && len(s) <= MaxAddrLen }
-
 // Encode serializes the frame.
 func (f *GossipFrame) Encode() ([]byte, error) {
 	if f.Kind != GossipDigest && f.Kind != GossipDelta {
 		return nil, fmt.Errorf("%w: kind %d", ErrBadGossipFrame, f.Kind)
 	}
-	if !validGossipName(f.Self) {
+	if !ValidName(f.Self) {
 		return nil, fmt.Errorf("%w: bad self %q", ErrBadGossipFrame, f.Self)
 	}
 	if len(f.Obs) > MaxGossipEntries {
 		return nil, fmt.Errorf("%w: %d entries exceeds %d", ErrTooLarge, len(f.Obs), MaxGossipEntries)
 	}
-	var body bytes.Buffer
-	writeStr := func(s string) {
-		var u16 [2]byte
-		binary.BigEndian.PutUint16(u16[:], uint16(len(s)))
-		body.Write(u16[:])
-		body.WriteString(s)
-	}
-	writeStr(f.Self)
-	var u32 [4]byte
-	var u64 [8]byte
+	out := append(make([]byte, 0, 512), MagicGossip[:]...)
+	out = append(out, GossipVersion, f.Kind)
+	out = AppendU16(out, uint16(len(f.Obs)))
+	out = AppendName(AppendU32(out, 0), f.Self) // body length set below
 	for i := range f.Obs {
 		o := &f.Obs[i]
-		if !validGossipName(o.From) || !validGossipName(o.To) || !validGossipName(o.Origin) {
+		if !ValidName(o.From) || !ValidName(o.To) || !ValidName(o.Origin) {
 			return nil, fmt.Errorf("%w: bad entry names", ErrBadGossipFrame)
 		}
 		if o.Metric > MaxGossipMetric {
 			return nil, fmt.Errorf("%w: metric %d", ErrBadGossipFrame, o.Metric)
 		}
-		writeStr(o.From)
-		writeStr(o.To)
-		writeStr(o.Origin)
-		body.WriteByte(o.Metric)
-		body.WriteByte(o.Hops)
-		binary.BigEndian.PutUint64(u64[:], uint64(o.TimeUnixNano))
-		body.Write(u64[:])
+		if f.Kind == GossipDelta && (math.IsNaN(o.Value) || math.IsInf(o.Value, 0)) {
+			return nil, fmt.Errorf("%w: non-finite value", ErrBadGossipFrame)
+		}
+		out = AppendName(out, o.From)
+		out = AppendName(out, o.To)
+		out = AppendName(out, o.Origin)
+		out = append(out, o.Metric, o.Hops)
+		out = AppendU64(out, uint64(o.TimeUnixNano))
 		if f.Kind == GossipDelta {
-			if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
-				return nil, fmt.Errorf("%w: non-finite value", ErrBadGossipFrame)
-			}
-			binary.BigEndian.PutUint64(u64[:], math.Float64bits(o.Value))
-			body.Write(u64[:])
-			binary.BigEndian.PutUint32(u32[:], o.Count)
-			body.Write(u32[:])
+			out = AppendU64(out, math.Float64bits(o.Value))
+			out = AppendU32(out, o.Count)
 		}
 	}
-	if body.Len() > MaxGossipBody {
+	body := len(out) - gossipFixedLen
+	if body > MaxGossipBody {
 		return nil, ErrTooLarge
 	}
-	out := make([]byte, gossipFixedLen, gossipFixedLen+body.Len())
-	copy(out, MagicGossip[:])
-	out[4] = GossipVersion
-	out[5] = f.Kind
-	binary.BigEndian.PutUint16(out[6:8], uint16(len(f.Obs)))
-	binary.BigEndian.PutUint32(out[8:12], uint32(body.Len()))
-	return append(out, body.Bytes()...), nil
+	AppendU32(out[:gossipFixedLen-4], uint32(body)) // fills the placeholder in place
+	return out, nil
 }
 
 // ReadGossipFrame reads and decodes one gossip frame from r. Allocation
@@ -162,84 +144,50 @@ func (f *GossipFrame) Encode() ([]byte, error) {
 // through as io.EOF.
 func ReadGossipFrame(r io.Reader) (*GossipFrame, error) {
 	var fixed [gossipFixedLen]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err // io.EOF passes through: clean end of exchange
+	if err := ReadNext(r, fixed[:], ErrTruncated); err != nil {
+		return nil, err
 	}
 	if !IsGossipMagic(fixed[:]) {
 		return nil, ErrBadMagic
 	}
-	if fixed[4] != GossipVersion {
+	d := NewDec(fixed[len(MagicGossip):])
+	if d.U8() != GossipVersion {
 		return nil, ErrBadVersion
 	}
-	f := &GossipFrame{Kind: fixed[5]}
+	f := &GossipFrame{Kind: d.U8()}
 	if f.Kind != GossipDigest && f.Kind != GossipDelta {
 		return nil, fmt.Errorf("%w: kind %d", ErrBadGossipFrame, f.Kind)
 	}
-	count := int(binary.BigEndian.Uint16(fixed[6:8]))
-	bodyLen := int(binary.BigEndian.Uint32(fixed[8:12]))
-	if count > MaxGossipEntries || bodyLen > MaxGossipBody {
+	count := int(d.U16())
+	if count > MaxGossipEntries {
 		return nil, ErrTooLarge
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, ErrTruncated
+	body, err := ReadBody(r, int(d.U32()), MaxGossipBody, ErrTooLarge, ErrTruncated)
+	if err != nil {
+		return nil, err
 	}
-	readStr := func() (string, bool) {
-		if len(body) < 2 {
-			return "", false
-		}
-		n := int(binary.BigEndian.Uint16(body[:2]))
-		body = body[2:]
-		if n == 0 || n > MaxAddrLen || len(body) < n {
-			return "", false
-		}
-		s := string(body[:n])
-		body = body[n:]
-		return s, true
-	}
-	var ok bool
-	if f.Self, ok = readStr(); !ok {
-		return nil, fmt.Errorf("%w: bad self", ErrBadGossipFrame)
-	}
-	for i := 0; i < count; i++ {
-		var o GossipObs
-		if o.From, ok = readStr(); !ok {
-			return nil, fmt.Errorf("%w: bad entry edge", ErrBadGossipFrame)
-		}
-		if o.To, ok = readStr(); !ok {
-			return nil, fmt.Errorf("%w: bad entry edge", ErrBadGossipFrame)
-		}
-		if o.Origin, ok = readStr(); !ok {
-			return nil, fmt.Errorf("%w: bad entry origin", ErrBadGossipFrame)
-		}
-		if len(body) < 10 {
-			return nil, ErrTruncated
-		}
-		o.Metric = body[0]
-		o.Hops = body[1]
+	d = NewDec(body)
+	f.Self = d.Name()
+	for i := 0; i < count && d.Err() == nil; i++ {
+		o := GossipObs{From: d.Name(), To: d.Name(), Origin: d.Name(), Metric: d.U8(), Hops: d.U8()}
+		o.TimeUnixNano = int64(d.U64())
 		if o.Metric > MaxGossipMetric {
 			return nil, fmt.Errorf("%w: metric %d", ErrBadGossipFrame, o.Metric)
 		}
-		o.TimeUnixNano = int64(binary.BigEndian.Uint64(body[2:10]))
-		body = body[10:]
 		if f.Kind == GossipDelta {
-			if len(body) < 12 {
-				return nil, ErrTruncated
-			}
-			o.Value = math.Float64frombits(binary.BigEndian.Uint64(body[:8]))
-			o.Count = binary.BigEndian.Uint32(body[8:12])
-			body = body[12:]
+			o.Value = math.Float64frombits(d.U64())
+			o.Count = d.U32()
 			if math.IsNaN(o.Value) || math.IsInf(o.Value, 0) {
 				return nil, fmt.Errorf("%w: non-finite value", ErrBadGossipFrame)
 			}
 		}
 		f.Obs = append(f.Obs, o)
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadGossipFrame, len(body))
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadGossipFrame, err)
+	}
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadGossipFrame, d.Len())
 	}
 	return f, nil
 }

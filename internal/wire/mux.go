@@ -29,7 +29,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -84,26 +83,26 @@ type MuxHello struct {
 
 // Encode serializes the hello.
 func (h *MuxHello) Encode() []byte {
-	out := make([]byte, MuxHelloLen)
-	copy(out, MagicMux[:])
-	out[4] = MuxVersion
-	binary.BigEndian.PutUint32(out[5:9], h.Window)
-	return out
+	out := append(make([]byte, 0, MuxHelloLen), MagicMux[:]...)
+	out = append(out, MuxVersion)
+	out = AppendU32(out, h.Window)
+	return append(out, 0, 0, 0) // reserved
 }
 
 // ReadMuxHello reads and validates a hello, magic included.
 func ReadMuxHello(r io.Reader) (*MuxHello, error) {
 	buf := make([]byte, MuxHelloLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, truncated(err)
+	if err := ReadFull(r, buf, ErrTruncated); err != nil {
+		return nil, err
 	}
 	if !IsMuxMagic(buf) {
 		return nil, ErrBadMagic
 	}
-	if buf[4] != MuxVersion {
+	d := NewDec(buf[len(MagicMux):])
+	if d.U8() != MuxVersion {
 		return nil, ErrBadVersion
 	}
-	h := &MuxHello{Window: binary.BigEndian.Uint32(buf[5:9])}
+	h := &MuxHello{Window: d.U32()}
 	if h.Window == 0 || h.Window > MaxMuxWindow {
 		return nil, ErrBadMuxWindow
 	}
@@ -121,9 +120,7 @@ type MuxFrame struct {
 // AppendMuxHeader appends the header of a frame whose payload is length
 // bytes, for a sender that writes the payload from where it already is.
 func AppendMuxHeader(dst []byte, typ uint8, stream uint32, length int) []byte {
-	dst = append(dst, typ)
-	dst = binary.BigEndian.AppendUint32(dst, stream)
-	return binary.BigEndian.AppendUint32(dst, uint32(length))
+	return AppendU32(AppendU32(append(dst, typ), stream), uint32(length))
 }
 
 // AppendMuxFrame appends an encoded frame header plus payload to dst and
@@ -135,9 +132,7 @@ func AppendMuxFrame(dst []byte, typ uint8, stream uint32, payload []byte) []byte
 
 // AppendMuxWindow appends an encoded WINDOW frame granting credit bytes.
 func AppendMuxWindow(dst []byte, stream uint32, credit uint32) []byte {
-	var pay [4]byte
-	binary.BigEndian.PutUint32(pay[:], credit)
-	return AppendMuxFrame(dst, MuxWindow, stream, pay[:])
+	return AppendU32(AppendMuxHeader(dst, MuxWindow, stream, 4), credit)
 }
 
 // MuxHeader is the fixed header in front of every frame.
@@ -154,11 +149,8 @@ type MuxHeader struct {
 // read loop calls it on the buffer it read into, ReadMuxFrame on a header
 // it read itself.
 func DecodeMuxHeader(b []byte) (MuxHeader, error) {
-	h := MuxHeader{
-		Type:   b[0],
-		Stream: binary.BigEndian.Uint32(b[1:5]),
-		Length: binary.BigEndian.Uint32(b[5:9]),
-	}
+	d := NewDec(b) // a short b decodes as type 0, which is refused
+	h := MuxHeader{Type: d.U8(), Stream: d.U32(), Length: d.U32()}
 	switch h.Type {
 	case MuxOpen, MuxClose, MuxReset:
 		if h.Length != 0 {
@@ -183,48 +175,38 @@ func DecodeMuxHeader(b []byte) (MuxHeader, error) {
 
 // DecodeMuxCredit decodes and validates a WINDOW frame's 4-byte payload.
 func DecodeMuxCredit(b []byte) (uint32, error) {
-	credit := binary.BigEndian.Uint32(b[:4])
+	d := NewDec(b) // a short b decodes as credit 0, which is refused
+	credit := d.U32()
 	if credit == 0 || credit > MaxMuxWindow {
 		return 0, ErrBadMuxWindow
 	}
 	return credit, nil
 }
 
-// MuxReadErr maps the error of a read that ended inside a frame: the
-// stream ending there is a truncated frame, anything else (a deadline, a
-// closed connection) is reported as what it is.
-func MuxReadErr(err error) error { return truncated(err) }
-
 // ReadMuxFrame reads one frame into a freshly allocated MuxFrame. The
 // payload is allocated only after DecodeMuxHeader has bounded its length.
 // io.EOF before the first header byte passes through: a clean end of link.
 func ReadMuxFrame(r io.Reader) (*MuxFrame, error) {
 	var hdr [MuxFrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, err
-		}
-		return nil, MuxReadErr(err)
+	if err := ReadNext(r, hdr[:], ErrTruncated); err != nil {
+		return nil, err
 	}
 	h, err := DecodeMuxHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	pay, err := ReadBody(r, int(h.Length), MaxMuxPayload, ErrBadMuxFrame, ErrTruncated)
 	if err != nil {
 		return nil, err
 	}
 	f := &MuxFrame{Type: h.Type, Stream: h.Stream}
 	switch h.Type {
 	case MuxWindow:
-		var pay [4]byte
-		if _, err := io.ReadFull(r, pay[:]); err != nil {
-			return nil, MuxReadErr(err)
-		}
-		if f.Credit, err = DecodeMuxCredit(pay[:]); err != nil {
+		if f.Credit, err = DecodeMuxCredit(pay); err != nil {
 			return nil, err
 		}
 	case MuxData:
-		f.Payload = make([]byte, h.Length)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, MuxReadErr(err)
-		}
+		f.Payload = pay
 	}
 	return f, nil
 }

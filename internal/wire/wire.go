@@ -15,7 +15,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -90,6 +89,10 @@ func NewSessionID() SessionID {
 // String renders the ID as lowercase hex.
 func (id SessionID) String() string { return hex.EncodeToString(id[:]) }
 
+// Seed derives a per-session random seed from the ID's first 8 bytes, so
+// sessions that fail together do not retry in lockstep.
+func (id SessionID) Seed() int64 { return int64(binary.BigEndian.Uint64(id[:8])) }
+
 // ParseSessionID parses the hex form produced by String.
 func ParseSessionID(s string) (SessionID, error) {
 	var id SessionID
@@ -139,16 +142,11 @@ func (h *OpenHeader) Final() bool {
 
 // Validate checks structural limits before encoding.
 func (h *OpenHeader) Validate() error {
-	if len(h.Route) == 0 || len(h.Route) > MaxRouteEntries {
-		return ErrBadRoute
+	if err := ValidRoute(h.Route); err != nil {
+		return err
 	}
 	if int(h.HopIndex) >= len(h.Route) {
 		return ErrBadRoute
-	}
-	for _, a := range h.Route {
-		if a == "" || len(a) > MaxAddrLen {
-			return ErrBadRoute
-		}
 	}
 	return nil
 }
@@ -165,32 +163,19 @@ func (h *OpenHeader) Encode() ([]byte, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(magicOpen[:])
-	buf.WriteByte(Version)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], h.Flags)
-	buf.Write(u16[:])
-	buf.Write([]byte{0, 0}) // headerLen placeholder
-	buf.Write(h.Session[:])
-	buf.WriteByte(h.HopIndex)
-	buf.WriteByte(uint8(len(h.Route)))
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], h.ContentLen)
-	buf.Write(u64[:])
-	binary.BigEndian.PutUint64(u64[:], h.Offset)
-	buf.Write(u64[:])
-	for _, a := range h.Route {
-		binary.BigEndian.PutUint16(u16[:], uint16(len(a)))
-		buf.Write(u16[:])
-		buf.WriteString(a)
-	}
-	out := buf.Bytes()
-	if len(out) > MaxHeaderLen {
+	n := OpenFixedLen + RouteSize(h.Route)
+	if n > MaxHeaderLen {
 		return nil, ErrTooLarge
 	}
-	binary.BigEndian.PutUint16(out[7:9], uint16(len(out)))
-	return out, nil
+	out := append(make([]byte, 0, n), magicOpen[:]...)
+	out = append(out, Version)
+	out = AppendU16(out, h.Flags)
+	out = AppendU16(out, uint16(n))
+	out = append(out, h.Session[:]...)
+	out = append(out, h.HopIndex, uint8(len(h.Route)))
+	out = AppendU64(out, h.ContentLen)
+	out = AppendU64(out, h.Offset)
+	return AppendRoute(out, h.Route), nil
 }
 
 // ReadOpenHeader reads and decodes an open header from r. A foreign magic
@@ -210,49 +195,37 @@ func FinishOpenHeader(head []byte, r io.Reader) (*OpenHeader, error) {
 	if n < len(magicOpen) {
 		k, err := io.ReadAtLeast(r, fixed[n:], len(magicOpen)-n)
 		if err != nil {
-			return nil, truncated(err)
+			return nil, ReadErr(err, ErrTruncated)
 		}
 		n += k
 	}
-	if !bytes.Equal(fixed[:4], magicOpen[:]) {
+	if [4]byte(fixed) != magicOpen {
 		return nil, ErrBadMagic
 	}
-	if _, err := io.ReadFull(r, fixed[n:]); err != nil {
-		return nil, truncated(err)
+	if err := ReadFull(r, fixed[n:], ErrTruncated); err != nil {
+		return nil, err
 	}
-	if fixed[4] != Version {
+	d := NewDec(fixed[len(magicOpen):])
+	if d.U8() != Version {
 		return nil, ErrBadVersion
 	}
-	h := &OpenHeader{Flags: binary.BigEndian.Uint16(fixed[5:7])}
-	total := int(binary.BigEndian.Uint16(fixed[7:9]))
-	if total < OpenFixedLen || total > MaxHeaderLen {
-		return nil, ErrTooLarge
+	h := &OpenHeader{Flags: d.U16()}
+	total := int(d.U16())
+	d.Fill(h.Session[:])
+	h.HopIndex = d.U8()
+	routeLen := int(d.U8())
+	h.ContentLen = d.U64()
+	h.Offset = d.U64()
+	rest, err := ReadBody(r, total-OpenFixedLen, MaxHeaderLen-OpenFixedLen, ErrTooLarge, ErrTruncated)
+	if err != nil {
+		return nil, err
 	}
-	copy(h.Session[:], fixed[9:25])
-	h.HopIndex = fixed[25]
-	routeLen := int(fixed[26])
-	h.ContentLen = binary.BigEndian.Uint64(fixed[27:35])
-	h.Offset = binary.BigEndian.Uint64(fixed[35:43])
-	if routeLen == 0 || routeLen > MaxRouteEntries {
-		return nil, ErrBadRoute
+	d = NewDec(rest)
+	h.Route = d.Route(routeLen)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	rest := make([]byte, total-OpenFixedLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, ErrTruncated
-	}
-	for i := 0; i < routeLen; i++ {
-		if len(rest) < 2 {
-			return nil, ErrTruncated
-		}
-		n := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if n == 0 || n > MaxAddrLen || len(rest) < n {
-			return nil, ErrBadRoute
-		}
-		h.Route = append(h.Route, string(rest[:n]))
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
+	if d.Len() != 0 {
 		return nil, ErrBadRoute
 	}
 	if err := h.Validate(); err != nil {
@@ -297,41 +270,29 @@ const acceptLen = 30
 
 // Encode serializes the accept frame.
 func (a *AcceptFrame) Encode() []byte {
-	out := make([]byte, acceptLen)
-	copy(out, magicAccept[:])
-	out[4] = Version
-	out[5] = a.Code
-	copy(out[6:22], a.Session[:])
-	binary.BigEndian.PutUint64(out[22:30], a.Offset)
-	return out
+	out := append(make([]byte, 0, acceptLen), magicAccept[:]...)
+	out = append(out, Version, a.Code)
+	out = append(out, a.Session[:]...)
+	return AppendU64(out, a.Offset)
 }
 
 // ReadAcceptFrame reads and decodes an accept frame from r.
 func ReadAcceptFrame(r io.Reader) (*AcceptFrame, error) {
 	buf := make([]byte, acceptLen)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, truncated(err)
+	if err := ReadFull(r, buf, ErrTruncated); err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(buf[:4], magicAccept[:]) {
+	if [4]byte(buf) != magicAccept {
 		return nil, ErrBadMagic
 	}
-	if buf[4] != Version {
+	d := NewDec(buf[len(magicAccept):])
+	if d.U8() != Version {
 		return nil, ErrBadVersion
 	}
-	a := &AcceptFrame{Code: buf[5]}
-	copy(a.Session[:], buf[6:22])
-	a.Offset = binary.BigEndian.Uint64(buf[22:30])
+	a := &AcceptFrame{Code: d.U8()}
+	d.Fill(a.Session[:])
+	a.Offset = d.U64()
 	return a, nil
-}
-
-// truncated maps the error of a read that ended inside a frame: the
-// stream ending there is a truncated frame, anything else (a deadline, a
-// closed connection) is reported as what it is.
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
-	}
-	return err
 }
 
 // CodeString names an accept code for diagnostics.

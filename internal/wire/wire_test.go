@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -299,13 +300,33 @@ func TestHeaderLenFieldConsistent(t *testing.T) {
 	}
 }
 
+// addGolden seeds f with every golden vector whose name has prefix.
+func addGolden(f *testing.F, prefix string) {
+	g, err := readGolden(goldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := make([]string, 0, len(g))
+	for name := range g {
+		if strings.HasPrefix(name, prefix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(g[name])
+	}
+}
+
 // FuzzReadOpenHeader drives the decoder with arbitrary bytes; it must
-// never panic, and anything it accepts must re-encode losslessly.
+// never panic, and anything it accepts must re-encode to exactly the
+// bytes it consumed.
 func FuzzReadOpenHeader(f *testing.F) {
 	enc, _ := sampleHeader().Encode()
 	f.Add(enc)
 	f.Add([]byte("LSL1garbage"))
 	f.Add([]byte{})
+	addGolden(f, "open_")
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		h, err := ReadOpenHeader(bytes.NewReader(raw))
 		if err != nil {
@@ -315,12 +336,31 @@ func FuzzReadOpenHeader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded header does not re-encode: %v", err)
 		}
-		h2, err := ReadOpenHeader(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-encoded header does not decode: %v", err)
-		}
-		if h2.Session != h.Session || len(h2.Route) != len(h.Route) {
-			t.Fatal("lossy round trip")
+		if !bytes.Equal(enc, raw[:len(enc)]) {
+			t.Fatalf("re-encoded %x, consumed %x", enc, raw[:len(enc)])
 		}
 	})
+}
+
+// TestOpenHeaderAllocs pins the open header's allocation cost on a 3-hop
+// route: the decode makes the fixed part, the header, the route bytes,
+// the route slice and one string per hop; the encode makes its buffer.
+func TestOpenHeaderAllocs(t *testing.T) {
+	h := sampleHeader()
+	enc, err := h.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(enc)
+	decode := testing.AllocsPerRun(1000, func() {
+		rd.Reset(enc)
+		if _, err := ReadOpenHeader(rd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	encode := testing.AllocsPerRun(1000, func() { h.Encode() })
+	t.Logf("decode %v allocs, encode %v allocs", decode, encode)
+	if decode > 7 || encode > 1 {
+		t.Fatalf("decode %v allocs (want ≤ 7), encode %v allocs (want ≤ 1)", decode, encode)
+	}
 }

@@ -208,9 +208,9 @@ var (
 	// multiplexed stream on a warm persistent trunk when the peer supports
 	// it, and a classic per-session connection otherwise.
 	WithMux = core.WithMux
-	// WithSocketBuffers overrides SO_SNDBUF/SO_RCVBUF on the session's
-	// first sublink (zero keeps the kernel default; TCP_NODELAY is always
-	// set).
+	// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
+	// session's first sublink (zero keeps the kernel defaults;
+	// TCP_NODELAY is always set).
 	WithSocketBuffers = core.WithSocketBuffers
 )
 
