@@ -294,6 +294,7 @@ type Depot struct {
 	linkClosed  *metrics.CounterVec
 	muxStreams  *metrics.Gauge
 	muxHigh     *metrics.Gauge
+	muxWindow   *metrics.Gauge
 	poolMetrics *mux.PoolMetrics
 	drainCh     chan struct{}
 
@@ -371,12 +372,15 @@ func New(cfg Config) *Depot {
 			"Multiplexed session streams live right now (both sides).")
 		d.muxHigh = reg.Gauge("lsl_mux_stream_high_water",
 			"Most concurrent streams observed on any one trunk.")
+		d.muxWindow = reg.Gauge("lsl_mux_window_high_water_bytes",
+			"Largest receive window any one trunk stream has granted (both sides): the initial 256 KiB until a window autotunes toward its sublink's bandwidth-delay product.")
 		d.poolMetrics = &mux.PoolMetrics{
 			LinkOpened:      d.linkOpened.With("dial"),
 			LinkReused:      d.linkReused.With("dial"),
 			LinkClosed:      d.linkClosed.With("dial"),
 			Streams:         d.muxStreams,
 			StreamHighWater: d.muxHigh,
+			WindowHighWater: d.muxWindow,
 		}
 		d.nextHops = mux.NewPool(mux.PoolConfig{
 			Dial:              mux.Dialer(cfg.Dial),
@@ -698,11 +702,13 @@ func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
 		}
 		d.muxStreams.Inc()
 		d.muxHigh.SetMax(int64(link.HighWater()))
+		d.muxWindow.SetMax(int64(link.WindowHighWater()))
 		d.wg.Add(1)
 		go func(st *mux.Stream) {
 			defer d.wg.Done()
 			defer d.muxStreams.Dec()
 			d.handle(ctx, st, false)
+			d.muxWindow.SetMax(int64(link.WindowHighWater())) // what the session's window grew to
 		}(st)
 	}
 }

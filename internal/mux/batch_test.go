@@ -23,12 +23,15 @@ type recConn struct {
 	net.Conn // nil: the link calls only the methods below
 	mu       sync.Mutex
 	batches  [][]byte
+	once     sync.Once
+	wrote    chan struct{} // closed at the first recorded write
 }
 
 func (c *recConn) record(b []byte) {
 	c.mu.Lock()
 	c.batches = append(c.batches, b)
 	c.mu.Unlock()
+	c.once.Do(func() { close(c.wrote) })
 }
 
 func (c *recConn) Write(p []byte) (int, error) {
@@ -58,7 +61,7 @@ func (c *recConn) recorded() [][]byte {
 // newRecLink is a dial-side link over a recConn whose peer granted every
 // stream window bytes of credit. No read loop runs: the link only writes.
 func newRecLink(window int) (*Link, *recConn) {
-	c := &recConn{}
+	c := &recConn{wrote: make(chan struct{})}
 	l := newLink(c, LinkConfig{}.withDefaults(), true, uint32(window))
 	l.writev = c.writev
 	return l, c
@@ -139,10 +142,10 @@ func TestCoalescedWriteInterleaves(t *testing.T) {
 	const size = 1 << 20
 	aDone := make(chan error, 1)
 	go func() { _, err := a.Write(pattern(1, size)); aDone <- err }()
-	for start := time.Now(); len(c.recorded()) == 0; time.Sleep(time.Millisecond) {
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("stream a never wrote its first batch")
-		}
+	select {
+	case <-c.wrote:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream a never wrote its first batch")
 	}
 	bDone := make(chan error, 1)
 	go func() { _, err := b.Write(pattern(2, 200<<10)); bDone <- err }()

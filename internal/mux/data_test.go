@@ -75,55 +75,68 @@ func (f *fragReader) Read(p []byte) (int, error) {
 
 // TestSmallFramesBoundMemory: window credit counts bytes and blocks are
 // 64 KiB, so a peer dripping small frames into a stream nobody reads must
-// fill blocks, not pin one per frame.
+// fill blocks, not pin one per frame — at the initial window and at a
+// window that has grown.
 func TestSmallFramesBoundMemory(t *testing.T) {
-	const window = 256 << 10
 	cases := []struct {
-		name      string
-		frame     int
-		frames    int
-		maxBlocks int
+		name  string
+		frame int
+		worst bool
 	}{
-		// 256 Ki one-byte frames: every block but the last is full.
-		{"1B", 1, window, window/blockSize + 1},
+		// One-byte frames: every block but the last is full.
+		{"1B", 1, false},
 		// Frames of just over half a block cannot share one: the worst
 		// case, two blocks per block's worth of window.
-		{"33KiB", 33 << 10, window / (33 << 10), 2*window/blockSize + 1},
+		{"33KiB", 33 << 10, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := pattern(c.frame, c.frame*c.frames)
-			script := wire.AppendMuxFrame(nil, wire.MuxOpen, 1, nil)
-			for off := 0; off < len(want); off += c.frame {
-				script = wire.AppendMuxFrame(script, wire.MuxData, 1, want[off:off+c.frame])
-			}
-			l, err := runScript(bytes.NewReader(script))
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("script ended with %v", err)
-			}
-			s := <-l.accepts
-			s.mu.Lock()
-			held, buffered := len(s.chunks), s.buffered
-			s.mu.Unlock()
-			if buffered != len(want) {
-				t.Fatalf("stream buffers %d bytes, sent %d", buffered, len(want))
-			}
-			if held > c.maxBlocks {
-				t.Fatalf("%d frames of %d B hold %d blocks (%d KiB), want at most %d for a %d KiB window",
-					c.frames, c.frame, held, held*blockSize>>10, c.maxBlocks, window>>10)
-			}
-			got := make([]byte, len(want))
-			if _, err := io.ReadFull(s, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("payload corrupted")
-			}
-			s.mu.Lock()
-			held = len(s.chunks)
-			s.mu.Unlock()
-			if held != 0 {
-				t.Fatalf("drained stream still holds %d blocks", held)
+			for _, at := range []string{"initial", "grown"} {
+				t.Run(at, func(t *testing.T) {
+					grown := at == "grown"
+					ts := newTunedScript(t)
+					s := ts.open(1)
+					if grown { // a window-limited round trip with a reader that keeps up
+						ts.round(s)
+						ts.advance(10 * time.Millisecond)
+						ts.round(s)
+					}
+					window := rxWindowOf(s)
+					if grown && window != 2*initialWindow {
+						t.Fatalf("window = %d, want it doubled", window)
+					}
+					maxBlocks := window/blockSize + 1
+					if c.worst {
+						maxBlocks = 2*window/blockSize + 1
+					}
+					want := pattern(c.frame, window/c.frame*c.frame)
+					for off := 0; off < len(want); off += c.frame {
+						ts.feed(wire.MuxData, 1, want[off:off+c.frame])
+					}
+					s.mu.Lock()
+					held, buffered := len(s.chunks), s.buffered
+					s.mu.Unlock()
+					if buffered != len(want) {
+						t.Fatalf("stream buffers %d bytes, sent %d", buffered, len(want))
+					}
+					if held > maxBlocks {
+						t.Fatalf("%d frames of %d B hold %d blocks (%d KiB), want at most %d for a %d KiB window",
+							len(want)/c.frame, c.frame, held, held*blockSize>>10, maxBlocks, window>>10)
+					}
+					got := make([]byte, len(want))
+					if _, err := io.ReadFull(s, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatal("payload corrupted")
+					}
+					s.mu.Lock()
+					held = len(s.chunks)
+					s.mu.Unlock()
+					if held != 0 {
+						t.Fatalf("drained stream still holds %d blocks", held)
+					}
+				})
 			}
 		})
 	}

@@ -14,11 +14,13 @@
 // Flow control is per-stream credit: a sender may have at most the
 // peer-advertised window of unacknowledged DATA in flight per stream, so
 // one fat session backs off on its own credit instead of head-of-line
-// starving the trunk, and receive-side buffering is bounded at
-// window × streams. The link's read loop never blocks on application
-// state (DATA lands in credit-bounded stream buffers; control frames are
-// handled inline), which is what keeps the trunk deadlock-free when both
-// directions are saturated.
+// starving the trunk, and receive-side buffering is bounded by the sum of
+// the streams' windows. Each stream's receive window starts at the link's
+// initial window and autotunes upward while the window, not the reader,
+// limits the stream (window.go). The link's read loop never blocks on
+// application state (DATA lands in credit-bounded stream buffers; control
+// frames are handled inline), which is what keeps the trunk deadlock-free
+// when both directions are saturated.
 //
 // DATA payloads are received into pooled blocks, and each block has one
 // owner at a time: the read loop while it reads the payload in, then the
@@ -61,8 +63,10 @@ var (
 
 // LinkConfig tunes one trunk.
 type LinkConfig struct {
-	// Window is the per-stream receive window granted to the peer
-	// (default 256 KiB).
+	// Window is the initial per-stream receive window granted to the peer
+	// (default 256 KiB): the first window of every stream. A stream's
+	// window then grows on its own while the window limits it (see
+	// window.go); only tests set this.
 	Window int
 	// AcceptBacklog bounds streams opened by the peer but not yet
 	// accepted (default 128); past it new streams are reset.
@@ -80,6 +84,11 @@ type LinkConfig struct {
 	// open/close (called without link locks held). Pools use it for
 	// idle-timeout tracking and stream gauges.
 	StreamCount func(n int)
+
+	// maxWindow caps a stream's autotuned receive window (default
+	// maxStreamWindow, never below Window). Tests pin it to Window to play
+	// a peer that does not autotune.
+	maxWindow int
 }
 
 func (c LinkConfig) withDefaults() LinkConfig {
@@ -89,6 +98,10 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	if c.Window > wire.MaxMuxWindow {
 		c.Window = wire.MaxMuxWindow
 	}
+	if c.maxWindow <= 0 {
+		c.maxWindow = maxStreamWindow
+	}
+	c.maxWindow = max(c.maxWindow, c.Window)
 	if c.AcceptBacklog <= 0 {
 		c.AcceptBacklog = 128
 	}
@@ -116,6 +129,12 @@ type Link struct {
 	writev func(*net.Buffers, io.Writer) (int64, error)
 
 	rd frameReader // read loop only
+
+	// Receive-window autotuning (window.go), shared by the link's streams.
+	now        func() time.Time // the clock; tests substitute a fake one
+	rtt        atomic.Int64     // smallest round-trip sample in ns, 0 until one is taken
+	grown      atomic.Int64     // sum over live streams of window − initial window
+	windowHigh atomic.Int64     // largest receive window any stream has granted
 
 	mu       sync.Mutex
 	streams  map[uint32]*Stream
@@ -166,11 +185,12 @@ func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 }
 
 func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link {
-	return &Link{
+	l := &Link{
 		nc:         nc,
 		wvec:       make([][]byte, 0, 3*batchFrames),
 		writev:     (*net.Buffers).WriteTo,
 		rd:         frameReader{nc: nc},
+		now:        time.Now,
 		cfg:        cfg,
 		client:     client,
 		sendWindow: sendWindow,
@@ -178,6 +198,8 @@ func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link 
 		accepts:    make(chan *Stream, cfg.AcceptBacklog),
 		done:       make(chan struct{}),
 	}
+	l.windowHigh.Store(int64(cfg.Window))
+	return l
 }
 
 func (l *Link) logf(format string, args ...interface{}) {
@@ -243,6 +265,11 @@ func (l *Link) HighWater() int {
 	defer l.mu.Unlock()
 	return l.high
 }
+
+// WindowHighWater reports the largest receive window, in bytes, that any
+// stream on the link has granted its peer: the initial window until one
+// autotunes past it.
+func (l *Link) WindowHighWater() int { return int(l.windowHigh.Load()) }
 
 // Drain stops new streams — OpenStream fails, peer OPENs are reset — and
 // closes the link once the last live stream finishes (immediately when
@@ -474,7 +501,9 @@ func (l *Link) readFrame() error {
 			return err
 		}
 		if s := l.lookup(h.Stream); s != nil {
-			s.addCredit(credit)
+			if err := s.addCredit(credit); err != nil {
+				return err
+			}
 		}
 	case wire.MuxClose:
 		if s := l.lookup(h.Stream); s != nil {
@@ -666,17 +695,19 @@ type Stream struct {
 	readCond  *sync.Cond
 	writeCond *sync.Cond
 
-	// Receive side. chunks is bounded by the advertised window because
-	// the peer respects credit; unacked counts delivered-but-ungranted
-	// bytes for window accounting and protocol enforcement. While filling
-	// is set the read loop is reading a payload into the spare capacity of
-	// the last chunk's block: that chunk stays in the list and its block
-	// out of the pool until commit, whoever drains it meanwhile.
+	// Receive side. chunks is bounded by the receive window (rx.size)
+	// because the peer respects credit; unacked counts
+	// delivered-but-ungranted bytes for window accounting and protocol
+	// enforcement. While filling is set the read loop is reading a payload
+	// into the spare capacity of the last chunk's block: that chunk stays
+	// in the list and its block out of the pool until commit, whoever
+	// drains it meanwhile.
 	chunks     []chunk
 	filling    bool
 	buffered   int
 	unacked    int
 	readClosed bool // peer sent CLOSE
+	rx         rxWindow
 
 	// Send side.
 	sendCredit  uint32
@@ -700,7 +731,7 @@ type Stream struct {
 }
 
 func newStream(l *Link, id uint32, credit uint32) *Stream {
-	s := &Stream{link: l, id: id, sendCredit: credit}
+	s := &Stream{link: l, id: id, sendCredit: credit, rx: rxWindow{size: l.cfg.Window}}
 	s.readCond = sync.NewCond(&s.mu)
 	s.writeCond = sync.NewCond(&s.mu)
 	s.rdeadline.cond = s.readCond
@@ -726,8 +757,8 @@ func (s *Stream) reserve(n int) (bp *[]byte, off int, live bool, err error) {
 	if s.closed || s.resetErr != nil || s.readClosed {
 		return nil, 0, false, nil
 	}
-	if s.unacked+n > s.link.cfg.Window {
-		return nil, 0, false, fmt.Errorf("stream %d overran its %d-byte receive window", s.id, s.link.cfg.Window)
+	if s.unacked+n > s.rx.size {
+		return nil, 0, false, fmt.Errorf("stream %d overran its %d-byte receive window", s.id, s.rx.size)
 	}
 	if k := len(s.chunks); k > 0 {
 		if tail := s.chunks[k-1]; len(*tail.bp)-tail.end >= n {
@@ -757,6 +788,7 @@ func (s *Stream) commit(bp *[]byte, off, n int) {
 	}
 	s.buffered += n
 	s.unacked += n
+	s.arrivedLocked(n)
 	s.mu.Unlock()
 	s.readCond.Broadcast()
 }
@@ -778,12 +810,23 @@ func (s *Stream) deliverReset(err error) {
 	s.writeCond.Broadcast()
 }
 
-// addCredit applies a WINDOW grant from the peer.
-func (s *Stream) addCredit(n uint32) {
+// addCredit applies a WINDOW grant from the peer. No receiver lets a
+// stream's unspent credit exceed its window, and no window exceeds
+// wire.MaxMuxWindow, so a grant past that is a protocol violation that
+// kills the link, like an overrun in reserve — rather than a counter the
+// peer could wrap.
+func (s *Stream) addCredit(n uint32) error {
 	s.mu.Lock()
+	if uint64(s.sendCredit)+uint64(n) > wire.MaxMuxWindow {
+		credit := s.sendCredit
+		s.mu.Unlock()
+		return fmt.Errorf("stream %d granted %d bytes on top of %d unspent, past the %d-byte window cap",
+			s.id, n, credit, wire.MaxMuxWindow)
+	}
 	s.sendCredit += n
 	s.mu.Unlock()
 	s.writeCond.Broadcast()
+	return nil
 }
 
 // Read returns stream payload; EOF after the peer's CLOSE drains. A
@@ -843,14 +886,20 @@ func (s *Stream) Read(p []byte) (int, error) {
 // grantLocked returns the credit to give back to the peer now that bytes
 // have left the buffer, once a meaningful share of the window has —
 // batching grants keeps frame chatter low — or once the buffer is empty.
-// s.mu is held.
+// A grant that finds the buffer empty may also grow the window (window.go),
+// and then carries the growth on top of the bytes consumed. s.mu is held.
 func (s *Stream) grantLocked() int {
 	consumed := s.unacked - s.buffered
-	if consumed >= s.link.cfg.Window/4 || (s.buffered == 0 && consumed > 0) {
-		s.unacked -= consumed
-		return consumed
+	if consumed < s.rx.size/4 && (s.buffered > 0 || consumed == 0) {
+		return 0
 	}
-	return 0
+	now := s.link.now()
+	s.stampLocked(now)
+	s.unacked -= consumed
+	if s.buffered == 0 {
+		return consumed + s.growLocked(now)
+	}
+	return consumed
 }
 
 // WriteBatchTo hands one batch of received payload to w without copying
@@ -1053,6 +1102,11 @@ func (s *Stream) Close() error {
 	s.chunks = nil
 	s.filling = false
 	s.buffered = 0
+	s.link.grown.Add(-int64(s.rx.size - s.link.cfg.Window)) // the window's grown part goes back to the link budget
+	// An armed deadline's timer holds the stream until it fires — a 30 s
+	// confirm deadline would keep every closed stream in memory that long.
+	s.rdeadline.set(time.Time{})
+	s.wdeadline.set(time.Time{})
 	s.mu.Unlock()
 	s.readCond.Broadcast()
 	s.writeCond.Broadcast()

@@ -12,16 +12,34 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lsl/internal/emu"
 )
 
 // linkPair establishes a client/server link pair over loopback TCP.
 func linkPair(t testing.TB, cfg LinkConfig) (*Link, *Link) {
+	t.Helper()
+	return linkPairVia(t, cfg, cfg, 0)
+}
+
+// linkPairVia establishes a client/server link pair, each end with its own
+// config, over loopback TCP through an emu proxy that delays each
+// direction by delay (straight, with no proxy, when delay is zero).
+func linkPairVia(t testing.TB, ccfg, scfg LinkConfig, delay time.Duration) (*Link, *Link) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	addr := ln.Addr().String()
+	if delay > 0 {
+		p := emu.NewProxy(addr, emu.Shape{Delay: delay}, emu.Shape{Delay: delay})
+		if addr, err = p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close) // after the links' cleanup below: relays end when the links close
+	}
 	srvCh := make(chan *Link, 1)
 	errCh := make(chan error, 1)
 	go func() {
@@ -30,19 +48,19 @@ func linkPair(t testing.TB, cfg LinkConfig) (*Link, *Link) {
 			errCh <- err
 			return
 		}
-		l, err := Server(nc, cfg)
+		l, err := Server(nc, scfg)
 		if err != nil {
 			errCh <- err
 			return
 		}
 		srvCh <- l
 	}()
-	nc, err := net.Dial("tcp", ln.Addr().String())
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	client, err := Client(nc, cfg)
+	client, err := Client(nc, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +93,37 @@ func acceptOne(t *testing.T, l *Link) *Stream {
 		t.Fatal("AcceptStream timed out")
 		return nil
 	}
+}
+
+// parkSignal returns a channel that closes once a Read on s has parked in
+// its wait for data. It wraps the mutex under s's read cond: the cond
+// registers a waiter before it unlocks, so from the moment the channel
+// closes no wakeup can miss the reader.
+func parkSignal(s *Stream) <-chan struct{} {
+	l := &signalLocker{Mutex: &s.mu, unlocked: make(chan struct{})}
+	s.mu.Lock()
+	s.readCond = sync.NewCond(l)
+	s.mu.Unlock()
+	return l.unlocked
+}
+
+// signalLocker closes unlocked the first time it is unlocked.
+type signalLocker struct {
+	*sync.Mutex
+	once     sync.Once
+	unlocked chan struct{}
+}
+
+func (l *signalLocker) Unlock() {
+	l.Mutex.Unlock()
+	l.once.Do(func() { close(l.unlocked) })
+}
+
+// rxWindowOf reads a stream's current receive window.
+func rxWindowOf(s *Stream) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rx.size
 }
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -122,15 +171,18 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 // TestFlowControlIntegrity pushes far more data than the stream window
-// through a deliberately slow reader: the credit loop must throttle the
-// writer without corrupting or deadlocking, byte-exact end to end.
+// through a deliberately slow reader, about 1 KiB per millisecond: the
+// credit loop must throttle the writer without corrupting or deadlocking,
+// byte-exact end to end. The reader, not the window, limits this stream,
+// so its window must stay at the initial size.
 func TestFlowControlIntegrity(t *testing.T) {
-	client, srv := linkPair(t, LinkConfig{Window: 8 << 10})
+	const window = 8 << 10
+	client, srv := linkPair(t, LinkConfig{Window: window})
 	cs, err := client.OpenStream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 1<<20)
+	payload := make([]byte, 256<<10)
 	rand.Read(payload)
 	want := md5.Sum(payload)
 
@@ -138,12 +190,17 @@ func TestFlowControlIntegrity(t *testing.T) {
 	wg.Add(1)
 	var got [md5.Size]byte
 	var readErr error
+	var grown int
 	go func() {
 		defer wg.Done()
 		ss := acceptOne(t, srv)
+		defer ss.Close()
 		h := md5.New()
 		buf := make([]byte, 1234) // odd size to shear chunk boundaries
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
 		for {
+			<-tick.C
 			n, err := ss.Read(buf)
 			h.Write(buf[:n])
 			if err == io.EOF {
@@ -155,7 +212,7 @@ func TestFlowControlIntegrity(t *testing.T) {
 			}
 		}
 		copy(got[:], h.Sum(nil))
-		ss.Close()
+		grown = rxWindowOf(ss)
 	}()
 	if _, err := cs.Write(payload); err != nil {
 		t.Fatal(err)
@@ -169,6 +226,9 @@ func TestFlowControlIntegrity(t *testing.T) {
 	}
 	if got != want {
 		t.Fatal("payload corrupted across flow-controlled stream")
+	}
+	if grown != window {
+		t.Fatalf("a reader draining ~1 KiB/ms grew the window from %d to %d bytes", window, grown)
 	}
 }
 
@@ -269,6 +329,24 @@ func TestWriteDeadlineOnCreditStall(t *testing.T) {
 	}
 }
 
+// TestCloseStopsDeadlineTimers: a deadline's timer holds its stream until
+// it fires, so Close must stop armed timers — or a session's 30 s confirm
+// deadline keeps each closed stream in memory for 30 s.
+func TestCloseStopsDeadlineTimers(t *testing.T) {
+	client, _ := linkPair(t, LinkConfig{})
+	s, err := client.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetDeadline(time.Now().Add(time.Hour))
+	s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rdeadline.timer != nil || s.wdeadline.timer != nil {
+		t.Fatal("a closed stream left its deadline timers armed")
+	}
+}
+
 func TestLinkCloseUnblocksStreams(t *testing.T) {
 	client, srv := linkPair(t, LinkConfig{})
 	cs, err := client.OpenStream()
@@ -277,12 +355,17 @@ func TestLinkCloseUnblocksStreams(t *testing.T) {
 	}
 	cs.Write([]byte("x"))
 	_ = acceptOne(t, srv)
+	parked := parkSignal(cs)
 	done := make(chan error, 1)
 	go func() {
 		_, err := cs.Read(make([]byte, 1))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the read never blocked")
+	}
 	srv.Close() // trunk dies under the session
 	select {
 	case err := <-done:

@@ -37,6 +37,9 @@ type PoolMetrics struct {
 	// StreamHighWater records the most concurrent streams observed on any
 	// one link.
 	StreamHighWater *metrics.Gauge
+	// WindowHighWater records the largest receive window, in bytes, any
+	// stream on any one link has granted (Link.WindowHighWater).
+	WindowHighWater *metrics.Gauge
 }
 
 func (m *PoolMetrics) opened() {
@@ -58,8 +61,8 @@ func (m *PoolMetrics) closed() {
 }
 
 // streams moves the live-stream gauge by delta and raises the high-water
-// gauge to high.
-func (m *PoolMetrics) streams(delta, high int) {
+// gauges to what l has seen.
+func (m *PoolMetrics) streams(delta int, l *Link) {
 	if m == nil {
 		return
 	}
@@ -67,7 +70,10 @@ func (m *PoolMetrics) streams(delta, high int) {
 		m.Streams.Add(int64(delta))
 	}
 	if m.StreamHighWater != nil {
-		m.StreamHighWater.SetMax(int64(high))
+		m.StreamHighWater.SetMax(int64(l.HighWater()))
+	}
+	if m.WindowHighWater != nil {
+		m.WindowHighWater.SetMax(int64(l.WindowHighWater()))
 	}
 }
 
@@ -126,6 +132,10 @@ type Pool struct {
 	links  map[string][]*pooledLink
 	nonMux map[string]time.Time // address → probe-again-after
 	closed bool
+
+	// retired, which only tests set, receives each trunk once it is dead,
+	// counted closed and out of the pool.
+	retired chan<- *Link
 }
 
 type pooledLink struct {
@@ -261,6 +271,9 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 		<-link.Done()
 		p.cfg.Metrics.closed()
 		p.remove(addr, pl)
+		if p.retired != nil {
+			p.retired <- link
+		}
 	}()
 	st, err := link.OpenStream()
 	if err != nil {
@@ -288,7 +301,7 @@ func (p *Pool) streamCountChanged(pl *pooledLink) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	n := pl.link.NumStreams()
-	p.cfg.Metrics.streams(n-pl.streams, pl.link.HighWater())
+	p.cfg.Metrics.streams(n-pl.streams, pl.link)
 	pl.streams = n
 	if n > 0 {
 		if pl.idle != nil {

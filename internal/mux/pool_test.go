@@ -110,6 +110,17 @@ func roundTrip(t *testing.T, c net.Conn, msg string) {
 	}
 }
 
+// awaitRetired waits for the pool to report a trunk retired: dead, counted
+// closed and out of the pool.
+func awaitRetired(t *testing.T, retired <-chan *Link, msg string) {
+	t.Helper()
+	select {
+	case <-retired:
+	case <-time.After(5 * time.Second):
+		t.Fatal(msg)
+	}
+}
+
 func TestPoolReusesTrunk(t *testing.T) {
 	addr := muxEchoServer(t)
 	met, _ := poolMetrics(t)
@@ -237,6 +248,8 @@ func TestPoolIdleTimeoutClosesTrunk(t *testing.T) {
 	met, _ := poolMetrics(t)
 	p := NewPool(PoolConfig{Metrics: met, IdleTimeout: 100 * time.Millisecond})
 	defer p.Close()
+	retired := make(chan *Link, 1)
+	p.retired = retired
 	ctx := context.Background()
 
 	c, err := p.DialContext(ctx, "tcp", addr)
@@ -246,12 +259,9 @@ func TestPoolIdleTimeoutClosesTrunk(t *testing.T) {
 	roundTrip(t, c, "one")
 	c.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Links() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle trunk never closed")
-		}
-		time.Sleep(10 * time.Millisecond)
+	awaitRetired(t, retired, "idle trunk never closed")
+	if n := p.Links(); n != 0 {
+		t.Fatalf("pool still holds %d links after the idle trunk closed", n)
 	}
 	if met.LinkClosed.Value() != 1 {
 		t.Fatalf("expected 1 link close, got %d", met.LinkClosed.Value())
@@ -288,6 +298,8 @@ func TestPoolReplacesDeadTrunk(t *testing.T) {
 	met, _ := poolMetrics(t)
 	p := NewPool(PoolConfig{Metrics: met, Dial: dial})
 	defer p.Close()
+	retired := make(chan *Link, 1)
+	p.retired = retired
 	ctx := context.Background()
 
 	c, err := p.DialContext(ctx, "tcp", addr)
@@ -301,27 +313,14 @@ func TestPoolReplacesDeadTrunk(t *testing.T) {
 	raw[0].Close() // the trunk dies
 	mu.Unlock()
 
-	// The pool may hand us the dead link once before noticing; retry as
-	// a resilient caller would.
-	var c2 net.Conn
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c2, err = p.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			if _, werr := c2.Write([]byte("after")); werr == nil {
-				buf := make([]byte, 5)
-				c2.SetReadDeadline(time.Now().Add(2 * time.Second))
-				if _, rerr := io.ReadFull(c2, buf); rerr == nil {
-					break
-				}
-			}
-			c2.Close()
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never recovered a working trunk: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Once the pool has let the dead link go, the next dial opens a fresh
+	// trunk and works at the first try.
+	awaitRetired(t, retired, "the dead trunk was never retired")
+	c2, err := p.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	roundTrip(t, c2, "after")
 	c2.Close()
 	if met.LinkOpened.Value() < 2 {
 		t.Fatalf("expected a replacement trunk, opens=%d", met.LinkOpened.Value())
