@@ -85,9 +85,11 @@ func main() {
 		n, elapsed.Round(time.Millisecond), float64(n)*8/elapsed.Seconds()/1e6)
 
 	// The depot finishes its bookkeeping when both relay directions close;
-	// give it a beat before reading the counters.
-	for i := 0; i < 100 && depot.Stats().Completed == 0; i++ {
-		time.Sleep(10 * time.Millisecond)
+	// wait for that before reading the counters.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := depot.WaitStats(ctx, func(st lsl.DepotStats) bool { return st.Completed > 0 }); err != nil {
+		log.Fatalf("depot: session never completed: %v", err)
 	}
 	st := depot.Stats()
 	fmt.Printf("depot:  forwarded %d bytes across %d session(s)\n", st.BytesForward, st.Accepted)

@@ -62,9 +62,14 @@ func main() {
 	fmt.Printf("sender: uploaded %d bytes into depot custody and disconnected\n", len(payload))
 
 	// Time passes; the depot's first delivery attempts fail.
-	time.Sleep(600 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := depot.WaitStats(ctx, func(st lsl.DepotStats) bool { return st.DialFailures >= 2 }); err != nil {
+		log.Fatalf("depot: delivery attempts never failed: %v", err)
+	}
 	st := depot.Stats()
-	fmt.Printf("depot:  holding %d staged byte(s); receiver still offline\n", st.StagedBytes)
+	fmt.Printf("depot:  holding %d staged byte(s) after %d failed delivery attempts; receiver still offline\n",
+		st.StagedBytes, st.DialFailures)
 
 	// The receiver finally appears at its address.
 	ln, err := net.Listen("tcp", receiverAddr)

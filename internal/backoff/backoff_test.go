@@ -76,7 +76,7 @@ func TestDelayNilRngIsEnvelope(t *testing.T) {
 func TestSleepRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // cancel while Sleep waits on its 10 s timer
 		cancel()
 	}()
 	start := time.Now()

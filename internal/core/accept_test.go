@@ -374,7 +374,7 @@ func TestSetDeadlineInterruptsStalledFirstWrite(t *testing.T) {
 				_, err := c.Read(make([]byte, 1))
 				rerr <- err
 			}()
-			time.Sleep(100 * time.Millisecond) // let both block
+			time.Sleep(100 * time.Millisecond) // no event marks a goroutine as parked: give both time to block
 			set := make(chan error, 1)
 			go func() { set <- c.SetDeadline(time.Now().Add(100 * time.Millisecond)) }()
 			select {

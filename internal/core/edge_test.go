@@ -140,6 +140,8 @@ func TestListenerSessionTableBounded(t *testing.T) {
 	}
 	defer l.Close()
 	l.MaxSessions = 4
+	hold := make(chan struct{})
+	defer close(hold)
 	go func() {
 		for {
 			sc, err := l.Accept()
@@ -149,7 +151,7 @@ func TestListenerSessionTableBounded(t *testing.T) {
 			go func() {
 				// Hold sessions open un-finished so their resumable state
 				// stays in the table.
-				time.Sleep(2 * time.Second)
+				<-hold
 				sc.Close()
 			}()
 		}
@@ -225,9 +227,12 @@ func TestLargeTransferThroughDepotLoopback(t *testing.T) {
 	if err := c.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for d.Stats().BytesForward < uint64(len(payload)) && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
+	// The relay completes once the target has read everything and hung
+	// up; its byte counters are final by then.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := d.WaitStats(ctx, func(st depot.Stats) bool { return st.Completed > 0 }); err != nil {
+		t.Fatalf("relay never completed: %v", err)
 	}
 	if got := d.Stats().BytesForward; got < uint64(len(payload)) {
 		t.Fatalf("depot forwarded %d of %d", got, len(payload))

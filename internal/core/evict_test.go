@@ -11,9 +11,34 @@ import (
 	"lsl/internal/wire"
 )
 
+// drainTarget starts a target that reads every sublink to its end and
+// reports each end on the returned channel, by which time the sublink's
+// bytes are counted in the resume table.
+func drainTarget(t *testing.T) (string, *core.Listener, chan struct{}) {
+	t.Helper()
+	ended := make(chan struct{}, 16) // more than any test's sublinks: the target never blocks
+	addr, l := startTarget(t, func(sc *core.ServerConn) {
+		io.Copy(io.Discard, sc)
+		sc.Close()
+		ended <- struct{}{}
+	})
+	return addr, l, ended
+}
+
+// sublinkEnded waits for the target to finish reading one sublink.
+func sublinkEnded(t *testing.T, ended chan struct{}) {
+	t.Helper()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the target never finished reading a sublink")
+	}
+}
+
 // interrupt opens a resumable digested session, writes part of the
 // payload, and kills the transport, leaving resume state at the target.
-func interrupt(t *testing.T, addr string, payload []byte) wire.SessionID {
+// It returns once the target has read the dead sublink to its end.
+func interrupt(t *testing.T, addr string, ended chan struct{}, payload []byte) wire.SessionID {
 	t.Helper()
 	id := wire.NewSessionID()
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},
@@ -25,29 +50,21 @@ func interrupt(t *testing.T, addr string, payload []byte) wire.SessionID {
 	if _, err := c.Write(payload[:len(payload)/2]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the bytes land and be counted
 	c.Close()
+	sublinkEnded(t, ended)
 	return id
 }
 
-// waitStates polls until the listener's resume table reaches want.
-func waitStates(t *testing.T, l *core.Listener, want int) {
+// expectStates checks the listener's resume table size.
+func expectStates(t *testing.T, l *core.Listener, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if l.ResumeStates() == want {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := l.ResumeStates(); n != want {
+		t.Fatalf("resume table holds %d states, want %d", n, want)
 	}
-	t.Fatalf("resume table stuck at %d states, want %d", l.ResumeStates(), want)
 }
 
 func TestResumeTableEvictsByTTL(t *testing.T) {
-	addr, l := startTarget(t, func(sc *core.ServerConn) {
-		io.Copy(io.Discard, sc)
-		sc.Close()
-	})
+	addr, l, ended := drainTarget(t)
 	// The TTL must comfortably exceed the time to set up all three
 	// interrupted sessions, or the sweep riding their own handshakes
 	// evicts the early ones before the assertion.
@@ -55,14 +72,14 @@ func TestResumeTableEvictsByTTL(t *testing.T) {
 
 	payload := randBytes(10_000, 40)
 	for i := 0; i < 3; i++ {
-		interrupt(t, addr, payload)
+		interrupt(t, addr, ended, payload)
 	}
-	waitStates(t, l, 3)
+	expectStates(t, l, 3)
 
 	// Age every entry past the TTL, then trigger a sweep with a fresh
 	// handshake: the stale three must go; the new session completes and
 	// deletes itself, leaving an empty table.
-	time.Sleep(500 * time.Millisecond)
+	time.Sleep(500 * time.Millisecond) // waits out the 400 ms SessionTTL
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},
 		core.WithContentLength(4))
 	if err != nil {
@@ -72,7 +89,7 @@ func TestResumeTableEvictsByTTL(t *testing.T) {
 	c.CloseWrite()
 	io.Copy(io.Discard, c) // wait for the target to finish the stream
 	c.Close()
-	waitStates(t, l, 0)
+	expectStates(t, l, 0)
 }
 
 func TestStaleEntriesDoNotBlockResumableSessions(t *testing.T) {
@@ -80,24 +97,21 @@ func TestStaleEntriesDoNotBlockResumableSessions(t *testing.T) {
 	// would evict each other one-at-a-time but the table stays full of
 	// zombies; with the sweep, a full table of expired entries clears in
 	// one handshake.
-	addr, l := startTarget(t, func(sc *core.ServerConn) {
-		io.Copy(io.Discard, sc)
-		sc.Close()
-	})
+	addr, l, ended := drainTarget(t)
 	l.MaxSessions = 4
 	l.SessionTTL = 500 * time.Millisecond
 
 	payload := randBytes(10_000, 41)
 	for i := 0; i < 4; i++ {
-		interrupt(t, addr, payload)
+		interrupt(t, addr, ended, payload)
 	}
-	waitStates(t, l, 4)
-	time.Sleep(600 * time.Millisecond)
+	expectStates(t, l, 4)
+	time.Sleep(600 * time.Millisecond) // waits out the 500 ms SessionTTL
 
 	// A new resumable session must get a slot and, after interruption,
 	// still find its own state there (the zombies are gone, not it).
-	id := interrupt(t, addr, payload)
-	waitStates(t, l, 1)
+	id := interrupt(t, addr, ended, payload)
+	expectStates(t, l, 1)
 
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},
 		core.WithDigest(), core.WithContentLength(int64(len(payload))),
@@ -113,14 +127,12 @@ func TestStaleEntriesDoNotBlockResumableSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Completion must delete the entry without waiting for the TTL.
-	waitStates(t, l, 0)
+	sublinkEnded(t, ended)
+	expectStates(t, l, 0)
 }
 
 func TestCompletedSessionDeletesStateImmediately(t *testing.T) {
-	addr, l := startTarget(t, func(sc *core.ServerConn) {
-		io.Copy(io.Discard, sc)
-		sc.Close()
-	})
+	addr, l, _ := drainTarget(t)
 	l.SessionTTL = time.Hour // only the completion-time delete can clear it
 
 	payload := randBytes(50_000, 42)
@@ -131,7 +143,7 @@ func TestCompletedSessionDeletesStateImmediately(t *testing.T) {
 	}
 	c.Write(payload)
 	c.CloseWrite()
-	io.Copy(io.Discard, c)
+	io.Copy(io.Discard, c) // the target deletes the state before it hangs up
 	c.Close()
-	waitStates(t, l, 0)
+	expectStates(t, l, 0)
 }

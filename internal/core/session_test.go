@@ -392,12 +392,11 @@ func TestResumeAfterInterruption(t *testing.T) {
 	payload := randBytes(400_000, 6)
 	// The first (interrupted) sublink legitimately ends with a truncation
 	// error; only a verified completion counts.
-	done := make(chan struct{}, 2)
+	done := make(chan bool, 2)
 	addr, _ := startTarget(t, func(sc *core.ServerConn) {
 		defer sc.Close()
-		if _, err := io.Copy(io.Discard, sc); err == nil && sc.Verified() {
-			done <- struct{}{}
-		}
+		_, err := io.Copy(io.Discard, sc)
+		done <- err == nil && sc.Verified()
 	})
 
 	id := wire.NewSessionID()
@@ -412,9 +411,17 @@ func TestResumeAfterInterruption(t *testing.T) {
 	if _, err := c1.Write(payload[:half]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let bytes land
 	c1.Close()
-	time.Sleep(100 * time.Millisecond)
+	// Once the target has read the dead sublink to its end, every byte
+	// that landed is counted in the offset the resume is offered.
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("the interrupted sublink verified")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the target never saw the sublink die")
+	}
 
 	c2, err := core.Dial(context.Background(), core.Route{Target: addr},
 		core.WithDigest(), core.WithContentLength(int64(len(payload))),
@@ -430,7 +437,10 @@ func TestResumeAfterInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-done:
+	case ok := <-done:
+		if !ok {
+			t.Fatal("the resumed sublink did not verify")
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout waiting for verified resumed completion")
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"lsl/internal/core"
+	"lsl/internal/wire"
 )
 
 func adminGET(t *testing.T, h http.Handler, path string) (int, []byte) {
@@ -83,10 +85,7 @@ func TestAdminEndToEndTransferObservable(t *testing.T) {
 	c.Close()
 
 	// Session teardown is asynchronous to the transfer itself.
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().Completed == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStats(t, d, "the session to complete", func(st Stats) bool { return st.Completed == 1 })
 
 	code, body := adminGET(t, h, "/metrics")
 	if code != http.StatusOK {
@@ -171,26 +170,58 @@ func TestAdminHealthAndPprof(t *testing.T) {
 
 // A live session must be visible in /sessions with in-flight byte counts.
 func TestAdminShowsLiveSession(t *testing.T) {
-	targetAddr, received := rawTarget(t)
+	// The target reports every chunk it reads. The relay credits a chunk
+	// after writing it and before reading the next, so once the target has
+	// read a chunk sent after the first arrived, the first is counted.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	chunks := make(chan int, 16) // more slots than bytes sent: the target never blocks
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		hdr, err := wire.ReadOpenHeader(nc)
+		if err != nil {
+			return
+		}
+		nc.Write((&wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session}).Encode())
+		buf := make([]byte, 64)
+		for {
+			n, err := nc.Read(buf)
+			if err != nil {
+				return
+			}
+			chunks <- n
+		}
+	}()
+	targetAddr := ln.Addr().String()
 	d, depotAddr := runDepot(t, Config{})
 	nc := openThrough(t, depotAddr, targetAddr)
 	defer nc.Close()
-	if _, err := fmt.Fprint(nc, "hello depot"); err != nil {
-		t.Fatal(err)
+	for _, chunk := range []string{"hello", " depot"} {
+		if _, err := fmt.Fprint(nc, chunk); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < len(chunk); {
+			select {
+			case n := <-chunks:
+				got += n
+			case <-time.After(5 * time.Second):
+				t.Fatalf("target never read %q", chunk)
+			}
+		}
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		snap := d.Sessions()
-		if len(snap.Live) == 1 && snap.Live[0].BytesForward > 0 {
-			live := snap.Live[0]
-			if live.Kind != KindRelay || live.NextHop != targetAddr || live.Outcome != "" {
-				t.Fatalf("live session: %+v", live)
-			}
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	snap := d.Sessions()
+	if len(snap.Live) != 1 || snap.Live[0].BytesForward < uint64(len("hello")) {
+		t.Fatalf("live session not visible with its bytes: %+v", snap)
 	}
-	t.Fatalf("live session never visible: %+v", d.Sessions())
-	_ = received
+	if live := snap.Live[0]; live.Kind != KindRelay || live.NextHop != targetAddr || live.Outcome != "" {
+		t.Fatalf("live session: %+v", live)
+	}
 }

@@ -247,14 +247,13 @@ func TestDeliveryResetMidPayloadRetries(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatalf("never redelivered (stats %+v)", d.Stats())
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for d.Stats().StagedDelivered == 0 && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
+			waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered == 1 })
+			// The session is over, so a second delivery would already
+			// have been a third attempt.
 			select {
 			case data := <-got:
 				t.Fatalf("delivered a second time (%d bytes)", len(data))
-			case <-time.After(200 * time.Millisecond):
+			default:
 			}
 			if st := d.Stats(); st.StagedDelivered != 1 || st.StagedDeliveryAttempts != 2 {
 				t.Fatalf("delivered %d in %d attempts, want 1 in 2", st.StagedDelivered, st.StagedDeliveryAttempts)
@@ -323,7 +322,7 @@ func TestDeliveryWedgedTargetAbortsAtStageDeadline(t *testing.T) {
 			t.Cleanup(func() {
 				deadline := time.Now().Add(5 * time.Second)
 				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(10 * time.Millisecond)
+					time.Sleep(10 * time.Millisecond) // no event marks a goroutine's exit: poll the count
 				}
 				if n := runtime.NumGoroutine(); n > before {
 					buf := make([]byte, 1<<20)
@@ -345,10 +344,7 @@ func TestDeliveryWedgedTargetAbortsAtStageDeadline(t *testing.T) {
 			})
 			stageThrough(t, depotAddr, target, payload)
 			<-accepted
-			deadline := time.Now().Add(10 * time.Second)
-			for d.Stats().StagedAborted == 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
+			waitStats(t, d, "the session's end", func(st Stats) bool { return st.StagedAborted+st.Canceled+st.StagedDelivered > 0 })
 			st := d.Stats()
 			if st.StagedAborted != 1 || st.Canceled != 0 || st.StagedDelivered != 0 {
 				t.Fatalf("wedged delivery not abandoned at the stage deadline: %+v", st)

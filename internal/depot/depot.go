@@ -301,7 +301,10 @@ type Depot struct {
 	mu     sync.Mutex
 	ln     net.Listener
 	closed bool
-	wg     sync.WaitGroup
+	// changed is closed and replaced (under mu) by notify, waking every
+	// WaitStats.
+	changed chan struct{}
+	wg      sync.WaitGroup
 }
 
 // New builds a depot with cfg.
@@ -316,6 +319,7 @@ func New(cfg Config) *Depot {
 		cancel:   cancel,
 		reg:      reg,
 		sessions: newSessionRegistry(cfg.RecentSessions, cfg.OnSessionEnd),
+		changed:  make(chan struct{}),
 	}
 	d.accepted = reg.Counter("lsd_sessions_accepted_total",
 		"Sessions admitted and forwarded toward their next hop.")
@@ -435,6 +439,39 @@ func (d *Depot) Stats() Stats {
 		StagedRecovered:        d.stagedRecovered.Value(),
 		CustodyBytes:           d.custodyBytes.Value(),
 	}
+}
+
+// WaitStats blocks until cond holds for a Stats snapshot, or returns
+// ctx.Err() once ctx ends first. cond is checked at once and again each
+// time a session goes live, a staged delivery attempt ends, or a session
+// finishes; byte counters never wake a waiter. A finishing session bumps
+// its outcome counter (Completed, Canceled, Rejected*, StagedDelivered,
+// StagedAborted, StagedShed) as the last effect before the wakeup, so a
+// cond that sees the counter also sees the session's released admission
+// slot and custody budget, its completed journal entry, its ring entry,
+// and the return of Config.OnSessionEnd.
+func (d *Depot) WaitStats(ctx context.Context, cond func(Stats) bool) error {
+	for {
+		d.mu.Lock()
+		changed := d.changed
+		d.mu.Unlock()
+		if cond(d.Stats()) {
+			return nil
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// notify wakes every WaitStats to re-check its condition.
+func (d *Depot) notify() {
+	d.mu.Lock()
+	close(d.changed)
+	d.changed = make(chan struct{})
+	d.mu.Unlock()
 }
 
 // Metrics exposes the depot's metric registry (rendered by the admin
@@ -576,7 +613,7 @@ func (d *Depot) Kill() {
 
 // writeControl writes an accept/reject frame under the control write
 // deadline so a stalled peer cannot pin the handler, counting drops.
-func (d *Depot) writeControl(c netConnLike, f *wire.AcceptFrame) bool {
+func (d *Depot) writeControl(c net.Conn, f *wire.AcceptFrame) bool {
 	c.SetWriteDeadline(time.Now().Add(d.cfg.WriteTimeout))
 	_, err := c.Write(f.Encode())
 	c.SetWriteDeadline(time.Time{})
@@ -594,7 +631,7 @@ func (d *Depot) writeControl(c netConnLike, f *wire.AcceptFrame) bool {
 // the peer the frame it has not read yet. So half-close, then discard
 // what arrives until EOF, one relay buffer's worth, or the write timeout
 // — whichever comes first — and only then close.
-func (d *Depot) reject(nc netConnLike, id wire.SessionID, code uint8) {
+func (d *Depot) reject(nc net.Conn, id wire.SessionID, code uint8) {
 	if d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id}) {
 		halfClose(nc)
 		nc.SetReadDeadline(time.Now().Add(d.cfg.WriteTimeout))
@@ -603,34 +640,41 @@ func (d *Depot) reject(nc netConnLike, id wire.SessionID, code uint8) {
 	nc.Close()
 }
 
-// sessionState names a relay session's position in its lifecycle. The
-// transitions are linear — handshaking → dialing → relaying → done —
-// with every failure jumping straight to done through session.finish.
+// sessionState names a session's position in its lifecycle. A relay
+// runs handshaking → dialing → relaying; a staged session runs
+// handshaking → uploading → delivering. Every session, including one
+// recovered from the custody journal (which starts at delivering), leaves
+// through session.finish into done.
 type sessionState uint8
 
 const (
 	stateHandshaking sessionState = iota
 	stateDialing
 	stateRelaying
+	stateUploading
+	stateDelivering
 	stateDone
 )
 
-// session is one relay session moving through the depot's state machine.
-// It owns both transports and funnels every exit — rejection, completion,
-// cancellation — through the single finish path, so the admission slot,
-// the ring entry, and the per-outcome histograms can never diverge.
+// session is one session moving through the depot's state machine. It
+// owns its transports and the resources it was admitted with (an
+// admission slot for a relay, custody budget for a staged session) and
+// funnels every exit — rejection, completion, delivery, abandonment,
+// cancellation — through the single finish path, so resources, the ring
+// entry, the histograms and the counters can never diverge.
 type session struct {
 	d     *Depot
 	up    net.Conn
 	down  net.Conn
 	hdr   *wire.OpenHeader
+	next  string // the hop after this depot, once the header is read
 	peer  string
 	start time.Time
 	state sessionState
 
-	admitted bool
+	admitted bool  // holds an admission slot
+	custody  int64 // custody budget bytes held
 	ls       *liveSession
-	canceled atomic.Bool
 }
 
 // handle is the depot's one accept dispatch, for raw connections (raw)
@@ -651,7 +695,7 @@ func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
 	switch {
 	case err != nil:
 		d.logf("depot: no magic from %v: %v", s.peer, err)
-		s.fail(d.rejectedProto, OutcomeRejectedProto, 0)
+		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
 	case raw && d.cfg.Mux && wire.IsMuxMagic(head):
 		d.serveLink(ctx, &prefixConn{Conn: nc, prefix: head})
 	case d.cfg.OnGossip != nil && wire.IsGossipMagic(head):
@@ -738,12 +782,11 @@ func (p *prefixConn) Read(b []byte) (int, error) {
 }
 
 func (s *session) run(ctx context.Context, head []byte) {
-	d := s.d
 	if !s.handshake(head) {
 		return
 	}
 	if s.hdr.Flags&wire.FlagStaged != 0 {
-		d.handleStaged(ctx, s.up, s.hdr)
+		s.stage(ctx)
 		return
 	}
 	if !s.admit() || !s.dial(ctx) {
@@ -759,15 +802,16 @@ func (s *session) handshake(head []byte) bool {
 	hdr, err := wire.FinishOpenHeader(head, s.up)
 	if err != nil {
 		d.logf("depot: bad header from %v: %v", s.peer, err)
-		s.fail(d.rejectedProto, OutcomeRejectedProto, 0)
+		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
 		return false
 	}
 	s.up.SetReadDeadline(time.Time{})
 	s.hdr = hdr
+	s.next, _ = hdr.NextHop()
 	if hdr.Final() {
 		// We are the last hop in the route but run as a depot, not a
 		// target: the initiator misrouted.
-		s.fail(d.rejectedRoute, OutcomeRejectedRoute, wire.CodeRejectRoute)
+		s.finish(d.rejectedRoute, OutcomeRejectedRoute, wire.CodeRejectRoute)
 		return false
 	}
 	return true
@@ -781,7 +825,7 @@ func (s *session) admit() bool {
 	if d.active.Add(1) > int64(d.cfg.MaxSessions) {
 		d.active.Dec()
 		d.logf("depot: session %s rejected: busy", s.hdr.Session)
-		s.fail(d.rejectedBusy, OutcomeRejectedBusy, wire.CodeRejectBusy)
+		s.finish(d.rejectedBusy, OutcomeRejectedBusy, wire.CodeRejectBusy)
 		return false
 	}
 	s.admitted = true
@@ -793,21 +837,21 @@ func (s *session) admit() bool {
 func (s *session) dial(ctx context.Context) bool {
 	d := s.d
 	s.state = stateDialing
-	next, _ := s.hdr.NextHop()
+	next := s.next
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
 	down, err := d.dialNext(dctx, next)
 	cancel()
 	if err != nil {
 		d.nextHopDialFail.With(next).Inc()
 		d.logf("depot: session %s next hop %s unreachable: %v", s.hdr.Session, next, err)
-		s.fail(d.rejectedRoute, OutcomeDialFailed, wire.CodeRejectRoute)
+		s.finish(d.rejectedRoute, OutcomeDialFailed, wire.CodeRejectRoute)
 		return false
 	}
 	s.down = down
 	s.hdr.HopIndex++
 	enc, err := s.hdr.Encode()
 	if err != nil {
-		s.fail(d.rejectedProto, OutcomeRejectedProto, wire.CodeRejectProto)
+		s.finish(d.rejectedProto, OutcomeRejectedProto, wire.CodeRejectProto)
 		return false
 	}
 	// Forward the header under the control write deadline: a next hop
@@ -818,30 +862,26 @@ func (s *session) dial(ctx context.Context) bool {
 	down.SetWriteDeadline(time.Time{})
 	if err != nil {
 		d.logf("depot: session %s header forward to %s failed: %v", s.hdr.Session, next, err)
-		s.fail(d.rejectedRoute, OutcomeRejectedRoute, wire.CodeRejectRoute)
+		s.finish(d.rejectedRoute, OutcomeRejectedRoute, wire.CodeRejectRoute)
 		return false
 	}
 	d.accepted.Inc()
-	s.ls = d.sessions.add(SessionInfo{
-		ID:       s.hdr.Session.String(),
-		Kind:     KindRelay,
-		Peer:     s.peer,
-		NextHop:  next,
-		Hop:      int(s.hdr.HopIndex),
-		RouteLen: len(s.hdr.Route),
-		Started:  s.start,
-	})
+	s.ls = d.sessions.add(s.info())
+	d.notify()
 	d.logf("depot: session %s %v -> %s (hop %d/%d)", s.hdr.Session, s.up.RemoteAddr(), next, s.hdr.HopIndex, len(s.hdr.Route))
 	return true
 }
 
 // relay pumps both directions through the pooled data plane until both
-// sides drain or the root context cancels the session. A watchdog closes
-// the transports on cancellation so pumps blocked in Read unwind.
+// sides drain or the root context cancels the session, which closes the
+// transports so pumps blocked in Read unwind.
 func (s *session) relay(ctx context.Context) {
 	d := s.d
 	s.state = stateRelaying
-	unwatch := s.watchCancel(ctx)
+	stop := context.AfterFunc(ctx, func() {
+		s.up.Close()
+		s.down.Close()
+	})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -855,32 +895,15 @@ func (s *session) relay(ctx context.Context) {
 		halfClose(s.up)
 	}()
 	wg.Wait()
-	unwatch()
-	if s.canceled.Load() {
-		d.canceled.Inc()
-		s.finish(OutcomeCanceled, 0)
+	canceled := !stop()
+	d.sessionBytes.Observe(float64(s.ls.bytesFwd.Load() + s.ls.bytesBck.Load()))
+	if canceled {
+		s.finish(d.canceled, OutcomeCanceled, 0)
 		d.logf("depot: session %s canceled by shutdown", s.hdr.Session)
 		return
 	}
-	d.completed.Inc()
-	s.finish(OutcomeCompleted, 0)
+	s.finish(d.completed, OutcomeCompleted, 0)
 	d.logf("depot: session %s done in %v", s.hdr.Session, time.Since(s.start).Round(time.Millisecond))
-}
-
-// watchCancel tears both transports down when ctx fires so blocked reads
-// and writes unwind promptly; the returned stop function ends the watch.
-func (s *session) watchCancel(ctx context.Context) func() {
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.canceled.Store(true)
-			s.up.Close()
-			s.down.Close()
-		case <-stop:
-		}
-	}()
-	return func() { close(stop) }
 }
 
 // pump moves one direction through the shared data plane, crediting the
@@ -896,65 +919,74 @@ func (s *session) pump(ctx context.Context, dst io.Writer, src io.Reader, live *
 	return n
 }
 
-// fail bumps the rejection counter, emits the reject frame (code 0 means
-// none — the peer never completed a handshake), and retires the session.
-func (s *session) fail(counter *metrics.Counter, outcome string, code uint8) {
-	counter.Inc()
-	s.finish(outcome, code)
-}
-
-// finish is the single exit path for every session state: it releases the
-// admission slot, records the ring entry plus the per-outcome duration
-// histogram (and the session-bytes histogram once the session went live),
-// and closes both transports — upstream last and, when asked for a reject
-// frame, through the lingering reject, which must neither hold the slot
-// nor stretch the recorded duration.
-func (s *session) finish(outcome string, code uint8) {
+// finish is the single exit of every session, in every state. In order,
+// it closes the downstream transport; completes the custody journal entry
+// of a delivered or abandoned staged session (a canceled one keeps its
+// entry: that is what the next process recovers); releases the custody
+// budget and the admission slot; records the per-outcome duration
+// histogram and the ring entry; runs OnSessionEnd; bumps counter (nil for
+// none); and wakes WaitStats. Because the counter is the last write
+// before the wakeup, a waiter that sees it sees every other effect of the
+// session. The upstream transport goes last — through the lingering
+// reject frame when code != 0 — so whatever the peer sees of the end
+// follows every record of it, and a linger neither holds resources nor
+// stretches the recorded duration.
+func (s *session) finish(counter *metrics.Counter, outcome string, code uint8) {
 	if s.state == stateDone {
 		return
 	}
+	delivering := s.state == stateDelivering
 	s.state = stateDone
 	d := s.d
 	if s.down != nil {
 		s.down.Close()
 	}
+	if delivering && outcome != OutcomeCanceled {
+		d.completeCustody(s.hdr.Session, outcome == OutcomeStagedDeliver)
+	}
+	d.custodyBytes.Add(-s.custody)
 	if s.admitted {
 		d.active.Dec()
-		s.admitted = false
 	}
 	dur := time.Since(s.start)
+	d.sessionDur.With(outcome).Observe(dur.Seconds())
 	if s.ls != nil {
-		d.sessionBytes.Observe(float64(s.ls.bytesFwd.Load() + s.ls.bytesBck.Load()))
-		d.sessions.finish(s.ls, outcome, dur)
+		d.sessions.finish(s.ls, outcome, dur) // ring entry, then OnSessionEnd
 	} else {
-		info := SessionInfo{
-			Kind:            KindRelay,
-			Peer:            s.peer,
-			Started:         s.start,
-			Outcome:         outcome,
-			DurationSeconds: dur.Seconds(),
-		}
-		if s.hdr != nil {
-			info.ID = s.hdr.Session.String()
-			info.Hop = int(s.hdr.HopIndex)
-			info.RouteLen = len(s.hdr.Route)
-			// A session that died before going live (typically a failed
-			// next-hop dial) still names the hop it was bound for: the
-			// logistics hook poisons that edge's loss forecast, and
-			// without the address here a dead next hop would never be
-			// fed back into planning.
-			if next, ok := s.hdr.NextHop(); ok {
-				info.NextHop = next
-			}
-		}
+		info := s.info()
+		info.Outcome = outcome
+		info.DurationSeconds = dur.Seconds()
 		d.sessions.record(info)
 	}
-	d.sessionDur.With(outcome).Observe(dur.Seconds())
+	if counter != nil {
+		counter.Inc()
+	}
+	d.notify()
 	if code != 0 {
 		d.reject(s.up, s.hdr.Session, code)
-	} else {
+	} else if s.up != nil {
 		s.up.Close()
 	}
+}
+
+// info is the registry record of the session as far as it has got. A
+// session that dies before going live (typically a failed next-hop dial)
+// still names the hop it was bound for: the logistics hook poisons that
+// edge's loss forecast, and without the address a dead next hop would
+// never be fed back into planning.
+func (s *session) info() SessionInfo {
+	info := SessionInfo{Kind: KindRelay, Peer: s.peer, Started: s.start}
+	if s.hdr == nil {
+		return info
+	}
+	if s.hdr.Flags&wire.FlagStaged != 0 {
+		info.Kind = KindStaged
+	}
+	info.ID = s.hdr.Session.String()
+	info.NextHop = s.next
+	info.Hop = int(s.hdr.HopIndex)
+	info.RouteLen = len(s.hdr.Route)
+	return info
 }
 
 // remoteAddr names a peer for session records (nil-safe).
@@ -966,7 +998,7 @@ func remoteAddr(c net.Conn) string {
 }
 
 // halfClose propagates EOF without tearing down the reverse direction.
-func halfClose(c netConnLike) {
+func halfClose(c net.Conn) {
 	type closeWriter interface{ CloseWrite() error }
 	if cw, ok := c.(closeWriter); ok {
 		cw.CloseWrite()

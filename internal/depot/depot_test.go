@@ -51,6 +51,17 @@ func runDepot(t *testing.T, cfg Config) (*Depot, string) {
 	return d, ln.Addr().String()
 }
 
+// waitStats blocks until cond holds for d's counters, failing the test
+// with what after 10 s.
+func waitStats(t *testing.T, d *Depot, what string, cond func(Stats) bool) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.WaitStats(ctx, cond); err != nil {
+		t.Fatalf("waiting for %s: %v (stats %+v)", what, err, d.Stats())
+	}
+}
+
 func openThrough(t *testing.T, depotAddr, targetAddr string) net.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", depotAddr)
@@ -189,17 +200,10 @@ func TestDepotDialFailureRejects(t *testing.T) {
 		t.Fatalf("dial failures = %d, want 1", d.Stats().DialFailures)
 	}
 	// The session ring distinguishes a dead next hop from a malformed
-	// route even though both reject with the same wire code.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		recent := d.Sessions().Recent
-		if len(recent) == 1 && recent[0].Outcome == OutcomeDialFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ring outcome never became %q: %+v", OutcomeDialFailed, recent)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// route even though both reject with the same wire code. The ring
+	// entry is written before the reject frame the test just read.
+	if recent := d.Sessions().Recent; len(recent) != 1 || recent[0].Outcome != OutcomeDialFailed {
+		t.Fatalf("ring outcome is not %q: %+v", OutcomeDialFailed, recent)
 	}
 }
 
@@ -230,9 +234,20 @@ func TestDepotCloseUnblocksServe(t *testing.T) {
 	d := New(Config{})
 	served := make(chan error, 1)
 	go func() { served <- d.Serve(ln) }()
-	time.Sleep(50 * time.Millisecond)
-	if d.Addr() == nil {
-		t.Fatal("no addr after serve")
+	// A refused probe proves the accept loop runs, so Close cannot beat
+	// Serve to the listener.
+	probe, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Write([]byte("junk"))
+	probe.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := probe.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("probe read %v, want the refusal's EOF", err)
+	}
+	probe.Close()
+	if a := d.Addr(); a == nil || a.String() != ln.Addr().String() {
+		t.Fatalf("Addr() = %v, want %v", a, ln.Addr())
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

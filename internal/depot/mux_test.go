@@ -111,8 +111,8 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 	}
 
 	// Registry recorded the muxed sessions with normal outcomes. Session
-	// teardown at the depot (counter, then ring entry) trails the client's
-	// confirm drain.
+	// teardown at the depot trails the client's confirm drain; the ring
+	// entry is written before the counter.
 	ringCompleted := func() int {
 		n := 0
 		for _, s := range d1.Sessions().Recent {
@@ -122,10 +122,7 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 		}
 		return n
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ringCompleted() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStats(t, d1, "two completions", func(st Stats) bool { return st.Completed >= 2 })
 	if n := ringCompleted(); n != 2 {
 		t.Errorf("depot1 ring has %d completed sessions, want 2", n)
 	}
@@ -181,10 +178,7 @@ func TestMixedFleetInterop(t *testing.T) {
 		t.Fatalf("client holds %d trunks to a classic depot, want 0", pool.Links())
 	}
 	// Session teardown at the depot trails the client's confirm drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for d1.Stats().Completed < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStats(t, d1, "two completions", func(st Stats) bool { return st.Completed >= 2 })
 	if gotN := d1.Stats().Completed; gotN != 2 {
 		t.Fatalf("classic depot completed %d sessions, want 2", gotN)
 	}

@@ -153,10 +153,7 @@ func TestAdmissionControlConcurrent(t *testing.T) {
 		v.(net.Conn).Close()
 		return true
 	})
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Stats().Active != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStats(t, d, "the admitted sessions to complete", func(st Stats) bool { return st.Completed >= maxSessions })
 	st = d.Stats()
 	if st.Active != 0 {
 		t.Fatalf("sessions never drained: %+v", st)

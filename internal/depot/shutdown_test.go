@@ -85,10 +85,7 @@ func TestDepotCloseCancelsInFlightSessions(t *testing.T) {
 	c.Write(payload)
 	c.CloseWrite()
 	c.Close()
-	waitFor := time.Now().Add(5 * time.Second)
-	for d.Stats().Staged == 0 && time.Now().Before(waitFor) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStats(t, d, "custody", func(st Stats) bool { return st.Staged > 0 })
 	if d.Stats().Staged != 1 {
 		t.Fatalf("staged session never took custody: %+v", d.Stats())
 	}

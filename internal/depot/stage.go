@@ -98,37 +98,17 @@ func (s journalSource) Open() (io.ReadSeekCloser, error) {
 	return f, nil
 }
 
-// handleStaged runs the custody path for a staged session: admit against
-// both stage budgets, read the whole stream (durably when journaled),
-// confirm custody, deliver in the background. The session stays in the
-// live registry until delivery succeeds, is abandoned, or is cancelled by
+// stage runs the custody path for a staged session: admit against both
+// stage budgets, read the whole stream (durably when journaled), confirm
+// custody, deliver in the background. The session stays in the live
+// registry until delivery succeeds, is abandoned, or is cancelled by
 // shutdown.
-func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.OpenHeader) {
-	defer up.Close()
-	start := time.Now()
-	info := SessionInfo{
-		ID:       hdr.Session.String(),
-		Kind:     KindStaged,
-		Peer:     stagedPeer(up),
-		Hop:      int(hdr.HopIndex),
-		RouteLen: len(hdr.Route),
-		Started:  start,
-	}
-	if next, ok := hdr.NextHop(); ok {
-		info.NextHop = next
-	}
-	fail := func(outcome string) {
-		info.Outcome = outcome
-		info.DurationSeconds = time.Since(start).Seconds()
-		d.sessions.record(info)
-		d.sessionDur.With(outcome).Observe(info.DurationSeconds)
-	}
-
+func (s *session) stage(ctx context.Context) {
+	d, hdr := s.d, s.hdr
+	s.state = stateUploading
 	if hdr.ContentLen == wire.UnknownLength {
-		d.rejectedProto.Inc()
 		d.logf("depot: staged session %s needs a content length", hdr.Session)
-		fail(OutcomeRejectedProto)
-		d.reject(up, hdr.Session, wire.CodeRejectProto)
+		s.finish(d.rejectedProto, OutcomeRejectedProto, wire.CodeRejectProto)
 		return
 	}
 	total := int64(hdr.ContentLen)
@@ -136,10 +116,8 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 		total += wire.DigestLen
 	}
 	if total > d.cfg.MaxStageBytes {
-		d.rejectedBusy.Inc()
 		d.logf("depot: staged session %s too large (%d > %d)", hdr.Session, total, d.cfg.MaxStageBytes)
-		fail(OutcomeRejectedBusy)
-		d.reject(up, hdr.Session, wire.CodeRejectBusy)
+		s.finish(d.rejectedBusy, OutcomeRejectedBusy, wire.CodeRejectBusy)
 		return
 	}
 	// Global custody budget: reserve atomically (add, then check) so
@@ -148,35 +126,29 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 	// OOM. The gauge doubles as the live custody-bytes accounting.
 	if d.custodyBytes.Add(total) > d.cfg.MaxTotalStageBytes {
 		d.custodyBytes.Add(-total)
-		d.stageShed.Inc()
 		d.logf("depot: staged session %s shed: custody budget exhausted (%d in custody, limit %d)",
 			hdr.Session, d.custodyBytes.Value(), d.cfg.MaxTotalStageBytes)
-		fail(OutcomeStagedShed)
-		d.reject(up, hdr.Session, wire.CodeRejectShed)
+		s.finish(d.stageShed, OutcomeStagedShed, wire.CodeRejectShed)
 		return
 	}
-	release := func() { d.custodyBytes.Add(-total) }
+	s.custody = total
 
 	// Custody accept: the depot acknowledges admission before the payload
 	// flows; durability is confirmed separately by the CodeCustody frame
 	// once the payload is staged.
-	if !d.writeControl(up, &wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session}) {
-		release()
-		fail(OutcomeStagedUpFailed)
+	if !d.writeControl(s.up, &wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session}) {
+		s.finish(nil, OutcomeStagedUpFailed, 0)
 		return
 	}
-
-	src, err := d.stagePayload(ctx, up, hdr, total)
+	src, err := d.stagePayload(ctx, s.up, hdr, total)
 	if err != nil {
-		release()
 		if ctx.Err() != nil {
-			d.canceled.Inc()
 			d.logf("depot: staged session %s upload canceled by shutdown", hdr.Session)
-			fail(OutcomeCanceled)
+			s.finish(d.canceled, OutcomeCanceled, 0)
 			return
 		}
 		d.logf("depot: staged session %s upload failed: %v", hdr.Session, err)
-		fail(OutcomeStagedUpFailed)
+		s.finish(nil, OutcomeStagedUpFailed, 0)
 		return
 	}
 	d.staged.Inc()
@@ -185,21 +157,20 @@ func (d *Depot) handleStaged(ctx context.Context, up netConnLike, hdr *wire.Open
 	// journaled) — tell the initiator it may hang up and discard its
 	// copy. An initiator that already hung up just costs a logged write
 	// failure; custody proceeds regardless.
-	d.writeControl(up, &wire.AcceptFrame{Code: wire.CodeCustody, Session: hdr.Session})
+	d.writeControl(s.up, &wire.AcceptFrame{Code: wire.CodeCustody, Session: hdr.Session})
 	d.logf("depot: staged session %s in custody (%d bytes), delivering to %v",
 		hdr.Session, total, hdr.RemainingHops()[1:])
-
-	ls := d.sessions.add(info)
-	ls.bytesFwd.Add(uint64(total))
-	d.spawnDelivery(ctx, hdr, src, ls, start, release)
+	s.up.Close()
+	s.up = nil
+	s.deliver(ctx, src)
 }
 
 // stagePayload reads the complete custody payload from the initiator:
 // into the write-ahead journal's spill file (committed before return)
 // when one is configured, into process memory otherwise.
-func (d *Depot) stagePayload(ctx context.Context, up netConnLike, hdr *wire.OpenHeader, total int64) (payloadSource, error) {
-	unwatch := closeOnDone(ctx, up)
-	defer unwatch()
+func (d *Depot) stagePayload(ctx context.Context, up net.Conn, hdr *wire.OpenHeader, total int64) (payloadSource, error) {
+	stop := context.AfterFunc(ctx, func() { up.Close() })
+	defer stop()
 	if d.cfg.Custody == nil {
 		buf := make([]byte, total)
 		if _, err := io.ReadFull(up, buf); err != nil {
@@ -234,33 +205,32 @@ func (d *Depot) stagePayload(ctx context.Context, up netConnLike, hdr *wire.Open
 	return journalSource{j: d.cfg.Custody, id: hdr.Session}, nil
 }
 
-// spawnDelivery runs the asynchronous redelivery loop for one custody
-// session on its own goroutine and owns its terminal accounting: journal
-// compaction on delivery/abort, journal retention on shutdown
-// cancellation (that entry is precisely what the next process recovers),
-// and the custody-budget release either way.
-func (d *Depot) spawnDelivery(ctx context.Context, hdr *wire.OpenHeader, src payloadSource, ls *liveSession, start time.Time, release func()) {
+// deliver enters a custody session into the live registry and runs its
+// redelivery loop on a goroutine of its own, so the upload's handler (a
+// trunk stream's among them) returns once custody is committed. The loop
+// ends the session through finish, which settles the journal entry and
+// the custody budget.
+func (s *session) deliver(ctx context.Context, src payloadSource) {
+	d := s.d
+	s.state = stateDelivering
+	s.ls = d.sessions.add(s.info())
+	s.ls.bytesFwd.Add(uint64(s.custody))
+	d.notify()
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		defer release()
-		if err := d.deliverStaged(ctx, hdr, src); err != nil {
-			if ctx.Err() != nil {
-				d.canceled.Inc()
-				d.finishStaged(ls, OutcomeCanceled, start)
-				d.logf("depot: staged session %s canceled by shutdown: %v", hdr.Session, err)
-				return
-			}
-			d.completeCustody(hdr.Session, false)
-			d.stagedAborted.Inc()
-			d.finishStaged(ls, OutcomeStagedAborted, start)
-			d.logf("depot: staged session %s abandoned: %v", hdr.Session, err)
-			return
+		err := d.deliverStaged(ctx, s.hdr, src)
+		switch {
+		case err == nil:
+			s.finish(d.stagedDelivered, OutcomeStagedDeliver, 0)
+			d.logf("depot: staged session %s delivered", s.hdr.Session)
+		case ctx.Err() != nil:
+			s.finish(d.canceled, OutcomeCanceled, 0)
+			d.logf("depot: staged session %s canceled by shutdown: %v", s.hdr.Session, err)
+		default:
+			s.finish(d.stagedAborted, OutcomeStagedAborted, 0)
+			d.logf("depot: staged session %s abandoned: %v", s.hdr.Session, err)
 		}
-		d.completeCustody(hdr.Session, true)
-		d.stagedDelivered.Inc()
-		d.finishStaged(ls, OutcomeStagedDeliver, start)
-		d.logf("depot: staged session %s delivered", hdr.Session)
 	}()
 }
 
@@ -293,42 +263,13 @@ func (d *Depot) recoverCustody() {
 			ContentLen: e.ContentLen,
 			Offset:     e.Offset,
 		}
-		info := SessionInfo{
-			ID:       hdr.Session.String(),
-			Kind:     KindStaged,
-			Peer:     "recovered",
-			Hop:      int(hdr.HopIndex),
-			RouteLen: len(hdr.Route),
-			Started:  time.Now(),
-		}
-		if next, ok := hdr.NextHop(); ok {
-			info.NextHop = next
-		}
-		total := e.Total
-		d.custodyBytes.Add(total)
+		s := &session{d: d, hdr: hdr, peer: "recovered", start: time.Now(), custody: e.Total}
+		s.next, _ = hdr.NextHop()
+		d.custodyBytes.Add(e.Total)
 		d.stagedRecovered.Inc()
-		ls := d.sessions.add(info)
-		ls.bytesFwd.Add(uint64(total))
-		d.logf("depot: recovered staged session %s from custody journal (%d bytes)", hdr.Session, total)
-		d.spawnDelivery(d.root, hdr, journalSource{j: d.cfg.Custody, id: hdr.Session}, ls,
-			info.Started, func() { d.custodyBytes.Add(-total) })
+		d.logf("depot: recovered staged session %s from custody journal (%d bytes)", hdr.Session, e.Total)
+		s.deliver(d.root, journalSource{j: d.cfg.Custody, id: hdr.Session})
 	}
-}
-
-// finishStaged retires a staged session's registry entry and observes its
-// end-to-end custody duration.
-func (d *Depot) finishStaged(ls *liveSession, outcome string, start time.Time) {
-	dur := time.Since(start)
-	d.sessions.finish(ls, outcome, dur)
-	d.sessionDur.With(outcome).Observe(dur.Seconds())
-}
-
-// stagedPeer names the uploading peer when the transport exposes one.
-func stagedPeer(c netConnLike) string {
-	if ra, ok := c.(interface{ RemoteAddr() net.Addr }); ok && ra.RemoteAddr() != nil {
-		return ra.RemoteAddr().String()
-	}
-	return ""
 }
 
 // deliverStaged pushes a custody payload over the remaining route,
@@ -351,6 +292,7 @@ func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src pay
 	for attempt := 1; ; attempt++ {
 		d.stagedAttempts.Inc()
 		err := d.attemptDelivery(sctx, next, &fwd, src)
+		d.notify()
 		if err == nil {
 			return nil
 		}
@@ -397,8 +339,8 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 		d.nextHopDialFail.With(next).Inc()
 		return err
 	}
-	unwatch := closeOnDone(ctx, down)
-	defer unwatch()
+	stop := context.AfterFunc(ctx, func() { down.Close() })
+	defer stop()
 	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.HandshakeTimeout)}
 	if fwd.Flags&wire.FlagResume == 0 {
 		opts = append(opts, core.WithEager()) // a fresh session starts at offset 0
@@ -428,27 +370,4 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 		return fmt.Errorf("confirm drain: %w", err)
 	}
 	return nil
-}
-
-// closeOnDone closes c when ctx fires so a blocked read unwinds; the
-// returned stop function ends the watch.
-func closeOnDone(ctx context.Context, c io.Closer) func() {
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			c.Close()
-		case <-stop:
-		}
-	}()
-	return func() { close(stop) }
-}
-
-// netConnLike is the subset of net.Conn the staged path needs (eases
-// testing and matches the relay code).
-type netConnLike interface {
-	io.ReadWriteCloser
-	SetReadDeadline(time.Time) error
-	SetWriteDeadline(time.Time) error
-	Write(p []byte) (int, error)
 }

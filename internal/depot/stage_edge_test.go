@@ -75,10 +75,7 @@ func TestStagedMaxStageBytesBoundary(t *testing.T) {
 	}
 	// The delivery is counted after the target's confirm, which can trail
 	// the target's read of the payload.
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().StagedDelivered == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered > 0 })
 	if st := d.Stats(); st.StagedDelivered != 1 {
 		t.Fatalf("stats after boundary probe: %+v", st)
 	}
@@ -131,10 +128,7 @@ func TestStagedZeroByteSession(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().StagedDelivered == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered > 0 })
 	if st := d.Stats(); st.StagedDelivered != 1 || st.CustodyBytes != 0 {
 		t.Fatalf("stats after zero-byte delivery: %+v", st)
 	}
@@ -169,10 +163,7 @@ func TestStagedRedeliveryRacesClose(t *testing.T) {
 
 	// Close mid-retry: the short drain expires while the delivery loop is
 	// live, forcing the cancel path to race the backoff/dial machinery.
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().StagedDeliveryAttempts == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStats(t, d, "a delivery attempt", func(st Stats) bool { return st.StagedDeliveryAttempts > 0 })
 	d.Close()
 
 	st := d.Stats()

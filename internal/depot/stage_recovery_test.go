@@ -105,10 +105,7 @@ func TestStagedCrashRecoveryDeliversAckedPayloads(t *testing.T) {
 	defer ghost.Close()
 
 	// Let redelivery fail at least once so the crash lands mid-retry.
-	deadline := time.Now().Add(10 * time.Second)
-	for d1.Stats().StagedDeliveryAttempts < 3 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitStats(t, d1, "three delivery attempts", func(st Stats) bool { return st.StagedDeliveryAttempts >= 3 })
 	if got := d1.Stats().StagedDeliveryAttempts; got < 3 {
 		t.Fatalf("only %d delivery attempts before crash", got)
 	}
@@ -318,10 +315,7 @@ func TestStagedBudgetReleasesAfterDelivery(t *testing.T) {
 			t.Fatalf("round %d timeout", i)
 		}
 		target.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		for d.Stats().CustodyBytes != 0 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered == uint64(i+1) })
 		if got := d.Stats().CustodyBytes; got != 0 {
 			t.Fatalf("round %d: CustodyBytes=%d not released", i, got)
 		}
@@ -378,12 +372,74 @@ func TestStagedJournalDeliveryOnline(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for j.Live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered > 0 })
 	// Delivered sessions compact out of the journal and the state dir.
 	if j.Live() != 0 || j.LiveBytes() != 0 {
 		t.Fatalf("journal still holds %d sessions / %d bytes after delivery", j.Live(), j.LiveBytes())
+	}
+}
+
+// OnSessionEnd runs after a staged session's custody is settled. A
+// delivered journaled session has left the journal and released its
+// budget; a session canceled by shutdown has released its budget too but
+// keeps its journal entry, which is what the next process recovers.
+func TestStagedSessionEndSeesCustodySettled(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		outcome string
+		live    int
+	}{
+		{"delivered", OutcomeStagedDeliver, 0},
+		{"canceled", OutcomeCanceled, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := custody.Open(t.TempDir(), custody.Config{Fsync: custody.FsyncNever, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			type ending struct {
+				outcome string
+				custody int64
+				live    int
+			}
+			ended := make(chan ending, 1)
+			var d *Depot
+			d = New(Config{
+				Custody:            j,
+				StageRetryInterval: 20 * time.Millisecond,
+				DialTimeout:        300 * time.Millisecond,
+				DrainTimeout:       100 * time.Millisecond,
+				RetryJitterSeed:    42,
+				OnSessionEnd: func(info SessionInfo) {
+					ended <- ending{info.Outcome, d.Stats().CustodyBytes, j.Live()}
+				},
+			})
+			defer d.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go d.Serve(ln)
+
+			targetAddr := reserveAddr(t) // offline: the session stays in custody
+			if tc.outcome == OutcomeStagedDeliver {
+				targetAddr, _ = startTarget(t)
+			}
+			stageThrough(t, ln.Addr().String(), targetAddr, bytes.Repeat([]byte("settled"), 1000))
+			if tc.outcome == OutcomeCanceled {
+				waitStats(t, d, "a failed attempt", func(st Stats) bool { return st.DialFailures > 0 })
+				d.Close()
+			}
+			select {
+			case e := <-ended:
+				if e.outcome != tc.outcome || e.custody != 0 || e.live != tc.live {
+					t.Fatalf("OnSessionEnd saw outcome %s, custody bytes %d, journal entries %d; want %s, 0, %d",
+						e.outcome, e.custody, e.live, tc.outcome, tc.live)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("session never ended (stats %+v)", d.Stats())
+			}
+		})
 	}
 }

@@ -61,10 +61,7 @@ func TestStagedDeliveryWhileTargetOnline(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().StagedDelivered == 0 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered > 0 })
 	st := d.Stats()
 	if st.Staged != 1 || st.StagedDelivered != 1 {
 		t.Fatalf("stats: %+v", st)
@@ -98,7 +95,7 @@ func TestStagedDeliveryToLateReceiver(t *testing.T) {
 	c.Close() // sender is gone before the receiver ever existed
 
 	// Let the depot fail at least one attempt, then bring the target up.
-	time.Sleep(300 * time.Millisecond)
+	waitStats(t, d, "a failed attempt", func(st Stats) bool { return st.DialFailures > 0 })
 	ln, err := net.Listen("tcp", targetAddr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", targetAddr, err)
@@ -199,10 +196,7 @@ func TestStagedAbandonedAfterDeadline(t *testing.T) {
 	c.Write(payload)
 	c.CloseWrite()
 	c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Stats().StagedAborted == 0 && time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
-	}
+	waitStats(t, d, "the session's end", func(st Stats) bool { return st.StagedAborted+st.StagedDelivered+st.Canceled > 0 })
 	if d.Stats().StagedAborted != 1 {
 		t.Fatalf("stats: %+v", d.Stats())
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/md5"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -49,23 +50,29 @@ func newPlanner(t *testing.T, self route.NodeID) *logistics.Planner {
 
 // serveGossip runs a bare accept loop that hands every connection to g,
 // standing in for the depot's LSLG dispatch.
-func serveGossip(t *testing.T, g *gossip.Gossiper) string {
+// serveGossip accepts gossip exchanges for g on loopback and reports on
+// served each time ServeConn returns, its merge done.
+func serveGossip(t *testing.T, g *gossip.Gossiper) (addr string, served chan struct{}) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	served = make(chan struct{}, 16) // more than any test's exchanges: the acceptor never blocks
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go g.ServeConn(c)
+			go func() {
+				g.ServeConn(c)
+				served <- struct{}{}
+			}()
 		}
 	}()
-	return ln.Addr().String()
+	return ln.Addr().String(), served
 }
 
 func TestNewValidates(t *testing.T) {
@@ -101,7 +108,7 @@ func TestExchangeMovesObservationsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrA := serveGossip(t, gA)
+	addrA, servedA := serveGossip(t, gA)
 	gB, err := gossip.New(gossip.Config{Planner: plB, Peers: []string{addrA}, Metrics: metB, Seed: 2, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +125,11 @@ func TestExchangeMovesObservationsBothWays(t *testing.T) {
 	}
 	// Acceptor side: depB's bandwidth observation arrived via the
 	// reverse delta (ServeConn merges asynchronously from RunRound's
-	// perspective — it finishes when the conn closes, so poll briefly).
-	deadline := time.Now().Add(2 * time.Second)
-	for plA.RemoteObsCount() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// perspective — it finishes when the conn closes).
+	select {
+	case <-servedA:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the acceptor never finished the exchange")
 	}
 	if n := plA.RemoteObsCount(); n != 1 {
 		t.Fatalf("acceptor holds %d remote observations, want 1", n)
@@ -270,12 +278,18 @@ func TestGossipRidesMuxTrunks(t *testing.T) {
 
 // Run gossips until canceled and stops promptly.
 func TestRunStopsOnCancel(t *testing.T) {
+	dialed := make(chan struct{})
+	once := sync.OnceFunc(func() { close(dialed) })
 	g, err := gossip.New(gossip.Config{
 		Planner:  newPlanner(t, "depA"),
 		Peers:    []string{"127.0.0.1:1"},
 		Interval: 10 * time.Millisecond,
 		Backoff:  backoff.Policy{Base: time.Hour, Max: time.Hour},
 		Seed:     1,
+		Dial: func(context.Context, string) (net.Conn, error) {
+			once()
+			return nil, errors.New("unreachable")
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +297,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { g.Run(ctx); close(done) }()
-	time.Sleep(50 * time.Millisecond)
+	<-dialed // a round ran
 	cancel()
 	select {
 	case <-done:
@@ -434,7 +448,7 @@ func TestGossipConvergenceAcceptance(t *testing.T) {
 			}
 		}
 	}
-	depAAddr, _ := startDepot(t, depot.Config{
+	depAAddr, depA := startDepot(t, depot.Config{
 		Dial:         fn.DialContext,
 		OnSessionEnd: plA.DepotHook(),
 		OnGossip:     onGossip(&gossiperA),
@@ -504,17 +518,15 @@ func TestGossipConvergenceAcceptance(t *testing.T) {
 	if err == nil {
 		t.Fatal("probe transfer through depA succeeded; edge E was not killed")
 	}
-	// The depot hook runs on the session goroutine; wait for the poison
-	// to land in A's planner.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, lossFc, ok := plA.EdgeState("depA", "server"); ok && lossFc >= 0.4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("depot A's planner never saw the dial failure")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The depot hook runs on the session goroutine, before the session's
+	// rejection counter moves.
+	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer wcancel()
+	if err := depA.WaitStats(wctx, func(st depot.Stats) bool { return st.RejectedRoute > 0 }); err != nil {
+		t.Fatalf("depot A never rejected the session: %v", err)
+	}
+	if _, lossFc, ok := plA.EdgeState("depA", "server"); !ok || lossFc < 0.4 {
+		t.Fatal("depot A's planner never saw the dial failure")
 	}
 
 	// Convergence: within <= 3 rounds both B and C must replan off E.

@@ -159,11 +159,10 @@ func TestTransferRejectedBehindPipelinedPayload(t *testing.T) {
 						}
 						defer held.Close()
 						held.Write([]byte("x")) // carries the header; the accept never comes
-						for deadline := time.Now().Add(5 * time.Second); d.Stats().Active < 1; {
-							if time.Now().After(deadline) {
-								t.Fatal("the held session never took the depot's slot")
-							}
-							time.Sleep(time.Millisecond)
+						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+						defer cancel()
+						if err := d.WaitStats(ctx, func(st depot.Stats) bool { return st.Active > 0 }); err != nil {
+							t.Fatal("the held session never took the depot's slot")
 						}
 					}
 					opts := []resilience.Option{

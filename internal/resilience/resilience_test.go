@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,13 +194,21 @@ func TestTransferFailsOverKilledDepot(t *testing.T) {
 	dep2Addr, _ := startDepot(t, depot.Config{})
 	fn.Script(dep1Addr, faultnet.Step{WriteLatency: 2 * time.Millisecond})
 
-	// Kill depot 1 once it has relayed a quarter of the payload.
+	// Kill depot 1 once the initiator has written a quarter of the
+	// payload to it.
+	quarter := make(chan struct{})
+	trip := sync.OnceFunc(func() { close(quarter) })
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		nc, err := fn.DialContext(ctx, network, addr)
+		if err != nil || addr != dep1Addr {
+			return nc, err
+		}
+		return &tripConn{Conn: nc, at: int64(len(payload) / 4), trip: trip}, nil
+	}
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
-		for dep1.Stats().BytesForward < uint64(len(payload)/4) {
-			time.Sleep(time.Millisecond)
-		}
+		<-quarter
 		dep1.Close() // cancels the in-flight relay and refuses new dials
 	}()
 
@@ -209,7 +218,7 @@ func TestTransferFailsOverKilledDepot(t *testing.T) {
 		core.Route{Via: []string{dep1Addr, dep2Addr}, Target: vt.addr()},
 		bytes.NewReader(payload), int64(len(payload)),
 		resilience.WithPolicy(fastPolicy()),
-		resilience.WithDialer(fn.DialContext),
+		resilience.WithDialer(dial),
 		resilience.WithMetrics(met),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
@@ -237,6 +246,26 @@ func TestTransferFailsOverKilledDepot(t *testing.T) {
 	if got := met.Transfers.With(resilience.OutcomeDelivered).Value(); got != 1 {
 		t.Fatalf("delivered=%d", got)
 	}
+}
+
+// tripConn calls trip once at bytes written through it have reached at.
+type tripConn struct {
+	net.Conn
+	at      int64
+	written atomic.Int64
+	trip    func()
+}
+
+func (c *tripConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if c.written.Add(int64(n)) >= c.at {
+		c.trip()
+	}
+	return n, err
+}
+
+func (c *tripConn) CloseWrite() error {
+	return c.Conn.(interface{ CloseWrite() error }).CloseWrite()
 }
 
 // A seeded chaos schedule: refusals and resets mixed, still heals. Run
@@ -312,15 +341,14 @@ func TestTransferCancelledMidBackoff(t *testing.T) {
 	pol := fastPolicy()
 	pol.Backoff = backoff.Policy{Base: 10 * time.Second, Max: 10 * time.Second}
 	payload := randBytes(100, 7)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
 	start := time.Now()
 	_, err := resilience.Transfer(ctx,
 		core.Route{Target: "127.0.0.1:1"},
 		bytes.NewReader(payload), int64(len(payload)),
-		resilience.WithPolicy(pol))
+		resilience.WithPolicy(pol),
+		// The first attempt's failure is logged just before its 10 s
+		// backoff: cancel there.
+		resilience.WithLogf(func(string, ...interface{}) { cancel() }))
 	if err == nil {
 		t.Fatal("transfer succeeded against a dead target")
 	}

@@ -40,8 +40,20 @@ type slowWriter struct {
 }
 
 func (s *slowWriter) Write(p []byte) (int, error) {
-	time.Sleep(s.delay)
+	time.Sleep(s.delay) // models a slow path: the delay is the point
 	return s.buf.Write(p)
+}
+
+// startedWriter closes started on its first write, before passing it on.
+type startedWriter struct {
+	w       io.Writer
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *startedWriter) Write(p []byte) (int, error) {
+	s.once.Do(func() { close(s.started) })
+	return s.w.Write(p)
 }
 
 // heldWriter blocks every write until release is closed. Tests that need
@@ -273,8 +285,14 @@ func TestSenderAbandonRedistributes(t *testing.T) {
 func TestSenderAllAbandonedFails(t *testing.T) {
 	payload := make([]byte, 256<<10)
 	rand.New(rand.NewSource(14)).Read(payload)
+	down := make(chan int, 1)
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 1,
-		SenderConfig{FrameSize: 8 << 10, QueueFrames: 1})
+		SenderConfig{FrameSize: 8 << 10, QueueFrames: 1, OnStripeDown: func(i int, err error) {
+			select {
+			case down <- i:
+			default:
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +304,11 @@ func TestSenderAllAbandonedFails(t *testing.T) {
 	}
 	runErr := make(chan error, 1)
 	go func() { runErr <- snd.Run(context.Background()) }()
-	time.Sleep(50 * time.Millisecond) // let it die
+	select {
+	case <-down:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stripe never died")
+	}
 	snd.Abandon(0, nil)
 	select {
 	case err := <-runErr:
@@ -307,7 +329,8 @@ func TestSenderContextCancel(t *testing.T) {
 	}
 	pr, pw := io.Pipe()
 	defer pr.Close()
-	if err := snd.Attach(0, pw); err != nil {
+	sw := &startedWriter{w: pw, started: make(chan struct{})}
+	if err := snd.Attach(0, sw); err != nil {
 		t.Fatal(err)
 	}
 	// Nobody reads pr, so the worker blocks on the pipe; cancel must
@@ -315,7 +338,7 @@ func TestSenderContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() { runErr <- snd.Run(ctx) }()
-	time.Sleep(20 * time.Millisecond)
+	<-sw.started
 	cancel()
 	select {
 	case err := <-runErr:

@@ -51,7 +51,7 @@ type delayWriter struct {
 }
 
 func (d *delayWriter) Write(p []byte) (int, error) {
-	time.Sleep(d.delay)
+	time.Sleep(d.delay) // models a slow path: the delay is the point
 	return d.w.Write(p)
 }
 

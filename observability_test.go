@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -36,10 +37,13 @@ func TestDepotObservabilityEndToEnd(t *testing.T) {
 	}()
 
 	d := lsl.NewDepot(lsl.DepotConfig{})
-	go d.ListenAndServe("127.0.0.1:0")
+	dln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Serve(dln)
 	defer d.Close()
-	waitDepot(t, d)
-	depotAddr := d.Addr().String()
+	depotAddr := dln.Addr().String()
 
 	c, err := lsl.Dial(context.Background(),
 		lsl.Route{Via: []string{depotAddr}, Target: ln.Addr().String()},
@@ -61,9 +65,11 @@ func TestDepotObservabilityEndToEnd(t *testing.T) {
 	}
 	c.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().Completed == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// The depot's teardown trails the target's read.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := d.WaitStats(ctx, func(st lsl.DepotStats) bool { return st.Completed > 0 }); err != nil {
+		t.Fatalf("session never completed: %v", err)
 	}
 	st := d.Stats()
 	if st.Completed != 1 || st.BytesForward < uint64(len(payload)) {
@@ -108,16 +114,5 @@ func TestDepotObservabilityEndToEnd(t *testing.T) {
 	}
 	if len(snap.Recent) != 1 || snap.Recent[0].BytesForward < uint64(len(payload)) {
 		t.Fatalf("/sessions: %+v", snap)
-	}
-}
-
-func waitDepot(t *testing.T, d *lsl.Depot) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Addr() == nil && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if d.Addr() == nil {
-		t.Fatal("depot never started")
 	}
 }
