@@ -137,8 +137,6 @@ type Metrics struct {
 	StripeHeals *metrics.Counter
 	// FramesReassigned is lsl_stripe_frames_reassigned_total.
 	FramesReassigned *metrics.Counter
-	// FramesStolen is lsl_stripe_frames_stolen_total.
-	FramesStolen *metrics.Counter
 	// FramesSpeculated is lsl_stripe_frames_speculated_total.
 	FramesSpeculated *metrics.Counter
 	// Tail is lsl_stripe_tail_ns: time each group spent between the frame
@@ -168,8 +166,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Individual stripes re-attached after a mid-flow failure."),
 		FramesReassigned: reg.Counter("lsl_stripe_frames_reassigned_total",
 			"Frames requeued off dead or abandoned stripes."),
-		FramesStolen: reg.Counter("lsl_stripe_frames_stolen_total",
-			"Queued frames migrated off slow stripes at end-of-stream."),
 		FramesSpeculated: reg.Counter("lsl_stripe_frames_speculated_total",
 			"Tail frames duplicated onto faster stripes speculatively."),
 		Tail: reg.Histogram("lsl_stripe_tail_ns",
@@ -222,7 +218,6 @@ type config struct {
 	stripes        int
 	frameSize      int
 	rebalanceBytes int64
-	inflightBytes  int64
 	sockBuf        int
 }
 

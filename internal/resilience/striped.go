@@ -46,10 +46,6 @@ func WithFrameSize(n int) Option { return func(c *config) { c.frameSize = n } }
 // every n bytes written (<= 0 disables mid-flow rebalancing).
 func WithRebalanceBytes(n int64) Option { return func(c *config) { c.rebalanceBytes = n } }
 
-// WithInflightBytes pins each stripe's unacknowledged-byte budget to n
-// instead of adapting one from the receiver's acked throughput.
-func WithInflightBytes(n int64) Option { return func(c *config) { c.inflightBytes = n } }
-
 // WithSockBuffers pins SO_SNDBUF and SO_RCVBUF to n bytes on every
 // striped stripe dial; 0 keeps the kernel defaults. Shrinking the send
 // buffer caps how much a slow path can absorb ahead of delivery — the
@@ -82,8 +78,8 @@ type StripedResult struct {
 	Rebalances int64
 	// FramesReassigned counts frames requeued off dead stripes.
 	FramesReassigned int64
-	// FramesStolen counts queued frames migrated off slow stripes at
-	// end-of-stream.
+	// FramesStolen is always 0: the sender no longer steals queued
+	// frames (speculation and supersession reclaim the tail).
 	FramesStolen int64
 	// FramesSpeculated counts tail frames duplicated onto faster stripes.
 	FramesSpeculated int64
@@ -203,12 +199,7 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		Weights:        stripeWeights,
 		RebalanceBytes: ps.rebalanceBytes,
 		Acks:           true,
-		InflightBytes:  ps.inflightBytes,
 		OnStripeDown:   func(i int, err error) { downCh <- downEvent{i, err} },
-		OnRebalance:    func([]float64) { met.Rebalances.Inc() },
-		OnReassign:     func(_, frames int) { met.FramesReassigned.Add(uint64(frames)) },
-		OnSteal:        func(_, _, frames int) { met.FramesStolen.Add(uint64(frames)) },
-		OnSpeculate:    func(_, _, frames int) { met.FramesSpeculated.Add(uint64(frames)) },
 		// The wedged write only returns once its connection dies; the
 		// retired worker then self-retires on its stale generation, so no
 		// down event or heal follows.
@@ -335,7 +326,7 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	}
 
 	// finish closes every stripe, fills in the result and counts the
-	// group's terminal outcome.
+	// group's scheduling events and terminal outcome.
 	finish := func(err error) (*StripedResult, error) {
 		for i := range ctls {
 			drop(i)
@@ -345,7 +336,6 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		res.Replans = ps.failovers
 		res.Rebalances = snd.Rebalances()
 		res.FramesReassigned = snd.Reassigned()
-		res.FramesStolen = snd.Stolen()
 		res.FramesSpeculated = snd.Speculated()
 		res.Superseded = int(snd.Superseded())
 		res.Confirmed = snd.Confirmed()
@@ -356,6 +346,9 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 			res.Routes[i] = sc.route
 		}
 		res.Duration = time.Since(start)
+		met.Rebalances.Add(uint64(res.Rebalances))
+		met.FramesReassigned.Add(uint64(res.FramesReassigned))
+		met.FramesSpeculated.Add(uint64(res.FramesSpeculated))
 		met.Transfers.With(outcomeOf(ctx, err)).Inc()
 		if err != nil {
 			return res, fmt.Errorf("resilience: %s: %w", ps, err)

@@ -236,11 +236,12 @@ func TestStripedTransferCleanPath(t *testing.T) {
 
 // The end-of-stream tail acceptance case: one of two stripes wedges —
 // its connection stays up but writes block forever — with frames still
-// queued and in flight. The group must steal the queued frames onto the
-// healthy stripe, speculatively duplicate the wedged in-flight tail,
-// supersede the dead weight, and confirm by receiver ack — byte-exact,
-// with no frame double-counted in the per-stripe attribution.
-func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
+// in flight. The group must speculatively duplicate the wedged stripe's
+// unconfirmed tail on the healthy stripe, supersede the dead weight
+// (requeueing whatever it still had queued), and confirm by receiver
+// ack — byte-exact, with no frame double-counted in the per-stripe
+// attribution.
+func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
 	st := newStripedTarget(t)
 	depAAddr, _ := startDepot(t, depot.Config{})
 	depBAddr, _ := startDepot(t, depot.Config{})
@@ -262,9 +263,6 @@ func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
 		resilience.WithPolicy(fastPolicy()),
 		resilience.WithDialer(fn.DialContext),
 		resilience.WithFrameSize(32<<10),
-		// A fixed in-flight budget keeps frames queued on the wedged
-		// stripe (deterministic steal bait) instead of adapting down.
-		resilience.WithInflightBytes(256<<10),
 		resilience.WithMetrics(smet),
 		resilience.WithLogf(t.Logf))
 	if err != nil {
@@ -272,9 +270,6 @@ func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
 	}
 	st.wait(t, payload)
 
-	if res.FramesStolen < 1 {
-		t.Fatalf("frames stolen=%d, want >= 1", res.FramesStolen)
-	}
 	if res.FramesSpeculated < 1 {
 		t.Fatalf("frames speculated=%d, want >= 1 (the wedged in-flight frame)", res.FramesSpeculated)
 	}
@@ -294,9 +289,6 @@ func TestStripedTransferStealsFromStalledStripe(t *testing.T) {
 	if sum != int64(len(payload)) {
 		t.Fatalf("stripe bytes sum %d, want %d — a duplicate was double-counted (%v)",
 			sum, len(payload), res.StripeBytes)
-	}
-	if got := smet.FramesStolen.Value(); got < 1 {
-		t.Fatalf("lsl_stripe_frames_stolen_total=%d, want >= 1", got)
 	}
 	if got := smet.FramesSpeculated.Value(); got < 1 {
 		t.Fatalf("lsl_stripe_frames_speculated_total=%d, want >= 1", got)

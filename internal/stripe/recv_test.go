@@ -29,7 +29,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 // buffering without bound.
 func TestReceiverPendingCap(t *testing.T) {
 	recv := NewReceiver(io.Discard)
-	recv.SetMaxPending(64 << 10)
+	recv.maxPending = 64 << 10
 	gh := &GroupHeader{Group: wire.NewSessionID(), Index: 1, Count: 2, TotalLen: 1 << 20}
 	var s bytes.Buffer
 	s.Write(gh.Encode())
@@ -51,13 +51,14 @@ func TestReceiverPendingCapLiveStall(t *testing.T) {
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(20)).Read(payload)
 	recv := NewReceiver(io.Discard)
-	recv.SetMaxPending(32 << 10)
+	recv.maxPending = 32 << 10
 
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
-		SenderConfig{FrameSize: 8 << 10, QueueFrames: 8})
+		SenderConfig{FrameSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snd.queueFrames = 8
 	// Stripe 0 stalls: attached to the sender, never drained to the
 	// receiver.
 	stallR, stallW := io.Pipe()
@@ -84,26 +85,34 @@ func TestReceiverPendingCapLiveStall(t *testing.T) {
 	}
 }
 
-// TestReceiverUnlimitedPending: SetMaxPending(0) restores the old
-// unbounded behavior.
-func TestReceiverUnlimitedPending(t *testing.T) {
-	var out bytes.Buffer
-	recv := NewReceiver(&out)
-	recv.SetMaxPending(0)
-	gh := &GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 64 << 10}
-	var s bytes.Buffer
-	s.Write(gh.Encode())
-	chunk := make([]byte, 16<<10)
-	// Deliver everything out of order, then the head, then the end.
-	for off := int64(48 << 10); off >= 0; off -= 16 << 10 {
-		writeFrame(&s, uint64(off), chunk)
-	}
-	writeFrame(&s, 64<<10, nil)
-	if err := recv.Attach(&s); err != nil {
-		t.Fatal(err)
-	}
-	if !recv.Complete() {
-		t.Fatal("incomplete")
+// TestReceiverRejectsFrameBeyondEnd: a frame reaching past the declared
+// length can never flush, so it fails the stream instead of reaching the
+// sink (which would leave Complete false forever) or sitting in pending.
+func TestReceiverRejectsFrameBeyondEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  uint64
+		n    int
+	}{
+		{"straddles the end", 0, 8},
+		{"starts at the end", 4, 4},
+		{"starts past the end", 8, 4},
+		{"negative offset", 1 << 63, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			recv := NewReceiver(&out)
+			var s bytes.Buffer
+			s.Write((&GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 4}).Encode())
+			writeFrame(&s, tc.off, make([]byte, tc.n))
+			writeFrame(&s, 4, nil)
+			if err := recv.Attach(&s); !errors.Is(err, ErrFrameBeyondEnd) {
+				t.Fatalf("got %v, want ErrFrameBeyondEnd", err)
+			}
+			if out.Len() != 0 || recv.pendingBytes != 0 {
+				t.Fatalf("sink got %d bytes, pending %d", out.Len(), recv.pendingBytes)
+			}
+		})
 	}
 }
 
@@ -280,7 +289,7 @@ func TestReceiverAcks(t *testing.T) {
 	const fs = 8 << 10
 	var out bytes.Buffer
 	recv := NewReceiver(&out)
-	recv.SetAckEvery(16 << 10)
+	recv.ackEvery = 16 << 10
 
 	var s bytes.Buffer
 	s.Write((&GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1,

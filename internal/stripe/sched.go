@@ -34,21 +34,22 @@ const (
 	phaseEnd         // all data written; stripes draining end frames
 )
 
-// DefaultQueueFrames bounds how many frames may be queued/inflight per
-// stripe; small values keep the dispatcher's credit decisions responsive
-// to backpressure from a slowing path.
-const DefaultQueueFrames = 4
+// defaultQueueFrames bounds how many frames may be queued/inflight per
+// stripe until its stream's acks measure a drain rate; small values keep
+// the dispatcher's credit decisions responsive to backpressure from a
+// slowing path.
+const defaultQueueFrames = 4
 
-// Tail-reclamation tuning (see steal.go).
+// Tail-reclamation tuning (see tail.go).
 const (
-	// stealThreshold is the receiver-measured rate ratio a thief must
-	// have over a victim before queued frames migrate or sent frames are
-	// speculated.
-	stealThreshold = 1.5
-	// DefaultStuckTimeout is how long one frame write may block before
+	// speculateRatio is the receiver-measured rate ratio a thief must
+	// have over a merely slow (not wedged) victim before it duplicates
+	// the victim's sent frames.
+	speculateRatio = 1.5
+	// defaultStuckTimeout is how long one frame write may block before
 	// the stripe is treated as wedged (rate 0) and, once every one of its
 	// frames is covered by another stripe, superseded outright.
-	DefaultStuckTimeout = 750 * time.Millisecond
+	defaultStuckTimeout = 750 * time.Millisecond
 	// defaultInflightHorizon sizes the adaptive per-stripe in-flight byte
 	// budget: acked-throughput × horizon, a bandwidth-delay-product-style
 	// clamp on how much a slow path may hoard. It must comfortably exceed
@@ -103,42 +104,22 @@ type SenderConfig struct {
 	// planner's predicted per-route throughput). Missing or
 	// non-positive entries default to 1.
 	Weights []float64
-	// QueueFrames bounds frames queued+inflight per stripe (default
-	// DefaultQueueFrames).
-	QueueFrames int
 	// RebalanceBytes recomputes weights from observed per-stripe
 	// throughput every time this many bytes have been written. <= 0
 	// disables mid-flow rebalancing.
 	RebalanceBytes int64
+	// Acks opens stripe streams with the ack-requesting "LSLT" header so
+	// an ack-capable receiver reports delivery on the backward channel
+	// (feed the records in via Sender.Ack). Old receivers reject "LSLT",
+	// so only enable against peers known to run this version. Once a
+	// stream's acks measure its drain rate, its in-flight bytes are
+	// bounded by that rate × a short horizon (BDP-style) instead of a
+	// frame count.
+	Acks bool
 	// OnStripeDown fires (off the scheduler lock) when a stripe's
 	// write fails; the callback must not block for long and must not
 	// call back into the Sender.
 	OnStripeDown func(index int, err error)
-	// OnRebalance fires with the new weight vector after each
-	// throughput-driven rebalance.
-	OnRebalance func(weights []float64)
-	// OnReassign fires when a dead stripe's frames are requeued for
-	// other stripes.
-	OnReassign func(index, frames int)
-	// Acks opens stripe streams with the ack-requesting "LSLT" header so
-	// an ack-capable receiver reports delivery on the backward channel
-	// (feed the records in via Sender.Ack). Old receivers reject "LSLT",
-	// so only enable against peers known to run this version.
-	Acks bool
-	// InflightBytes bounds each stripe's unacknowledged bytes once acks
-	// are flowing: > 0 is a fixed per-stripe budget, otherwise one is
-	// derived adaptively from acked throughput (rate × a short horizon,
-	// BDP-style). Without acks the QueueFrames bound governs.
-	InflightBytes int64
-	// StuckTimeout is how long one frame write may block before the
-	// stripe counts as wedged (default DefaultStuckTimeout).
-	StuckTimeout time.Duration
-	// OnSteal fires after queued frames migrate from a slow stripe to a
-	// faster one at end-of-stream.
-	OnSteal func(victim, thief, frames int)
-	// OnSpeculate fires after a thief queues duplicates of a victim's
-	// unconfirmed tail frames.
-	OnSpeculate func(victim, thief, frames int)
 	// OnSuperseded fires when a wedged stripe is retired because every
 	// one of its frames was re-delivered elsewhere; the engine should
 	// close the stripe's connection to unblock the wedged write.
@@ -166,11 +147,9 @@ type stripeState struct {
 	pipeWritten int64 // payload bytes written into this gen's stream
 	ackSeen     int64 // receiver-reported bytes drained from this gen
 	genAcked    bool
-	ackBps      float64 // receiver-observed drain throughput EWMA
-	lastAckAt   time.Time
+	ackBps      float64   // receiver-observed drain throughput EWMA
 	ackWinAt    time.Time // start of the current rate-measurement window
 	ackWinSeen  int64     // ackSeen at the window start
-	attachedAt  time.Time
 	lastErr     error
 }
 
@@ -192,18 +171,14 @@ type Sender struct {
 	total int64
 
 	frameSize      int
-	queueFrames    int
 	rebalanceBytes int64
 	acks           bool
-	inflightBytes  int64
-	stuckTimeout   time.Duration
 	onStripeDown   func(int, error)
-	onRebalance    func([]float64)
-	onReassign     func(int, int)
-	onSteal        func(int, int, int)
-	onSpeculate    func(int, int, int)
 	onSuperseded   func(int)
 	logf           func(string, ...any)
+	// In-package tests shrink these before the first Attach.
+	queueFrames  int
+	stuckTimeout time.Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -215,7 +190,6 @@ type Sender struct {
 	sinceRebalance int64
 	rebalances     int64
 	reassigned     int64
-	stolen         int64
 	speculated     int64
 	superseded     int64
 
@@ -254,31 +228,18 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 	if fs > MaxFrameSize {
 		fs = MaxFrameSize
 	}
-	qf := cfg.QueueFrames
-	if qf <= 0 {
-		qf = DefaultQueueFrames
-	}
-	stuck := cfg.StuckTimeout
-	if stuck <= 0 {
-		stuck = DefaultStuckTimeout
-	}
 	s := &Sender{
 		group:          group,
 		src:            src,
 		total:          total,
 		frameSize:      fs,
-		queueFrames:    qf,
 		rebalanceBytes: cfg.RebalanceBytes,
 		acks:           cfg.Acks,
-		inflightBytes:  cfg.InflightBytes,
-		stuckTimeout:   stuck,
 		onStripeDown:   cfg.OnStripeDown,
-		onRebalance:    cfg.OnRebalance,
-		onReassign:     cfg.OnReassign,
-		onSteal:        cfg.OnSteal,
-		onSpeculate:    cfg.OnSpeculate,
 		onSuperseded:   cfg.OnSuperseded,
 		logf:           cfg.Logf,
+		queueFrames:    defaultQueueFrames,
+		stuckTimeout:   defaultStuckTimeout,
 		stripes:        make([]*stripeState, stripes),
 		specPending:    make(map[int64]bool),
 		specDone:       make(map[int64]specRec),
@@ -333,10 +294,8 @@ func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 	st.ackSeen = 0
 	st.genAcked = false
 	st.ackBps = 0
-	st.lastAckAt = time.Time{}
 	st.ackWinAt = time.Time{}
 	st.ackWinSeen = 0
-	st.attachedAt = time.Now()
 	go s.worker(index, st.gen)
 	s.cond.Broadcast()
 	return st.gen, nil
@@ -347,31 +306,22 @@ func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 // replacement may attach.
 func (s *Sender) Abandon(index int, err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if index < 0 || index >= len(s.stripes) {
-		s.mu.Unlock()
 		return
 	}
 	st := s.stripes[index]
 	switch st.state {
 	case stripeAbandoned, stripeFinished:
-		s.mu.Unlock()
 		return
 	}
 	st.gen++ // retire any live worker
-	n := s.requeueStripeLocked(st)
+	s.requeueStripeLocked(st)
 	st.state = stripeAbandoned
 	if err != nil {
 		st.lastErr = err
 	}
-	fire := s.onReassign
-	if s.done || n == 0 {
-		fire = nil
-	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	if fire != nil {
-		fire(index, n)
-	}
 }
 
 // requeueStripeLocked moves a stripe's whole current generation —
@@ -431,8 +381,8 @@ func (s *Sender) requeueStripeLocked(st *stripeState) int {
 }
 
 // stripeDown records a write failure: the stripe becomes dead, its
-// generation's frames are requeued, and the OnStripeDown/OnReassign
-// callbacks fire so a healing engine can dial a replacement.
+// generation's frames are requeued, and OnStripeDown fires so a healing
+// engine can dial a replacement.
 func (s *Sender) stripeDown(index, gen int, err error) {
 	s.mu.Lock()
 	st := s.stripes[index]
@@ -443,17 +393,13 @@ func (s *Sender) stripeDown(index, gen int, err error) {
 	st.state = stripeDead
 	st.lastErr = err
 	n := s.requeueStripeLocked(st)
-	down, reassign := s.onStripeDown, s.onReassign
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if s.logf != nil {
 		s.logf("stripe %d down after %d reassigned frames: %v", index, n, err)
 	}
-	if down != nil {
-		down(index, err)
-	}
-	if reassign != nil && n > 0 {
-		reassign(index, n)
+	if s.onStripeDown != nil {
+		s.onStripeDown(index, err)
 	}
 }
 
@@ -487,6 +433,7 @@ func (s *Sender) worker(index, gen int) {
 		return
 	}
 
+	var buf []byte // one frame buffer per generation: w must not retain it
 	for {
 		s.mu.Lock()
 		var f frame
@@ -545,7 +492,10 @@ func (s *Sender) worker(index, gen int) {
 		s.cond.Broadcast() // queue slot freed
 		s.mu.Unlock()
 
-		buf := make([]byte, f.n)
+		if cap(buf) < f.n {
+			buf = make([]byte, f.n)
+		}
+		buf = buf[:f.n]
 		if _, err := s.src.ReadAt(buf, f.off); err != nil {
 			// A source failure dooms every stripe, not just this one.
 			s.fail(fmt.Errorf("stripe: read source at %d: %w", f.off, err))
@@ -559,7 +509,6 @@ func (s *Sender) worker(index, gen int) {
 			return
 		}
 
-		var rebalanced []float64
 		s.mu.Lock()
 		if st.gen != gen {
 			// Abandon requeued cur already; the duplicate the receiver
@@ -596,13 +545,10 @@ func (s *Sender) worker(index, gen int) {
 		}
 		s.sinceRebalance += int64(f.n)
 		if s.rebalanceBytes > 0 && s.sinceRebalance >= s.rebalanceBytes {
-			rebalanced = s.rebalanceLocked()
+			s.rebalanceLocked()
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		if rebalanced != nil && s.onRebalance != nil {
-			s.onRebalance(rebalanced)
-		}
 	}
 }
 
@@ -622,7 +568,7 @@ func victimHoldsFrames(state int) bool {
 // receiver-acked drain rate is preferred when available: the write-side
 // EWMA measures local pipe acceptance, which kernel and relay buffering
 // can inflate far beyond what the path delivers.
-func (s *Sender) rebalanceLocked() []float64 {
+func (s *Sender) rebalanceLocked() {
 	s.sinceRebalance = 0
 	sampled := false
 	for _, st := range s.stripes {
@@ -632,7 +578,7 @@ func (s *Sender) rebalanceLocked() []float64 {
 		}
 	}
 	if !sampled {
-		return nil
+		return
 	}
 	out := make([]float64, len(s.stripes))
 	for i, st := range s.stripes {
@@ -649,7 +595,6 @@ func (s *Sender) rebalanceLocked() []float64 {
 	if s.logf != nil {
 		s.logf("stripe rebalance #%d: weights %v", s.rebalances, out)
 	}
-	return out
 }
 
 // pickStripeLocked runs the deficit-round-robin credit round for a frame
@@ -802,31 +747,36 @@ func (s *Sender) Run(ctx context.Context) error {
 	}
 }
 
-// runMaintenance runs one round of tail reclamation — steal, supersede,
-// speculate, in that order of preference — firing any callback outside
-// the lock. It is called with s.mu held and returns with it held; a true
-// return means state changed and the dispatch loop should re-evaluate.
-// Stealing and speculation only make sense once the frame source is dry
+// runMaintenance runs one round of tail reclamation — supersede, else
+// speculate — and reports what it did outside the lock (Logf,
+// OnSuperseded). It is called with s.mu held and returns with it held; a
+// true return means state changed and the dispatch loop should
+// re-evaluate. Speculation only makes sense once the frame source is dry
 // (sourceDry); supersession helps whenever a wedged stripe blocks the
 // group.
 func (s *Sender) runMaintenance(sourceDry bool) bool {
-	var cb func()
-	if sourceDry {
-		cb = s.stealLocked()
+	sup, requeued := s.supersedeLocked()
+	victim, thief, dup := -1, -1, 0
+	if sup < 0 && sourceDry {
+		victim, thief, dup = s.speculateLocked()
 	}
-	if cb == nil {
-		cb = s.supersedeLocked()
-	}
-	if cb == nil && sourceDry {
-		cb = s.speculateLocked()
-	}
-	if cb == nil {
+	if sup < 0 && dup == 0 {
 		return false
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	cb()
-	s.mu.Lock()
+	defer s.mu.Lock()
+	switch {
+	case sup >= 0:
+		if s.logf != nil {
+			s.logf("stripe %d superseded: wedged write, all frames covered (%d requeued)", sup, requeued)
+		}
+		if s.onSuperseded != nil {
+			s.onSuperseded(sup)
+		}
+	case s.logf != nil:
+		s.logf("stripe speculate: %d tail frames of %d duplicated on %d", dup, victim, thief)
+	}
 	return true
 }
 

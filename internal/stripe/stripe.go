@@ -88,6 +88,9 @@ var (
 	ErrPendingOverflow = errors.New("stripe: pending reassembly buffer over limit")
 	// ErrBadAck reports a malformed ack record on the backward channel.
 	ErrBadAck = errors.New("stripe: bad ack record")
+	// ErrFrameBeyondEnd reports a frame reaching past the group's
+	// declared length.
+	ErrFrameBeyondEnd = errors.New("stripe: frame beyond declared length")
 )
 
 // GroupHeader opens each stripe stream.
@@ -242,21 +245,20 @@ type Receiver struct {
 	// pending frames beyond the contiguous prefix, keyed by offset.
 	pending      map[int64][]byte
 	pendingBytes int64
-	maxPending   int64
+	maxPending   int64 // in-package tests shrink it before attaching
 	// flushed records each flushed frame's offset -> length so a healed
 	// stripe's exact replays can be told apart from corrupt overlaps.
 	flushed map[int64]int32
 	// accepted[i] counts stripe index i's non-duplicate payload bytes, for
 	// ack attribution. Allocated when the first header arrives.
 	accepted []int64
-	ackEvery int64
+	ackEvery int64 // delivered bytes between acks on one stream
 	out      io.Writer
 	joined   int
 }
 
 // NewReceiver builds a reassembler writing the logical stream into out.
-// The out-of-order buffer is capped at DefaultMaxPending bytes; tune it
-// with SetMaxPending.
+// The out-of-order buffer is capped at DefaultMaxPending bytes.
 func NewReceiver(out io.Writer) *Receiver {
 	return &Receiver{
 		pending:    make(map[int64][]byte),
@@ -267,36 +269,13 @@ func NewReceiver(out io.Writer) *Receiver {
 	}
 }
 
-// SetAckEvery tunes how many delivered payload bytes pass on one stream
-// between ack records (streams opened with the ack-requesting header
-// always additionally ack their end frame and group completion). n <= 0
-// restores DefaultAckEvery. Call before attaching streams.
-func (r *Receiver) SetAckEvery(n int64) {
-	if n <= 0 {
-		n = DefaultAckEvery
-	}
-	r.mu.Lock()
-	r.ackEvery = n
-	r.mu.Unlock()
-}
-
-// SetMaxPending bounds the bytes buffered beyond the contiguous prefix
-// (frames from fast stripes waiting on a slow one). Ingesting past the
-// limit fails the group with ErrPendingOverflow. n <= 0 removes the
-// limit. Call before attaching streams.
-func (r *Receiver) SetMaxPending(n int64) {
-	r.mu.Lock()
-	r.maxPending = n
-	r.mu.Unlock()
-}
-
 // Attach consumes one stripe stream (blocking) and feeds its frames into
 // the reassembler. Call it once per stripe, typically on its own
 // goroutine.
 //
 // If the stream's group header requests acks ("LSLT") and the stream is
 // also an io.Writer (an LSL session is), Attach writes Ack records back
-// every SetAckEvery delivered bytes, at the stream's end frame, and at
+// every DefaultAckEvery delivered bytes, at the stream's end frame, and at
 // the moment this stream's frame completes the whole group. Ack write
 // errors stop further acks on this stream but do not fail reassembly —
 // the sender degrades to its ackless behavior.
@@ -342,16 +321,10 @@ func (r *Receiver) Attach(stream io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if completed || (ackW != nil && seen-lastAcked >= r.ackCadence()) {
+		if completed || (ackW != nil && seen-lastAcked >= r.ackEvery) {
 			sendAck()
 		}
 	}
-}
-
-func (r *Receiver) ackCadence() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ackEvery
 }
 
 // register validates stripe membership against the first-seen group.
@@ -382,10 +355,14 @@ func (r *Receiver) register(gh *GroupHeader) error {
 // same offset, is silently dropped (and NOT attributed to idx: credit
 // goes to whichever stripe landed the bytes first). Partial overlaps
 // still fail — frame boundaries are fixed when the sender dispatches
-// them, so a mismatched boundary means corruption, not healing.
+// them, so a mismatched boundary means corruption, not healing. So does a
+// frame reaching past the declared length: it could never flush.
 func (r *Receiver) ingest(idx int, off int64, payload []byte) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if off < 0 || off > r.total-int64(len(payload)) {
+		return false, fmt.Errorf("%w: %d bytes at %d of %d", ErrFrameBeyondEnd, len(payload), off, r.total)
+	}
 	if off < r.written {
 		if n, ok := r.flushed[off]; ok && int(n) == len(payload) {
 			return false, nil // exact replay of an already-flushed frame
@@ -422,7 +399,7 @@ func (r *Receiver) ingest(idx int, off int64, payload []byte) (bool, error) {
 		}
 		return r.written == r.total, nil
 	}
-	if r.maxPending > 0 && r.pendingBytes+int64(len(payload)) > r.maxPending {
+	if r.pendingBytes+int64(len(payload)) > r.maxPending {
 		return false, fmt.Errorf("%w: %d + %d > %d", ErrPendingOverflow,
 			r.pendingBytes, len(payload), r.maxPending)
 	}
