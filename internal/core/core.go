@@ -119,8 +119,8 @@ type Options struct {
 	// is connected and payload streams behind the header without waiting
 	// for the end-to-end accept (the cascade absorbs data while the tail
 	// is still dialing). The accept is read and checked on first use of
-	// the backward channel (Read, AwaitCustody), alongside a SendReader,
-	// or when a write fails.
+	// the backward channel (Read, AwaitCustody, AwaitAccept), alongside a
+	// SendReader, or when a write fails.
 	Eager bool
 	// Session forces a session ID (used with Resume); zero means random.
 	Session wire.SessionID
@@ -382,12 +382,22 @@ func open(nc net.Conn, hdr *wire.OpenHeader, o Options, deadline time.Time) (*Co
 // consumed part of the frame or none, and there is no telling which.
 // Synchronous Dial calls it before returning; a pipelined Conn calls it
 // from whatever first needs the backward channel. flush is false only for
-// SendReader's guard, whose header is about to leave with the first
-// payload write and must not be split off it.
+// SendReader's guard and AwaitAccept, whose header is about to leave with
+// the first payload write and must not be split off it.
 func (c *Conn) awaitAccept(flush bool) error {
 	c.acceptOnce.Do(func() { c.acceptErr = c.readAccept(flush) })
 	return c.acceptErr
 }
+
+// AwaitAccept blocks until the session's accept verdict is in and returns
+// it: nil once the cascade accepted, ErrRejected for a refusal, an error
+// when none came within the handshake timeout (or the caller's deadline).
+// Unlike Read it never sends the staged open header itself: on a
+// pipelined session it waits alongside a writer whose first Write carries
+// the header coalesced with its payload, so a caller that must watch for
+// a refusal while frames stream does not split the open into a lone
+// header packet. A synchronous session returns the verdict Dial saw.
+func (c *Conn) AwaitAccept() error { return c.awaitAccept(false) }
 
 func (c *Conn) readAccept(flush bool) error {
 	c.mu.Lock()

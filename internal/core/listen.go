@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/md5"
 	"crypto/subtle"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -18,23 +19,52 @@ import (
 // work: how many payload bytes have arrived so far and the running digest
 // over them. It survives the transport connection that carried them.
 type sessionState struct {
-	received int64
-	hash     hash.Hash
-	updated  time.Time
+	// mu hands the state from sublink to sublink: only the owner counts
+	// bytes into it, and a resumed sublink takes ownership — and reads
+	// its offset — between two of the old owner's reads. Taken before
+	// Listener.mu.
+	mu    sync.Mutex
+	owner *ServerConn
+	hash  hash.Hash
+
+	received int64     // guarded by Listener.mu
+	updated  time.Time // guarded by Listener.mu
 }
+
+// errSuperseded fails a sublink's reads once a resumed sublink has taken
+// its session over.
+var errSuperseded = errors.New("lsl: sublink superseded by a resumed one")
 
 // DefaultSessionTTL is how long interrupted-session resume state is
 // retained when Listener.SessionTTL is left zero at Listen/NewListener
 // time.
 const DefaultSessionTTL = 15 * time.Minute
 
-// Listener accepts LSL sessions at a session target.
+// maxHandshakes bounds how many connections a Listener handshakes at
+// once, handshaken sessions waiting for Accept included. Beyond it, new
+// connections wait in the kernel's accept backlog, so a flood of silent
+// connections cannot grow goroutines without limit.
+const maxHandshakes = 64
+
+// Listener accepts LSL sessions at a session target. Connections are
+// handshaken concurrently — each reads its open header under its own
+// HandshakeTimeout — and Accept returns sessions in the order their
+// handshakes finish, so one connection that never sends a header delays
+// no other session. Set the exported fields before the first Accept.
 type Listener struct {
 	ln net.Listener
 
-	mu        sync.Mutex
-	sessions  map[wire.SessionID]*sessionState
-	lastSweep time.Time
+	mu          sync.Mutex
+	sessions    map[wire.SessionID]*sessionState
+	lastSweep   time.Time
+	handshaking map[net.Conn]struct{} // closed by Close mid-handshake
+
+	startOnce sync.Once
+	closeOnce sync.Once
+	ready     chan *ServerConn // handshaken sessions, in completion order
+	closed    chan struct{}    // closed by Close
+	loopDone  chan struct{}    // the accept loop ended with loopErr
+	loopErr   error
 
 	// HandshakeTimeout bounds the header read per connection (default 15s).
 	HandshakeTimeout time.Duration
@@ -65,6 +95,10 @@ func NewListener(ln net.Listener) *Listener {
 	return &Listener{
 		ln:               ln,
 		sessions:         make(map[wire.SessionID]*sessionState),
+		handshaking:      make(map[net.Conn]struct{}),
+		ready:            make(chan *ServerConn),
+		closed:           make(chan struct{}),
+		loopDone:         make(chan struct{}),
 		HandshakeTimeout: 15 * time.Second,
 		MaxSessions:      1024,
 		SessionTTL:       DefaultSessionTTL,
@@ -74,24 +108,77 @@ func NewListener(ln net.Listener) *Listener {
 // Addr returns the bound address.
 func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 
-// Close stops accepting.
-func (l *Listener) Close() error { return l.ln.Close() }
+// Close stops accepting: a blocked Accept returns, and connections still
+// in their handshake are closed. Sessions Accept already returned are
+// the caller's.
+func (l *Listener) Close() error {
+	err := l.ln.Close()
+	l.closeOnce.Do(func() {
+		l.mu.Lock()
+		close(l.closed)
+		for nc := range l.handshaking {
+			nc.Close()
+		}
+		l.mu.Unlock()
+	})
+	return err
+}
 
 // Accept blocks for the next valid session. Transport connections whose
-// headers are malformed or mis-routed are rejected and skipped.
+// headers are malformed or mis-routed are rejected and skipped. Once the
+// underlying listener fails (Close included), Accept returns its error.
 func (l *Listener) Accept() (*ServerConn, error) {
+	l.startOnce.Do(func() { go l.acceptLoop() })
+	select {
+	case sc := <-l.ready:
+		return sc, nil
+	case <-l.loopDone:
+		return nil, l.loopErr
+	}
+}
+
+// acceptLoop takes connections off the listener and handshakes each on
+// its own goroutine, at most maxHandshakes at a time.
+func (l *Listener) acceptLoop() {
+	slots := make(chan struct{}, maxHandshakes)
 	for {
+		select {
+		case slots <- struct{}{}:
+		case <-l.closed: // the listener is closed too: Accept fails below
+		}
 		nc, err := l.ln.Accept()
 		if err != nil {
-			return nil, err
+			l.loopErr = err
+			close(l.loopDone)
+			return
 		}
 		sockopt.Tune(nc, l.SockBuf)
-		sc, err := l.handshake(nc)
-		if err != nil {
+		l.mu.Lock()
+		select {
+		case <-l.closed:
+			l.mu.Unlock()
 			nc.Close()
-			continue // a bad client must not kill the accept loop
+			continue
+		default:
 		}
-		return sc, nil
+		l.handshaking[nc] = struct{}{}
+		l.mu.Unlock()
+		go func() {
+			defer func() { <-slots }()
+			sc, err := l.handshake(nc)
+			l.mu.Lock()
+			delete(l.handshaking, nc)
+			l.mu.Unlock()
+			if err != nil {
+				nc.Close() // a bad client must not kill the accept loop
+				return
+			}
+			select {
+			case l.ready <- sc:
+			case <-l.closed:
+				nc.Close()
+			}
+		}()
 	}
 }
 
@@ -107,23 +194,61 @@ func (l *Listener) handshake(nc net.Conn) (*ServerConn, error) {
 		return nil, fmt.Errorf("lsl: non-final header at target (hop %d of %d)", hdr.HopIndex, len(hdr.Route))
 	}
 
-	st := l.sessionFor(hdr)
-	acc := &wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session, Offset: uint64(st.received)}
+	sc := &ServerConn{nc: nc, hdr: hdr, l: l, st: l.sessionFor(hdr)}
+	offset := sc.takeOver()
+	acc := &wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session, Offset: uint64(offset)}
 	if _, err := nc.Write(acc.Encode()); err != nil {
 		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
 
-	sc := &ServerConn{nc: nc, hdr: hdr, l: l, st: st}
 	if hdr.Flags&wire.FlagDigest != 0 {
 		if hdr.ContentLen == wire.UnknownLength {
 			return nil, ErrNeedLength
 		}
-		sc.remaining = int64(hdr.ContentLen) - st.received
+		sc.remaining = int64(hdr.ContentLen) - offset
 	} else {
 		sc.remaining = -1
 	}
 	return sc, nil
+}
+
+// takeOver makes s the sublink that counts payload into its session's
+// state and returns the offset it starts at. Handshakes run concurrently
+// with the application's reads, so the sublink a resume replaces may still
+// be draining: it is closed, and whatever it reads from here on is refused
+// rather than counted — those bytes lie past the offset just reported, and
+// the new sublink carries them again.
+func (s *ServerConn) takeOver() int64 {
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.owner != nil {
+		st.owner.nc.Close()
+	}
+	st.owner = s
+	s.l.mu.Lock()
+	defer s.l.mu.Unlock()
+	return st.received
+}
+
+// count folds freshly read payload into the session state, unless a
+// resumed sublink has taken the session over.
+func (s *ServerConn) count(b []byte) bool {
+	st := s.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.owner != s {
+		return false
+	}
+	if st.hash != nil {
+		st.hash.Write(b)
+	}
+	s.l.mu.Lock()
+	st.received += int64(len(b))
+	st.updated = time.Now()
+	s.l.mu.Unlock()
+	return true
 }
 
 // sessionFor finds or creates the resumable state for a header.
@@ -249,13 +374,10 @@ func (s *ServerConn) Read(p []byte) (int, error) {
 	}
 	n, err := s.nc.Read(p)
 	if n > 0 {
-		if s.st.hash != nil {
-			s.st.hash.Write(p[:n])
+		if !s.count(p[:n]) {
+			s.failed = errSuperseded
+			return 0, s.failed
 		}
-		s.l.mu.Lock()
-		s.st.received += int64(n)
-		s.st.updated = time.Now()
-		s.l.mu.Unlock()
 		if s.remaining > 0 {
 			s.remaining -= int64(n)
 		}
@@ -285,7 +407,9 @@ func (s *ServerConn) finishDigest() error {
 		s.failed = fmt.Errorf("lsl: reading digest trailer: %w", err)
 		return s.failed
 	}
+	s.st.mu.Lock()
 	sum := s.st.hash.Sum(nil)
+	s.st.mu.Unlock()
 	if subtle.ConstantTimeCompare(sum, trailer) != 1 {
 		s.failed = ErrDigestMismatch
 		// The state is poisoned: the offset says everything landed but the

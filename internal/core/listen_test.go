@@ -1,0 +1,156 @@
+package core_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"lsl/internal/core"
+	"lsl/internal/wire"
+)
+
+// One connection that never sends its open header must not hold up the
+// sessions behind it: the listener handshakes connections concurrently,
+// so a real session that connects after a silent one (and after one
+// sending garbage, which is still skipped) is accepted at once, not after
+// the silent one's handshake timeout. Close then ends a blocked Accept
+// and the handshake still waiting on the silent connection.
+func TestListenerSilentConnDoesNotStallAccept(t *testing.T) {
+	l, err := core.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.HandshakeTimeout = time.Minute
+	addr := l.Addr().String()
+
+	// Ahead of the session in the accept backlog: one connection that says
+	// nothing, one that speaks HTTP.
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	garbage, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	if _, err := garbage.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	accepted := make(chan *core.ServerConn, 1)
+	go func() {
+		if sc, err := l.Accept(); err == nil {
+			accepted <- sc
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := core.Dial(ctx, core.Route{Target: addr})
+	if err != nil {
+		t.Fatalf("session behind a silent connection: %v", err)
+	}
+	defer c.Close()
+	select {
+	case sc := <-accepted:
+		defer sc.Close()
+		if sc.SessionID() != c.SessionID() {
+			t.Fatalf("accepted session %s, want %s", sc.SessionID(), c.SessionID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept did not return the session queued behind a silent connection")
+	}
+
+	// The silent connection was taken off the backlog before the session,
+	// so its handshake is still waiting: Close must end it and the Accept
+	// blocked behind it.
+	acceptErr := make(chan error, 1)
+	go func() {
+		_, err := l.Accept()
+		acceptErr <- err
+	}()
+	l.Close()
+	select {
+	case err := <-acceptErr:
+		if err == nil {
+			t.Fatal("Accept after Close returned a session")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock Accept")
+	}
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("silent connection read %v after Close, want it closed", err)
+	}
+}
+
+// Handshakes run concurrently with the application's reads, so a resumed
+// sublink can be accepted while the one it replaces still holds unread
+// payload. The resume takes the session over at the offset counted so
+// far: the old sublink is closed and counts nothing more, and the new one
+// carries the rest — the stream stays exact and its digest verifies.
+func TestListenerResumeSupersedesDrainingSublink(t *testing.T) {
+	l, err := core.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	scs := make(chan *core.ServerConn, 2)
+	go func() {
+		for {
+			sc, err := l.Accept()
+			if err != nil {
+				return
+			}
+			scs <- sc
+		}
+	}()
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 16<<10)
+	route := core.Route{Target: l.Addr().String()}
+	id := wire.NewSessionID()
+	opts := []core.Option{core.WithSession(id), core.WithDigest(), core.WithContentLength(int64(len(payload)))}
+
+	c1, err := core.Dial(context.Background(), route, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if _, err := c1.Write(payload[:len(payload)/2]); err != nil {
+		t.Fatal(err)
+	}
+	old := <-scs
+
+	// The application has not read the first sublink yet.
+	c2, err := core.Dial(context.Background(), route, append(opts, core.WithResume())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if c2.Offset() != 0 {
+		t.Fatalf("resume offset %d, want 0: nothing was read before the resume", c2.Offset())
+	}
+	resumed := <-scs
+	if got, err := io.ReadAll(old); err == nil || len(got) != 0 {
+		t.Fatalf("superseded sublink read %d bytes, err %v; want nothing and an error", len(got), err)
+	}
+
+	sent := make(chan error, 1)
+	go func() { sent <- c2.SendReader(bytes.NewReader(payload)) }()
+	got, err := io.ReadAll(resumed)
+	if err != nil {
+		t.Fatalf("resumed sublink: %v", err)
+	}
+	if !bytes.Equal(got, payload) || !resumed.Verified() {
+		t.Fatalf("resumed sublink read %d of %d bytes, verified=%v", len(got), len(payload), resumed.Verified())
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -29,7 +29,8 @@
 // cascade round trip is spent waiting before the first payload byte.
 // Every later attempt re-dials with the same session ID and the resume
 // flag, waits for the accept, and continues from the offset the target
-// reports; with digesting on, the skipped prefix is re-hashed so the
+// reports (these resume retries are the engine's only synchronous opens:
+// every stripe session opens pipelined too, see striped.go); with digesting on, the skipped prefix is re-hashed so the
 // end-to-end MD5 still covers the complete stream. The engine resumes
 // only what it started itself: a second Transfer call that reuses a
 // pinned session ID starts over from byte 0, replacing whatever state

@@ -210,8 +210,13 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		return nil, err
 	}
 
+	// Every stripe session opens pipelined: dial returns once the first
+	// hop's transport is up, and the open header leaves coalesced with the
+	// group header, the first frames right behind it. The accept verdict
+	// is the Sender's to fold into the stripe's lifecycle (a refusal is a
+	// stripe-down, a missing accept a wedge; see stripe.Sender.Attach).
 	dial := func(r core.Route) (*core.Conn, error) {
-		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithSocketBuffers(ps.sockBuf)}
+		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithSocketBuffers(ps.sockBuf), core.WithEager()}
 		if ps.dial != nil {
 			opts = append(opts, core.WithDialer(ps.dial))
 		}
@@ -224,8 +229,14 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	// once the cascade unwinds cleanly) lands on done for the confirm
 	// phase to collect. A replayed session reads as generation -1, which
 	// updates only the group-level flushed and attribution state, never a
-	// live stripe's rate.
+	// live stripe's rate. It waits for the accept first without flushing
+	// the staged open header itself — a Read would — so that the header
+	// still leaves with the group header.
 	readAcks := func(idx, gen int, c *core.Conn, done chan error) {
+		if err := c.AwaitAccept(); err != nil {
+			done <- err
+			return
+		}
 		for {
 			a, rerr := stripe.ReadAck(c)
 			if rerr != nil {

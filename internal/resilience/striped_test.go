@@ -247,11 +247,13 @@ func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
 	depBAddr, _ := startDepot(t, depot.Config{})
 	payload := randBytes(2<<20, 24)
 
-	// Stripe 1's first session wedges after 400 KB: alive, paced slow,
-	// never delivering another byte. Stripe 0 is paced but healthy.
+	// Stripe 1's first session wedges after 200 KB: alive, paced slow,
+	// never delivering another byte. Stripe 0 is paced but healthy. The
+	// pacing leaves stripe 1 twelve or more 32 KiB frames, so the wedge
+	// lands mid-share (at 400 KB it fell just past a twelve-frame share).
 	fn := faultnet.New(nil)
 	fn.Script(depAAddr, faultnet.Step{WriteLatency: 200 * time.Microsecond})
-	fn.Script(depBAddr, faultnet.Step{WriteLatency: time.Millisecond, StallAfterBytes: 400_000})
+	fn.Script(depBAddr, faultnet.Step{WriteLatency: time.Millisecond, StallAfterBytes: 200_000})
 
 	smet := resilience.NewMetrics(metrics.NewRegistry())
 	res, err := resilience.StripedTransfer(context.Background(),

@@ -88,10 +88,10 @@ func FuzzReadAck(f *testing.F) {
 // the bytes it consumed.
 func FuzzReadStripeFrame(f *testing.F) {
 	var ok bytes.Buffer
-	writeFrame(&ok, 4096, []byte("payload"))
+	writePayload(&ok, 4096, []byte("payload"))
 	f.Add(ok.Bytes())
 	var huge bytes.Buffer
-	writeFrame(&huge, 0, nil)
+	writePayload(&huge, 0, nil)
 	huge.Bytes()[8] = 0xff // length 0xff000000: over MaxFrameSize
 	f.Add(huge.Bytes())
 	f.Add([]byte{})
@@ -105,7 +105,7 @@ func FuzzReadStripeFrame(f *testing.F) {
 			t.Fatalf("oversized frame length %d accepted", len(payload))
 		}
 		var enc bytes.Buffer
-		writeFrame(&enc, off, payload)
+		writePayload(&enc, off, payload)
 		if !bytes.Equal(enc.Bytes(), data[:enc.Len()]) {
 			t.Fatalf("re-encoded %x, consumed %x", enc.Bytes(), data[:enc.Len()])
 		}

@@ -81,7 +81,7 @@ func frameCase(name string, f *wireFrame) goldenCase {
 	return goldenCase{name, f,
 		func() []byte {
 			var b bytes.Buffer
-			writeFrame(&b, f.off, f.payload)
+			writePayload(&b, f.off, f.payload)
 			return b.Bytes()
 		},
 		decodeFrame}

@@ -13,6 +13,12 @@ import (
 	"lsl/internal/wire"
 )
 
+// writePayload frames payload at off through writeFrame, the way the
+// Sender does: header room in front of the payload, one Write.
+func writePayload(w io.Writer, off uint64, payload []byte) error {
+	return writeFrame(w, off, append(make([]byte, frameHeaderLen, frameHeaderLen+len(payload)), payload...))
+}
+
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var s bytes.Buffer
 	var hdr [frameHeaderLen]byte
@@ -36,7 +42,7 @@ func TestReceiverPendingCap(t *testing.T) {
 	chunk := make([]byte, 16<<10)
 	// Stripe 0 owns [0, 16K) and never delivers it, so nothing can flush.
 	for off := int64(16 << 10); off < 1<<20; off += 16 << 10 {
-		writeFrame(&s, uint64(off), chunk)
+		writePayload(&s, uint64(off), chunk)
 	}
 	err := recv.Attach(&s)
 	if !errors.Is(err, ErrPendingOverflow) {
@@ -104,8 +110,8 @@ func TestReceiverRejectsFrameBeyondEnd(t *testing.T) {
 			recv := NewReceiver(&out)
 			var s bytes.Buffer
 			s.Write((&GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 4}).Encode())
-			writeFrame(&s, tc.off, make([]byte, tc.n))
-			writeFrame(&s, 4, nil)
+			writePayload(&s, tc.off, make([]byte, tc.n))
+			writePayload(&s, 4, nil)
 			if err := recv.Attach(&s); !errors.Is(err, ErrFrameBeyondEnd) {
 				t.Fatalf("got %v, want ErrFrameBeyondEnd", err)
 			}
@@ -133,8 +139,8 @@ func TestReceiverStripeDeathReattach(t *testing.T) {
 	// (stream truncated mid-frame-header).
 	var s1 bytes.Buffer
 	s1.Write(gh.Encode())
-	writeFrame(&s1, 0, payload[0:fs])
-	writeFrame(&s1, 2*fs, payload[2*fs:3*fs])
+	writePayload(&s1, 0, payload[0:fs])
+	writePayload(&s1, 2*fs, payload[2*fs:3*fs])
 	s1.Write([]byte{0, 0, 0}) // torn frame header
 	if err := recv.Attach(&s1); err == nil {
 		t.Fatal("truncated stripe stream accepted")
@@ -148,11 +154,11 @@ func TestReceiverStripeDeathReattach(t *testing.T) {
 	// then carries the remaining ranges and the end frame.
 	var s2 bytes.Buffer
 	s2.Write(gh.Encode())
-	writeFrame(&s2, 0, payload[0:fs])
-	writeFrame(&s2, 2*fs, payload[2*fs:3*fs])
-	writeFrame(&s2, fs, payload[fs:2*fs])
-	writeFrame(&s2, 3*fs, payload[3*fs:])
-	writeFrame(&s2, uint64(len(payload)), nil)
+	writePayload(&s2, 0, payload[0:fs])
+	writePayload(&s2, 2*fs, payload[2*fs:3*fs])
+	writePayload(&s2, fs, payload[fs:2*fs])
+	writePayload(&s2, 3*fs, payload[3*fs:])
+	writePayload(&s2, uint64(len(payload)), nil)
 	if err := recv.Attach(&s2); err != nil {
 		t.Fatalf("replacement stream rejected: %v", err)
 	}
@@ -171,7 +177,7 @@ func TestReceiverRejectsCorruptReplay(t *testing.T) {
 	gh := &GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 64}
 	var s1 bytes.Buffer
 	s1.Write(gh.Encode())
-	writeFrame(&s1, 0, make([]byte, 32))
+	writePayload(&s1, 0, make([]byte, 32))
 	s1.Write([]byte{0})
 	if err := recv.Attach(&s1); err == nil {
 		t.Fatal("truncated stream accepted")
@@ -179,7 +185,7 @@ func TestReceiverRejectsCorruptReplay(t *testing.T) {
 	// Same flushed range, different frame boundaries.
 	var s2 bytes.Buffer
 	s2.Write(gh.Encode())
-	writeFrame(&s2, 8, make([]byte, 16))
+	writePayload(&s2, 8, make([]byte, 16))
 	if err := recv.Attach(&s2); !errors.Is(err, ErrFrameOverlap) {
 		t.Fatalf("got %v, want ErrFrameOverlap", err)
 	}
@@ -187,8 +193,8 @@ func TestReceiverRejectsCorruptReplay(t *testing.T) {
 	recv2 := NewReceiver(io.Discard)
 	var s3 bytes.Buffer
 	s3.Write(gh.Encode())
-	writeFrame(&s3, 16, make([]byte, 16)) // pending (head missing)
-	writeFrame(&s3, 16, make([]byte, 8))  // same offset, new length
+	writePayload(&s3, 16, make([]byte, 16)) // pending (head missing)
+	writePayload(&s3, 16, make([]byte, 8))  // same offset, new length
 	if err := recv2.Attach(&s3); !errors.Is(err, ErrFrameOverlap) {
 		t.Fatalf("got %v, want ErrFrameOverlap", err)
 	}
@@ -212,15 +218,15 @@ func TestReceiverSpeculativeDuplicates(t *testing.T) {
 	var s0 bytes.Buffer
 	s0.Write((&GroupHeader{Group: group, Index: 0, Count: 2, TotalLen: uint64(len(payload))}).Encode())
 	for off := 0; off < len(payload); off += fs {
-		writeFrame(&s0, uint64(off), payload[off:off+fs])
+		writePayload(&s0, uint64(off), payload[off:off+fs])
 	}
-	writeFrame(&s0, uint64(len(payload)), nil)
+	writePayload(&s0, uint64(len(payload)), nil)
 	var s1 bytes.Buffer
 	s1.Write((&GroupHeader{Group: group, Index: 1, Count: 2, TotalLen: uint64(len(payload))}).Encode())
 	for off := len(payload) - 2*fs; off < len(payload); off += fs {
-		writeFrame(&s1, uint64(off), payload[off:off+fs])
+		writePayload(&s1, uint64(off), payload[off:off+fs])
 	}
-	writeFrame(&s1, uint64(len(payload)), nil)
+	writePayload(&s1, uint64(len(payload)), nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -258,14 +264,14 @@ func TestReceiverRejectsCorruptDuplicateAcrossStripes(t *testing.T) {
 	group := wire.NewSessionID()
 	var s0 bytes.Buffer
 	s0.Write((&GroupHeader{Group: group, Index: 0, Count: 2, TotalLen: 64}).Encode())
-	writeFrame(&s0, 16, make([]byte, 16)) // pending (head missing)
+	writePayload(&s0, 16, make([]byte, 16)) // pending (head missing)
 	s0.Write([]byte{0})
 	if err := recv.Attach(&s0); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	var s1 bytes.Buffer
 	s1.Write((&GroupHeader{Group: group, Index: 1, Count: 2, TotalLen: 64}).Encode())
-	writeFrame(&s1, 16, make([]byte, 8)) // same offset, different length
+	writePayload(&s1, 16, make([]byte, 8)) // same offset, different length
 	if err := recv.Attach(&s1); !errors.Is(err, ErrFrameOverlap) {
 		t.Fatalf("got %v, want ErrFrameOverlap", err)
 	}
@@ -295,9 +301,9 @@ func TestReceiverAcks(t *testing.T) {
 	s.Write((&GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1,
 		TotalLen: uint64(len(payload)), Acks: true}).Encode())
 	for off := 0; off < len(payload); off += fs {
-		writeFrame(&s, uint64(off), payload[off:off+fs])
+		writePayload(&s, uint64(off), payload[off:off+fs])
 	}
-	writeFrame(&s, uint64(len(payload)), nil)
+	writePayload(&s, uint64(len(payload)), nil)
 
 	var back bytes.Buffer
 	if err := recv.Attach(&rwStream{Reader: &s, w: &back}); err != nil {
@@ -331,8 +337,8 @@ func TestReceiverAcks(t *testing.T) {
 	recv2 := NewReceiver(io.Discard)
 	var s2 bytes.Buffer
 	s2.Write((&GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 8}).Encode())
-	writeFrame(&s2, 0, make([]byte, 8))
-	writeFrame(&s2, 8, nil)
+	writePayload(&s2, 0, make([]byte, 8))
+	writePayload(&s2, 8, nil)
 	var back2 bytes.Buffer
 	if err := recv2.Attach(&rwStream{Reader: &s2, w: &back2}); err != nil {
 		t.Fatal(err)
@@ -354,9 +360,9 @@ func TestReceiverConcurrentReplays(t *testing.T) {
 		var s bytes.Buffer
 		s.Write(gh.Encode())
 		for off := 0; off < len(payload); off += 8 << 10 {
-			writeFrame(&s, uint64(off), payload[off:off+8<<10])
+			writePayload(&s, uint64(off), payload[off:off+8<<10])
 		}
-		writeFrame(&s, uint64(len(payload)), nil)
+		writePayload(&s, uint64(len(payload)), nil)
 		return s.Bytes()
 	}()
 	var wg sync.WaitGroup

@@ -21,11 +21,11 @@ import (
 const (
 	stripeIdle       = iota // declared but never attached
 	stripeLive              // attached, worker dispatching frames
-	stripeEnding            // worker committed to writing its end frame
-	stripeFinished          // end frame delivered
+	stripeEnding            // accepted; worker committed to writing its end frame
+	stripeFinished          // accepted and end frame delivered
 	stripeDead              // write failed; awaiting heal (re-Attach) or Abandon
 	stripeAbandoned         // given up; its frames were reassigned
-	stripeSuperseded        // write wedged; every frame re-delivered elsewhere
+	stripeSuperseded        // wedged; every frame re-delivered elsewhere
 )
 
 // Scheduler phases.
@@ -130,9 +130,11 @@ type SenderConfig struct {
 
 type stripeState struct {
 	state      int
-	gen        int // bumped each Attach/Abandon; stale workers self-retire
+	gen        int // bumped each Attach/Abandon/down; stale workers self-retire
 	w          io.Writer
-	queue      []frame // dispatched, not yet picked up by the worker
+	accepted   bool      // this generation's peer accepted the stream
+	attachedAt time.Time // when this generation attached
+	queue      []frame   // dispatched, not yet picked up by the worker
 	specq      []specFrame
 	inflight   bool
 	cur        frame     // frame the worker is writing right now
@@ -257,10 +259,26 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 	return s, nil
 }
 
+// acceptor is a stream its peer may still refuse: a pipelined session
+// open (core.Conn) carries the group header and the first frames before
+// the cascade's accept is back. AwaitAccept blocks for that verdict — nil
+// once accepted — and puts nothing on the wire itself, so the stream's
+// first Write still carries the open header coalesced with the group
+// header.
+type acceptor interface{ AwaitAccept() error }
+
 // Attach hands stripe `index` a fresh stream and starts (or restarts) its
 // writer. Valid on an idle stripe (initial attach) or a dead one (heal);
 // the new worker re-sends the group header and receives the dead
 // generation's requeued frames through normal dispatch.
+//
+// A stream with an accept still to come (one with an AwaitAccept method)
+// carries frames at once, and the verdict becomes part of the stripe's
+// lifecycle: a refusal is a stripe-down like a failed write, carrying the
+// accept's error; no accept within the stuck timeout makes the stripe
+// wedged (rate 0, no new frames), so speculation and supersession move its
+// frames to accepted stripes; and the stripe can finish only once
+// accepted. Any other writer counts as accepted from the start.
 func (s *Sender) Attach(index int, w io.Writer) error {
 	_, err := s.AttachGen(index, w)
 	return err
@@ -288,6 +306,9 @@ func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 	st.gen++
 	st.w = w
 	st.state = stripeLive
+	st.attachedAt = time.Now()
+	a, pending := w.(acceptor)
+	st.accepted = !pending
 	st.credit = 0
 	st.lastErr = nil
 	st.pipeWritten = 0
@@ -297,8 +318,26 @@ func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 	st.ackWinAt = time.Time{}
 	st.ackWinSeen = 0
 	go s.worker(index, st.gen)
+	if pending {
+		go s.awaitAccept(index, st.gen, a)
+	}
 	s.cond.Broadcast()
 	return st.gen, nil
+}
+
+// awaitAccept folds generation gen's accept verdict into the stripe's
+// lifecycle.
+func (s *Sender) awaitAccept(index, gen int, a acceptor) {
+	if err := a.AwaitAccept(); err != nil {
+		s.stripeDown(index, gen, err)
+		return
+	}
+	s.mu.Lock()
+	if st := s.stripes[index]; st.gen == gen {
+		st.accepted = true
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
 }
 
 // Abandon permanently retires a stripe (heal budget exhausted): its
@@ -380,9 +419,10 @@ func (s *Sender) requeueStripeLocked(st *stripeState) int {
 	return n
 }
 
-// stripeDown records a write failure: the stripe becomes dead, its
-// generation's frames are requeued, and OnStripeDown fires so a healing
-// engine can dial a replacement.
+// stripeDown records a write failure or a refused accept: the stripe
+// becomes dead, its generation's frames are requeued, its worker retires,
+// and OnStripeDown fires (once per generation) so a healing engine can
+// dial a replacement.
 func (s *Sender) stripeDown(index, gen int, err error) {
 	s.mu.Lock()
 	st := s.stripes[index]
@@ -390,6 +430,7 @@ func (s *Sender) stripeDown(index, gen int, err error) {
 		s.mu.Unlock()
 		return
 	}
+	st.gen++
 	st.state = stripeDead
 	st.lastErr = err
 	n := s.requeueStripeLocked(st)
@@ -433,7 +474,7 @@ func (s *Sender) worker(index, gen int) {
 		return
 	}
 
-	var buf []byte // one frame buffer per generation: w must not retain it
+	var buf []byte // header room + payload, one per generation: w must not retain it
 	for {
 		s.mu.Lock()
 		var f frame
@@ -471,7 +512,7 @@ func (s *Sender) worker(index, gen int) {
 				st.state = stripeEnding
 				s.cond.Broadcast()
 				s.mu.Unlock()
-				if err := writeFrame(w, uint64(s.total), nil); err != nil {
+				if err := writeFrame(w, uint64(s.total), make([]byte, frameHeaderLen)); err != nil {
 					s.stripeDown(index, gen, fmt.Errorf("end frame: %w", err))
 					return
 				}
@@ -492,11 +533,11 @@ func (s *Sender) worker(index, gen int) {
 		s.cond.Broadcast() // queue slot freed
 		s.mu.Unlock()
 
-		if cap(buf) < f.n {
-			buf = make([]byte, f.n)
+		if cap(buf) < frameHeaderLen+f.n {
+			buf = make([]byte, frameHeaderLen+f.n)
 		}
-		buf = buf[:f.n]
-		if _, err := s.src.ReadAt(buf, f.off); err != nil {
+		buf = buf[:frameHeaderLen+f.n]
+		if _, err := s.src.ReadAt(buf[frameHeaderLen:], f.off); err != nil {
 			// A source failure dooms every stripe, not just this one.
 			s.fail(fmt.Errorf("stripe: read source at %d: %w", f.off, err))
 			return
@@ -769,7 +810,7 @@ func (s *Sender) runMaintenance(sourceDry bool) bool {
 	switch {
 	case sup >= 0:
 		if s.logf != nil {
-			s.logf("stripe %d superseded: wedged write, all frames covered (%d requeued)", sup, requeued)
+			s.logf("stripe %d superseded: wedged, all frames covered (%d requeued)", sup, requeued)
 		}
 		if s.onSuperseded != nil {
 			s.onSuperseded(sup)
@@ -853,19 +894,19 @@ func (s *Sender) ReplayStripe(index int, w io.Writer) error {
 	if _, err := w.Write(gh.Encode()); err != nil {
 		return fmt.Errorf("stripe %d replay: group header: %w", index, err)
 	}
-	buf := make([]byte, s.frameSize)
+	buf := make([]byte, frameHeaderLen+s.frameSize)
 	for _, f := range frames {
-		if f.n > len(buf) {
-			buf = make([]byte, f.n)
+		if frameHeaderLen+f.n > len(buf) {
+			buf = make([]byte, frameHeaderLen+f.n)
 		}
-		if _, err := s.src.ReadAt(buf[:f.n], f.off); err != nil {
+		if _, err := s.src.ReadAt(buf[frameHeaderLen:frameHeaderLen+f.n], f.off); err != nil {
 			return fmt.Errorf("stripe %d replay: read source at %d: %w", index, f.off, err)
 		}
-		if err := writeFrame(w, uint64(f.off), buf[:f.n]); err != nil {
+		if err := writeFrame(w, uint64(f.off), buf[:frameHeaderLen+f.n]); err != nil {
 			return fmt.Errorf("stripe %d replay: %w", index, err)
 		}
 	}
-	if err := writeFrame(w, uint64(s.total), nil); err != nil {
+	if err := writeFrame(w, uint64(s.total), buf[:frameHeaderLen]); err != nil {
 		return fmt.Errorf("stripe %d replay: end frame: %w", index, err)
 	}
 	return nil

@@ -200,16 +200,14 @@ func ReadAck(r io.Reader) (*Ack, error) {
 	return a, nil
 }
 
-// writeFrame emits one offset-tagged frame.
-func writeFrame(w io.Writer, offset uint64, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	if _, err := w.Write(wire.AppendU32(wire.AppendU64(hdr[:0], offset), uint32(len(payload)))); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
+// writeFrame emits one offset-tagged frame in a single Write. buf is
+// frameHeaderLen bytes of header room followed by the payload (nothing
+// else for the end frame); the header is filled in place, so a frame
+// leaves as one segment rather than a lone 12-byte header ahead of its
+// payload.
+func writeFrame(w io.Writer, offset uint64, buf []byte) error {
+	wire.AppendU32(wire.AppendU64(buf[:0], offset), uint32(len(buf)-frameHeaderLen))
+	_, err := w.Write(buf)
 	return err
 }
 

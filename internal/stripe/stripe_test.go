@@ -185,7 +185,7 @@ func TestReceiverRejectsInconsistentGroup(t *testing.T) {
 	g2 := &GroupHeader{Group: wire.NewSessionID(), Index: 1, Count: 2, TotalLen: 10} // different group
 	var s1 bytes.Buffer
 	s1.Write(g1.Encode())
-	writeFrame(&s1, 10, nil)
+	writePayload(&s1, 10, nil)
 	if err := recv.Attach(&s1); err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestReceiverRejectsOverlap(t *testing.T) {
 	g := &GroupHeader{Group: wire.NewSessionID(), Index: 0, Count: 1, TotalLen: 8}
 	var s bytes.Buffer
 	s.Write(g.Encode())
-	writeFrame(&s, 0, []byte("abcd"))
-	writeFrame(&s, 2, []byte("zz")) // overlaps written prefix
+	writePayload(&s, 0, []byte("abcd"))
+	writePayload(&s, 2, []byte("zz")) // overlaps written prefix
 	err := recv.Attach(&s)
 	if err == nil {
 		t.Fatal("overlap accepted")

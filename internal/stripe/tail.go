@@ -25,8 +25,9 @@ import (
 //   - speculation: an idle fast stripe duplicates a slow stripe's
 //     sent-but-unconfirmed (or wedged in-flight) final frames, and
 //     whichever copy lands first wins;
-//   - supersession: a stripe whose write has wedged outright (no error,
-//     no progress) is retired once every frame it owns is covered by
+//   - supersession: a stripe that has wedged outright — a write blocked
+//     with no error and no progress, or a pipelined open whose accept
+//     never came back — is retired once every frame it owns is covered by
 //     another stripe's duplicate or the receiver's flushed prefix. Its
 //     ownership migrates to the coverer, its queued frames requeue for
 //     the survivors, and the engine closes its connection to unblock the
@@ -106,10 +107,10 @@ func (s *Sender) pruneFlushedLocked(flushed int64) {
 }
 
 // effRateLocked is the stripe's best-known delivery rate: 0 for a wedged
-// write, the receiver-acked drain rate when available, else the
+// stripe, the receiver-acked drain rate when available, else the
 // write-side EWMA.
 func (s *Sender) effRateLocked(st *stripeState) float64 {
-	if s.writeStuckLocked(st) {
+	if s.wedgedLocked(st) {
 		return 0
 	}
 	if st.genAcked && st.ackBps > 0 {
@@ -118,10 +119,15 @@ func (s *Sender) effRateLocked(st *stripeState) float64 {
 	return st.ewmaBps
 }
 
-// writeStuckLocked reports a frame write that has blocked longer than
-// the stuck timeout — the path is wedged, not merely slow.
-func (s *Sender) writeStuckLocked(st *stripeState) bool {
-	return st.inflight && time.Since(st.writeStart) > s.stuckTimeout
+// wedgedLocked reports a stripe that is wedged, not merely slow: a frame
+// write blocked longer than the stuck timeout, or a stream whose peer has
+// not accepted it within that long of its attach (a first hop that took
+// the connection and never answers).
+func (s *Sender) wedgedLocked(st *stripeState) bool {
+	if st.inflight && time.Since(st.writeStart) > s.stuckTimeout {
+		return true
+	}
+	return !st.accepted && time.Since(st.attachedAt) > s.stuckTimeout
 }
 
 // commitmentLocked is how many payload bytes the stripe is already
@@ -160,7 +166,7 @@ func (s *Sender) budgetLocked(st *stripeState) int64 {
 // does. Sizing the budget off the write-side EWMA instead would let relay
 // buffers that swallow writes instantly inflate it without bound.
 func (s *Sender) capacityLocked(st *stripeState) (frames int, bytes int64) {
-	if st.state != stripeLive {
+	if st.state != stripeLive || s.wedgedLocked(st) {
 		return 0, 0
 	}
 	if !measuredLocked(st) {
@@ -180,15 +186,23 @@ func (s *Sender) eligibleLocked(st *stripeState, n int) bool {
 	return frames > 0 && bytes >= int64(n)
 }
 
-// mayEndLocked gates the end frame. In ack mode, workers keep their
-// stripes live through the tail — available as speculation thieves —
-// until the receiver confirms the whole group (or stops acking, so the
-// classic unwind still terminates against a silent peer). A short
-// stream can run its source dry before the first ack ever arrives —
-// the dispatch burst outruns the feedback loop — so "no acks yet" is
-// not treated as a silent peer until a full stuck timeout has passed
-// since the tail began.
+// mayEndLocked gates the end frame. No stripe ends while a live one
+// still awaits its accept: a finished stripe must be an accepted one, and
+// the others stay live — available as speculation thieves — in case the
+// verdict is a refusal (its frames requeue) or never comes (it wedges and
+// is superseded). In ack mode, workers further keep their stripes live
+// through the tail until the receiver confirms the whole group (or stops
+// acking, so the classic unwind still terminates against a silent peer).
+// A short stream can run its source dry before the first ack ever
+// arrives — the dispatch burst outruns the feedback loop — so "no acks
+// yet" is not treated as a silent peer until a full stuck timeout has
+// passed since the tail began.
 func (s *Sender) mayEndLocked() bool {
+	for _, st := range s.stripes {
+		if st.state == stripeLive && !st.accepted {
+			return false
+		}
+	}
 	if !s.acks || s.confirmed {
 		return true
 	}
@@ -221,7 +235,7 @@ func (s *Sender) speculateLocked() (victim, thief, frames int) {
 		if len(tail) == 0 {
 			continue
 		}
-		vStuck := s.writeStuckLocked(vs)
+		vStuck := s.wedgedLocked(vs)
 		vRate := s.effRateLocked(vs)
 		if !vStuck && vRate <= 0 {
 			continue
@@ -334,7 +348,7 @@ func (s *Sender) unconfirmedTailLocked(vs *stripeState) []frame {
 // frames it requeued.
 func (s *Sender) supersedeLocked() (index, requeued int) {
 	for v, vs := range s.stripes {
-		if vs.state != stripeLive || !s.writeStuckLocked(vs) {
+		if vs.state != stripeLive || !s.wedgedLocked(vs) {
 			continue
 		}
 		type migration struct {
@@ -414,7 +428,7 @@ func (s *Sender) supersedeLocked() (index, requeued int) {
 		}
 		vs.gen++ // retire the wedged worker when its write finally returns
 		vs.state = stripeSuperseded
-		vs.lastErr = fmt.Errorf("stripe %d: write wedged for %v; superseded", v, s.stuckTimeout)
+		vs.lastErr = fmt.Errorf("stripe %d: wedged for %v; superseded", v, s.stuckTimeout)
 		s.superseded++
 		return v, requeued
 	}

@@ -271,7 +271,7 @@ func TestSenderInflightBudget(t *testing.T) {
 	st := snd.stripes[0]
 	snd.mu.Lock()
 	defer snd.mu.Unlock()
-	st.state = stripeLive
+	st.state, st.accepted = stripeLive, true // as Attach leaves a plain writer
 
 	// Before a measured ack rate, the frame-count bound governs.
 	if !snd.eligibleLocked(st, 4096) {
