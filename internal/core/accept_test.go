@@ -182,7 +182,7 @@ func TestConnAcceptStates(t *testing.T) {
 						if trunk {
 							pool := mux.NewPool(mux.PoolConfig{})
 							t.Cleanup(func() { pool.Close() })
-							opts = append(opts, core.WithMux(pool))
+							opts = append(opts, core.WithDialer(pool.DialContext))
 						}
 						c, err := core.Dial(context.Background(), route, opts...)
 						if err == nil {
@@ -309,7 +309,7 @@ func dialMute(t *testing.T, trunk bool, extra ...core.Option) *core.Conn {
 	if trunk {
 		pool := mux.NewPool(mux.PoolConfig{})
 		t.Cleanup(func() { pool.Close() })
-		opts = append(opts, core.WithMux(pool))
+		opts = append(opts, core.WithDialer(pool.DialContext))
 	}
 	c, err := core.Dial(context.Background(),
 		core.Route{Via: []string{peer}, Target: "target.invalid:1"}, opts...)

@@ -53,7 +53,6 @@ import (
 	"sync"
 	"time"
 
-	"lsl/internal/mux"
 	"lsl/internal/sockopt"
 	"lsl/internal/wire"
 	"lsl/internal/xfer"
@@ -134,14 +133,11 @@ type Options struct {
 	Staged bool
 	// HandshakeTimeout bounds header/accept exchanges (default 15s).
 	HandshakeTimeout time.Duration
-	// Dial overrides the transport dialer.
+	// Dial overrides the transport dialer. A mux.Pool's DialContext
+	// carries the first sublink as a stream on a warm trunk to the first
+	// hop (see internal/mux), falling back to a per-session connection
+	// against peers that do not speak the trunk protocol.
 	Dial Dialer
-	// Pool, when set, carries the session's first sublink as a stream on
-	// a warm trunk to the first hop (see internal/mux): no TCP handshake
-	// and no cold congestion window when a trunk is already open. Peers
-	// that do not speak the trunk protocol transparently fall back to a
-	// per-session connection.
-	Pool *mux.Pool
 	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on the first sublink
 	// when it is a direct TCP connection (the paper's §V hand-tuning);
 	// zero keeps kernel defaults. Trunk connections take their size from
@@ -179,11 +175,6 @@ func WithHandshakeTimeout(d time.Duration) Option {
 
 // WithDialer injects a transport dialer (tests, emulation).
 func WithDialer(d Dialer) Option { return func(o *Options) { o.Dial = d } }
-
-// WithMux rides the session over p's warm trunk to the first hop instead
-// of a fresh per-session TCP connection (falling back transparently when
-// the hop does not speak the trunk protocol).
-func WithMux(p *mux.Pool) Option { return func(o *Options) { o.Pool = p } }
 
 // WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
 // session's first sublink (zero keeps the kernel defaults). TCP_NODELAY
@@ -274,19 +265,10 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 		dial = d.DialContext
 	}
 	hops := route.Hops()
-	var nc net.Conn
-	var err error
 	dialStart := time.Now()
-	if o.Pool != nil {
-		// Warm trunk when available: no TCP handshake, no cold congestion
-		// window. The pool falls back to a classic connection for
-		// non-trunk peers on its own.
-		nc, err = o.Pool.DialContext(ctx, "tcp", hops[0])
-	} else {
-		nc, err = dial(ctx, "tcp", hops[0])
-		if err == nil {
-			sockopt.Tune(nc, o.SockBuf)
-		}
+	nc, err := dial(ctx, "tcp", hops[0])
+	if err == nil {
+		sockopt.Tune(nc, o.SockBuf)
 	}
 	dialDur := time.Since(dialStart)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lsl/internal/sockopt"
@@ -19,16 +20,19 @@ import (
 // work: how many payload bytes have arrived so far and the running digest
 // over them. It survives the transport connection that carried them.
 type sessionState struct {
-	// mu hands the state from sublink to sublink: only the owner counts
-	// bytes into it, and a resumed sublink takes ownership — and reads
-	// its offset — between two of the old owner's reads. Taken before
-	// Listener.mu.
-	mu    sync.Mutex
-	owner *ServerConn
-	hash  hash.Hash
+	// mu guards owner, hash and received. It hands the state from sublink
+	// to sublink: only the owner counts bytes into it, and a resumed
+	// sublink takes ownership — and reads its offset — between two of the
+	// old owner's reads. Never held together with Listener.mu, so a target
+	// read takes this one lock.
+	mu       sync.Mutex
+	owner    *ServerConn
+	hash     hash.Hash
+	received int64
 
-	received int64     // guarded by Listener.mu
-	updated  time.Time // guarded by Listener.mu
+	// updated is the last activity in unix nanoseconds, for the resume
+	// table's TTL sweep and eviction, which read it under Listener.mu.
+	updated atomic.Int64
 }
 
 // errSuperseded fails a sublink's reads once a resumed sublink has taken
@@ -54,6 +58,8 @@ const maxHandshakes = 64
 type Listener struct {
 	ln net.Listener
 
+	// mu guards the resume table, lastSweep and handshaking; no
+	// sessionState.mu is ever taken while it is held.
 	mu          sync.Mutex
 	sessions    map[wire.SessionID]*sessionState
 	lastSweep   time.Time
@@ -227,8 +233,6 @@ func (s *ServerConn) takeOver() int64 {
 		st.owner.nc.Close()
 	}
 	st.owner = s
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
 	return st.received
 }
 
@@ -244,10 +248,8 @@ func (s *ServerConn) count(b []byte) bool {
 	if st.hash != nil {
 		st.hash.Write(b)
 	}
-	s.l.mu.Lock()
 	st.received += int64(len(b))
-	st.updated = time.Now()
-	s.l.mu.Unlock()
+	st.updated.Store(time.Now().UnixNano())
 	return true
 }
 
@@ -258,21 +260,22 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 	defer l.mu.Unlock()
 	l.sweepLocked(now)
 	if st, ok := l.sessions[hdr.Session]; ok && hdr.Flags&wire.FlagResume != 0 {
-		st.updated = now
+		st.updated.Store(now.UnixNano())
 		return st
 	}
-	st := &sessionState{updated: now}
+	st := &sessionState{}
+	st.updated.Store(now.UnixNano())
 	if hdr.Flags&wire.FlagDigest != 0 {
 		st.hash = md5.New()
 	}
 	if len(l.sessions) >= l.MaxSessions {
 		// Evict the stalest entry to bound memory.
 		var oldest wire.SessionID
-		var when time.Time
+		var when int64
 		first := true
 		for id, s := range l.sessions {
-			if first || s.updated.Before(when) {
-				oldest, when, first = id, s.updated, false
+			if u := s.updated.Load(); first || u < when {
+				oldest, when, first = id, u, false
 			}
 		}
 		delete(l.sessions, oldest)
@@ -294,7 +297,7 @@ func (l *Listener) sweepLocked(now time.Time) {
 	}
 	l.lastSweep = now
 	for id, s := range l.sessions {
-		if now.Sub(s.updated) > l.SessionTTL {
+		if now.Sub(time.Unix(0, s.updated.Load())) > l.SessionTTL {
 			delete(l.sessions, id)
 		}
 	}
@@ -348,8 +351,8 @@ func (s *ServerConn) ContentLength() int64 {
 // Received returns the total payload bytes received across the session's
 // lifetime (including earlier sublinks of a resumed session).
 func (s *ServerConn) Received() int64 {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
 	return s.st.received
 }
 

@@ -144,7 +144,7 @@ func TestDialWithMuxFallsBackAgainstClassicTarget(t *testing.T) {
 	payload := randBytes(64_000, 7)
 	start := time.Now()
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},
-		core.WithMux(pool), core.WithDigest(),
+		core.WithDialer(pool.DialContext), core.WithDigest(),
 		core.WithContentLength(int64(len(payload))))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestDialWithMuxEagerThroughDepot(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c, err := core.Dial(context.Background(),
 			core.Route{Via: []string{dep}, Target: addr},
-			core.WithMux(pool), core.WithEager(), core.WithDigest(),
+			core.WithDialer(pool.DialContext), core.WithEager(), core.WithDigest(),
 			core.WithContentLength(int64(len(payload))))
 		if err != nil {
 			t.Fatal(err)

@@ -106,7 +106,7 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 	payload := make([]byte, 512<<10)
 	rand.Read(payload)
 	for i := 0; i < 2; i++ {
-		sendDigestPayload(t, route, payload, core.WithMux(pool))
+		sendDigestPayload(t, route, payload, core.WithDialer(pool.DialContext))
 		expectPayload(t, got, payload)
 	}
 
@@ -168,7 +168,7 @@ func TestMixedFleetInterop(t *testing.T) {
 	// probe timeout.
 	start := time.Now()
 	for i := 0; i < 2; i++ {
-		sendDigestPayload(t, route, payload, core.WithMux(pool))
+		sendDigestPayload(t, route, payload, core.WithDialer(pool.DialContext))
 		expectPayload(t, got, payload)
 	}
 	if took := time.Since(start); took > time.Second {
@@ -195,7 +195,7 @@ func TestMuxDepotServesClassicClients(t *testing.T) {
 	rand.Read(payload)
 	route := core.Route{Via: []string{addr1}, Target: targetAddr}
 	start := time.Now()
-	sendDigestPayload(t, route, payload) // no WithMux: classic dialing
+	sendDigestPayload(t, route, payload) // no trunk pool: classic dialing
 	expectPayload(t, got, payload)
 	// The depot probes the classic target for a trunk first; the target
 	// refuses within a round trip.
@@ -215,7 +215,7 @@ func TestMuxDepotDrainsTrunksOnClose(t *testing.T) {
 	defer pool.Close()
 	payload := []byte("drain me")
 	route := core.Route{Via: []string{addr1}, Target: targetAddr}
-	sendDigestPayload(t, route, payload, core.WithMux(pool))
+	sendDigestPayload(t, route, payload, core.WithDialer(pool.DialContext))
 	expectPayload(t, got, payload)
 
 	start := time.Now()

@@ -158,14 +158,14 @@ func TestTrunkWindowOpensOnWANSublinks(t *testing.T) {
 	// A first small session opens both trunks; the timed one rides them.
 	warm := make([]byte, 4<<10)
 	rand.Read(warm)
-	sendDigestPayload(t, route, warm, core.WithMux(pool))
+	sendDigestPayload(t, route, warm, core.WithDialer(pool.DialContext))
 	<-done
 	expectPayload(t, got, warm)
 
 	payload := make([]byte, 16<<20)
 	rand.Read(payload)
 	start := time.Now()
-	sendDigestPayload(t, route, payload, core.WithMux(pool))
+	sendDigestPayload(t, route, payload, core.WithDialer(pool.DialContext))
 	took := (<-done).Sub(start)
 	expectPayload(t, got, payload)
 	goodput := float64(len(payload)) / took.Seconds()
@@ -180,7 +180,7 @@ func TestTrunkWindowOpensOnWANSublinks(t *testing.T) {
 	}
 	// The depot samples its trunks' window high water as each stream is
 	// accepted: one more session shows what the first sublink grew to.
-	sendDigestPayload(t, route, warm, core.WithMux(pool))
+	sendDigestPayload(t, route, warm, core.WithDialer(pool.DialContext))
 	<-done
 	expectPayload(t, got, warm)
 	if hw := d.muxWindow.Value(); hw <= int64(window) {

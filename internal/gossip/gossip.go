@@ -134,7 +134,6 @@ type Gossiper struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	peers []*peerState
-	now   func() time.Time // injectable for tests
 }
 
 // New validates cfg and builds a Gossiper. It does not start any
@@ -176,7 +175,6 @@ func New(cfg Config) (*Gossiper, error) {
 		cfg:  cfg,
 		self: string(cfg.Planner.Self()),
 		rng:  rand.New(rand.NewSource(seed)),
-		now:  time.Now,
 	}
 	seen := make(map[string]bool)
 	for _, addr := range cfg.Peers {
@@ -239,7 +237,7 @@ func (g *Gossiper) RunRound(ctx context.Context) int {
 func (g *Gossiper) pickPeers() []*peerState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.now()
+	now := time.Now()
 	var eligible []*peerState
 	for _, ps := range g.peers {
 		if now.Before(ps.nextTry) {
@@ -267,7 +265,7 @@ func (g *Gossiper) settle(ps *peerState, merged int, err error) {
 			m.ObservationsMerged.Add(uint64(merged))
 		}
 	}
-	now := g.now()
+	now := time.Now()
 	if err != nil {
 		ps.fails++
 		ps.lastErr = err.Error()

@@ -739,9 +739,6 @@ func newStream(l *Link, id uint32, credit uint32) *Stream {
 	return s
 }
 
-// StreamID returns the stream's id on its link.
-func (s *Stream) StreamID() uint32 { return s.id }
-
 // Link returns the trunk carrying the stream.
 func (s *Stream) Link() *Link { return s.link }
 

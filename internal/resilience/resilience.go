@@ -6,7 +6,7 @@
 //
 // One heal loop (path, in path.go) decides what happens when an attempt
 // on a route fails. Transfer drives one path; StripedTransfer drives one
-// per stripe, for initial attach, mid-flow heal and confirm-replay alike:
+// per stripe, for initial attach and every heal alike:
 //
 //   - Errors are classified permanent (the session was actively refused,
 //     or integrity is provably broken) or transient (dial failure, reset,

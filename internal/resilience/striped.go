@@ -6,14 +6,14 @@
 // attached — and the frames it had in flight are reassigned; a stripe
 // whose attempt budget runs out is abandoned and its share flows through
 // the survivors. Delivery is confirmed by the receiver's acks or, per
-// stripe, by the cascade unwinding, with a replay onto a fresh session
-// for a stripe whose confirmation fails after the data phase.
+// stripe, by the cascade unwinding; both are part of the stripe's
+// lifecycle in stripe.Sender, so a stripe that fails to confirm goes down
+// and heals through the same loop as one that dies mid-flow.
 
 package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -102,7 +102,6 @@ type StripedResult struct {
 type stripeCtl struct {
 	*path
 	conn        *core.Conn
-	ackDone     chan error // current conn's ack reader exit status
 	dialSeconds float64
 }
 
@@ -114,8 +113,8 @@ type stripeCtl struct {
 // weights, stripes map onto them cyclically, and every stripe's fate is
 // fed back into the forecasts. Every route must name the same target.
 //
-// src must support concurrent ReadAt (frames are re-read on reassignment
-// and replay). The MD5 digest trailer is not used — integrity rides on
+// src must support concurrent ReadAt (frames are re-read on
+// reassignment). The MD5 digest trailer is not used — integrity rides on
 // per-frame offsets, TCP checksums, and the receiver's completeness
 // check; pair with an end-to-end digest at a higher layer if required.
 func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, size int64, opts ...Option) (*StripedResult, error) {
@@ -212,39 +211,17 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 
 	// Every stripe session opens pipelined: dial returns once the first
 	// hop's transport is up, and the open header leaves coalesced with the
-	// group header, the first frames right behind it. The accept verdict
-	// is the Sender's to fold into the stripe's lifecycle (a refusal is a
-	// stripe-down, a missing accept a wedge; see stripe.Sender.Attach).
+	// group header, the first frames right behind it. The session's
+	// backward channel is the Sender's from accept to unwind (a refusal
+	// is a stripe-down, a missing accept a wedge, a channel that fails
+	// before the group is confirmed another stripe-down; see
+	// stripe.Sender.Attach).
 	dial := func(r core.Route) (*core.Conn, error) {
 		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithSocketBuffers(ps.sockBuf), core.WithEager()}
 		if ps.dial != nil {
 			opts = append(opts, core.WithDialer(ps.dial))
 		}
 		return core.Dial(ctx, r, opts...)
-	}
-
-	// readAcks owns conn c's backward channel for stripe idx, stream
-	// generation gen: every delivery report feeds the scheduler's flow
-	// control and tail reclamation, and the reader's exit status (io.EOF
-	// once the cascade unwinds cleanly) lands on done for the confirm
-	// phase to collect. A replayed session reads as generation -1, which
-	// updates only the group-level flushed and attribution state, never a
-	// live stripe's rate. It waits for the accept first without flushing
-	// the staged open header itself — a Read would — so that the header
-	// still leaves with the group header.
-	readAcks := func(idx, gen int, c *core.Conn, done chan error) {
-		if err := c.AwaitAccept(); err != nil {
-			done <- err
-			return
-		}
-		for {
-			a, rerr := stripe.ReadAck(c)
-			if rerr != nil {
-				done <- rerr
-				return
-			}
-			snd.Ack(idx, gen, a)
-		}
 	}
 
 	// abandon retires stripe idx for good; its share flows through the
@@ -259,14 +236,6 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		snd.Abandon(idx, err)
 	}
 
-	healed := func(idx int, how string) {
-		met.StripeHeals.Inc()
-		ps.mu.Lock()
-		res.Heals++
-		ps.mu.Unlock()
-		logf("resilience: %s stripe %d %s", ps, idx, how)
-	}
-
 	// attach brings stripe idx up (initial attach or heal) within the
 	// stripe's attempt budget, abandoning it when the heal loop gives up.
 	attach := func(idx int, heal bool) {
@@ -276,22 +245,23 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 			if err != nil {
 				return err
 			}
-			done := make(chan error, 1)
 			ps.mu.Lock()
-			sc.conn, sc.ackDone, sc.dialSeconds = c, done, c.DialDuration().Seconds()
+			sc.conn, sc.dialSeconds = c, c.DialDuration().Seconds()
 			ps.mu.Unlock()
-			gen, err := snd.AttachGen(idx, c)
-			if err != nil {
+			if err := snd.Attach(idx, c); err != nil {
 				drop(idx)
 				return err
 			}
-			go readAcks(idx, gen, c, done)
 			return nil
 		})
 		if err != nil {
 			abandon(idx, err)
 		} else if heal {
-			healed(idx, "re-attached")
+			met.StripeHeals.Inc()
+			ps.mu.Lock()
+			res.Heals++
+			ps.mu.Unlock()
+			logf("resilience: %s stripe %d re-attached", ps, idx)
 		}
 	}
 
@@ -390,88 +360,9 @@ events:
 		return finish(runErr)
 	}
 
-	// drain confirms one stripe session's delivery. The backward channel
-	// belongs to the session's ack reader, so the drain half-closes and
-	// then waits for the reader to see the cascade unwind (io.EOF) — or for
-	// the receiver's flushed-everything ack, whichever lands first.
-	drain := func(c *core.Conn, done chan error) error {
-		if err := c.CloseWrite(); err != nil {
-			return err
-		}
-		c.SetDeadline(time.Now().Add(confirmTimeout))
-		select {
-		case derr := <-done:
-			if errors.Is(derr, io.EOF) {
-				return nil
-			}
-			return derr
-		case <-snd.ConfirmedChan():
-			return nil
-		}
-	}
-	// confirm drains stripe idx; a stripe that cannot confirm is one more
-	// failed attempt on its path, healed by replaying it in full onto a
-	// fresh session (the receiver drops the duplicates).
-	confirm := func(idx int) error {
-		sc := ctls[idx]
-		ps.mu.Lock()
-		c, done := sc.conn, sc.ackDone
-		ps.mu.Unlock()
-		if c == nil {
-			// Abandoned or superseded; its bytes were confirmed via the
-			// survivors.
-			return nil
-		}
-		err := drain(c, done)
-		if err == nil {
-			return nil
-		}
-		if !sc.failed(err) {
-			err = sc.run(ctx, func(r core.Route) error {
-				c, err := dial(r)
-				if err != nil {
-					return err
-				}
-				defer c.Close()
-				done := make(chan error, 1)
-				go readAcks(idx, -1, c, done)
-				if err := snd.ReplayStripe(idx, c); err != nil {
-					return err
-				}
-				return drain(c, done)
-			})
-		}
-		if err != nil {
-			return fmt.Errorf("stripe %d: confirm: %w", idx, err)
-		}
-		healed(idx, "confirmed via replay")
-		return nil
-	}
-	// With the receiver's flushed-everything ack already in hand there is
-	// nothing left to confirm: every byte is delivered and attributed, so
-	// skip the per-stripe unwind (and with it any wait on a slow path's
-	// buffered backlog — the whole point of the tail work).
 	if snd.Confirmed() {
 		logf("resilience: %s confirmed by receiver ack", ps)
-	} else {
-		confErrs := make(chan error, n)
-		var confWG sync.WaitGroup
-		for i := 0; i < n; i++ {
-			confWG.Add(1)
-			go func(idx int) {
-				defer confWG.Done()
-				if err := confirm(idx); err != nil {
-					confErrs <- err
-				}
-			}(i)
-		}
-		confWG.Wait()
-		close(confErrs)
-		if err := <-confErrs; err != nil {
-			return finish(err)
-		}
 	}
-
 	if ps.planner != nil {
 		sb := deliveredBytes(snd)
 		dur := time.Since(start).Seconds()

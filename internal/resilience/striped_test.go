@@ -55,8 +55,8 @@ func newStripedTarget(t *testing.T) *stripedTarget {
 				if aerr := st.recv.Attach(sc); aerr != nil {
 					t.Logf("striped target: stream error (tolerated): %v", aerr)
 				}
-				// Close unwinds the cascade so the sender's confirm
-				// drain completes.
+				// Close unwinds the cascade, which finishes the
+				// sender's stripe.
 				sc.Close()
 				if st.recv.Complete() {
 					st.once.Do(func() { close(st.done) })
@@ -303,6 +303,109 @@ func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
 	}
 }
 
+// tailDeathConn passes a stripe session's open and group headers
+// through, then swallows every frame — closing framed on the first and
+// holding the rest until hold closes — and resets the connection when the
+// stripe half-closes: the frames count as written, and they die with the
+// connection before the receiver sees one.
+type tailDeathConn struct {
+	net.Conn
+	head   []byte // what passed through
+	framed chan struct{}
+	hold   <-chan struct{}
+	reset  chan struct{}
+}
+
+func (c *tailDeathConn) Write(p []byte) (int, error) {
+	if i := bytes.Index(c.head, []byte("LSLT")); i < 0 || len(c.head) < i+31 {
+		c.head = append(c.head, p...)
+		return c.Conn.Write(p)
+	}
+	if c.framed != nil {
+		close(c.framed)
+		c.framed = nil
+	} else {
+		<-c.hold
+	}
+	return len(p), nil
+}
+
+func (c *tailDeathConn) CloseWrite() error {
+	c.Conn.(*net.TCPConn).SetLinger(0)
+	c.Conn.Close()
+	close(c.reset)
+	return nil
+}
+
+// A stripe whose connection is reset after all its frames are written,
+// while the receiver acks and before the group is confirmed, goes down
+// like a stripe that dies mid-flow: its frames requeue and the one heal
+// loop re-attaches it. The two stripes take turns at the start — stripe
+// 0's transport comes up once stripe 1 has written a frame, and stripe 1
+// writes its next once stripe 0 has — so both carry frames, and only
+// stripe 0's reach the receiver and are acked.
+func TestStripedTransferHealsTailDeath(t *testing.T) {
+	st := newStripedTarget(t)
+	depAAddr, _ := startDepot(t, depot.Config{})
+	depBAddr, _ := startDepot(t, depot.Config{})
+	payload := randBytes(512<<10, 26)
+
+	framed, released, reset := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var onceA, onceB, release sync.Once
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if addr == depAAddr {
+			select {
+			case <-framed:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		switch addr {
+		case depAAddr:
+			onceA.Do(func() {
+				c = &frameTap{Conn: c, framed: func() { release.Do(func() { close(released) }) }}
+			})
+		case depBAddr:
+			onceB.Do(func() { c = &tailDeathConn{Conn: c, framed: framed, hold: released, reset: reset} })
+		}
+		return c, nil
+	}
+	smet := resilience.NewMetrics(metrics.NewRegistry())
+	res, err := resilience.StripedTransfer(context.Background(),
+		[]core.Route{
+			{Via: []string{depAAddr}, Target: st.addr()},
+			{Via: []string{depBAddr}, Target: st.addr()},
+		},
+		bytes.NewReader(payload), int64(len(payload)),
+		resilience.WithPolicy(fastPolicy()),
+		resilience.WithDialer(dial),
+		resilience.WithFrameSize(32<<10),
+		resilience.WithMetrics(smet),
+		resilience.WithLogf(t.Logf))
+	if err != nil {
+		t.Fatalf("striped transfer did not heal the tail death: %v", err)
+	}
+	st.wait(t, payload)
+	select {
+	case <-reset:
+	default:
+		t.Fatal("stripe 1's first session never half-closed")
+	}
+	if res.Heals != 1 || res.Abandoned != 0 {
+		t.Fatalf("heals=%d abandoned=%d, want 1/0", res.Heals, res.Abandoned)
+	}
+	if !res.Confirmed {
+		t.Fatal("the healed group should confirm by receiver ack")
+	}
+	if got := smet.FramesReassigned.Value(); got < 1 {
+		t.Fatalf("lsl_stripe_frames_reassigned_total=%d, want >= 1: the dead stripe's frames were re-sent", got)
+	}
+}
+
 // A stripe whose depot refuses every dial is abandoned after its budget
 // and the survivors deliver its share.
 func TestStripedTransferAbandonsHopelessStripe(t *testing.T) {
@@ -350,9 +453,9 @@ func TestStripedTransferAbandonsHopelessStripe(t *testing.T) {
 
 // A stripe's route dies between the data phase and the confirm: every
 // frame and both end frames are in, but depot B vanishes before its
-// cascade unwinds. Confirming is one more attempt on the stripe's path,
-// so the replay must follow the same policy as a mid-flow heal — two
-// refused dials at the dead first hop, then failover past it — and land
+// cascade unwinds. The stripe goes down like one that dies mid-flow, so
+// re-sending its frames follows the same policy as any heal — two
+// refused dials at the dead first hop, then failover past it — and lands
 // on the direct route.
 func TestStripedTransferConfirmReplayFailsOver(t *testing.T) {
 	depAAddr, _ := startDepot(t, depot.Config{})

@@ -22,11 +22,17 @@ const (
 	stripeIdle       = iota // declared but never attached
 	stripeLive              // attached, worker dispatching frames
 	stripeEnding            // accepted; worker committed to writing its end frame
-	stripeFinished          // accepted and end frame delivered
-	stripeDead              // write failed; awaiting heal (re-Attach) or Abandon
+	stripeUnwinding         // end frame out, stream half-closed; awaiting confirmation or EOF
+	stripeFinished          // accepted, end frame delivered and, with a backward channel, confirmed
+	stripeDead              // write or channel failed; awaiting heal (re-Attach) or Abandon
 	stripeAbandoned         // given up; its frames were reassigned
 	stripeSuperseded        // wedged; every frame re-delivered elsewhere
 )
+
+// unwindTimeout bounds how long a stripe may wait, after half-closing its
+// stream, for the group's confirmation or for its cascade to unwind. A
+// stripe still waiting then goes down and its unconfirmed frames requeue.
+const unwindTimeout = 30 * time.Second
 
 // Scheduler phases.
 const (
@@ -109,12 +115,12 @@ type SenderConfig struct {
 	// disables mid-flow rebalancing.
 	RebalanceBytes int64
 	// Acks opens stripe streams with the ack-requesting "LSLT" header so
-	// an ack-capable receiver reports delivery on the backward channel
-	// (feed the records in via Sender.Ack). Old receivers reject "LSLT",
-	// so only enable against peers known to run this version. Once a
-	// stream's acks measure its drain rate, its in-flight bytes are
-	// bounded by that rate × a short horizon (BDP-style) instead of a
-	// frame count.
+	// an ack-capable receiver reports delivery on the backward channel,
+	// which the Sender reads itself on every stream that is also an
+	// io.Reader (see Attach). Old receivers reject "LSLT", so only enable
+	// against peers known to run this version. Once a stream's acks
+	// measure its drain rate, its in-flight bytes are bounded by that
+	// rate × a short horizon (BDP-style) instead of a frame count.
 	Acks bool
 	// OnStripeDown fires (off the scheduler lock) when a stripe's
 	// write fails; the callback must not block for long and must not
@@ -132,6 +138,7 @@ type stripeState struct {
 	state      int
 	gen        int // bumped each Attach/Abandon/down; stale workers self-retire
 	w          io.Writer
+	back       bool      // the Sender reads this generation's backward channel
 	accepted   bool      // this generation's peer accepted the stream
 	attachedAt time.Time // when this generation attached
 	queue      []frame   // dispatched, not yet picked up by the worker
@@ -205,7 +212,6 @@ type Sender struct {
 	acksObserved    bool
 	lastAckProgress time.Time
 	confirmed       bool
-	confirmCh       chan struct{}
 
 	tailStart time.Time // first moment the frame source ran dry
 	tailDur   time.Duration
@@ -246,7 +252,6 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 		specPending:    make(map[int64]bool),
 		specDone:       make(map[int64]specRec),
 		ackAccepted:    make([]int64, stripes),
-		confirmCh:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := range s.stripes {
@@ -279,36 +284,39 @@ type acceptor interface{ AwaitAccept() error }
 // wedged (rate 0, no new frames), so speculation and supersession move its
 // frames to accepted stripes; and the stripe can finish only once
 // accepted. Any other writer counts as accepted from the start.
+//
+// In ack mode a stream that is also an io.Reader has a backward channel,
+// and the Sender owns it for the whole generation: it reads the accept,
+// then the receiver's ack records, and the channel's end is part of the
+// lifecycle too (see channelEnded). After its end frame such a stripe
+// half-closes the stream (when it has CloseWrite) and finishes once the
+// group is confirmed or its channel unwinds to EOF. Other streams finish
+// as soon as their end frame is written. The channel's reader may outlive
+// Run: it exits when the caller closes the stream.
 func (s *Sender) Attach(index int, w io.Writer) error {
-	_, err := s.AttachGen(index, w)
-	return err
-}
-
-// AttachGen is Attach returning the new stream's generation, which a
-// per-connection ack reader passes to Ack so reports from a dead
-// stream's leftovers can never be credited to its replacement.
-func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if index < 0 || index >= len(s.stripes) {
-		return 0, fmt.Errorf("stripe: attach index %d out of range", index)
+		return fmt.Errorf("stripe: attach index %d out of range", index)
 	}
 	st := s.stripes[index]
 	switch st.state {
 	case stripeIdle, stripeDead:
 	case stripeAbandoned:
-		return 0, fmt.Errorf("stripe %d: attach after abandon", index)
+		return fmt.Errorf("stripe %d: attach after abandon", index)
 	case stripeSuperseded:
-		return 0, fmt.Errorf("stripe %d: attach after supersession", index)
+		return fmt.Errorf("stripe %d: attach after supersession", index)
 	default:
-		return 0, fmt.Errorf("stripe %d: already attached", index)
+		return fmt.Errorf("stripe %d: already attached", index)
 	}
 	st.gen++
 	st.w = w
 	st.state = stripeLive
 	st.attachedAt = time.Now()
-	a, pending := w.(acceptor)
+	_, pending := w.(acceptor)
+	_, reader := w.(io.Reader)
 	st.accepted = !pending
+	st.back = s.acks && reader
 	st.credit = 0
 	st.lastErr = nil
 	st.pipeWritten = 0
@@ -318,26 +326,65 @@ func (s *Sender) AttachGen(index int, w io.Writer) (int, error) {
 	st.ackWinAt = time.Time{}
 	st.ackWinSeen = 0
 	go s.worker(index, st.gen)
-	if pending {
-		go s.awaitAccept(index, st.gen, a)
+	if pending || st.back {
+		go s.channel(index, st.gen, w)
 	}
 	s.cond.Broadcast()
-	return st.gen, nil
+	return nil
 }
 
-// awaitAccept folds generation gen's accept verdict into the stripe's
-// lifecycle.
-func (s *Sender) awaitAccept(index, gen int, a acceptor) {
-	if err := a.AwaitAccept(); err != nil {
-		s.stripeDown(index, gen, err)
+// channel owns generation gen's backward channel: it folds the accept
+// verdict into the stripe's lifecycle, feeds every ack record to the
+// scheduler, and turns the channel's end into a lifecycle event.
+func (s *Sender) channel(index, gen int, w io.Writer) {
+	if a, ok := w.(acceptor); ok {
+		if err := a.AwaitAccept(); err != nil {
+			s.stripeDown(index, gen, err)
+			return
+		}
+		s.mu.Lock()
+		if st := s.stripes[index]; st.gen == gen {
+			st.accepted = true
+			s.cond.Broadcast()
+		}
+		s.mu.Unlock()
+	}
+	r, ok := w.(io.Reader)
+	if !s.acks || !ok {
 		return
 	}
+	for {
+		a, err := ReadAck(r)
+		if err != nil {
+			s.channelEnded(index, gen, err)
+			return
+		}
+		s.ack(index, gen, a)
+	}
+}
+
+// channelEnded handles the end of generation gen's backward channel. A
+// channel that ends while the worker writes the end frame and half-closes
+// waits for it, so that a group confirmed meanwhile finishes the stripe
+// whatever its channel did. EOF after the half-close is the cascade
+// unwinding: every frame the stripe carried was delivered, so it
+// finishes. Any other end — an error, EOF before the end frame, the
+// unwind timeout — is a stripe-down, also for a stripe whose end frame is
+// out: its unconfirmed frames requeue and the heal loop takes over.
+func (s *Sender) channelEnded(index, gen int, err error) {
 	s.mu.Lock()
-	if st := s.stripes[index]; st.gen == gen {
-		st.accepted = true
+	st := s.stripes[index]
+	for st.gen == gen && st.state == stripeEnding && s.failErr == nil {
+		s.cond.Wait()
+	}
+	if err == io.EOF && st.gen == gen && st.state == stripeUnwinding {
+		st.state = stripeFinished
 		s.cond.Broadcast()
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
+	s.stripeDown(index, gen, fmt.Errorf("backward channel: %w", err))
 }
 
 // Abandon permanently retires a stripe (heal budget exhausted): its
@@ -354,7 +401,7 @@ func (s *Sender) Abandon(index int, err error) {
 	case stripeAbandoned, stripeFinished:
 		return
 	}
-	st.gen++ // retire any live worker
+	st.gen++ // retire any live worker and channel reader
 	s.requeueStripeLocked(st)
 	st.state = stripeAbandoned
 	if err != nil {
@@ -419,14 +466,15 @@ func (s *Sender) requeueStripeLocked(st *stripeState) int {
 	return n
 }
 
-// stripeDown records a write failure or a refused accept: the stripe
-// becomes dead, its generation's frames are requeued, its worker retires,
-// and OnStripeDown fires (once per generation) so a healing engine can
-// dial a replacement.
+// stripeDown records a write failure, a refused accept or a failed
+// backward channel: the stripe becomes dead, its generation's frames are
+// requeued, its worker retires, and OnStripeDown fires (once per
+// generation) so a healing engine can dial a replacement. A finished
+// stripe stays finished.
 func (s *Sender) stripeDown(index, gen int, err error) {
 	s.mu.Lock()
 	st := s.stripes[index]
-	if st.gen != gen || s.done {
+	if st.gen != gen || s.done || st.state == stripeFinished {
 		s.mu.Unlock()
 		return
 	}
@@ -510,15 +558,19 @@ func (s *Sender) worker(index, gen int) {
 				// dispatcher cannot hand this stripe more data if
 				// another stripe's death reopens the data phase.
 				st.state = stripeEnding
+				back := st.back
 				s.cond.Broadcast()
 				s.mu.Unlock()
-				if err := writeFrame(w, uint64(s.total), make([]byte, frameHeaderLen)); err != nil {
-					s.stripeDown(index, gen, fmt.Errorf("end frame: %w", err))
+				if err := s.end(w, back); err != nil {
+					s.stripeDown(index, gen, err)
 					return
 				}
 				s.mu.Lock()
 				if st.gen == gen {
 					st.state = stripeFinished
+					if back && !s.confirmed {
+						st.state = stripeUnwinding
+					}
 					s.cond.Broadcast()
 				}
 				s.mu.Unlock()
@@ -593,11 +645,34 @@ func (s *Sender) worker(index, gen int) {
 	}
 }
 
+// end writes the stripe's end frame. A stream whose backward channel the
+// Sender reads is then half-closed, when it can be, so the cascade
+// unwinds behind the end frame, and given unwindTimeout to do so.
+func (s *Sender) end(w io.Writer, back bool) error {
+	if err := writeFrame(w, uint64(s.total), make([]byte, frameHeaderLen)); err != nil {
+		return fmt.Errorf("end frame: %w", err)
+	}
+	if !back {
+		return nil
+	}
+	if cw, ok := w.(interface{ CloseWrite() error }); ok {
+		if err := cw.CloseWrite(); err != nil {
+			return fmt.Errorf("half-close: %w", err)
+		}
+	}
+	if d, ok := w.(interface{ SetDeadline(time.Time) error }); ok {
+		// A stream that refuses the deadline is closed: its channel's
+		// read fails without one.
+		_ = d.SetDeadline(time.Now().Add(unwindTimeout))
+	}
+	return nil
+}
+
 // victimHoldsFrames reports whether a stripe in the given state still
 // owns its sent-but-unconfirmed frames (so duplicating them helps).
 func victimHoldsFrames(state int) bool {
 	switch state {
-	case stripeLive, stripeEnding, stripeFinished:
+	case stripeLive, stripeEnding, stripeUnwinding, stripeFinished:
 		return true
 	}
 	return false
@@ -848,12 +923,12 @@ func (s *Sender) drainedLocked() bool {
 }
 
 // stuckLocked reports that no stripe can ever make progress again:
-// none idle (could attach), live, ending (could still die and heal), or
-// dead (could be healed).
+// none idle (could attach), live, ending or unwinding (could still die
+// and heal), or dead (could be healed).
 func (s *Sender) stuckLocked() bool {
 	for _, st := range s.stripes {
 		switch st.state {
-		case stripeIdle, stripeLive, stripeEnding, stripeDead:
+		case stripeIdle, stripeLive, stripeEnding, stripeUnwinding, stripeDead:
 			return false
 		}
 	}
@@ -867,49 +942,6 @@ func (s *Sender) firstStripeErrLocked() error {
 		}
 	}
 	return fmt.Errorf("no stripe error recorded")
-}
-
-// ReplayStripe re-sends stripe index's final generation — group header,
-// every frame it had written, and the end frame — onto a fresh stream.
-// It is the post-Run heal path: if confirming a stripe's delivery fails
-// after Run returned, the caller dials a replacement and replays; the
-// receiver drops whatever it already holds.
-func (s *Sender) ReplayStripe(index int, w io.Writer) error {
-	s.mu.Lock()
-	if index < 0 || index >= len(s.stripes) {
-		s.mu.Unlock()
-		return fmt.Errorf("stripe: replay index %d out of range", index)
-	}
-	st := s.stripes[index]
-	frames := append([]frame(nil), st.sent...)
-	s.mu.Unlock()
-
-	gh := &GroupHeader{
-		Group:    s.group,
-		Index:    uint8(index),
-		Count:    uint8(len(s.stripes)),
-		TotalLen: uint64(s.total),
-		Acks:     s.acks,
-	}
-	if _, err := w.Write(gh.Encode()); err != nil {
-		return fmt.Errorf("stripe %d replay: group header: %w", index, err)
-	}
-	buf := make([]byte, frameHeaderLen+s.frameSize)
-	for _, f := range frames {
-		if frameHeaderLen+f.n > len(buf) {
-			buf = make([]byte, frameHeaderLen+f.n)
-		}
-		if _, err := s.src.ReadAt(buf[frameHeaderLen:frameHeaderLen+f.n], f.off); err != nil {
-			return fmt.Errorf("stripe %d replay: read source at %d: %w", index, f.off, err)
-		}
-		if err := writeFrame(w, uint64(f.off), buf[:frameHeaderLen+f.n]); err != nil {
-			return fmt.Errorf("stripe %d replay: %w", index, err)
-		}
-	}
-	if err := writeFrame(w, uint64(s.total), buf[:frameHeaderLen]); err != nil {
-		return fmt.Errorf("stripe %d replay: end frame: %w", index, err)
-	}
-	return nil
 }
 
 // Weights returns the current per-stripe dispatch weights.

@@ -471,42 +471,81 @@ func TestSenderRebalances(t *testing.T) {
 	}
 }
 
-// TestReplayStripeDedup replays a finished stripe onto a fresh stream —
-// the receiver must drop every duplicate and stay complete.
+// duplexStream is the sender's end of an in-memory session: Write feeds
+// the forward pipe, Read drains the backward one, CloseWrite half-closes.
+type duplexStream struct {
+	fw *io.PipeWriter
+	br *io.PipeReader
+}
+
+func (d duplexStream) Write(p []byte) (int, error) { return d.fw.Write(p) }
+func (d duplexStream) Read(p []byte) (int, error)  { return d.br.Read(p) }
+func (d duplexStream) CloseWrite() error           { return d.fw.Close() }
+
+// TestReplayStripeDedup fails stripe 0's backward channel after its end
+// frame is out: the finished stripe goes down, the frames it carried
+// requeue, and its replacement stream replays them — the receiver drops
+// every duplicate and stays complete.
 func TestReplayStripeDedup(t *testing.T) {
 	payload := make([]byte, 256<<10)
 	rand.New(rand.NewSource(17)).Read(payload)
-	var b0, b1 bytes.Buffer
+	down := make(chan int, 4)
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
-		SenderConfig{FrameSize: 8 << 10})
+		SenderConfig{FrameSize: 8 << 10, Acks: true, OnStripeDown: func(i int, _ error) { down <- i }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd.Attach(0, &b0)
-	snd.Attach(1, &b1)
-	if err := snd.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	snd.stuckTimeout = 200 * time.Millisecond // no acks come: end frames wait this long
 	var out bytes.Buffer
 	recv := NewReceiver(&out)
-	if err := recv.Attach(&b0); err != nil {
+	var wg sync.WaitGroup
+	// attach connects stripe i over a fresh duplex pipe. The receiver reads
+	// it without acking and then ends the backward channel with end (nil:
+	// EOF, the cascade unwinding).
+	attach := func(i int, end error) {
+		fr, fw := io.Pipe()
+		br, bw := io.Pipe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if aerr := recv.Attach(fr); aerr != nil {
+				t.Errorf("stripe %d: %v", i, aerr)
+			}
+			bw.CloseWithError(end)
+		}()
+		if aerr := snd.Attach(i, duplexStream{fw: fw, br: br}); aerr != nil {
+			t.Fatal(aerr)
+		}
+	}
+	attach(0, errors.New("backward channel reset"))
+	attach(1, nil)
+	runDone := make(chan error, 1)
+	go func() { runDone <- snd.Run(context.Background()) }()
+	select {
+	case i := <-down:
+		if i != 0 {
+			t.Fatalf("stripe %d went down, want 0", i)
+		}
+		attach(0, nil)
+	case err := <-runDone:
+		t.Fatalf("run ended (%v) without the stripe-down", err)
+	}
+	if err := <-runDone; err != nil {
 		t.Fatal(err)
 	}
-	if err := recv.Attach(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if !recv.Complete() {
-		t.Fatal("incomplete before replay")
-	}
-	var replay bytes.Buffer
-	if err := snd.ReplayStripe(0, &replay); err != nil {
-		t.Fatal(err)
-	}
-	if err := recv.Attach(&replay); err != nil {
-		t.Fatalf("replayed stream rejected: %v", err)
-	}
+	wg.Wait()
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("replay corrupted the reassembled stream")
+	}
+	if snd.Reassigned() == 0 {
+		t.Fatal("the stripe that went down requeued no frames")
+	}
+	var sum int64
+	for _, b := range snd.StripeBytes() {
+		sum += b
+	}
+	if sum != int64(len(payload)) {
+		t.Fatalf("stripe bytes sum %d, want %d", sum, len(payload))
 	}
 }
 

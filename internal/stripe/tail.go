@@ -33,18 +33,13 @@ import (
 //     the survivors, and the engine closes its connection to unblock the
 //     wedged writer.
 
-// Ack feeds one receiver delivery report (from stripe index's backward
-// channel, stream generation gen) into the scheduler. Safe to call
-// concurrently with Run from per-connection reader goroutines.
-func (s *Sender) Ack(index, gen int, a *Ack) {
-	if a == nil {
-		return
-	}
+// ack feeds one receiver delivery report, read off stripe index's
+// backward channel in stream generation gen, into the scheduler. Reports
+// from a dead stream's leftovers never count toward its replacement's
+// rate. The group's confirmation finishes every unwinding stripe.
+func (s *Sender) ack(index, gen int, a *Ack) {
 	s.mu.Lock()
-	if index < 0 || index >= len(s.stripes) {
-		s.mu.Unlock()
-		return
-	}
+	defer s.mu.Unlock()
 	now := time.Now()
 	s.acksObserved = true
 	s.lastAckProgress = now
@@ -52,10 +47,13 @@ func (s *Sender) Ack(index, gen int, a *Ack) {
 		s.ackedFlushed = a.Flushed
 		s.pruneFlushedLocked(a.Flushed)
 	}
-	var confirm bool
 	if a.Flushed >= s.total && !s.confirmed {
 		s.confirmed = true
-		confirm = true
+		for _, st := range s.stripes {
+			if st.state == stripeUnwinding {
+				st.state = stripeFinished
+			}
+		}
 	}
 	st := s.stripes[index]
 	if gen == st.gen && a.Seen > st.ackSeen {
@@ -82,15 +80,11 @@ func (s *Sender) Ack(index, gen int, a *Ack) {
 		}
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
-	if confirm {
-		close(s.confirmCh)
-	}
 }
 
 // pruneFlushedLocked drops sent-list entries wholly inside the
 // receiver's contiguous prefix: those frames are delivered, keep their
-// byte credit, and no longer need replay or speculation.
+// byte credit, and no longer need requeueing or speculation.
 func (s *Sender) pruneFlushedLocked(flushed int64) {
 	for _, st := range s.stripes {
 		if len(st.sent) == 0 {
@@ -457,11 +451,6 @@ func (s *Sender) Confirmed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.confirmed
-}
-
-// ConfirmedChan is closed when the receiver confirms full delivery.
-func (s *Sender) ConfirmedChan() <-chan struct{} {
-	return s.confirmCh
 }
 
 // AcceptedBytes returns the receiver-attributed per-stripe contribution

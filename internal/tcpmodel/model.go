@@ -70,19 +70,6 @@ func (p PathParams) SteadyBps() float64 {
 	return s
 }
 
-// SlowStartSeconds estimates the time for slow start to lift the window
-// from the initial window to the window that sustains rate SteadyBps, i.e.
-// the RTT-clocked ramp the paper's §V traces make visible.
-func (p PathParams) SlowStartSeconds() float64 {
-	target := p.SteadyBps() * p.RTTSeconds / 8 // window in bytes at steady rate
-	w0 := p.iw() * float64(p.mss())
-	if target <= w0 {
-		return p.RTTSeconds
-	}
-	rounds := math.Log(target/w0) / math.Log(p.growthFactor())
-	return rounds * p.RTTSeconds
-}
-
 // TransferSeconds estimates the completion time of a size-byte transfer on
 // the hop: connection setup (1.5 RTT: SYN, SYN-ACK, first data flight
 // reaching the receiver half an RTT later is folded into the ramp), the
@@ -202,14 +189,4 @@ func CascadeTransferSeconds(size int64, hops []PathParams, depotDelay float64) f
 		}
 	}
 	return setup + worst
-}
-
-// CascadeTransferBps returns the average throughput implied by
-// CascadeTransferSeconds.
-func CascadeTransferBps(size int64, hops []PathParams, depotDelay float64) float64 {
-	s := CascadeTransferSeconds(size, hops, depotDelay)
-	if s <= 0 {
-		return 0
-	}
-	return float64(size) * 8 / s
 }

@@ -480,10 +480,6 @@ func (c *Conn) onTimeout() {
 		return
 	}
 	c.Stats.Timeouts++
-	if debugTimeouts {
-		println("TIMEOUT", c.Name, "t(ms)=", int64(c.e.Now().Millis()), "rto(ms)=", int64(c.rto.Millis()),
-			"una=", c.sndUna, "nxt=", c.sndNxt, "sacked=", len(c.sacked), "fack=", c.fack(), "rightEdge=", c.rightEdge)
-	}
 	flight := float64(c.sndNxt - c.sndUna)
 	c.ssthresh = math.Max(flight/2, float64(2*c.cfg.MSS))
 	c.cwnd = float64(c.cfg.MSS)
@@ -744,12 +740,3 @@ func (c *Conn) refreshRTO() {
 	}
 	c.rto = rto
 }
-
-// debugTimeouts enables timeout tracing on stderr — a diagnostic facility
-// for investigating loss-recovery pathologies (see SetDebugTimeouts).
-var debugTimeouts = false
-
-// SetDebugTimeouts toggles per-timeout stderr tracing (time, RTO, send
-// state, scoreboard size). Diagnostics only; not safe to toggle while a
-// simulation runs on another goroutine.
-func SetDebugTimeouts(v bool) { debugTimeouts = v }

@@ -204,10 +204,6 @@ var (
 	WithDialer = core.WithDialer
 	// WithHandshakeTimeout bounds the session handshake.
 	WithHandshakeTimeout = core.WithHandshakeTimeout
-	// WithMux dials the first hop through a LinkPool: the session rides a
-	// multiplexed stream on a warm persistent trunk when the peer supports
-	// it, and a classic per-session connection otherwise.
-	WithMux = core.WithMux
 	// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
 	// session's first sublink (zero keeps the kernel defaults;
 	// TCP_NODELAY is always set).
@@ -219,8 +215,8 @@ var (
 // LinkPool keeps warm multiplexed trunks per destination. Its DialContext
 // is a drop-in Dialer: sessions to trunk-capable peers share pooled TCP
 // links (no per-session connect), everything else falls back to classic
-// dialing transparently. Use one pool per process and pass it to Dial
-// with WithMux.
+// dialing transparently. Use one pool per process and pass its
+// DialContext to Dial with WithDialer.
 type LinkPool = mux.Pool
 
 // LinkPoolConfig tunes a LinkPool: the dialer, streams per link, idle

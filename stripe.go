@@ -80,8 +80,8 @@ func StripedReceive(ln *Listener, stripes int, out io.Writer) (int64, error) {
 				defer wg.Done()
 				// A stream error here is a dead stripe; its replacement
 				// arrives as a fresh session, so only the group's
-				// completeness matters. Closing unwinds the sender's
-				// confirm drain.
+				// completeness matters. Closing unwinds the cascade,
+				// which finishes the sender's stripe.
 				_ = recv.Attach(sc)
 				sc.Close()
 				if recv.Complete() {
