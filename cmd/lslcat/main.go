@@ -72,7 +72,6 @@ func main() {
 		from    = flag.String("from", "", "this host's node name in the -graph overlay")
 		autoRt  = flag.Bool("auto-route", false, "let the logistics planner choose and adapt the route (needs -graph and -from; implies the self-healing engine)")
 		stripes = flag.Int("stripes", 1, "stripe the stream over this many concurrent self-healing sessions (send needs -file or -bench; listen reassembles one group and exits)")
-		sockbuf = flag.String("sockbuf", "", "pin SO_SNDBUF/SO_RCVBUF to this size (e.g. 256K) on striped stripe dials; default keeps the kernel sizing")
 		quiet   = flag.Bool("q", false, "suppress progress output")
 	)
 	flag.Parse()
@@ -99,7 +98,7 @@ func main() {
 	case *listen != "":
 		runTarget(*listen, *quiet)
 	case *target != "":
-		runSender(*routeS, *target, *file, *sizeS, *benchS, *sockbuf, *eager, *noDig, *retries, *stripes, *quiet, planner)
+		runSender(*routeS, *target, *file, *sizeS, *benchS, *eager, *noDig, *retries, *stripes, *quiet, planner)
 	default:
 		log.Fatal("need -listen (receive) or -target (send); see -h")
 	}
@@ -161,7 +160,7 @@ func runTarget(addr string, quiet bool) {
 	}
 }
 
-func runSender(routeS, target, file, sizeS, benchS, sockbuf string, eager, noDigest bool, retries, stripes int, quiet bool, planner *lsl.Planner) {
+func runSender(routeS, target, file, sizeS, benchS string, eager, noDigest bool, retries, stripes int, quiet bool, planner *lsl.Planner) {
 	route := lsl.Route{Target: target}
 	if routeS != "" {
 		route.Via = strings.Split(routeS, ",")
@@ -220,7 +219,7 @@ func runSender(routeS, target, file, sizeS, benchS, sockbuf string, eager, noDig
 		if eager {
 			log.Fatal("-stripes and -eager are mutually exclusive")
 		}
-		runStriped(route, ra, size, stripes, retries, sockbuf, quiet, planner)
+		runStriped(route, ra, size, stripes, retries, quiet, planner)
 		return
 	}
 
@@ -302,15 +301,8 @@ func transferOpts(retries int, quiet bool, planner *lsl.Planner) []lsl.TransferO
 // runStriped sends src over stripes concurrent self-healing sessions.
 // With a planner the sessions land on link-disjoint routes weighted by
 // predicted throughput; without one, they share the given route.
-func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries int, sockbuf string, quiet bool, planner *lsl.Planner) {
+func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries int, quiet bool, planner *lsl.Planner) {
 	opts := append(transferOpts(retries, quiet, planner), lsl.WithStripes(stripes))
-	if sockbuf != "" {
-		b, err := sizeparse.Parse(sockbuf)
-		if err != nil || b <= 0 || b > 1<<30 {
-			log.Fatalf("bad -sockbuf %q", sockbuf)
-		}
-		opts = append(opts, lsl.WithStripeSocketBuffers(int(b)))
-	}
 	start := time.Now()
 	res, err := lsl.StripedTransfer(context.Background(), []lsl.Route{route}, src, size, opts...)
 	if err != nil {

@@ -138,11 +138,6 @@ type Options struct {
 	// hop (see internal/mux), falling back to a per-session connection
 	// against peers that do not speak the trunk protocol.
 	Dial Dialer
-	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on the first sublink
-	// when it is a direct TCP connection (the paper's §V hand-tuning);
-	// zero keeps kernel defaults. Trunk connections take their size from
-	// the pool's own config.
-	SockBuf int
 }
 
 // Option mutates Options.
@@ -175,13 +170,6 @@ func WithHandshakeTimeout(d time.Duration) Option {
 
 // WithDialer injects a transport dialer (tests, emulation).
 func WithDialer(d Dialer) Option { return func(o *Options) { o.Dial = d } }
-
-// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
-// session's first sublink (zero keeps the kernel defaults). TCP_NODELAY
-// is always set on direct sublinks regardless of this option.
-func WithSocketBuffers(n int) Option {
-	return func(o *Options) { o.SockBuf = n }
-}
 
 func buildOptions(opts []Option) Options {
 	o := Options{ContentLength: -1, HandshakeTimeout: 15 * time.Second}
@@ -268,7 +256,7 @@ func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
 	dialStart := time.Now()
 	nc, err := dial(ctx, "tcp", hops[0])
 	if err == nil {
-		sockopt.Tune(nc, o.SockBuf)
+		sockopt.Tune(nc, 0)
 	}
 	dialDur := time.Since(dialStart)
 	if err != nil {

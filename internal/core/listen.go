@@ -82,9 +82,6 @@ type Listener struct {
 	// resumable sessions. Non-positive disables the sweep (completed
 	// sessions are still deleted eagerly).
 	SessionTTL time.Duration
-	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on accepted sublinks
-	// (zero keeps kernel defaults); TCP_NODELAY is always set.
-	SockBuf int
 }
 
 // Listen starts an LSL target listener on addr.
@@ -158,7 +155,7 @@ func (l *Listener) acceptLoop() {
 			close(l.loopDone)
 			return
 		}
-		sockopt.Tune(nc, l.SockBuf)
+		sockopt.Tune(nc, 0)
 		l.mu.Lock()
 		select {
 		case <-l.closed:
@@ -199,6 +196,13 @@ func (l *Listener) handshake(nc net.Conn) (*ServerConn, error) {
 		nc.Write((&wire.AcceptFrame{Code: wire.CodeRejectRoute, Session: hdr.Session}).Encode())
 		return nil, fmt.Errorf("lsl: non-final header at target (hop %d of %d)", hdr.HopIndex, len(hdr.Route))
 	}
+	digest := hdr.Flags&wire.FlagDigest != 0
+	if digest && hdr.ContentLen == wire.UnknownLength {
+		// The trailer's position is unknowable: refuse before any state
+		// is registered or accepted.
+		nc.Write((&wire.AcceptFrame{Code: wire.CodeRejectProto, Session: hdr.Session}).Encode())
+		return nil, ErrNeedLength
+	}
 
 	sc := &ServerConn{nc: nc, hdr: hdr, l: l, st: l.sessionFor(hdr)}
 	offset := sc.takeOver()
@@ -208,13 +212,9 @@ func (l *Listener) handshake(nc net.Conn) (*ServerConn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 
-	if hdr.Flags&wire.FlagDigest != 0 {
-		if hdr.ContentLen == wire.UnknownLength {
-			return nil, ErrNeedLength
-		}
+	sc.remaining = -1
+	if digest {
 		sc.remaining = int64(hdr.ContentLen) - offset
-	} else {
-		sc.remaining = -1
 	}
 	return sc, nil
 }

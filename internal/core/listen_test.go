@@ -154,3 +154,69 @@ func TestListenerResumeSupersedesDrainingSublink(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A digested open without a content length cannot be served: the target
+// would not know where the trailer starts. The listener refuses it with
+// CodeRejectProto before it registers resume state or answers CodeOK, and
+// the next valid session is the first one Accept returns.
+func TestListenerRefusesDigestWithoutLength(t *testing.T) {
+	l, err := core.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	addr := l.Addr().String()
+	accepted := make(chan *core.ServerConn, 1)
+	go func() {
+		if sc, err := l.Accept(); err == nil {
+			accepted <- sc
+		}
+	}()
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hdr := &wire.OpenHeader{
+		Flags:      wire.FlagDigest,
+		Session:    wire.NewSessionID(),
+		Route:      []string{addr},
+		ContentLen: wire.UnknownLength,
+	}
+	enc, err := hdr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	acc, err := wire.ReadAcceptFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc.Code != wire.CodeRejectProto {
+		t.Fatalf("code=%s, want %s", wire.CodeString(acc.Code), wire.CodeString(wire.CodeRejectProto))
+	}
+	if n := l.ResumeStates(); n != 0 {
+		t.Fatalf("ResumeStates=%d after a refused open, want 0", n)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := core.Dial(ctx, core.Route{Target: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case sc := <-accepted:
+		defer sc.Close()
+		if sc.SessionID() != c.SessionID() {
+			t.Fatalf("accepted session %s, want %s", sc.SessionID(), c.SessionID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept did not return the valid session")
+	}
+}

@@ -43,10 +43,12 @@ import (
 // Defaults used when a Config field is zero.
 const (
 	DefaultInterval        = 5 * time.Second
-	DefaultFanout          = 2
 	DefaultDialTimeout     = 3 * time.Second
 	DefaultExchangeTimeout = 5 * time.Second
 )
+
+// DefaultFanout is how many eligible peers one round dials.
+const DefaultFanout = 2
 
 // Metrics is the gossiper's counter set (lsl_gossip_*).
 type Metrics struct {
@@ -89,8 +91,6 @@ type Config struct {
 	// spacing is jittered uniformly over [0.5, 1.5) of it so depots
 	// started together do not gossip in lockstep.
 	Interval time.Duration
-	// Fanout caps how many peers one round dials (default 2).
-	Fanout int
 	// Dial opens a connection to a peer. Defaults to a plain net dialer;
 	// the depot passes its trunk-pool dialer so gossip rides warm
 	// multiplexed trunks where they exist.
@@ -100,9 +100,6 @@ type Config struct {
 	// (default 5s).
 	DialTimeout     time.Duration
 	ExchangeTimeout time.Duration
-	// MaxBatch caps the observations offered or returned per frame
-	// (default wire.MaxGossipEntries).
-	MaxBatch int
 	// Backoff shapes per-peer retry delays after failures (zero value:
 	// 100ms doubling to 10s).
 	Backoff backoff.Policy
@@ -149,17 +146,11 @@ func New(cfg Config) (*Gossiper, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = DefaultFanout
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
 	if cfg.ExchangeTimeout <= 0 {
 		cfg.ExchangeTimeout = DefaultExchangeTimeout
-	}
-	if cfg.MaxBatch <= 0 || cfg.MaxBatch > wire.MaxGossipEntries {
-		cfg.MaxBatch = wire.MaxGossipEntries
 	}
 	if cfg.Dial == nil {
 		var d net.Dialer
@@ -248,8 +239,8 @@ func (g *Gossiper) pickPeers() []*peerState {
 	g.rng.Shuffle(len(eligible), func(i, j int) {
 		eligible[i], eligible[j] = eligible[j], eligible[i]
 	})
-	if len(eligible) > g.cfg.Fanout {
-		eligible = eligible[:g.cfg.Fanout]
+	if len(eligible) > DefaultFanout {
+		eligible = eligible[:DefaultFanout]
 	}
 	return eligible
 }
@@ -301,7 +292,7 @@ func (g *Gossiper) exchangeWith(ctx context.Context, ps *peerState) (merged int,
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(g.cfg.ExchangeTimeout))
 
-	mine := g.cfg.Planner.ExportObservations(g.cfg.MaxBatch)
+	mine := g.cfg.Planner.ExportObservations(wire.MaxGossipEntries)
 
 	// 1. Offer our digest.
 	if err := writeFrame(conn, &wire.GossipFrame{
@@ -327,7 +318,7 @@ func (g *Gossiper) exchangeWith(ctx context.Context, ps *peerState) (merged int,
 		return merged, fmt.Errorf("peer sent %s, want digest", wire.GossipKindString(theirs.Kind))
 	}
 	// 4. Close the loop: send what they lack.
-	want := selectDelta(mine, fromWire(theirs.Obs), g.cfg.MaxBatch)
+	want := selectDelta(mine, fromWire(theirs.Obs), wire.MaxGossipEntries)
 	if err := writeFrame(conn, &wire.GossipFrame{
 		Kind: wire.GossipDelta, Self: g.self, Obs: toWire(want),
 	}); err != nil {
@@ -348,9 +339,9 @@ func (g *Gossiper) ServeConn(conn net.Conn) {
 	if err != nil || theirs.Kind != wire.GossipDigest {
 		return
 	}
-	mine := g.cfg.Planner.ExportObservations(g.cfg.MaxBatch)
+	mine := g.cfg.Planner.ExportObservations(wire.MaxGossipEntries)
 	// Answer with the entries their digest lacks or holds stale...
-	want := selectDelta(mine, fromWire(theirs.Obs), g.cfg.MaxBatch)
+	want := selectDelta(mine, fromWire(theirs.Obs), wire.MaxGossipEntries)
 	if err := writeFrame(conn, &wire.GossipFrame{
 		Kind: wire.GossipDelta, Self: g.self, Obs: toWire(want),
 	}); err != nil {
@@ -483,7 +474,7 @@ func (g *Gossiper) Status() Status {
 	s := Status{
 		Self:      g.self,
 		Interval:  g.cfg.Interval.String(),
-		Fanout:    g.cfg.Fanout,
+		Fanout:    DefaultFanout,
 		RemoteObs: g.cfg.Planner.RemoteObsCount(),
 	}
 	for _, ps := range g.peers {

@@ -61,6 +61,10 @@ var (
 	ErrWriteClosed = errors.New("mux: write on closed stream direction")
 )
 
+// acceptBacklog bounds streams opened by the peer but not yet accepted;
+// past it new streams are reset.
+const acceptBacklog = 128
+
 // LinkConfig tunes one trunk.
 type LinkConfig struct {
 	// Window is the initial per-stream receive window granted to the peer
@@ -68,9 +72,6 @@ type LinkConfig struct {
 	// window then grows on its own while the window limits it (see
 	// window.go); only tests set this.
 	Window int
-	// AcceptBacklog bounds streams opened by the peer but not yet
-	// accepted (default 128); past it new streams are reset.
-	AcceptBacklog int
 	// WriteTimeout bounds one frame write on the underlying conn
 	// (default 30s). A trunk peer that stalls past it — by at most as
 	// much again, see armWrite — is declared dead and the link is torn
@@ -102,9 +103,6 @@ func (c LinkConfig) withDefaults() LinkConfig {
 		c.maxWindow = maxStreamWindow
 	}
 	c.maxWindow = max(c.maxWindow, c.Window)
-	if c.AcceptBacklog <= 0 {
-		c.AcceptBacklog = 128
-	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
 	}
@@ -195,7 +193,7 @@ func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link 
 		client:     client,
 		sendWindow: sendWindow,
 		streams:    make(map[uint32]*Stream),
-		accepts:    make(chan *Stream, cfg.AcceptBacklog),
+		accepts:    make(chan *Stream, acceptBacklog),
 		done:       make(chan struct{}),
 	}
 	l.windowHigh.Store(int64(cfg.Window))

@@ -219,7 +219,6 @@ type config struct {
 	stripes        int
 	frameSize      int
 	rebalanceBytes int64
-	sockBuf        int
 }
 
 // Option tunes one Transfer or StripedTransfer call.

@@ -46,14 +46,6 @@ func WithFrameSize(n int) Option { return func(c *config) { c.frameSize = n } }
 // every n bytes written (<= 0 disables mid-flow rebalancing).
 func WithRebalanceBytes(n int64) Option { return func(c *config) { c.rebalanceBytes = n } }
 
-// WithSockBuffers pins SO_SNDBUF and SO_RCVBUF to n bytes on every
-// striped stripe dial; 0 keeps the kernel defaults. Shrinking the send
-// buffer caps how much a slow path can absorb ahead of delivery — the
-// kernel's contribution to the end-of-stream tail.
-func WithSockBuffers(n int) Option {
-	return func(c *config) { c.sockBuf = n }
-}
-
 // StripedResult reports how a striped transfer was achieved.
 type StripedResult struct {
 	// Group identifies the stripe group (not a session ID: each stripe
@@ -217,7 +209,7 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	// before the group is confirmed another stripe-down; see
 	// stripe.Sender.Attach).
 	dial := func(r core.Route) (*core.Conn, error) {
-		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithSocketBuffers(ps.sockBuf), core.WithEager()}
+		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithEager()}
 		if ps.dial != nil {
 			opts = append(opts, core.WithDialer(ps.dial))
 		}

@@ -38,48 +38,15 @@ func (p Plan) UsesDepots() bool { return len(p.Hops) > 2 }
 const DepotDelaySeconds = 0.002
 
 // PlanTransfer picks the best session route for a size-byte transfer from
-// src to dst: it evaluates the direct connection and every single- and
-// two-depot cascade over the graph's depot nodes, using the analytic TCP
-// model on each leg's min-latency path. It returns the plan with the
-// smallest predicted completion time (which may be the direct one — LSL is
+// src to dst: the first of RankCandidates, i.e. the plan with the smallest
+// predicted completion time (which may be the direct one — LSL is
 // "voluntarily utilized ... can be employed selectively").
 func (g *Graph) PlanTransfer(src, dst NodeID, size int64) (Plan, error) {
-	directPath, _, err := g.MinLatencyPath(src, dst)
-	if err != nil {
-		return Plan{}, fmt.Errorf("route: no direct path %s->%s: %w", src, dst, err)
-	}
-	directLeg, err := g.legParams(directPath)
+	plans, err := g.RankCandidates(src, dst, size)
 	if err != nil {
 		return Plan{}, err
 	}
-	directSec := directLeg.TransferSeconds(size)
-
-	best := Plan{
-		Hops:             []NodeID{src, dst},
-		LegPaths:         [][]NodeID{directPath},
-		PredictedSeconds: directSec,
-		DirectSeconds:    directSec,
-	}
-
-	depots := g.depotList(src, dst)
-	// Single-depot cascades.
-	for _, d := range depots {
-		if plan, ok := g.tryCascade(src, dst, size, directSec, d); ok && plan.PredictedSeconds < best.PredictedSeconds {
-			best = plan
-		}
-	}
-	// Two-depot cascades.
-	for i, d1 := range depots {
-		for j, d2 := range depots {
-			if i == j {
-				continue
-			}
-			if plan, ok := g.tryCascade(src, dst, size, directSec, d1, d2); ok && plan.PredictedSeconds < best.PredictedSeconds {
-				best = plan
-			}
-		}
-	}
-	return best, nil
+	return plans[0], nil
 }
 
 func (g *Graph) depotList(src, dst NodeID) []NodeID {
@@ -140,14 +107,16 @@ func (p Plan) Addrs(g *Graph) (via []string, target string, err error) {
 	return via, target, nil
 }
 
-// RankCandidates returns every evaluated plan (direct plus single- and
-// two-depot cascades), sorted by predicted completion time — the
-// candidate list consumed by the live planner (internal/logistics) and
-// the diagnostic output of cmd/lslplan.
+// RankCandidates evaluates the direct connection and every single- and
+// two-depot cascade over the graph's depot nodes, using the analytic TCP
+// model on each leg's min-latency path, and returns the plans sorted by
+// predicted completion time; ties keep that enumeration order. It is the
+// candidate list consumed by PlanTransfer, the live planner
+// (internal/logistics) and the diagnostic output of cmd/lslplan.
 func (g *Graph) RankCandidates(src, dst NodeID, size int64) ([]Plan, error) {
 	directPath, _, err := g.MinLatencyPath(src, dst)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("route: no direct path %s->%s: %w", src, dst, err)
 	}
 	directLeg, err := g.legParams(directPath)
 	if err != nil {
@@ -176,7 +145,7 @@ func (g *Graph) RankCandidates(src, dst NodeID, size int64) ([]Plan, error) {
 			}
 		}
 	}
-	sort.Slice(plans, func(i, j int) bool {
+	sort.SliceStable(plans, func(i, j int) bool {
 		return plans[i].PredictedSeconds < plans[j].PredictedSeconds
 	})
 	return plans, nil

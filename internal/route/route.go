@@ -148,13 +148,16 @@ func (g *Graph) MinLatencyPath(src, dst NodeID) ([]NodeID, float64, error) {
 		return nil, 0, fmt.Errorf("route: unknown destination %s", dst)
 	}
 	dist[src] = 0
+	ids := g.Nodes()
 	for {
-		// Linear extract-min: depot overlays are small.
+		// Linear extract-min: depot overlays are small. Scanning in ID
+		// order makes the lowest ID win a tie, so equal-latency paths
+		// resolve the same way on every call.
 		var u NodeID
 		best := inf
 		found := false
-		for id, d := range dist {
-			if !visited[id] && d < best {
+		for _, id := range ids {
+			if d := dist[id]; !visited[id] && d < best {
 				u, best, found = id, d, true
 			}
 		}
@@ -191,12 +194,13 @@ func (g *Graph) WidestPath(src, dst NodeID) ([]NodeID, float64, error) {
 		return nil, 0, fmt.Errorf("route: unknown destination %s", dst)
 	}
 	width[src] = math.Inf(1)
+	ids := g.Nodes()
 	for {
 		var u NodeID
 		best := 0.0
 		found := false
-		for id, w := range width {
-			if !visited[id] && w > best {
+		for _, id := range ids { // ID order: the lowest ID wins a tie
+			if w := width[id]; !visited[id] && w > best {
 				u, best, found = id, w, true
 			}
 		}

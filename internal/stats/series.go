@@ -53,20 +53,6 @@ func (s Series) MaxX() float64 {
 	return s[len(s)-1].X
 }
 
-// Resample returns s evaluated on a uniform grid of n points spanning
-// [0, xmax]. n must be >= 2.
-func (s Series) Resample(xmax float64, n int) Series {
-	if n < 2 {
-		n = 2
-	}
-	out := make(Series, n)
-	for i := 0; i < n; i++ {
-		x := xmax * float64(i) / float64(n-1)
-		out[i] = Point{X: x, Y: s.Interp(x)}
-	}
-	return out
-}
-
 // AverageSeries resamples every input series onto a common uniform grid
 // spanning [0, max over series of MaxX] and returns the pointwise mean.
 // Series that end before the grid point are clamped at their final value,

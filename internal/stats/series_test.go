@@ -49,26 +49,6 @@ func TestMaxX(t *testing.T) {
 	}
 }
 
-func TestResampleGrid(t *testing.T) {
-	s := Series{{0, 0}, {10, 10}}
-	r := s.Resample(10, 11)
-	if len(r) != 11 {
-		t.Fatalf("len=%d", len(r))
-	}
-	for i, p := range r {
-		almost(t, p.X, float64(i), 1e-9)
-		almost(t, p.Y, float64(i), 1e-9)
-	}
-}
-
-func TestResampleMinPoints(t *testing.T) {
-	s := Series{{0, 1}, {1, 2}}
-	r := s.Resample(1, 0)
-	if len(r) != 2 {
-		t.Fatalf("len=%d, want 2", len(r))
-	}
-}
-
 func TestAverageSeriesIdentical(t *testing.T) {
 	a := Series{{0, 0}, {2, 4}}
 	avg := AverageSeries([]Series{a, a, a}, 5)

@@ -195,19 +195,3 @@ func ArgMedian(xs []float64) int {
 	})
 	return s[(n-1)/2].i
 }
-
-// GeoMean returns the geometric mean of xs. All elements must be positive;
-// a non-positive element yields NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

@@ -133,13 +133,6 @@ func TestArgMedianEven(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	almost(t, GeoMean([]float64{1, 4}), 2, 1e-12)
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("GeoMean with nonpositive should be NaN")
-	}
-}
-
 // Property: for any sample, Min <= Percentile(p) <= Max and percentiles are
 // monotone in p.
 func TestPercentileMonotoneProperty(t *testing.T) {

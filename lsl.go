@@ -179,9 +179,6 @@ func NewDepot(cfg DepotConfig) *Depot { return depot.New(cfg) }
 // and /debug/pprof.
 func DepotAdminHandler(d *Depot) http.Handler { return depot.AdminHandler(d) }
 
-// NewSessionID draws a fresh random session identifier.
-func NewSessionID() SessionID { return wire.NewSessionID() }
-
 // Dial options, re-exported.
 var (
 	// WithDigest enables the end-to-end MD5 trailer.
@@ -192,22 +189,14 @@ var (
 	// without waiting for the end-to-end accept, which the first Read (or
 	// AwaitCustody) consumes and checks.
 	WithEager = core.WithEager
-	// WithSession pins the session ID (for resumption).
+	// WithSession pins the session ID, which names the session at every
+	// depot (DepotSessions) and at the target (ServerConn.SessionID).
 	WithSession = core.WithSession
-	// WithResume continues an interrupted session from the target's
-	// confirmed offset.
-	WithResume = core.WithResume
 	// WithStaged requests depot custody with asynchronous delivery: the
 	// receiver need not be reachable while the initiator uploads.
 	WithStaged = core.WithStaged
 	// WithDialer injects a transport dialer.
 	WithDialer = core.WithDialer
-	// WithHandshakeTimeout bounds the session handshake.
-	WithHandshakeTimeout = core.WithHandshakeTimeout
-	// WithSocketBuffers sets SO_SNDBUF and SO_RCVBUF to n bytes on the
-	// session's first sublink (zero keeps the kernel defaults;
-	// TCP_NODELAY is always set).
-	WithSocketBuffers = core.WithSocketBuffers
 )
 
 // --- persistent trunks (internal/mux) ---
@@ -301,6 +290,6 @@ var (
 	// transfer starts on the predicted-fastest route, fails over to the
 	// next-best predicted route on transient failure, and feeds every
 	// attempt's measurements back into the planner's forecasts (see
-	// NewPlanner / PlannerFromOverlay in route.go).
+	// PlannerFromOverlay in route.go).
 	WithPlanner = resilience.WithPlanner
 )

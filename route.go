@@ -29,18 +29,8 @@ type LinkMetrics = route.Metrics
 // Plan is a chosen session route with predicted completion time.
 type Plan = route.Plan
 
-// Forecaster predicts the next value of a measurement stream.
-type Forecaster = nws.Forecaster
-
-// ForecastSelector is the NWS-style dynamic predictor selector.
-type ForecastSelector = nws.Selector
-
 // ForecastSeries is a named measurement stream with its selector.
 type ForecastSeries = nws.Series
-
-// PathModel is the analytic per-hop TCP model used as the planning
-// objective (Mathis steady state + slow-start episode model).
-type PathModel = tcpmodel.PathParams
 
 // NewGraph returns an empty planning graph.
 func NewGraph() *Graph { return route.NewGraph() }
@@ -49,19 +39,10 @@ func NewGraph() *Graph { return route.NewGraph() }
 // predictor bank.
 func NewForecastSeries(name string) *ForecastSeries { return nws.NewSeries(name) }
 
-// NewForecastSelector builds a selector over the default predictor bank.
-func NewForecastSelector() *ForecastSelector { return nws.NewSelector() }
-
 // MathisThroughputBps is the macroscopic steady-state TCP bound
 // MSS/RTT * C/sqrt(p), in bits per second.
 func MathisThroughputBps(mssBytes int, rttSeconds, lossProb float64) float64 {
 	return tcpmodel.MathisThroughputBps(mssBytes, rttSeconds, lossProb)
-}
-
-// CascadePredictSeconds estimates a cascaded transfer's completion time
-// over the given per-hop models.
-func CascadePredictSeconds(size int64, hops []PathModel, depotDelaySeconds float64) float64 {
-	return tcpmodel.CascadeTransferSeconds(size, hops, depotDelaySeconds)
 }
 
 // ParseOverlay reads the textual depot-overlay format (see cmd/lslplan
@@ -85,10 +66,6 @@ type PlannerMetrics = logistics.Metrics
 // payload): nodes, per-edge live metrics with forecast provenance, and
 // totals.
 type PlannerView = logistics.View
-
-// NewPlanner builds a live planner over g, planning from the named local
-// node. The graph is owned by the planner from here on.
-func NewPlanner(g *Graph, self NodeID) (*Planner, error) { return logistics.New(g, self) }
 
 // PlannerFromOverlay parses an overlay description and builds a planner
 // planning from self.

@@ -29,9 +29,6 @@ var (
 	// WithStripeRebalanceBytes recomputes stripe weights from observed
 	// throughput every n bytes written (<= 0 disables).
 	WithStripeRebalanceBytes = resilience.WithRebalanceBytes
-	// WithStripeSocketBuffers pins SO_SNDBUF and SO_RCVBUF to n bytes on
-	// every stripe dial; 0 keeps the kernel defaults.
-	WithStripeSocketBuffers = resilience.WithSockBuffers
 )
 
 // StripedTransfer delivers size bytes from src across concurrent stripe
