@@ -30,8 +30,7 @@ type pathSet struct {
 
 // path is the heal loop of one transport path: it decides what happens
 // when an attempt on its route fails. Transfer drives one; StripedTransfer
-// drives one per stripe, for initial attach, mid-flow heal and
-// confirm-replay alike.
+// drives one per stripe, for initial attach and every heal alike.
 type path struct {
 	set           *pathSet
 	index         int

@@ -145,7 +145,7 @@ type Metrics struct {
 	Tail *metrics.Histogram
 	// QueuedBytes is lsl_stripe_queued_bytes: each stripe index's
 	// currently committed (queued + in-flight + unacknowledged) bytes,
-	// sampled while a group is running.
+	// sampled while a group is running and summed over running groups.
 	QueuedBytes *metrics.GaugeVec
 }
 

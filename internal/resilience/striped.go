@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lsl/internal/core"
+	"lsl/internal/metrics"
 	"lsl/internal/stripe"
 	"lsl/internal/wire"
 )
@@ -89,14 +90,6 @@ type StripedResult struct {
 	Duration time.Duration
 }
 
-// stripeCtl is one stripe's heal path plus its current connection; the
-// connection fields are guarded by the path set's mutex.
-type stripeCtl struct {
-	*path
-	conn        *core.Conn
-	dialSeconds float64
-}
-
 // StripedTransfer delivers size bytes from src over len(routes) (or
 // WithStripes(n)) concurrent stripe sessions and heals individual
 // stripes through transient failures. With a StripePlanner attached
@@ -153,10 +146,11 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	for i := 0; i < n; i++ {
 		shares[i%len(routes)]++
 	}
-	ctls := make([]*stripeCtl, n)
+	paths := make([]*path, n)
+	dialSeconds := make([]float64, n) // guarded by ps.mu
 	stripeWeights := make([]float64, n)
 	for i := 0; i < n; i++ {
-		ctls[i] = &stripeCtl{path: ps.addPath(routes[i%len(routes)])}
+		paths[i] = ps.addPath(routes[i%len(routes)])
 		w := 1.0
 		if len(weights) > 0 && weights[i%len(weights)] > 0 {
 			w = weights[i%len(weights)] / float64(shares[i%len(routes)])
@@ -167,16 +161,6 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	res := &StripedResult{Group: ps.session, Stripes: n, Bytes: size}
 	met.Groups.Inc()
 	start := time.Now()
-
-	// drop closes stripe idx's current connection, if any.
-	drop := func(idx int) {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		if sc := ctls[idx]; sc.conn != nil {
-			sc.conn.Close()
-			sc.conn = nil
-		}
-	}
 
 	type downEvent struct {
 		idx int
@@ -189,31 +173,11 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		FrameSize:      ps.frameSize,
 		Weights:        stripeWeights,
 		RebalanceBytes: ps.rebalanceBytes,
-		Acks:           true,
 		OnStripeDown:   func(i int, err error) { downCh <- downEvent{i, err} },
-		// The wedged write only returns once its connection dies; the
-		// retired worker then self-retires on its stale generation, so no
-		// down event or heal follows.
-		OnSuperseded: drop,
-		Logf:         logf,
+		Logf:           logf,
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	// Every stripe session opens pipelined: dial returns once the first
-	// hop's transport is up, and the open header leaves coalesced with the
-	// group header, the first frames right behind it. The session's
-	// backward channel is the Sender's from accept to unwind (a refusal
-	// is a stripe-down, a missing accept a wedge, a channel that fails
-	// before the group is confirmed another stripe-down; see
-	// stripe.Sender.Attach).
-	dial := func(r core.Route) (*core.Conn, error) {
-		opts := []core.Option{core.WithSession(wire.NewSessionID()), core.WithEager()}
-		if ps.dial != nil {
-			opts = append(opts, core.WithDialer(ps.dial))
-		}
-		return core.Dial(ctx, r, opts...)
 	}
 
 	// abandon retires stripe idx for good; its share flows through the
@@ -230,21 +194,24 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 
 	// attach brings stripe idx up (initial attach or heal) within the
 	// stripe's attempt budget, abandoning it when the heal loop gives up.
+	// Every stripe session opens pipelined: the dial returns once the
+	// first hop's transport is up, and the open header leaves coalesced
+	// with the group header, the first frames right behind it. The Sender
+	// owns the session from then on: its backward channel from accept to
+	// unwind (a refusal is a stripe-down, a missing accept a wedge, a
+	// channel that fails before the group is confirmed another
+	// stripe-down; see stripe.Sender.Attach), and its close when the
+	// stripe's generation ends.
 	attach := func(idx int, heal bool) {
-		sc := ctls[idx]
-		err := sc.run(ctx, func(r core.Route) error {
-			c, err := dial(r)
+		err := paths[idx].run(ctx, func(r core.Route) error {
+			c, err := core.Dial(ctx, r, core.WithSession(wire.NewSessionID()), core.WithEager(), core.WithDialer(ps.dial))
 			if err != nil {
 				return err
 			}
 			ps.mu.Lock()
-			sc.conn, sc.dialSeconds = c, c.DialDuration().Seconds()
+			dialSeconds[idx] = c.DialDuration().Seconds()
 			ps.mu.Unlock()
-			if err := snd.Attach(idx, c); err != nil {
-				drop(idx)
-				return err
-			}
-			return nil
+			return snd.Attach(idx, c)
 		})
 		if err != nil {
 			abandon(idx, err)
@@ -261,30 +228,27 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 	go func() { runDone <- snd.Run(ctx) }()
 
 	// Sample each stripe's committed bytes into the queued-bytes gauge
-	// while the group runs; zero the children on the way out so a stuck
-	// gauge cannot outlive its group.
-	sampleStop := make(chan struct{})
-	var sampleWG sync.WaitGroup
-	sampleWG.Add(1)
-	go func() {
-		defer sampleWG.Done()
-		t := time.NewTicker(50 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				for i, qb := range snd.QueuedBytes() {
-					met.QueuedBytes.With(strconv.Itoa(i)).Set(qb)
+	// while the group runs, and take this group's share back out on the
+	// way, so a stuck gauge cannot outlive its group.
+	if met.QueuedBytes != nil {
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(stopped)
+			q := queuedSampler{gauge: met.QueuedBytes, last: make([]int64, n)}
+			defer q.sample(make([]int64, n))
+			t := time.NewTicker(50 * time.Millisecond)
+			defer t.Stop()
+			for {
+				select {
+				case <-t.C:
+					q.sample(snd.Stats().QueuedBytes)
+				case <-stop:
+					return
 				}
-			case <-sampleStop:
-				for i := 0; i < n; i++ {
-					met.QueuedBytes.With(strconv.Itoa(i)).Set(0)
-				}
-				return
 			}
-		}
-	}()
-	defer func() { close(sampleStop); sampleWG.Wait() }()
+		}()
+		defer func() { close(stop); <-stopped }()
+	}
 
 	var healWG sync.WaitGroup
 	spawn := func(idx int, heal bool) {
@@ -298,47 +262,12 @@ func StripedTransfer(ctx context.Context, routes []core.Route, src io.ReaderAt, 
 		spawn(i, false)
 	}
 
-	// finish closes every stripe, fills in the result and counts the
-	// group's scheduling events and terminal outcome.
-	finish := func(err error) (*StripedResult, error) {
-		for i := range ctls {
-			drop(i)
-		}
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		res.Replans = ps.failovers
-		res.Rebalances = snd.Rebalances()
-		res.FramesReassigned = snd.Reassigned()
-		res.FramesSpeculated = snd.Speculated()
-		res.Superseded = int(snd.Superseded())
-		res.Confirmed = snd.Confirmed()
-		res.Tail = snd.TailDuration()
-		res.StripeBytes = deliveredBytes(snd)
-		res.Routes = make([]core.Route, n)
-		for i, sc := range ctls {
-			res.Routes[i] = sc.route
-		}
-		res.Duration = time.Since(start)
-		met.Rebalances.Add(uint64(res.Rebalances))
-		met.FramesReassigned.Add(uint64(res.FramesReassigned))
-		met.FramesSpeculated.Add(uint64(res.FramesSpeculated))
-		met.Transfers.With(outcomeOf(ctx, err)).Inc()
-		if err != nil {
-			return res, fmt.Errorf("resilience: %s: %w", ps, err)
-		}
-		if res.Tail > 0 {
-			met.Tail.Observe(float64(res.Tail.Nanoseconds()))
-		}
-		return res, nil
-	}
-
 	var runErr error
 events:
 	for {
 		select {
 		case ev := <-downCh:
-			drop(ev.idx)
-			if ctls[ev.idx].failed(ev.err) {
+			if paths[ev.idx].failed(ev.err) {
 				abandon(ev.idx, ev.err)
 			} else {
 				spawn(ev.idx, true)
@@ -348,33 +277,59 @@ events:
 		}
 	}
 	healWG.Wait()
-	if runErr != nil {
-		return finish(runErr)
-	}
 
-	if snd.Confirmed() {
+	// Fill in the result from the Sender's snapshot (Run has closed every
+	// stripe), feed a delivered group's per-stripe fates to the planner,
+	// and count the group's scheduling events and terminal outcome.
+	st := snd.Stats()
+	ps.mu.Lock()
+	res.Replans = ps.failovers
+	res.Rebalances = st.Rebalances
+	res.FramesReassigned = st.Reassigned
+	res.FramesSpeculated = st.Speculated
+	res.Superseded = int(st.Superseded)
+	res.Confirmed = st.Confirmed
+	res.Tail = st.Tail
+	res.StripeBytes = st.Delivered
+	res.Routes = make([]core.Route, n)
+	res.Duration = time.Since(start)
+	for i, p := range paths {
+		res.Routes[i] = p.route
+		if runErr == nil && ps.planner != nil && st.Delivered[i] > 0 {
+			ps.planner.ObserveSuccess(p.route, st.Delivered[i], res.Duration.Seconds(), dialSeconds[i])
+		}
+	}
+	ps.mu.Unlock()
+	met.Rebalances.Add(uint64(res.Rebalances))
+	met.FramesReassigned.Add(uint64(res.FramesReassigned))
+	met.FramesSpeculated.Add(uint64(res.FramesSpeculated))
+	met.Transfers.With(outcomeOf(ctx, runErr)).Inc()
+	if runErr != nil {
+		return res, fmt.Errorf("resilience: %s: %w", ps, runErr)
+	}
+	if res.Confirmed {
 		logf("resilience: %s confirmed by receiver ack", ps)
 	}
-	if ps.planner != nil {
-		sb := deliveredBytes(snd)
-		dur := time.Since(start).Seconds()
-		ps.mu.Lock()
-		for i, sc := range ctls {
-			if sb[i] > 0 {
-				ps.planner.ObserveSuccess(sc.route, sb[i], dur, sc.dialSeconds)
-			}
-		}
-		ps.mu.Unlock()
+	if res.Tail > 0 {
+		met.Tail.Observe(float64(res.Tail.Nanoseconds()))
 	}
-	return finish(nil)
+	return res, nil
 }
 
-// deliveredBytes is the per-stripe payload attribution: the receiver's
-// (which stripe landed each byte first, speculative duplicates excluded)
-// once it acked the whole stream as flushed, the sender's own otherwise.
-func deliveredBytes(snd *stripe.Sender) []int64 {
-	if snd.Confirmed() {
-		return snd.AcceptedBytes()
+// queuedSampler mirrors one group's per-stripe committed bytes into the
+// shared lsl_stripe_queued_bytes gauge. Groups that share a Metrics share
+// its children, so each group adds only the change since its own last
+// sample: the gauge reads the sum over the live groups.
+type queuedSampler struct {
+	gauge *metrics.GaugeVec
+	last  []int64
+}
+
+// sample moves this group's share of the gauge to cur; sampling zeros
+// takes the share out.
+func (q *queuedSampler) sample(cur []int64) {
+	for i, v := range cur {
+		q.gauge.With(strconv.Itoa(i)).Add(v - q.last[i])
+		q.last[i] = v
 	}
-	return snd.StripeBytes()
 }

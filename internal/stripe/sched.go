@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,12 +34,6 @@ const (
 // stream, for the group's confirmation or for its cascade to unwind. A
 // stripe still waiting then goes down and its unconfirmed frames requeue.
 const unwindTimeout = 30 * time.Second
-
-// Scheduler phases.
-const (
-	phaseData = iota // frames still being dispatched
-	phaseEnd         // all data written; stripes draining end frames
-)
 
 // defaultQueueFrames bounds how many frames may be queued/inflight per
 // stripe until its stream's acks measure a drain rate; small values keep
@@ -76,16 +71,14 @@ const (
 	maxInflightBudget = 64 << 20
 )
 
+// frame is one dispatch unit. A speculative duplicate (spec) is a copy,
+// queued on a thief stripe, of a frame that stripe victim's generation
+// victimGen has sent (or is wedged mid-write on) but the receiver has not
+// yet confirmed: the victim keeps owning the frame and its byte credit.
 type frame struct {
-	off int64
-	n   int
-}
-
-// specFrame is a speculative duplicate queued on a thief stripe: a copy
-// of a frame the victim stripe has sent (or is wedged mid-write on) but
-// the receiver has not yet confirmed.
-type specFrame struct {
-	frame
+	off       int64
+	n         int
+	spec      bool
 	victim    int
 	victimGen int
 }
@@ -114,38 +107,24 @@ type SenderConfig struct {
 	// throughput every time this many bytes have been written. <= 0
 	// disables mid-flow rebalancing.
 	RebalanceBytes int64
-	// Acks opens stripe streams with the ack-requesting "LSLT" header so
-	// an ack-capable receiver reports delivery on the backward channel,
-	// which the Sender reads itself on every stream that is also an
-	// io.Reader (see Attach). Old receivers reject "LSLT", so only enable
-	// against peers known to run this version. Once a stream's acks
-	// measure its drain rate, its in-flight bytes are bounded by that
-	// rate × a short horizon (BDP-style) instead of a frame count.
-	Acks bool
-	// OnStripeDown fires (off the scheduler lock) when a stripe's
-	// write fails; the callback must not block for long and must not
-	// call back into the Sender.
+	// OnStripeDown fires (off the scheduler lock, after the stripe's
+	// stream is closed) when a stripe's write, accept or backward channel
+	// fails; the callback must not block for long and must not call back
+	// into the Sender.
 	OnStripeDown func(index int, err error)
-	// OnSuperseded fires when a wedged stripe is retired because every
-	// one of its frames was re-delivered elsewhere; the engine should
-	// close the stripe's connection to unblock the wedged write.
-	OnSuperseded func(index int)
 	// Logf, if set, receives debug lines.
 	Logf func(format string, args ...any)
 }
 
 type stripeState struct {
 	state      int
-	gen        int // bumped each Attach/Abandon/down; stale workers self-retire
-	w          io.Writer
-	back       bool      // the Sender reads this generation's backward channel
+	gen        int       // bumped each Attach and retirement; stale workers self-retire
+	w          io.Writer // this generation's stream, until the Sender closes it
 	accepted   bool      // this generation's peer accepted the stream
 	attachedAt time.Time // when this generation attached
-	queue      []frame   // dispatched, not yet picked up by the worker
-	specq      []specFrame
+	queue      []frame   // dispatched, not yet picked up: own frames, then duplicates
 	inflight   bool
 	cur        frame     // frame the worker is writing right now
-	curSpec    bool      // cur is a speculative duplicate a victim still owns
 	writeStart time.Time // when the in-flight frame write began
 	sent       []frame   // frames written this generation (replayed on death)
 	bytes      int64     // payload bytes successfully written, all generations
@@ -174,6 +153,10 @@ type stripeState struct {
 // every frame of its current generation is requeued (the receiver drops
 // exact duplicates), and a replacement stream for the same index may be
 // attached at any time.
+//
+// The Sender owns every stream it is handed: it closes each one that is
+// an io.Closer when that stream's generation ends — down, superseded,
+// abandoned, or Run returning.
 type Sender struct {
 	group wire.SessionID
 	src   io.ReaderAt
@@ -181,9 +164,7 @@ type Sender struct {
 
 	frameSize      int
 	rebalanceBytes int64
-	acks           bool
 	onStripeDown   func(int, error)
-	onSuperseded   func(int)
 	logf           func(string, ...any)
 	// In-package tests shrink these before the first Attach.
 	queueFrames  int
@@ -192,7 +173,6 @@ type Sender struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	stripes []*stripeState
-	phase   int
 	nextOff int64
 	requeue []frame
 
@@ -202,11 +182,11 @@ type Sender struct {
 	speculated     int64
 	superseded     int64
 
-	// Speculative-duplicate bookkeeping, keyed by frame offset.
-	specPending map[int64]bool    // queued on some thief, not yet written
-	specDone    map[int64]specRec // written by a thief, unconfirmed
+	// Speculative duplicates written by a thief, unconfirmed, keyed by
+	// frame offset (those still queued ride their thief's queue).
+	specDone map[int64]specRec
 
-	// Receiver feedback (ack mode).
+	// Receiver feedback, from the backward channels.
 	ackedFlushed    int64
 	ackAccepted     []int64
 	acksObserved    bool
@@ -242,14 +222,11 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 		total:          total,
 		frameSize:      fs,
 		rebalanceBytes: cfg.RebalanceBytes,
-		acks:           cfg.Acks,
 		onStripeDown:   cfg.OnStripeDown,
-		onSuperseded:   cfg.OnSuperseded,
 		logf:           cfg.Logf,
 		queueFrames:    defaultQueueFrames,
 		stuckTimeout:   defaultStuckTimeout,
 		stripes:        make([]*stripeState, stripes),
-		specPending:    make(map[int64]bool),
 		specDone:       make(map[int64]specRec),
 		ackAccepted:    make([]int64, stripes),
 	}
@@ -275,7 +252,9 @@ type acceptor interface{ AwaitAccept() error }
 // Attach hands stripe `index` a fresh stream and starts (or restarts) its
 // writer. Valid on an idle stripe (initial attach) or a dead one (heal);
 // the new worker re-sends the group header and receives the dead
-// generation's requeued frames through normal dispatch.
+// generation's requeued frames through normal dispatch. The Sender owns w
+// from this call on: a stream it refuses is closed at once, and so is one
+// attached after Run returned.
 //
 // A stream with an accept still to come (one with an AwaitAccept method)
 // carries frames at once, and the verdict becomes part of the stripe's
@@ -285,17 +264,27 @@ type acceptor interface{ AwaitAccept() error }
 // frames to accepted stripes; and the stripe can finish only once
 // accepted. Any other writer counts as accepted from the start.
 //
-// In ack mode a stream that is also an io.Reader has a backward channel,
-// and the Sender owns it for the whole generation: it reads the accept,
-// then the receiver's ack records, and the channel's end is part of the
-// lifecycle too (see channelEnded). After its end frame such a stripe
-// half-closes the stream (when it has CloseWrite) and finishes once the
-// group is confirmed or its channel unwinds to EOF. Other streams finish
-// as soon as their end frame is written. The channel's reader may outlive
-// Run: it exits when the caller closes the stream.
+// A duplex stream — an io.Reader that can also half-close or take a
+// deadline, as a connection can — has a backward channel: the stripe
+// opens with the ack-requesting "LSLT" header, and the Sender owns the
+// channel for the whole generation. It reads the accept, then the
+// receiver's ack records, and the channel's end is part of the lifecycle
+// too (see channelEnded). After its end frame such a stripe half-closes
+// the stream (when it has CloseWrite) and finishes once the group is
+// confirmed or its channel unwinds to EOF. A one-way writer opens with
+// "LSLS" and finishes as soon as its end frame is written.
 func (s *Sender) Attach(index int, w io.Writer) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.attachLocked(index, w)
+	done := s.done
+	s.mu.Unlock()
+	if err != nil || done {
+		closeStream(w)
+	}
+	return err
+}
+
+func (s *Sender) attachLocked(index int, w io.Writer) error {
 	if index < 0 || index >= len(s.stripes) {
 		return fmt.Errorf("stripe: attach index %d out of range", index)
 	}
@@ -309,28 +298,48 @@ func (s *Sender) Attach(index int, w io.Writer) error {
 	default:
 		return fmt.Errorf("stripe %d: already attached", index)
 	}
-	st.gen++
-	st.w = w
-	st.state = stripeLive
-	st.attachedAt = time.Now()
+	if s.done {
+		return nil
+	}
+	// A new generation: only the byte count, the weight and the write
+	// rate carry over (a retired generation left nothing queued).
 	_, pending := w.(acceptor)
-	_, reader := w.(io.Reader)
-	st.accepted = !pending
-	st.back = s.acks && reader
-	st.credit = 0
-	st.lastErr = nil
-	st.pipeWritten = 0
-	st.ackSeen = 0
-	st.genAcked = false
-	st.ackBps = 0
-	st.ackWinAt = time.Time{}
-	st.ackWinSeen = 0
-	go s.worker(index, st.gen)
-	if pending || st.back {
+	*st = stripeState{
+		state: stripeLive, gen: st.gen + 1, w: w, accepted: !pending, attachedAt: time.Now(),
+		bytes: st.bytes, weight: st.weight, ewmaBps: st.ewmaBps,
+	}
+	go s.worker(index, st.gen, w)
+	if pending || duplex(w) {
 		go s.channel(index, st.gen, w)
 	}
 	s.cond.Broadcast()
 	return nil
+}
+
+// Capabilities of a stream that is a connection.
+type (
+	halfCloser interface{ CloseWrite() error }
+	deadliner  interface{ SetDeadline(time.Time) error }
+)
+
+// duplex reports whether stream w has a backward channel: it reads as
+// well as writes, and it is a connection — it can half-close or take a
+// deadline, which the unwind after the end frame uses. An in-memory
+// buffer that reads back its own bytes is neither.
+func duplex(w io.Writer) bool {
+	if _, ok := w.(io.Reader); !ok {
+		return false
+	}
+	_, hc := w.(halfCloser)
+	_, dl := w.(deadliner)
+	return hc || dl
+}
+
+// closeStream closes a stream the Sender owns, if it can be closed.
+func closeStream(w io.Writer) {
+	if c, ok := w.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // channel owns generation gen's backward channel: it folds the accept
@@ -349,12 +358,11 @@ func (s *Sender) channel(index, gen int, w io.Writer) {
 		}
 		s.mu.Unlock()
 	}
-	r, ok := w.(io.Reader)
-	if !s.acks || !ok {
+	if !duplex(w) {
 		return
 	}
 	for {
-		a, err := ReadAck(r)
+		a, err := ReadAck(w.(io.Reader))
 		if err != nil {
 			s.channelEnded(index, gen, err)
 			return
@@ -388,89 +396,76 @@ func (s *Sender) channelEnded(index, gen int, err error) {
 }
 
 // Abandon permanently retires a stripe (heal budget exhausted): its
-// outstanding frames are requeued for the surviving stripes and no
-// replacement may attach.
+// outstanding frames are requeued for the surviving stripes, its stream
+// is closed, and no replacement may attach.
 func (s *Sender) Abandon(index int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if index < 0 || index >= len(s.stripes) {
 		return
 	}
-	st := s.stripes[index]
-	switch st.state {
+	s.mu.Lock()
+	switch s.stripes[index].state {
 	case stripeAbandoned, stripeFinished:
+		s.mu.Unlock()
 		return
 	}
-	st.gen++ // retire any live worker and channel reader
-	s.requeueStripeLocked(st)
-	st.state = stripeAbandoned
-	if err != nil {
-		st.lastErr = err
-	}
-	s.cond.Broadcast()
+	_, w := s.retireLocked(index, stripeAbandoned, err)
+	s.mu.Unlock()
+	closeStream(w)
 }
 
-// requeueStripeLocked moves a stripe's whole current generation —
-// inflight frame, queued frames, and frames already written but not
-// end-confirmed — back onto the global requeue, and reopens the data
-// phase if it had closed. The written-but-unconfirmed frames come off
-// the stripe's byte count: they died with the connection, and whichever
-// stripe rewrites them gets the credit, so StripeBytes always sums to
-// the delivered stream length.
-//
-// Speculative duplicates this stripe was carrying for a victim are
-// dropped, not requeued — the victim still owns those frames, and
-// requeuing a duplicate would double-deliver the credit. Any coverage
-// this stripe provided as a thief, or held as a victim, is invalidated.
-func (s *Sender) requeueStripeLocked(st *stripeState) int {
-	index := -1
-	for i, other := range s.stripes {
-		if other == st {
-			index = i
-			break
+// retireLocked ends stripe index's current generation, leaving the stripe
+// in state: a stripe-down, an abandonment and a supersession all come
+// through here. Every frame the generation still owns requeues — the
+// in-flight one, the queued ones, and those written but not confirmed,
+// which come off the stripe's byte count (they died with the stream, and
+// whichever stripe rewrites them gets the credit, so StripeBytes always
+// sums to the delivered stream length). Speculative duplicates it carried
+// are dropped, not requeued: their victims still own those frames. Any
+// coverage it provided as a thief, or held as a victim, is invalidated.
+// Its worker and channel reader retire on the bumped generation. It
+// returns how many frames requeued and the stream, which the caller
+// closes off the lock.
+func (s *Sender) retireLocked(index, state int, err error) (int, io.Writer) {
+	st := s.stripes[index]
+	n := len(s.requeue)
+	if st.inflight && !st.cur.spec {
+		s.requeue = append(s.requeue, st.cur)
+	}
+	st.inflight = false
+	for _, f := range st.queue {
+		if !f.spec {
+			s.requeue = append(s.requeue, f)
 		}
 	}
-	n := 0
-	if st.inflight {
-		if !st.curSpec {
-			s.requeue = append(s.requeue, st.cur)
-			n++
-		}
-		st.inflight = false
-		st.curSpec = false
-	}
-	for _, sf := range st.specq {
-		delete(s.specPending, sf.off)
-	}
-	st.specq = nil
-	for off, rec := range s.specDone {
-		if rec.thief == index || rec.victim == index {
-			delete(s.specDone, off)
-		}
-	}
-	s.requeue = append(s.requeue, st.queue...)
-	n += len(st.queue)
 	st.queue = nil
 	for _, f := range st.sent {
 		st.bytes -= int64(f.n)
 	}
 	s.requeue = append(s.requeue, st.sent...)
-	n += len(st.sent)
 	st.sent = nil
-	if n > 0 {
-		s.reassigned += int64(n)
-		if s.phase == phaseEnd {
-			s.phase = phaseData
+	for off, rec := range s.specDone {
+		if rec.thief == index || rec.victim == index {
+			delete(s.specDone, off)
 		}
 	}
-	return n
+	n = len(s.requeue) - n
+	s.reassigned += int64(n)
+	st.gen++
+	st.state = state
+	if err != nil {
+		st.lastErr = err
+	}
+	w := st.w
+	st.w = nil
+	s.cond.Broadcast()
+	return n, w
 }
 
 // stripeDown records a write failure, a refused accept or a failed
-// backward channel: the stripe becomes dead, its generation's frames are
-// requeued, its worker retires, and OnStripeDown fires (once per
-// generation) so a healing engine can dial a replacement. A finished
-// stripe stays finished.
+// backward channel: the stripe becomes dead, its generation retires and
+// its stream is closed, and OnStripeDown fires (once per generation) so a
+// healing engine can dial a replacement. A finished stripe stays
+// finished.
 func (s *Sender) stripeDown(index, gen int, err error) {
 	s.mu.Lock()
 	st := s.stripes[index]
@@ -478,12 +473,9 @@ func (s *Sender) stripeDown(index, gen int, err error) {
 		s.mu.Unlock()
 		return
 	}
-	st.gen++
-	st.state = stripeDead
-	st.lastErr = err
-	n := s.requeueStripeLocked(st)
-	s.cond.Broadcast()
+	n, w := s.retireLocked(index, stripeDead, err)
 	s.mu.Unlock()
+	closeStream(w)
 	if s.logf != nil {
 		s.logf("stripe %d down after %d reassigned frames: %v", index, n, err)
 	}
@@ -502,20 +494,17 @@ func (s *Sender) fail(err error) {
 	s.mu.Unlock()
 }
 
-// worker drains one stripe's queue onto its stream. It retires itself
-// when its generation is superseded by a re-Attach or Abandon.
-func (s *Sender) worker(index, gen int) {
+// worker drains one stripe's queue onto its stream w. It retires itself
+// when its generation is superseded by a re-Attach or a retirement.
+func (s *Sender) worker(index, gen int, w io.Writer) {
 	st := s.stripes[index]
-	s.mu.Lock()
-	w := st.w
-	s.mu.Unlock()
-
+	back := duplex(w)
 	gh := &GroupHeader{
 		Group:    s.group,
 		Index:    uint8(index),
 		Count:    uint8(len(s.stripes)),
 		TotalLen: uint64(s.total),
-		Acks:     s.acks,
+		Acks:     back,
 	}
 	if _, err := w.Write(gh.Encode()); err != nil {
 		s.stripeDown(index, gen, fmt.Errorf("group header: %w", err))
@@ -526,39 +515,29 @@ func (s *Sender) worker(index, gen int) {
 	for {
 		s.mu.Lock()
 		var f frame
-		var isSpec bool
-		var specVictim, specVictimGen int
 	pick:
 		for {
 			if st.gen != gen || s.failErr != nil || s.done {
 				s.mu.Unlock()
 				return
 			}
-			if len(st.queue) > 0 {
+			for len(st.queue) > 0 {
 				f = st.queue[0]
 				st.queue = st.queue[1:]
-				break
-			}
-			for len(st.specq) > 0 {
-				sf := st.specq[0]
-				st.specq = st.specq[1:]
-				delete(s.specPending, sf.off)
+				if !f.spec {
+					break pick
+				}
 				// A victim that died, healed, or was superseded since the
 				// duplicate was queued no longer owns this frame: skip it.
-				vs := s.stripes[sf.victim]
-				if vs.gen != sf.victimGen || !victimHoldsFrames(vs.state) {
-					continue
+				if vs := s.stripes[f.victim]; vs.gen == f.victimGen && victimHoldsFrames(vs.state) {
+					break pick
 				}
-				f = sf.frame
-				isSpec, specVictim, specVictimGen = true, sf.victim, sf.victimGen
-				break pick
 			}
-			if s.phase == phaseEnd && !st.inflight && s.mayEndLocked() {
+			if s.quiescentLocked() && s.mayEndLocked(back) {
 				// Commit to the end frame before unlocking so the
 				// dispatcher cannot hand this stripe more data if
-				// another stripe's death reopens the data phase.
+				// another stripe's death requeues frames.
 				st.state = stripeEnding
-				back := st.back
 				s.cond.Broadcast()
 				s.mu.Unlock()
 				if err := s.end(w, back); err != nil {
@@ -580,7 +559,6 @@ func (s *Sender) worker(index, gen int) {
 		}
 		st.inflight = true
 		st.cur = f
-		st.curSpec = isSpec
 		st.writeStart = time.Now()
 		s.cond.Broadcast() // queue slot freed
 		s.mu.Unlock()
@@ -604,23 +582,22 @@ func (s *Sender) worker(index, gen int) {
 
 		s.mu.Lock()
 		if st.gen != gen {
-			// Abandon requeued cur already; the duplicate the receiver
-			// may see is dropped there.
+			// The retirement requeued cur already; the duplicate the
+			// receiver may see is dropped there.
 			s.mu.Unlock()
 			return
 		}
 		st.inflight = false
-		st.curSpec = false
 		st.pipeWritten += int64(f.n)
-		if isSpec {
+		if f.spec {
 			// The duplicate is on the wire, but the frame still belongs to
 			// its victim: record coverage, never credit the thief's sent
 			// list, so StripeBytes cannot double-count. Attribution moves
 			// only if the victim is later superseded.
-			vs := s.stripes[specVictim]
-			if vs.gen == specVictimGen && victimHoldsFrames(vs.state) {
+			vs := s.stripes[f.victim]
+			if vs.gen == f.victimGen && victimHoldsFrames(vs.state) {
 				s.specDone[f.off] = specRec{
-					victim: specVictim, victimGen: specVictimGen,
+					victim: f.victim, victimGen: f.victimGen,
 					thief: index, thiefGen: gen, n: f.n,
 				}
 			}
@@ -655,12 +632,12 @@ func (s *Sender) end(w io.Writer, back bool) error {
 	if !back {
 		return nil
 	}
-	if cw, ok := w.(interface{ CloseWrite() error }); ok {
+	if cw, ok := w.(halfCloser); ok {
 		if err := cw.CloseWrite(); err != nil {
 			return fmt.Errorf("half-close: %w", err)
 		}
 	}
-	if d, ok := w.(interface{ SetDeadline(time.Time) error }); ok {
+	if d, ok := w.(deadliner); ok {
 		// A stream that refuses the deadline is closed: its channel's
 		// read fails without one.
 		_ = d.SetDeadline(time.Now().Add(unwindTimeout))
@@ -762,7 +739,8 @@ func (s *Sender) pickStripeLocked(n int) int {
 
 // Run dispatches every frame, then drains end frames, returning once all
 // stripes have either finished or been abandoned with their frames
-// delivered elsewhere. It may be called once.
+// delivered elsewhere. Every stream still open is closed before it
+// returns. It may be called once.
 func (s *Sender) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.running {
@@ -772,17 +750,10 @@ func (s *Sender) Run(ctx context.Context) error {
 	s.running = true
 	s.mu.Unlock()
 
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.fail(ctx.Err())
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, func() { s.fail(ctx.Err()) })()
 	// Stuck-write detection, ack staleness, and the end-frame gate are
 	// time-based; nudge the dispatcher while it would otherwise sleep.
+	stop := make(chan struct{})
 	go func() {
 		t := time.NewTicker(maintenanceTick)
 		defer t.Stop()
@@ -797,11 +768,28 @@ func (s *Sender) Run(ctx context.Context) error {
 	}()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	err := s.dispatchLocked()
+	s.done = true
+	var open []io.Writer
+	for _, st := range s.stripes {
+		if st.w != nil {
+			open = append(open, st.w)
+			st.w = nil
+		}
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	close(stop)
+	for _, w := range open {
+		closeStream(w)
+	}
+	return err
+}
+
+// dispatchLocked is Run's loop, called and returning with s.mu held.
+func (s *Sender) dispatchLocked() error {
 	for {
 		if s.failErr != nil {
-			s.done = true
-			s.cond.Broadcast()
 			return s.failErr
 		}
 		var f frame
@@ -822,13 +810,18 @@ func (s *Sender) Run(ctx context.Context) error {
 				} else {
 					s.nextOff += int64(f.n)
 				}
-				s.stripes[i].queue = append(s.stripes[i].queue, f)
+				// Own frames go ahead of the speculative duplicates
+				// queued on the stripe.
+				st := s.stripes[i]
+				j := len(st.queue)
+				for j > 0 && st.queue[j-1].spec {
+					j--
+				}
+				st.queue = slices.Insert(st.queue, j, f)
 				s.cond.Broadcast()
 				continue
 			}
-			if s.stuckLocked() {
-				s.done = true
-				s.cond.Broadcast()
+			if s.drainedLocked() {
 				return fmt.Errorf("stripe: frames remain but every stripe is finished or abandoned (%w)", s.firstStripeErrLocked())
 			}
 			// Frames exist but no stripe has budget. A wedged stripe whose
@@ -841,22 +834,15 @@ func (s *Sender) Run(ctx context.Context) error {
 			continue
 		}
 		// The frame source is dry: the end-of-stream tail begins. Reclaim
-		// work from slow stripes before settling into the end phase.
+		// work from slow stripes before the group drains.
 		if s.tailStart.IsZero() {
 			s.tailStart = time.Now()
 		}
 		if s.runMaintenance(true) {
 			continue
 		}
-		if s.phase == phaseData && s.quiescentLocked() {
-			s.phase = phaseEnd
-			s.cond.Broadcast()
-			continue
-		}
-		if s.phase == phaseEnd && s.drainedLocked() {
-			s.done = true
+		if s.drainedLocked() {
 			s.tailDur = time.Since(s.tailStart)
-			s.cond.Broadcast()
 			return nil
 		}
 		s.cond.Wait()
@@ -864,14 +850,15 @@ func (s *Sender) Run(ctx context.Context) error {
 }
 
 // runMaintenance runs one round of tail reclamation — supersede, else
-// speculate — and reports what it did outside the lock (Logf,
-// OnSuperseded). It is called with s.mu held and returns with it held; a
-// true return means state changed and the dispatch loop should
-// re-evaluate. Speculation only makes sense once the frame source is dry
-// (sourceDry); supersession helps whenever a wedged stripe blocks the
-// group.
+// speculate — and acts on it outside the lock: it closes a superseded
+// stripe's stream, which unblocks the wedged write (the worker then
+// retires on its stale generation, so no down event or heal follows), and
+// logs. It is called with s.mu held and returns with it held; a true
+// return means state changed and the dispatch loop should re-evaluate.
+// Speculation only makes sense once the frame source is dry (sourceDry);
+// supersession helps whenever a wedged stripe blocks the group.
 func (s *Sender) runMaintenance(sourceDry bool) bool {
-	sup, requeued := s.supersedeLocked()
+	sup, requeued, w := s.supersedeLocked()
 	victim, thief, dup := -1, -1, 0
 	if sup < 0 && sourceDry {
 		victim, thief, dup = s.speculateLocked()
@@ -884,11 +871,9 @@ func (s *Sender) runMaintenance(sourceDry bool) bool {
 	defer s.mu.Lock()
 	switch {
 	case sup >= 0:
+		closeStream(w)
 		if s.logf != nil {
 			s.logf("stripe %d superseded: wedged, all frames covered (%d requeued)", sup, requeued)
-		}
-		if s.onSuperseded != nil {
-			s.onSuperseded(sup)
 		}
 	case s.logf != nil:
 		s.logf("stripe speculate: %d tail frames of %d duplicated on %d", dup, victim, thief)
@@ -896,39 +881,29 @@ func (s *Sender) runMaintenance(sourceDry bool) bool {
 	return true
 }
 
-// quiescentLocked reports that every payload byte has been written by
-// some stripe: nothing queued, nothing inflight, nothing requeued.
+// quiescentLocked reports the end phase: the frame source is dry and no
+// frame a stripe owns is queued, requeued or in flight. Speculative
+// duplicates do not count; their victims still own those frames.
 func (s *Sender) quiescentLocked() bool {
 	if s.nextOff < s.total || len(s.requeue) > 0 {
 		return false
 	}
 	for _, st := range s.stripes {
-		if len(st.queue) > 0 || st.inflight {
+		if (len(st.queue) > 0 && !st.queue[0].spec) || (st.inflight && !st.cur.spec) {
 			return false
 		}
 	}
 	return true
 }
 
-// drainedLocked reports that every stripe reached a terminal state.
+// drainedLocked reports that every stripe reached a terminal state, so
+// none can make progress again: none idle (could attach), live, ending or
+// unwinding (could still die and heal), or dead (could be healed).
 func (s *Sender) drainedLocked() bool {
 	for _, st := range s.stripes {
 		switch st.state {
 		case stripeFinished, stripeAbandoned, stripeSuperseded:
 		default:
-			return false
-		}
-	}
-	return true
-}
-
-// stuckLocked reports that no stripe can ever make progress again:
-// none idle (could attach), live, ending or unwinding (could still die
-// and heal), or dead (could be healed).
-func (s *Sender) stuckLocked() bool {
-	for _, st := range s.stripes {
-		switch st.state {
-		case stripeIdle, stripeLive, stripeEnding, stripeUnwinding, stripeDead:
 			return false
 		}
 	}
@@ -944,42 +919,65 @@ func (s *Sender) firstStripeErrLocked() error {
 	return fmt.Errorf("no stripe error recorded")
 }
 
-// Weights returns the current per-stripe dispatch weights.
-func (s *Sender) Weights() []float64 {
+// Stats is a snapshot of a Sender's per-stripe figures and counters.
+type Stats struct {
+	// Weights are the current per-stripe dispatch weights.
+	Weights []float64
+	// StripeBytes is the payload each stripe delivered by the Sender's
+	// own account: frames a dead stream took down are credited to the
+	// stripe that rewrote them, so after a complete run the values sum to
+	// the stream length.
+	StripeBytes []int64
+	// AcceptedBytes is the receiver's attribution from the latest ack:
+	// which stripe landed each byte first, duplicates excluded. It sums
+	// to the stream length once Confirmed.
+	AcceptedBytes []int64
+	// Delivered is the per-stripe attribution to report: AcceptedBytes
+	// once Confirmed (speculative duplicates excluded), StripeBytes
+	// otherwise.
+	Delivered []int64
+	// QueuedBytes is each stripe's committed bytes — queued, speculative
+	// and in-flight frames plus unacknowledged pipe contents — the
+	// quantity the in-flight budget bounds.
+	QueuedBytes []int64
+	// Rebalances counts throughput-driven weight recomputations,
+	// Reassigned frames requeued off retired stripes, Speculated tail
+	// frames queued as speculative duplicates on faster stripes, and
+	// Superseded wedged stripes retired with their frames re-delivered
+	// elsewhere.
+	Rebalances, Reassigned, Speculated, Superseded int64
+	// Confirmed reports that the receiver acked the whole stream as
+	// flushed (only possible over streams with a backward channel).
+	Confirmed bool
+	// Tail is how long the run spent between the frame source running
+	// dry and the group draining (0 until Run returns success).
+	Tail time.Duration
+}
+
+// Stats returns a snapshot of the Sender's figures.
+func (s *Sender) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]float64, len(s.stripes))
-	for i, st := range s.stripes {
-		out[i] = st.weight
+	st := Stats{
+		Weights:       make([]float64, len(s.stripes)),
+		StripeBytes:   make([]int64, len(s.stripes)),
+		AcceptedBytes: append([]int64(nil), s.ackAccepted...),
+		QueuedBytes:   make([]int64, len(s.stripes)),
+		Rebalances:    s.rebalances,
+		Reassigned:    s.reassigned,
+		Speculated:    s.speculated,
+		Superseded:    s.superseded,
+		Confirmed:     s.confirmed,
+		Tail:          s.tailDur,
 	}
-	return out
-}
-
-// StripeBytes returns payload bytes delivered per stripe: frames a dead
-// connection took down are credited to the stripe that rewrote them, so
-// after a complete run the values sum to the stream length.
-func (s *Sender) StripeBytes() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.stripes))
-	for i, st := range s.stripes {
-		out[i] = st.bytes
+	for i, ss := range s.stripes {
+		st.Weights[i] = ss.weight
+		st.StripeBytes[i] = ss.bytes
+		st.QueuedBytes[i] = s.commitmentLocked(ss)
 	}
-	return out
-}
-
-// Rebalances returns how many throughput-driven weight recomputations
-// have happened.
-func (s *Sender) Rebalances() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rebalances
-}
-
-// Reassigned returns how many frames have been requeued off dead or
-// abandoned stripes.
-func (s *Sender) Reassigned() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reassigned
+	st.Delivered = st.StripeBytes
+	if st.Confirmed {
+		st.Delivered = st.AcceptedBytes
+	}
+	return st
 }

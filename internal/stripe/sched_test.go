@@ -131,7 +131,7 @@ func TestSenderRoundTrip(t *testing.T) {
 		t.Fatal("payload mismatch")
 	}
 	var sum int64
-	for _, b := range snd.StripeBytes() {
+	for _, b := range snd.Stats().StripeBytes {
 		if b == 0 {
 			t.Fatal("a stripe carried no bytes")
 		}
@@ -228,7 +228,7 @@ func TestSenderHealsDeadStripe(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("payload mismatch after heal")
 	}
-	if snd.Reassigned() == 0 {
+	if snd.Stats().Reassigned == 0 {
 		t.Fatal("death reassigned no frames")
 	}
 }
@@ -373,7 +373,7 @@ func TestSenderWeightedDispatch(t *testing.T) {
 	if err := snd.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sb := snd.StripeBytes(); sb[0] != 3*sb[1] {
+	if sb := snd.Stats().StripeBytes; sb[0] != 3*sb[1] {
 		t.Fatalf("weight 3:1 produced split %d:%d", sb[0], sb[1])
 	}
 	// The streams must still reassemble.
@@ -416,10 +416,10 @@ func TestSenderAcklessLiveWritersNeverSteal(t *testing.T) {
 		if err := snd.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if sb := snd.StripeBytes(); sb[0] != 3*sb[1] {
+		if sb := snd.Stats().StripeBytes; sb[0] != 3*sb[1] {
 			t.Fatalf("run %d: weight 3:1 produced split %d:%d", run, sb[0], sb[1])
 		}
-		if n := snd.Speculated() + snd.Reassigned(); n != 0 {
+		if n := snd.Stats().Speculated + snd.Stats().Reassigned; n != 0 {
 			t.Fatalf("run %d: %d frames speculated or reassigned between live stripes", run, n)
 		}
 	}
@@ -446,15 +446,15 @@ func TestSenderRebalances(t *testing.T) {
 	if err := snd.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if snd.Rebalances() == 0 {
+	if snd.Stats().Rebalances == 0 {
 		t.Fatal("no rebalance recorded")
 	}
 	// Rebalanced weights must favor the faster stripe.
-	w := snd.Weights()
+	w := snd.Stats().Weights
 	if w[0] <= w[1] {
 		t.Fatalf("rebalance did not favor the fast stripe: %v", w)
 	}
-	sb := snd.StripeBytes()
+	sb := snd.Stats().StripeBytes
 	if sb[0] <= sb[1] {
 		t.Fatalf("fast stripe carried %d <= slow stripe %d", sb[0], sb[1])
 	}
@@ -491,7 +491,7 @@ func TestReplayStripeDedup(t *testing.T) {
 	rand.New(rand.NewSource(17)).Read(payload)
 	down := make(chan int, 4)
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
-		SenderConfig{FrameSize: 8 << 10, Acks: true, OnStripeDown: func(i int, _ error) { down <- i }})
+		SenderConfig{FrameSize: 8 << 10, OnStripeDown: func(i int, _ error) { down <- i }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,11 +537,11 @@ func TestReplayStripeDedup(t *testing.T) {
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("replay corrupted the reassembled stream")
 	}
-	if snd.Reassigned() == 0 {
+	if snd.Stats().Reassigned == 0 {
 		t.Fatal("the stripe that went down requeued no frames")
 	}
 	var sum int64
-	for _, b := range snd.StripeBytes() {
+	for _, b := range snd.Stats().StripeBytes {
 		sum += b
 	}
 	if sum != int64(len(payload)) {

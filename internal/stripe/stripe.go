@@ -16,19 +16,18 @@
 //	frame:        offset u64 | length u32 | payload...
 //	(a zero-length frame marks the stripe's end)
 //
-// A sender that wants delivery acknowledgements opens its streams with
-// magic "LSLT" instead; the receiver then emits compact ack records on
-// each stream's backward channel:
+// A stream with a backward channel opens with magic "LSLT" instead; the
+// receiver then emits compact ack records on it:
 //
 //	ack: magic "LSLA" | flushed u64 | seen u64 | count u8 | accepted u64 × count
 //
 // flushed is the group-wide contiguous prefix, seen is how many payload
 // bytes this particular stream has delivered (duplicates included — it
 // measures pipe drain, not contribution), and accepted[i] is how many
-// non-duplicate payload bytes stripe index i has contributed so far.
-// "LSLS" is the ackless header: it is what a Sender over one-way writers
-// (SenderConfig.Acks off) and pre-ack senders open with, and it gets no
-// ack records back.
+// non-duplicate payload bytes stripe index i has contributed so far. A
+// Sender takes the magic from the stream it is handed: "LSLT" over a
+// duplex stream, whose acks it reads, and the ackless "LSLS" over a
+// one-way writer, which gets no ack records back.
 package stripe
 
 import (
@@ -66,10 +65,9 @@ const (
 
 var (
 	magicStripe = [4]byte{'L', 'S', 'L', 'S'}
-	// magicStripeAck marks a stream whose sender understands ack records
-	// on the backward channel. Old receivers reject it (they only know
-	// "LSLS"), so senders must be told explicitly that the peer is
-	// ack-capable — see SenderConfig.Acks.
+	// magicStripeAck marks a stream whose sender reads ack records on its
+	// backward channel: a Sender opens with it exactly when the stream is
+	// duplex (see Sender.Attach).
 	magicStripeAck = [4]byte{'L', 'S', 'L', 'T'}
 	magicAck       = [4]byte{'L', 'S', 'L', 'A'}
 )

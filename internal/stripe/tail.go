@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"time"
@@ -30,7 +31,7 @@ import (
 //     never came back — is retired once every frame it owns is covered by
 //     another stripe's duplicate or the receiver's flushed prefix. Its
 //     ownership migrates to the coverer, its queued frames requeue for
-//     the survivors, and the engine closes its connection to unblock the
+//     the survivors, and the Sender closes its stream to unblock the
 //     wedged writer.
 
 // ack feeds one receiver delivery report, read off stripe index's
@@ -135,9 +136,6 @@ func (s *Sender) commitmentLocked(st *stripeState) int64 {
 	for _, f := range st.queue {
 		c += int64(f.n)
 	}
-	for _, sf := range st.specq {
-		c += int64(sf.n)
-	}
 	return c
 }
 
@@ -164,7 +162,7 @@ func (s *Sender) capacityLocked(st *stripeState) (frames int, bytes int64) {
 		return 0, 0
 	}
 	if !measuredLocked(st) {
-		q := len(st.queue) + len(st.specq)
+		q := len(st.queue)
 		if st.inflight {
 			q++
 		}
@@ -184,20 +182,21 @@ func (s *Sender) eligibleLocked(st *stripeState, n int) bool {
 // still awaits its accept: a finished stripe must be an accepted one, and
 // the others stay live — available as speculation thieves — in case the
 // verdict is a refusal (its frames requeue) or never comes (it wedges and
-// is superseded). In ack mode, workers further keep their stripes live
-// through the tail until the receiver confirms the whole group (or stops
-// acking, so the classic unwind still terminates against a silent peer).
+// is superseded). A stripe with a backward channel (back) further stays
+// live through the tail until the receiver confirms the whole group (or
+// stops acking, so the classic unwind still terminates against a silent
+// peer).
 // A short stream can run its source dry before the first ack ever
 // arrives — the dispatch burst outruns the feedback loop — so "no acks
 // yet" is not treated as a silent peer until a full stuck timeout has
 // passed since the tail began.
-func (s *Sender) mayEndLocked() bool {
+func (s *Sender) mayEndLocked(back bool) bool {
 	for _, st := range s.stripes {
 		if st.state == stripeLive && !st.accepted {
 			return false
 		}
 	}
-	if !s.acks || s.confirmed {
+	if !back || s.confirmed {
 		return true
 	}
 	if !s.acksObserved {
@@ -241,7 +240,7 @@ func (s *Sender) speculateLocked() (victim, thief, frames int) {
 		thief = -1
 		var tRate float64
 		for t, ts := range s.stripes {
-			if t == v || ts.state != stripeLive || len(ts.queue) > 0 || len(ts.specq) > 0 {
+			if t == v || ts.state != stripeLive || len(ts.queue) > 0 {
 				continue
 			}
 			r := s.effRateLocked(ts)
@@ -295,8 +294,8 @@ func (s *Sender) speculateLocked() (victim, thief, frames int) {
 		}
 		tail = tail[len(tail)-take:]
 		for _, f := range tail {
-			ts.specq = append(ts.specq, specFrame{frame: f, victim: v, victimGen: vs.gen})
-			s.specPending[f.off] = true
+			f.spec, f.victim, f.victimGen = true, v, vs.gen
+			ts.queue = append(ts.queue, f)
 		}
 		s.speculated += int64(len(tail))
 		return v, thief, len(tail)
@@ -315,15 +314,19 @@ func (s *Sender) unconfirmedTailLocked(vs *stripeState) []frame {
 		if f.off+int64(f.n) <= s.ackedFlushed {
 			return
 		}
-		if s.specPending[f.off] {
-			return
-		}
 		if _, ok := s.specDone[f.off]; ok {
 			return
 		}
+		for _, ts := range s.stripes {
+			for _, q := range ts.queue {
+				if q.spec && q.off == f.off {
+					return // already queued as a duplicate
+				}
+			}
+		}
 		tail = append(tail, f)
 	}
-	if vs.inflight && !vs.curSpec {
+	if vs.inflight && !vs.cur.spec {
 		add(vs.cur)
 	}
 	for _, f := range vs.sent {
@@ -336,11 +339,12 @@ func (s *Sender) unconfirmedTailLocked(vs *stripeState) []frame {
 // supersedeLocked retires a wedged stripe whose every frame is covered —
 // by the receiver's flushed prefix or by a live thief's completed
 // duplicate. Ownership of the covered frames migrates to the coverer
-// (keeping StripeBytes summing to the stream length), leftover queued
-// frames requeue, and the engine is told to close the wedged connection.
-// It returns the retired stripe's index (-1: none) and how many queued
-// frames it requeued.
-func (s *Sender) supersedeLocked() (index, requeued int) {
+// (keeping StripeBytes summing to the stream length), and the stripe
+// retires: leftover queued frames requeue. It returns the retired
+// stripe's index (-1: none), how many queued frames it requeued, and its
+// stream, which the caller closes off the lock to unblock the wedged
+// write.
+func (s *Sender) supersedeLocked() (index, requeued int, w io.Writer) {
 	for v, vs := range s.stripes {
 		if vs.state != stripeLive || !s.wedgedLocked(vs) {
 			continue
@@ -376,7 +380,7 @@ func (s *Sender) supersedeLocked() (index, requeued int) {
 			}
 			migrate = append(migrate, migration{f: f, rec: rec, byRec: true})
 		}
-		if vs.inflight && !vs.curSpec {
+		if vs.inflight && !vs.cur.spec {
 			check(vs.cur, false)
 		}
 		for _, f := range vs.sent {
@@ -385,8 +389,8 @@ func (s *Sender) supersedeLocked() (index, requeued int) {
 		if !covered {
 			continue
 		}
-		// Apply: migrate covered frames to their coverers, requeue the
-		// untouched queue, retire the stripe.
+		// Apply: migrate covered frames to their coverers, then retire
+		// the stripe, which requeues its untouched queue.
 		for _, m := range migrate {
 			if !m.byRec {
 				vs.bytes += int64(m.f.n) // in-flight frame the victim landed
@@ -403,82 +407,11 @@ func (s *Sender) supersedeLocked() (index, requeued int) {
 			}
 		}
 		vs.sent = nil
-		if vs.inflight {
-			vs.inflight = false
-			vs.curSpec = false
-		}
-		for _, sf := range vs.specq {
-			delete(s.specPending, sf.off)
-		}
-		vs.specq = nil
-		requeued = len(vs.queue)
-		s.requeue = append(s.requeue, vs.queue...)
-		vs.queue = nil
-		if requeued > 0 {
-			s.reassigned += int64(requeued)
-			if s.phase == phaseEnd {
-				s.phase = phaseData
-			}
-		}
-		vs.gen++ // retire the wedged worker when its write finally returns
-		vs.state = stripeSuperseded
-		vs.lastErr = fmt.Errorf("stripe %d: wedged for %v; superseded", v, s.stuckTimeout)
+		vs.inflight = false
 		s.superseded++
-		return v, requeued
+		requeued, w = s.retireLocked(v, stripeSuperseded,
+			fmt.Errorf("stripe %d: wedged for %v; superseded", v, s.stuckTimeout))
+		return v, requeued, w
 	}
-	return -1, 0
-}
-
-// Speculated returns how many tail frames have been queued as
-// speculative duplicates on faster stripes.
-func (s *Sender) Speculated() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.speculated
-}
-
-// Superseded returns how many wedged stripes were retired with their
-// frames re-delivered elsewhere.
-func (s *Sender) Superseded() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.superseded
-}
-
-// Confirmed reports whether the receiver has acked the whole stream as
-// flushed (only possible in ack mode).
-func (s *Sender) Confirmed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.confirmed
-}
-
-// AcceptedBytes returns the receiver-attributed per-stripe contribution
-// from the latest ack: exactly which stripe index landed each byte
-// first, duplicates excluded. Sums to the stream length once Confirmed.
-func (s *Sender) AcceptedBytes() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.ackAccepted...)
-}
-
-// TailDuration reports how long the run spent between the frame source
-// running dry and the group draining (0 until Run returns success).
-func (s *Sender) TailDuration() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tailDur
-}
-
-// QueuedBytes returns each stripe's currently committed bytes — queued,
-// speculative, and in-flight frames plus unacknowledged pipe contents —
-// the quantity the in-flight budget bounds.
-func (s *Sender) QueuedBytes() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int64, len(s.stripes))
-	for i, st := range s.stripes {
-		out[i] = s.commitmentLocked(st)
-	}
-	return out
+	return -1, 0, nil
 }

@@ -16,7 +16,8 @@ import (
 
 // gateWriter passes through a fixed byte budget, then blocks every write
 // until Close — a path that wedges without erroring, like a remote whose
-// kernel buffers filled while the far side stopped draining.
+// kernel buffers filled while the far side stopped draining. Close also
+// closes the writer behind it, as closing a connection would.
 type gateWriter struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -41,7 +42,13 @@ func (g *gateWriter) Write(p []byte) (int, error) {
 	return 0, errors.New("gated writer closed")
 }
 
-func (g *gateWriter) Close() { g.once.Do(func() { close(g.gate) }) }
+func (g *gateWriter) Close() error {
+	g.once.Do(func() { close(g.gate) })
+	if c, ok := g.w.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}
 
 // delayWriter adds a fixed delay per write, making two stripes' measured
 // rates deterministic and equal.
@@ -89,16 +96,9 @@ func TestSenderTailReclamation(t *testing.T) {
 	pr1, pw1 := io.Pipe()
 	gate := newGateWriter(pw1, groupHeaderLen+frameHeaderLen+fs)
 	go func() { recv.Attach(pr1) }() // dies when the pipe is torn down; tolerated
+	// The Sender closes the wedged stream when it supersedes the stripe.
 	if err := snd.Attach(1, gate); err != nil {
 		t.Fatal(err)
-	}
-	// The engine's OnSuperseded closes the wedged connection; model that.
-	snd.onSuperseded = func(i int) {
-		if i != 1 {
-			t.Errorf("superseded stripe %d, want 1", i)
-		}
-		gate.Close()
-		pw1.CloseWithError(errors.New("superseded"))
 	}
 
 	if err := snd.Run(context.Background()); err != nil {
@@ -113,26 +113,26 @@ func TestSenderTailReclamation(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("payload mismatch after reclamation")
 	}
-	if snd.Reassigned() < 1 {
-		t.Fatalf("reassigned %d, want >= 1: the wedged stripe's queue requeues at supersession", snd.Reassigned())
+	if snd.Stats().Reassigned < 1 {
+		t.Fatalf("reassigned %d, want >= 1: the wedged stripe's queue requeues at supersession", snd.Stats().Reassigned)
 	}
-	if snd.Speculated() < 1 {
-		t.Fatalf("speculated %d, want >= 1", snd.Speculated())
+	if snd.Stats().Speculated < 1 {
+		t.Fatalf("speculated %d, want >= 1", snd.Stats().Speculated)
 	}
-	if snd.Superseded() != 1 {
-		t.Fatalf("superseded %d, want 1", snd.Superseded())
+	if snd.Stats().Superseded != 1 {
+		t.Fatalf("superseded %d, want 1", snd.Stats().Superseded)
 	}
 	var sum int64
-	for _, b := range snd.StripeBytes() {
+	for _, b := range snd.Stats().StripeBytes {
 		if b < 0 {
-			t.Fatalf("negative stripe bytes: %v", snd.StripeBytes())
+			t.Fatalf("negative stripe bytes: %v", snd.Stats().StripeBytes)
 		}
 		sum += b
 	}
 	if sum != int64(len(payload)) {
-		t.Fatalf("stripe bytes sum %d, want %d (%v)", sum, len(payload), snd.StripeBytes())
+		t.Fatalf("stripe bytes sum %d, want %d (%v)", sum, len(payload), snd.Stats().StripeBytes)
 	}
-	if d := snd.TailDuration(); d <= 0 {
+	if d := snd.Stats().Tail; d <= 0 {
 		t.Fatalf("tail duration %v, want > 0", d)
 	}
 }
@@ -177,9 +177,9 @@ func TestSenderSymmetricNoSteal(t *testing.T) {
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("stream corrupted")
 	}
-	if snd.Speculated() != 0 || snd.Superseded() != 0 {
+	if snd.Stats().Speculated != 0 || snd.Stats().Superseded != 0 {
 		t.Fatalf("symmetric paths reclaimed: speculated %d superseded %d",
-			snd.Speculated(), snd.Superseded())
+			snd.Stats().Speculated, snd.Stats().Superseded)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestSenderAckConfirm(t *testing.T) {
 	recv.ackEvery = 8 << 10
 
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(payload), int64(len(payload)), 2,
-		SenderConfig{FrameSize: 8 << 10, Acks: true})
+		SenderConfig{FrameSize: 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +231,15 @@ func TestSenderAckConfirm(t *testing.T) {
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("stream corrupted")
 	}
-	if !snd.Confirmed() {
+	if !snd.Stats().Confirmed {
 		t.Fatal("group not confirmed by ack")
 	}
 	var sum int64
-	for _, b := range snd.AcceptedBytes() {
+	for _, b := range snd.Stats().AcceptedBytes {
 		sum += b
 	}
 	if sum != int64(len(payload)) {
-		t.Fatalf("accepted bytes sum %d, want %d (%v)", sum, len(payload), snd.AcceptedBytes())
+		t.Fatalf("accepted bytes sum %d, want %d (%v)", sum, len(payload), snd.Stats().AcceptedBytes)
 	}
 }
 
@@ -249,7 +249,7 @@ func TestSenderAckConfirm(t *testing.T) {
 // against the adaptive byte budget decides whether it may take more work.
 func TestSenderInflightBudget(t *testing.T) {
 	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(make([]byte, 1<<20)), 1<<20, 2,
-		SenderConfig{FrameSize: 4 << 10, Acks: true})
+		SenderConfig{FrameSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSenderInflightBudget(t *testing.T) {
 	if !snd.eligibleLocked(st, 4096) {
 		t.Fatal("empty pre-ack stripe must be eligible")
 	}
-	st.queue = []frame{{0, 1}, {1, 1}, {2, 1}, {3, 1}}
+	st.queue = []frame{{off: 0, n: 1}, {off: 1, n: 1}, {off: 2, n: 1}, {off: 3, n: 1}}
 	if snd.eligibleLocked(st, 4096) {
 		t.Fatal("full pre-ack queue must not be eligible")
 	}

@@ -61,8 +61,9 @@ const (
 	// FlagResume asks the listener to report its received offset so the
 	// initiator can continue an interrupted session.
 	FlagResume uint16 = 1 << 1
-	// FlagEager tells depots the initiator will stream without waiting
-	// for the end-to-end accept.
+	// FlagEager marks an initiator that streams without waiting for the
+	// end-to-end accept. No depot reads it: tests use it to tell a
+	// pipelined open from a synchronous one.
 	FlagEager uint16 = 1 << 2
 	// FlagStaged asks the first depot to take custody: it accepts the
 	// session itself, stores the complete payload, and delivers it onward
