@@ -85,32 +85,16 @@ func playAccept(nc net.Conn, sc acceptScenario) {
 	nc.Close()
 }
 
-// startAcceptPeer runs a scripted first hop for every sublink dialed at
-// it: classic connections, or streams on trunks when trunk is set.
-func startAcceptPeer(t *testing.T, trunk bool, sc acceptScenario) string {
+// serveSublinks runs fn on a goroutine of its own for every sublink dialed
+// at the returned address: classic connections, or streams on trunks when
+// trunk is set.
+func serveSublinks(t *testing.T, trunk bool, fn func(net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	play := playAccept
-	if sc == peerMute {
-		var mu sync.Mutex
-		var held []net.Conn
-		play = func(nc net.Conn, _ acceptScenario) {
-			mu.Lock()
-			held = append(held, nc)
-			mu.Unlock()
-		}
-		t.Cleanup(func() {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, nc := range held {
-				nc.Close()
-			}
-		})
-	}
 	go func() {
 		for {
 			nc, err := ln.Accept()
@@ -118,7 +102,7 @@ func startAcceptPeer(t *testing.T, trunk bool, sc acceptScenario) string {
 				return
 			}
 			if !trunk {
-				go play(nc, sc)
+				go fn(nc)
 				continue
 			}
 			go func() {
@@ -133,12 +117,35 @@ func startAcceptPeer(t *testing.T, trunk bool, sc acceptScenario) string {
 					if err != nil {
 						return
 					}
-					go play(st, sc)
+					go fn(st)
 				}
 			}()
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// startAcceptPeer runs a scripted first hop for every sublink dialed at
+// it: classic connections, or streams on trunks when trunk is set.
+func startAcceptPeer(t *testing.T, trunk bool, sc acceptScenario) string {
+	t.Helper()
+	if sc != peerMute {
+		return serveSublinks(t, trunk, func(nc net.Conn) { playAccept(nc, sc) })
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range held {
+			nc.Close()
+		}
+	})
+	return serveSublinks(t, trunk, func(nc net.Conn) {
+		mu.Lock()
+		held = append(held, nc)
+		mu.Unlock()
+	})
 }
 
 // TestConnAcceptStates walks the accept state machine of a Conn:
@@ -304,7 +311,13 @@ func TestConnAcceptStates(t *testing.T) {
 // and never reads it.
 func dialMute(t *testing.T, trunk bool, extra ...core.Option) *core.Conn {
 	t.Helper()
-	peer := startAcceptPeer(t, trunk, peerMute)
+	return dialEager(t, startAcceptPeer(t, trunk, peerMute), trunk, extra...)
+}
+
+// dialEager opens a pipelined session whose first hop is peer, on a trunk
+// when trunk is set; its route ends at a target nobody dials.
+func dialEager(t *testing.T, peer string, trunk bool, extra ...core.Option) *core.Conn {
+	t.Helper()
 	opts := append([]core.Option{core.WithEager()}, extra...)
 	if trunk {
 		pool := mux.NewPool(mux.PoolConfig{})

@@ -23,7 +23,9 @@
 // that arrive behind a header, and the accept is read lazily, when the
 // initiator first needs something from the backward channel (SendReader
 // reads it alongside the copy, so the open stays bounded by the handshake
-// timeout even against a hop that never answers):
+// timeout even against a hop that never answers). At most
+// wire.FirstWindow payload bytes go ahead of the accept; the trailer and
+// the half-close never wait for it:
 //
 //	initiator            depot(s)                target
 //	   |--- TCP connect --->|                        |
@@ -117,9 +119,10 @@ type Options struct {
 	// Eager pipelines the session open: Dial returns once the first hop
 	// is connected and payload streams behind the header without waiting
 	// for the end-to-end accept (the cascade absorbs data while the tail
-	// is still dialing). The accept is read and checked on first use of
-	// the backward channel (Read, AwaitCustody, AwaitAccept), alongside a
-	// SendReader, or when a write fails.
+	// is still dialing), up to wire.FirstWindow bytes of it. The accept is
+	// read and checked on first use of the backward channel (Read,
+	// AwaitCustody, AwaitAccept), alongside a SendReader, by a write that
+	// crosses the first window, or when a write fails.
 	Eager bool
 	// Session forces a session ID (used with Resume); zero means random.
 	Session wire.SessionID
@@ -150,7 +153,8 @@ func WithDigest() Option { return func(o *Options) { o.Digest = true } }
 func WithContentLength(n int64) Option { return func(o *Options) { o.ContentLength = n } }
 
 // WithEager pipelines the open: payload follows the header without the
-// synchronous end-to-end accept wait (see Options.Eager).
+// synchronous end-to-end accept wait (see Options.Eager), up to one
+// wire.FirstWindow of it; the rest waits for the verdict (see Conn.Write).
 func WithEager() Option { return func(o *Options) { o.Eager = true } }
 
 // WithSession pins the session identifier (for resumption).
@@ -497,10 +501,41 @@ func (c *Conn) Written() int64 { return c.written }
 // (writev via net.Buffers), so a session open plus its first payload
 // bytes cost one packet on the wire. A write the cascade cut short
 // because it refused the session fails with ErrRejected.
+//
+// A pipelined session sends at most wire.FirstWindow payload bytes before
+// the cascade's verdict. A write that ends within the window goes out at
+// once; one that crosses it sends up to the window, then waits for the
+// accept — bounded like a synchronous open by the handshake timeout, the
+// caller's deadline or Close — and continues after an accept, or fails
+// with ErrRejected without sending another byte. CloseWrite never waits:
+// a payload that fits the window leaves with its trailer and FIN.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.wclosed {
 		return 0, ErrClosedWrite
 	}
+	if !c.opts.Eager || c.written+int64(len(p)) <= wire.FirstWindow {
+		return c.send(p)
+	}
+	// The write crosses the first window. Once past it the verdict is in
+	// and awaitAccept returns at once.
+	n := 0
+	if room := wire.FirstWindow - c.written; room > 0 {
+		var err error
+		if n, err = c.send(p[:room]); err != nil {
+			return n, err
+		}
+	}
+	if err := c.awaitAccept(false); err != nil {
+		return n, err
+	}
+	m, err := c.send(p[n:])
+	return n + m, err
+}
+
+// send writes p to the sublink, behind the staged header while that is
+// still pending, and folds what went out into the digest and the stream
+// position.
+func (c *Conn) send(p []byte) (int, error) {
 	var n int
 	var err error
 	if hdr := c.header(); hdr != nil {

@@ -361,7 +361,10 @@ func (s *ServerConn) Digesting() bool { return s.remaining >= 0 }
 
 // Read returns payload bytes. With digesting active it stops at the
 // declared content length, consumes and verifies the MD5 trailer, and then
-// returns io.EOF on success or ErrDigestMismatch on corruption.
+// returns io.EOF on success or ErrDigestMismatch on corruption. The read
+// that completes a digesting payload waits for the trailer before it
+// returns those last bytes, so an initiator must never hold the trailer
+// back behind anything the target has not answered yet.
 func (s *ServerConn) Read(p []byte) (int, error) {
 	if s.failed != nil {
 		return 0, s.failed

@@ -629,13 +629,14 @@ func (d *Depot) writeControl(c net.Conn, f *wire.AcceptFrame) bool {
 // that pipelines its payload behind the header is still sending: closing
 // on unread bytes makes the kernel answer with RST, and a reset can cost
 // the peer the frame it has not read yet. So half-close, then discard
-// what arrives until EOF, one relay buffer's worth, or the write timeout
-// — whichever comes first — and only then close.
+// what arrives until EOF, the write timeout, or as much as a pipelined
+// initiator sends before the verdict — one first window and a digest
+// trailer — whichever comes first, and only then close.
 func (d *Depot) reject(nc net.Conn, id wire.SessionID, code uint8) {
 	if d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id}) {
 		halfClose(nc)
 		nc.SetReadDeadline(time.Now().Add(d.cfg.WriteTimeout))
-		io.CopyN(io.Discard, nc, int64(d.cfg.BufferSize)) // best effort: any outcome ends in Close
+		io.CopyN(io.Discard, nc, wire.FirstWindow+wire.DigestLen) // best effort: any outcome ends in Close
 	}
 	nc.Close()
 }

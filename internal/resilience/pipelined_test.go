@@ -204,8 +204,13 @@ func TestTransferPinnedSessionRestartsAcrossCalls(t *testing.T) {
 	payload := randBytes(2<<20, 33)
 	id := wire.NewSessionID()
 
+	// The target handshakes sublinks concurrently and reads them in the
+	// order their handshakes finish; one reset before its open is
+	// answered may finish after call 2's, or never. So call 1 dies only
+	// past its first window, after its accept is back, and call 2 starts
+	// once the target has ended call 1's sublink.
 	fn := faultnet.New(nil)
-	fn.Script(vt.addr(), faultnet.Step{ResetAfterBytes: 400_000})
+	fn.Script(vt.addr(), faultnet.Step{ResetAfterBytes: wire.FirstWindow + 400_000})
 	once := fastPolicy()
 	once.MaxAttempts = 1
 	res, err := resilience.Transfer(context.Background(),
@@ -216,6 +221,11 @@ func TestTransferPinnedSessionRestartsAcrossCalls(t *testing.T) {
 		resilience.WithDialer(fn.DialContext))
 	if !errors.Is(err, resilience.ErrExhausted) || res.Attempts != 1 {
 		t.Fatalf("call 1: err=%v attempts=%d, want its one attempt killed mid-stream", err, res.Attempts)
+	}
+	select {
+	case <-vt.ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the target never ended call 1's sublink")
 	}
 
 	res, err = resilience.Transfer(context.Background(),

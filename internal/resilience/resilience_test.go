@@ -36,13 +36,15 @@ func fastPolicy() resilience.Policy {
 // verifyingTarget is a session target that reassembles a session's
 // payload across sublinks (resume fragments arrive in accept order) and
 // reports the full stream once a sublink completes with the digest
-// verified. frags keeps what each sublink carried, in arrival order.
+// verified. frags keeps what each sublink carried, in arrival order;
+// ended ticks once per sublink after its fragment is in frags.
 type verifyingTarget struct {
 	l     *core.Listener
 	mu    sync.Mutex
 	data  bytes.Buffer
 	frags [][]byte
 	done  chan []byte
+	ended chan struct{}
 }
 
 func newVerifyingTarget(t *testing.T) *verifyingTarget {
@@ -51,7 +53,7 @@ func newVerifyingTarget(t *testing.T) *verifyingTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt := &verifyingTarget{l: l, done: make(chan []byte, 1)}
+	vt := &verifyingTarget{l: l, done: make(chan []byte, 1), ended: make(chan struct{}, 64)}
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
@@ -75,6 +77,10 @@ func newVerifyingTarget(t *testing.T) *verifyingTarget {
 			}
 			vt.mu.Unlock()
 			sc.Close()
+			select {
+			case vt.ended <- struct{}{}:
+			default:
+			}
 		}
 	}()
 	return vt

@@ -35,6 +35,15 @@ const (
 	MaxHeaderLen = 4096
 	// DigestLen is the MD5 trailer size.
 	DigestLen = 16
+	// FirstWindow is the most payload an initiator sends behind an open
+	// header before the cascade's accept or reject comes back. A pipelined
+	// session whose payload ends within it sends payload, trailer and FIN
+	// at once; a longer one sends FirstWindow bytes and waits for the
+	// verdict. A depot refusing a session drains at most this much (plus a
+	// trailer) before it hangs up. It is large enough that slow start on a
+	// fresh connection, or a new trunk stream's initial window, never
+	// reaches it within one cascade round trip.
+	FirstWindow = 1 << 20
 	// UnknownLength marks a stream of unspecified content length.
 	UnknownLength = ^uint64(0)
 )

@@ -187,7 +187,9 @@ var (
 	WithContentLength = core.WithContentLength
 	// WithEager pipelines the open: payload streams behind the header
 	// without waiting for the end-to-end accept, which the first Read (or
-	// AwaitCustody) consumes and checks.
+	// AwaitCustody) consumes and checks. At most one window
+	// (wire.FirstWindow, 1 MiB) of payload leaves before that verdict; a
+	// write past it waits for the accept.
 	WithEager = core.WithEager
 	// WithSession pins the session ID, which names the session at every
 	// depot (DepotSessions) and at the target (ServerConn.SessionID).
