@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"lsl/internal/wire"
@@ -85,7 +86,8 @@ func FuzzReadAck(f *testing.F) {
 
 // FuzzReadStripeFrame must never panic, must never hand back a payload
 // above MaxFrameSize, and anything it accepts must re-encode to exactly
-// the bytes it consumed.
+// the bytes it consumed. readFrame decodes the header through
+// readFrameHeader, the receiver's own decode.
 func FuzzReadStripeFrame(f *testing.F) {
 	var ok bytes.Buffer
 	writePayload(&ok, 4096, []byte("payload"))
@@ -109,5 +111,121 @@ func FuzzReadStripeFrame(f *testing.F) {
 		if !bytes.Equal(enc.Bytes(), data[:enc.Len()]) {
 			t.Fatalf("re-encoded %x, consumed %x", enc.Bytes(), data[:enc.Len()])
 		}
+	})
+}
+
+// fuzzSink is a receiver's sink that checks every write against the
+// receiver: it must append at Written(), and every byte must be the
+// logical stream's (fuzzByte at its position). Write runs with the
+// receiver's lock held, so it reads written directly.
+type fuzzSink struct {
+	t   *testing.T
+	r   *Receiver
+	got []byte
+}
+
+func fuzzByte(pos int) byte { return byte(pos*7 + 1) }
+
+func (s *fuzzSink) Write(p []byte) (int, error) {
+	if int64(len(s.got)) != s.r.written {
+		s.t.Errorf("sink write at %d, receiver written %d", len(s.got), s.r.written)
+	}
+	for i, b := range p {
+		if pos := len(s.got) + i; b != fuzzByte(pos) {
+			s.t.Errorf("sink byte %d = %#x, want %#x", pos, b, fuzzByte(pos))
+			break
+		}
+	}
+	s.got = append(s.got, p...)
+	return len(p), nil
+}
+
+// FuzzReceiver feeds a receiver two stripes' frame sequences decoded from
+// the input, each stream cut at a byte the input chooses, once one
+// stream after the other and once concurrently. Input: total-1, then
+// each stream's cut as a big-endian u16, then two bytes per frame — the
+// top bit the stripe, the low seven the offset; the frame length (up to
+// 48 bytes; 0 is an early end frame). Every frame carries the stream's
+// bytes for its range, and each stream closes with the end frame unless
+// the cut falls first. Whatever Attach returns, the receiver must not
+// panic, its sink only ever appends at Written(), Written() stays within
+// the declared length, the attribution sums to the bytes flushed or
+// pending, and Complete() means the sink holds the whole stream.
+func FuzzReceiver(f *testing.F) {
+	f.Add([]byte{63, 0xff, 0xff, 0xff, 0xff, 0, 32, 0x80 | 32, 32})              // two stripes, in order
+	f.Add([]byte{63, 0, 60, 0xff, 0xff, 0, 32, 32, 32, 0x80, 32, 0x80 | 32, 32}) // head cut, replayed
+	f.Add([]byte{63, 0xff, 0xff, 0xff, 0xff, 32, 32, 0x80, 32, 0x80, 32})        // pending, then a duplicate
+	f.Add([]byte{63, 0xff, 0xff, 0xff, 0xff, 0, 16, 0x80 | 8, 16})               // overlap
+	f.Add([]byte{15, 0xff, 0xff, 0xff, 0xff, 8, 16, 0x80 | 127, 1})              // beyond the end
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		total := int(data[0])%128 + 1
+		cuts := [2]int{int(data[1])<<8 | int(data[2]), int(data[3])<<8 | int(data[4])}
+		payload := make([]byte, total+127+48) // room for frames past the end
+		for i := range payload {
+			payload[i] = fuzzByte(i)
+		}
+		group := wire.NewSessionID()
+		var streams [2]bytes.Buffer
+		for i := range streams {
+			streams[i].Write((&GroupHeader{Group: group, Index: uint8(i), Count: 2, TotalLen: uint64(total)}).Encode())
+		}
+		rec := data[5:]
+		if len(rec) > 2*64 {
+			rec = rec[:2*64]
+		}
+		for ; len(rec) >= 2; rec = rec[2:] {
+			off, n := int(rec[0]&0x7f), int(rec[1])%49
+			writePayload(&streams[rec[0]>>7], uint64(off), payload[off:off+n])
+		}
+		var inputs [2][]byte
+		for i := range streams {
+			writePayload(&streams[i], uint64(total), nil)
+			inputs[i] = streams[i].Bytes()
+			if cuts[i] < len(inputs[i]) {
+				inputs[i] = inputs[i][:cuts[i]]
+			}
+		}
+		check := func(recv *Receiver, sink *fuzzSink) {
+			written := recv.Written()
+			if written > int64(total) || int64(len(sink.got)) != written {
+				t.Fatalf("written %d, sink %d, total %d", written, len(sink.got), total)
+			}
+			var sum int64
+			for _, b := range recv.AcceptedBytes() {
+				sum += b
+			}
+			if pending := recv.pendingBytes; sum != written+pending {
+				t.Fatalf("accepted bytes sum to %d, flushed %d + pending %d", sum, written, pending)
+			}
+			if recv.Complete() && len(sink.got) != total {
+				t.Fatalf("complete with %d of %d bytes", len(sink.got), total)
+			}
+		}
+		newRecv := func() (*Receiver, *fuzzSink) {
+			sink := &fuzzSink{t: t}
+			recv := NewReceiver(sink)
+			sink.r = recv
+			return recv, sink
+		}
+		// Every Attach has returned whenever check runs.
+		recv, sink := newRecv()
+		for _, in := range inputs {
+			recv.Attach(bytes.NewReader(in))
+			check(recv, sink)
+		}
+		recv, sink = newRecv()
+		var wg sync.WaitGroup
+		for _, in := range inputs {
+			wg.Add(1)
+			go func(in []byte) {
+				defer wg.Done()
+				recv.Attach(bytes.NewReader(in))
+			}(in)
+		}
+		wg.Wait()
+		check(recv, sink)
 	})
 }

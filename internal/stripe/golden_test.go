@@ -53,6 +53,17 @@ type wireFrame struct {
 	payload []byte
 }
 
+// readFrame reads one whole frame: the receiver's header decode, then
+// the payload it declares.
+func readFrame(r io.Reader) (uint64, []byte, error) {
+	off, n, err := readFrameHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload := make([]byte, n)
+	return off, payload, wire.ReadFull(r, payload, wire.ErrTruncated)
+}
+
 func decodeFrame(r io.Reader) (any, error) {
 	off, payload, err := readFrame(r)
 	if err != nil {

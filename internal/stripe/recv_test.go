@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -383,5 +384,302 @@ func TestReceiverConcurrentReplays(t *testing.T) {
 	}
 	if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
 		t.Fatal("concurrent replays corrupted the stream")
+	}
+}
+
+// stripeStream is stripe index idx of a count-stripe group of total
+// bytes: its group header, then a frame of payload[off:off+n] for each
+// {off, n} in frames, then (if end) the end frame.
+func stripeStream(group wire.SessionID, idx, count uint8, payload []byte, frames []frame, end bool) []byte {
+	var s bytes.Buffer
+	s.Write((&GroupHeader{Group: group, Index: idx, Count: count, TotalLen: uint64(len(payload))}).Encode())
+	for _, f := range frames {
+		writePayload(&s, uint64(f.off), payload[f.off:f.off+int64(f.n)])
+	}
+	if end {
+		writePayload(&s, uint64(len(payload)), nil)
+	}
+	return s.Bytes()
+}
+
+// checkAccepted fails unless the receiver's attribution is want and sums
+// to the bytes it flushed.
+func checkAccepted(t *testing.T, recv *Receiver, want ...int64) {
+	t.Helper()
+	got := recv.AcceptedBytes()
+	var sum int64
+	for _, b := range got {
+		sum += b
+	}
+	if sum != recv.Written() || len(got) != len(want) {
+		t.Fatalf("accepted %v sums to %d, flushed %d", got, sum, recv.Written())
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("accepted %v, want %v", got, want)
+		}
+	}
+}
+
+// TestReceiverTruncatedHeadReplay: a stream that dies inside the frame
+// passing through leaves it partly flushed, and a later stream's replay
+// of that frame — the healed stripe's own, or a requeue onto another
+// stripe — finishes it from the first missing byte, byte-exact, with the
+// frame's bytes credited to the stripe that landed them.
+func TestReceiverTruncatedHeadReplay(t *testing.T) {
+	const fs = 4 << 10
+	payload := make([]byte, 4*fs)
+	rand.New(rand.NewSource(25)).Read(payload)
+	frames := []frame{{off: 0, n: fs}, {off: fs, n: fs}, {off: 2 * fs, n: fs}, {off: 3 * fs, n: fs}}
+	for _, tc := range []struct {
+		name     string
+		idx      uint8
+		accepted []int64
+	}{
+		{"heal", 0, []int64{4 * fs, 0}},
+		{"requeue", 1, []int64{fs + fs/2, 2*fs + fs/2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			recv := NewReceiver(&out)
+			group := wire.NewSessionID()
+			// Stripe 0 carries frame 0 and half of frame 1, then dies.
+			s0 := stripeStream(group, 0, 2, payload, frames[:2], false)
+			s0 = s0[:len(s0)-fs/2]
+			if err := recv.Attach(bytes.NewReader(s0)); !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("cut stream: got %v, want wire.ErrTruncated", err)
+			}
+			if recv.Written() != fs+fs/2 || !bytes.Equal(out.Bytes(), payload[:fs+fs/2]) {
+				t.Fatalf("after the cut the sink holds %d bytes, want the %d that arrived", out.Len(), fs+fs/2)
+			}
+			// The replacement replays both frames and carries the rest.
+			s1 := stripeStream(group, tc.idx, 2, payload, frames, true)
+			if err := recv.Attach(bytes.NewReader(s1)); err != nil {
+				t.Fatalf("replay rejected: %v", err)
+			}
+			if !recv.Complete() || !bytes.Equal(out.Bytes(), payload) {
+				t.Fatalf("incomplete or corrupt after replay: %d of %d", recv.Written(), len(payload))
+			}
+			checkAccepted(t, recv, tc.accepted...)
+		})
+	}
+}
+
+// landWriter is a sink that reports each write's size on a channel, so a
+// test can wait for bytes to reach it without timing.
+type landWriter struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	landed chan int
+	seen   int // bytes waited for so far; the test goroutine's alone
+}
+
+// Write runs with the receiver's lock held, so it must not block: the
+// channel holds more writes than any test makes.
+func newLandWriter() *landWriter { return &landWriter{landed: make(chan int, 1024)} }
+
+func (w *landWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	w.buf.Write(p)
+	w.mu.Unlock()
+	w.landed <- len(p)
+	return len(p), nil
+}
+
+// waitFor blocks until the sink holds n bytes.
+func (w *landWriter) waitFor(t *testing.T, n int) {
+	t.Helper()
+	for w.seen < n {
+		select {
+		case k := <-w.landed:
+			w.seen += k
+		case <-time.After(10 * time.Second): // bounds a failing run only
+			t.Fatalf("sink holds %d bytes, want %d", w.seen, n)
+		}
+	}
+}
+
+func (w *landWriter) bytes() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]byte(nil), w.buf.Bytes()...)
+}
+
+// attachPipe attaches the read end of a fresh pipe to recv on its own
+// goroutine and returns the write end and Attach's result.
+func attachPipe(recv *Receiver) (*io.PipeWriter, <-chan error) {
+	pr, pw := io.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		err := recv.Attach(pr)
+		pr.CloseWithError(io.ErrClosedPipe)
+		errc <- err
+	}()
+	return pw, errc
+}
+
+// TestReceiverCutThrough: the first half of an in-order frame reaches the
+// sink before the second half is even written.
+func TestReceiverCutThrough(t *testing.T) {
+	const fs = 64 << 10
+	payload := make([]byte, fs)
+	rand.New(rand.NewSource(26)).Read(payload)
+	out := newLandWriter()
+	recv := NewReceiver(out)
+	pw, errc := attachPipe(recv)
+	s := stripeStream(wire.NewSessionID(), 0, 1, payload, []frame{{off: 0, n: fs}}, true)
+	head := groupHeaderLen + frameHeaderLen + fs/2
+	if _, err := pw.Write(s[:head]); err != nil {
+		t.Fatal(err)
+	}
+	out.waitFor(t, fs/2)
+	if recv.Written() != fs/2 {
+		t.Fatalf("written %d after half a frame, want %d", recv.Written(), fs/2)
+	}
+	if _, err := pw.Write(s[head:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if !recv.Complete() || !bytes.Equal(out.bytes(), payload) {
+		t.Fatal("stream corrupted")
+	}
+}
+
+// TestReceiverDuplicateOfPassingFrame models tail speculation against a
+// frame that is passing through: stripe 0 (the original) has put half of
+// the group's one frame into the sink when stripe 1's duplicate of it
+// starts to arrive. Whichever copy lands whole first wins: the duplicate
+// is dropped if the original completes first, finishes the frame if the
+// original's stream dies mid-payload, and overtakes an original that is
+// still mid-payload when the duplicate is complete — the original's
+// stream may then stall for good without holding the group back.
+func TestReceiverDuplicateOfPassingFrame(t *testing.T) {
+	const fs = 16 << 10
+	payload := make([]byte, fs)
+	rand.New(rand.NewSource(27)).Read(payload)
+	one := []frame{{off: 0, n: fs}}
+	for _, tc := range []struct {
+		name     string
+		finish   func(t *testing.T, orig, dup *io.PipeWriter, origErr, dupErr <-chan error, rest0, rest1 []byte)
+		accepted []int64
+	}{
+		{"original completes", func(t *testing.T, orig, dup *io.PipeWriter, origErr, dupErr <-chan error, rest0, rest1 []byte) {
+			orig.Write(rest0)
+			if err := <-origErr; err != nil {
+				t.Fatalf("original: %v", err)
+			}
+			dup.Write(rest1)
+			if err := <-dupErr; err != nil {
+				t.Fatalf("duplicate: %v", err)
+			}
+		}, []int64{fs, 0}},
+		{"original dies", func(t *testing.T, orig, dup *io.PipeWriter, origErr, dupErr <-chan error, rest0, rest1 []byte) {
+			orig.Close()
+			if err := <-origErr; !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("original: got %v, want wire.ErrTruncated", err)
+			}
+			dup.Write(rest1)
+			if err := <-dupErr; err != nil {
+				t.Fatalf("duplicate: %v", err)
+			}
+		}, []int64{fs / 2, fs / 2}},
+		{"duplicate lands first", func(t *testing.T, orig, dup *io.PipeWriter, origErr, dupErr <-chan error, rest0, rest1 []byte) {
+			dup.Write(rest1)
+			if err := <-dupErr; err != nil {
+				t.Fatalf("duplicate: %v", err)
+			}
+			orig.Close() // the original never delivers the rest
+			if err := <-origErr; !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("original: got %v, want wire.ErrTruncated", err)
+			}
+		}, []int64{fs / 2, fs / 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := newLandWriter()
+			recv := NewReceiver(out)
+			group := wire.NewSessionID()
+			s0 := stripeStream(group, 0, 2, payload, one, true)
+			s1 := stripeStream(group, 1, 2, payload, one, true)
+			orig, origErr := attachPipe(recv)
+			dup, dupErr := attachPipe(recv)
+			// The original's first half passes through to the sink.
+			cut0 := groupHeaderLen + frameHeaderLen + fs/2
+			orig.Write(s0[:cut0])
+			out.waitFor(t, fs/2)
+			// The duplicate's header and first quarter are consumed while
+			// the original is mid-frame: a pipe write returns once read.
+			cut1 := groupHeaderLen + frameHeaderLen + fs/4
+			dup.Write(s1[:cut1])
+			if recv.Written() != fs/2 {
+				t.Fatalf("duplicate moved the prefix to %d mid-frame", recv.Written())
+			}
+			tc.finish(t, orig, dup, origErr, dupErr, s0[cut0:], s1[cut1:])
+			if !recv.Complete() || !bytes.Equal(out.bytes(), payload) {
+				t.Fatalf("incomplete or corrupt: %d of %d", recv.Written(), fs)
+			}
+			checkAccepted(t, recv, tc.accepted...)
+		})
+	}
+}
+
+// TestReceiverPartialHeadOverlap: once a frame is partly flushed, only a
+// copy with exactly its bounds may finish it. Any other frame reaching
+// into it is corruption.
+func TestReceiverPartialHeadOverlap(t *testing.T) {
+	const fs = 4 << 10
+	payload := make([]byte, 4*fs)
+	rand.New(rand.NewSource(28)).Read(payload)
+	for _, f := range []frame{
+		{off: fs, n: fs / 2},        // the head's offset, shorter
+		{off: fs, n: 2 * fs},        // the head's offset, longer
+		{off: fs + fs/2, n: fs / 2}, // starts at the prefix, inside the head
+		{off: fs + 3*fs/4, n: fs},   // starts past the prefix, inside the head
+		{off: 0, n: 2 * fs},         // spans the flushed frame and the head
+		{off: fs / 2, n: fs},        // starts inside the flushed frame
+	} {
+		var out bytes.Buffer
+		recv := NewReceiver(&out)
+		group := wire.NewSessionID()
+		s0 := stripeStream(group, 0, 2, payload, []frame{{off: 0, n: fs}, {off: fs, n: fs}}, false)
+		if err := recv.Attach(bytes.NewReader(s0[:len(s0)-fs/2])); !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("cut stream: got %v, want wire.ErrTruncated", err)
+		}
+		s1 := stripeStream(group, 1, 2, payload, []frame{f}, true)
+		if err := recv.Attach(bytes.NewReader(s1)); !errors.Is(err, ErrFrameOverlap) {
+			t.Fatalf("frame %+v: got %v, want ErrFrameOverlap", f, err)
+		}
+		if recv.Written() != fs+fs/2 || !bytes.Equal(out.Bytes(), payload[:fs+fs/2]) {
+			t.Fatalf("frame %+v moved the sink to %d bytes", f, out.Len())
+		}
+		checkAccepted(t, recv, fs+fs/2, 0)
+	}
+}
+
+// TestReceiverCutThroughAllocs: frames at the prefix pass through one
+// pooled buffer. Reassembling 64 in-order 64 KiB frames allocates less
+// than one frame, so a per-frame payload buffer cannot come back
+// unnoticed.
+func TestReceiverCutThroughAllocs(t *testing.T) {
+	const fs, frames = 64 << 10, 64
+	payload := make([]byte, fs*frames)
+	var fl []frame
+	for off := 0; off < len(payload); off += fs {
+		fl = append(fl, frame{off: int64(off), n: fs})
+	}
+	s := bytes.NewReader(stripeStream(wire.NewSessionID(), 0, 1, payload, fl, true))
+	recv := NewReceiver(io.Discard)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := recv.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if !recv.Complete() {
+		t.Fatal("incomplete")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= fs {
+		t.Fatalf("reassembling %d in-order frames allocated %d bytes, want < %d", frames, got, fs)
 	}
 }

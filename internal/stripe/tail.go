@@ -85,7 +85,8 @@ func (s *Sender) ack(index, gen int, a *Ack) {
 
 // pruneFlushedLocked drops sent-list entries wholly inside the
 // receiver's contiguous prefix: those frames are delivered, keep their
-// byte credit, and no longer need requeueing or speculation.
+// byte credit, and no longer need requeueing or speculation. A frame the
+// prefix ends inside is not delivered yet and stays.
 func (s *Sender) pruneFlushedLocked(flushed int64) {
 	for _, st := range s.stripes {
 		if len(st.sent) == 0 {
@@ -305,9 +306,11 @@ func (s *Sender) speculateLocked() (victim, thief, frames int) {
 
 // unconfirmedTailLocked lists the victim's frames the receiver has not
 // flushed and no thief is already covering, ascending by offset: the
-// wedged in-flight frame (a full duplicate of a partially-written frame
-// is safe — the receiver never ingests a partial) plus unpruned sent
-// frames.
+// wedged in-flight frame plus unpruned sent frames. A full duplicate of a
+// partly written or partly flushed frame is safe — the receiver finishes
+// a partly flushed frame from its first missing byte. A frame counts as
+// flushed only once the acked prefix passes its end; an ack's Flushed may
+// fall inside a frame still passing through.
 func (s *Sender) unconfirmedTailLocked(vs *stripeState) []frame {
 	var tail []frame
 	add := func(f frame) {

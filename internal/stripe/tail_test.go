@@ -292,3 +292,47 @@ func TestSenderInflightBudget(t *testing.T) {
 		t.Fatalf("budget floor %d, want %d", b, 2*snd.frameSize)
 	}
 }
+
+// TestSenderFlushedInsideFrame: the receiver passes the frame at its
+// prefix through as it arrives, so an ack's Flushed can fall inside a
+// sent frame. Such a frame is not delivered yet: it stays on the sent
+// list, stays in the speculation tail, and does not cover a wedged
+// stripe — until Flushed passes its end.
+func TestSenderFlushedInsideFrame(t *testing.T) {
+	const fs = 4 << 10
+	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(make([]byte, 4*fs)), 4*fs, 2,
+		SenderConfig{FrameSize: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snd.stripes[0]
+	snd.mu.Lock()
+	// Wedged: its accept never came back.
+	st.state, st.gen, st.attachedAt = stripeLive, 1, time.Now().Add(-time.Hour)
+	st.sent = []frame{{off: 0, n: fs}, {off: fs, n: fs}}
+	st.bytes = 2 * fs
+	snd.mu.Unlock()
+
+	snd.ack(0, 1, &Ack{Flushed: fs + fs/2, Seen: fs + fs/2})
+	snd.mu.Lock()
+	if len(st.sent) != 1 || st.sent[0].off != fs {
+		t.Fatalf("sent %+v after Flushed inside frame %d, want only that frame", st.sent, fs)
+	}
+	if tail := snd.unconfirmedTailLocked(st); len(tail) != 1 || tail[0].off != fs {
+		t.Fatalf("speculation tail %+v, want the partly flushed frame", tail)
+	}
+	if v, _, _ := snd.supersedeLocked(); v != -1 {
+		t.Fatal("a partly flushed frame counted as covered: wedged stripe superseded")
+	}
+	snd.mu.Unlock()
+
+	snd.ack(0, 1, &Ack{Flushed: 2 * fs, Seen: 2 * fs})
+	snd.mu.Lock()
+	defer snd.mu.Unlock()
+	if len(st.sent) != 0 {
+		t.Fatalf("sent %+v after Flushed passed every frame's end", st.sent)
+	}
+	if v, _, _ := snd.supersedeLocked(); v != 0 {
+		t.Fatal("wedged stripe with every frame flushed not superseded")
+	}
+}
