@@ -5,8 +5,12 @@
 // idle-period) and every later session inherits the already-open
 // connection and its warmed congestion window.
 //
-// A Link wraps one net.Conn after the wire.MuxHello exchange and carries
-// framed streams (wire: OPEN / DATA / WINDOW / CLOSE / RESET). Each
+// A Link wraps one net.Conn that opens with a wire.MuxHello each way and
+// carries framed streams (wire: OPEN / DATA / WINDOW / CLOSE / RESET). The
+// dialer does not wait for the peer's hello: Client sends its own and
+// returns, the first stream's OPEN and DATA follow right behind it, and the
+// read loop takes the peer's hello as the link's first frame, so a cold
+// trunk opens in one round trip, as a classic connection does. Each
 // Stream implements net.Conn — deadlines included — so the rest of the
 // session layer (core.Dial, the depot relay, resilience retries) runs
 // over a stream exactly as it runs over a raw TCP connection.
@@ -36,6 +40,7 @@
 package mux
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +75,10 @@ type LinkConfig struct {
 	// Window is the initial per-stream receive window granted to the peer
 	// (default 256 KiB): the first window of every stream. A stream's
 	// window then grows on its own while the window limits it (see
-	// window.go); only tests set this.
+	// window.go); only tests set this. It is also what a dialer sends per
+	// stream before the peer's hello arrives, so an acceptor refuses a
+	// hello that announces more than its own Window, and a dialer fails a
+	// link whose peer grants less than its own.
 	Window int
 	// WriteTimeout bounds one frame write on the underlying conn
 	// (default 30s). A trunk peer that stalls past it — by at most as
@@ -90,6 +98,11 @@ type LinkConfig struct {
 	// maxStreamWindow, never below Window). Tests pin it to Window to play
 	// a peer that does not autotune.
 	maxWindow int
+
+	// onHello, when set on a dial-side link, receives the peer hello's
+	// verdict once: nil when the hello landed, or why the link died
+	// without it. It runs before any stream sees the link's end.
+	onHello func(err error)
 }
 
 func (c LinkConfig) withDefaults() LinkConfig {
@@ -109,13 +122,20 @@ func (c LinkConfig) withDefaults() LinkConfig {
 	return c
 }
 
-// Link is one trunk: a hello-established net.Conn carrying many streams.
+// Link is one trunk: a net.Conn opened with a hello each way, carrying many
+// streams.
 type Link struct {
 	nc     net.Conn
 	cfg    LinkConfig
 	client bool
 
-	sendWindow uint32 // peer-granted initial per-stream credit
+	sendWindow uint32 // peer-granted initial per-stream credit; a dialer's own window until the peer's hello lands
+
+	// The peer's hello on a dial-side link. hello closes once the hello has
+	// landed or the link died without it; helloErr is then nil or why. An
+	// accept-side link has its verdict from the start.
+	hello    chan struct{}
+	helloErr error
 
 	wmu   sync.Mutex                                       // serializes frame writes on nc; guards the fields below
 	whdr  [(1 + batchFrames) * wire.MuxFrameHeaderLen]byte // encoding scratch: [OPEN +] a batch's DATA headers, or one control frame
@@ -140,37 +160,54 @@ type Link struct {
 	accepts  chan *Stream
 	draining bool
 	closed   bool
+	helloed  bool // the hello verdict is in
 	err      error
 	done     chan struct{}
 	high     int // most concurrent streams ever on this link
 }
 
-// Client performs the dial-side hello exchange on nc and starts the link.
-// The caller should bound the exchange with a deadline on nc beforehand;
-// Client clears the deadline once the hello round-trip completes.
+// Client starts the dial side of a link on nc: it writes this side's
+// hello and returns without waiting for the peer's, so streams opened at
+// once send behind it. The read loop takes the peer's hello as the link's
+// first frame and fails the link on anything else. Before that hello
+// lands a stream sends at most cfg.Window, the window this side announced;
+// a peer that grants less fails the link, and whatever it grants beyond
+// that is added to the streams' credit. A deadline on nc set beforehand
+// bounds the hello write here and the wait for the peer's hello; the read
+// loop clears the read deadline once the hello lands.
 func Client(nc net.Conn, cfg LinkConfig) (*Link, error) {
+	l, err := startClient(nc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go l.readLoop()
+	return l, nil
+}
+
+// startClient writes the hello and builds the dial-side link without
+// starting its read loop, so that streams opened before the loop starts
+// exist when a refusal of the hello reaches them.
+func startClient(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	cfg = cfg.withDefaults()
 	hello := wire.MuxHello{Window: uint32(cfg.Window)}
 	if _, err := nc.Write(hello.Encode()); err != nil {
 		return nil, fmt.Errorf("mux: send hello: %w", err)
 	}
-	peer, err := wire.ReadMuxHello(nc)
-	if err != nil {
-		return nil, fmt.Errorf("mux: read hello: %w", err)
-	}
-	nc.SetDeadline(time.Time{})
-	l := newLink(nc, cfg, true, peer.Window)
-	go l.readLoop()
-	return l, nil
+	return newLink(nc, cfg, true, uint32(cfg.Window)), nil
 }
 
 // Server performs the accept-side hello exchange on nc (reading the full
 // hello, magic included — prepend any probed bytes) and starts the link.
+// It refuses a dialer whose hello announces a window above cfg.Window: that
+// dialer may send that much per stream before this side's hello reaches it.
 func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	cfg = cfg.withDefaults()
 	peer, err := wire.ReadMuxHello(nc)
 	if err != nil {
 		return nil, fmt.Errorf("mux: read hello: %w", err)
+	}
+	if int(peer.Window) > cfg.Window {
+		return nil, fmt.Errorf("mux: peer hello announces a %d-byte window, above this side's %d", peer.Window, cfg.Window)
 	}
 	hello := wire.MuxHello{Window: uint32(cfg.Window)}
 	if _, err := nc.Write(hello.Encode()); err != nil {
@@ -195,8 +232,13 @@ func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link 
 		streams:    make(map[uint32]*Stream),
 		accepts:    make(chan *Stream, acceptBacklog),
 		done:       make(chan struct{}),
+		hello:      make(chan struct{}),
 	}
 	l.windowHigh.Store(int64(cfg.Window))
+	if !client {
+		l.helloed = true
+		close(l.hello)
+	}
 	return l
 }
 
@@ -336,12 +378,17 @@ func (l *Link) closeWithError(err error) {
 	}
 	l.closed = true
 	l.err = err
+	pending := !l.helloed
+	l.helloed = true
 	streams := make([]*Stream, 0, len(l.streams))
 	for _, s := range l.streams {
 		streams = append(streams, s)
 	}
 	l.streams = make(map[uint32]*Stream)
 	l.mu.Unlock()
+	if pending {
+		l.settleHello(err)
+	}
 	l.nc.Close()
 	for _, s := range streams {
 		s.deliverReset(err)
@@ -462,12 +509,63 @@ func (fr *frameReader) payload(p []byte, n int) error {
 // control frames are handled inline, and a full accept backlog resets the
 // excess stream instead of waiting.
 func (l *Link) readLoop() {
-	for {
-		if err := l.readFrame(); err != nil {
-			l.closeWithError(fmt.Errorf("mux: link read: %w", err))
-			return
+	var err error
+	if l.client {
+		err = l.readHello()
+	}
+	for err == nil {
+		err = l.readFrame()
+	}
+	l.closeWithError(fmt.Errorf("mux: link read: %w", err))
+}
+
+// readHello takes the peer's hello, the first frame on a dial-side link.
+// The peer must grant at least the window this side's streams have been
+// sending on; what it grants beyond that tops each of them up, and every
+// later stream starts at the peer's window.
+func (l *Link) readHello() error {
+	b, err := l.rd.next(wire.MuxHelloLen)
+	if err != nil {
+		return fmt.Errorf("hello: %w", wire.ReadErr(err, wire.ErrTruncated))
+	}
+	peer, err := wire.ReadMuxHello(bytes.NewReader(b))
+	if err != nil {
+		return fmt.Errorf("hello: %w", err)
+	}
+	if int(peer.Window) < l.cfg.Window {
+		return fmt.Errorf("hello: peer grants a %d-byte window, below the %d bytes streams may have sent", peer.Window, l.cfg.Window)
+	}
+	l.nc.SetReadDeadline(time.Time{})
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrLinkClosed
+	}
+	l.helloed = true
+	top := peer.Window - l.sendWindow
+	l.sendWindow = peer.Window
+	early := make([]*Stream, 0, len(l.streams))
+	for _, s := range l.streams {
+		early = append(early, s)
+	}
+	l.mu.Unlock()
+	if top > 0 {
+		for _, s := range early {
+			s.addCredit(top) // within the cap: the credit stays below peer.Window
 		}
 	}
+	l.settleHello(nil)
+	return nil
+}
+
+// settleHello records the verdict on the peer's hello, once per dial-side
+// link.
+func (l *Link) settleHello(err error) {
+	l.helloErr = err
+	if l.cfg.onHello != nil {
+		l.cfg.onHello(err)
+	}
+	close(l.hello)
 }
 
 // readFrame reads and dispatches one frame. io.EOF is the link ending
@@ -902,7 +1000,8 @@ func (s *Stream) grantLocked() int {
 // chunks off the front of the list — never the block the read loop is
 // filling — and grants the peer credit for them as Read would. Then it
 // writes the batch in one vectored write: coalesced DATA frames when w is
-// a *Stream, one writev (net.Buffers) otherwise. The blocks belong to the
+// a *Stream (or a pool conn whose trunk's hello has landed, see streamOf),
+// one writev (net.Buffers) otherwise. The blocks belong to the
 // batch until that write returns and go back to the pool after it. It
 // returns the bytes w took, and io.EOF once the peer's CLOSE drains.
 func (s *Stream) WriteBatchTo(w io.Writer) (int, error) {
@@ -920,7 +1019,7 @@ func (s *Stream) WriteBatchTo(w io.Writer) (int, error) {
 		vec[i] = (*c.bp)[c.off:c.end]
 	}
 	var wrote int
-	if ds, ok := w.(*Stream); ok {
+	if ds := streamOf(w); ds != nil {
 		wrote, err = ds.send(vec, n)
 	} else {
 		s.lbuf = vec

@@ -162,11 +162,15 @@ func TestPoolMaxStreamsOpensSecondTrunk(t *testing.T) {
 		}
 		conns = append(conns, c)
 	}
+	for _, c := range conns {
+		roundTrip(t, c, "hi")
+	}
+	// A trunk counts as opened once its hello lands, which a round trip on
+	// each of its streams has seen.
 	if got := met.LinkOpened.Value(); got != 3 { // ceil(5/2)
 		t.Fatalf("expected 3 trunks for 5 concurrent streams at max 2, got %d", got)
 	}
 	for _, c := range conns {
-		roundTrip(t, c, "hi")
 		c.Close()
 	}
 }
