@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	lsd -listen :5000 [-buffer 262144] [-max-sessions 256] [-v]
+//	lsd -listen :5000 [-max-sessions 256] [-v]
 //	lsd -listen :5000 -stats 10s     # print counters periodically
 //	lsd -listen :5000 -admin :9090   # /metrics /healthz /sessions /debug/pprof
 //	lsd -listen :5000 -drain 10s     # bound shutdown: drain, then cancel
@@ -46,17 +46,13 @@ func main() {
 	var (
 		listen      = flag.String("listen", ":5000", "address to accept LSL sessions on")
 		admin       = flag.String("admin", "", "admin HTTP address for /metrics, /healthz, /sessions, /debug/pprof (empty = disabled)")
-		buffer      = flag.Int("buffer", 256<<10, "per-direction relay buffer in bytes")
 		maxSessions = flag.Int("max-sessions", 256, "concurrent session admission limit")
 		drain       = flag.Duration("drain", 30*time.Second, "shutdown drain: in-flight sessions get this long before being cancelled (<0 = unbounded)")
-		recent      = flag.Int("recent-sessions", 64, "finished sessions kept for /sessions")
 		statsEvery  = flag.Duration("stats", 0, "print counters at this interval (0 = off)")
 		dialTO      = flag.Duration("dial-timeout", 0, "next-hop connection establishment timeout (0 = default 10s)")
 		stageRetry  = flag.Duration("stage-retry", 0, "staged redelivery backoff base (0 = default 2s)")
 		stageRetMax = flag.Duration("stage-retry-max", 0, "staged redelivery backoff cap (0 = default 30s)")
 		muxOn       = flag.Bool("mux", false, "multiplex sessions over persistent trunks: pool links to next hops and accept trunk links from upstream peers (non-mux peers still interoperate)")
-		linkIdle    = flag.Duration("link-idle", 0, "close a next-hop trunk idle this long (0 = default 60s, <0 = keep forever)")
-		linkMax     = flag.Int("link-max-streams", 0, "sessions per trunk before opening another link to the same next hop (0 = default 64)")
 		sockBuf     = flag.Int("sockbuf", 0, "SO_SNDBUF/SO_RCVBUF for every accepted and dialed connection in bytes (0 = kernel default; TCP_NODELAY is always set)")
 		graphF      = flag.String("graph", "", "overlay graph file (lslplan format): run a live logistics planner fed by this depot's relay measurements")
 		selfNode    = flag.String("self", "", "this depot's node name in the -graph overlay")
@@ -131,16 +127,12 @@ func main() {
 		}
 	}
 	cfg := lsl.DepotConfig{
-		BufferSize:         *buffer,
 		MaxSessions:        *maxSessions,
 		DrainTimeout:       *drain,
-		RecentSessions:     *recent,
 		DialTimeout:        *dialTO,
 		StageRetryInterval: *stageRetry,
 		StageRetryMax:      *stageRetMax,
 		Mux:                *muxOn,
-		LinkIdleTimeout:    *linkIdle,
-		LinkMaxStreams:     *linkMax,
 		SockBuf:            *sockBuf,
 		MaxStageBytes:      maxStageBytes,
 		MaxTotalStageBytes: maxStageTotal,
@@ -243,7 +235,7 @@ func main() {
 
 	serveErr := make(chan error, 1)
 	go func() {
-		logger.Printf("depot listening on %s (buffer=%d, max-sessions=%d)", *listen, *buffer, *maxSessions)
+		logger.Printf("depot listening on %s (max-sessions=%d)", *listen, *maxSessions)
 		serveErr <- d.ListenAndServe(*listen)
 	}()
 

@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	depot := lsl.NewDepot(lsl.DepotConfig{BufferSize: 256 << 10})
+	depot := lsl.NewDepot(lsl.DepotConfig{})
 	go depot.Serve(depotLn)
 	defer depot.Close()
 	fmt.Printf("depot:  forwarding on %s\n", depotLn.Addr())

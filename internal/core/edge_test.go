@@ -139,7 +139,7 @@ func TestListenerSessionTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.MaxSessions = 4
+	l.SetMaxSessions(4)
 	hold := make(chan struct{})
 	defer close(hold)
 	go func() {

@@ -68,7 +68,7 @@ func TestResumeTableEvictsByTTL(t *testing.T) {
 	// The TTL must comfortably exceed the time to set up all three
 	// interrupted sessions, or the sweep riding their own handshakes
 	// evicts the early ones before the assertion.
-	l.SessionTTL = 400 * time.Millisecond
+	l.SetSessionTTL(400 * time.Millisecond)
 
 	payload := randBytes(10_000, 40)
 	for i := 0; i < 3; i++ {
@@ -98,8 +98,8 @@ func TestStaleEntriesDoNotBlockResumableSessions(t *testing.T) {
 	// zombies; with the sweep, a full table of expired entries clears in
 	// one handshake.
 	addr, l, ended := drainTarget(t)
-	l.MaxSessions = 4
-	l.SessionTTL = 500 * time.Millisecond
+	l.SetMaxSessions(4)
+	l.SetSessionTTL(500 * time.Millisecond)
 
 	payload := randBytes(10_000, 41)
 	for i := 0; i < 4; i++ {
@@ -133,7 +133,7 @@ func TestStaleEntriesDoNotBlockResumableSessions(t *testing.T) {
 
 func TestCompletedSessionDeletesStateImmediately(t *testing.T) {
 	addr, l, _ := drainTarget(t)
-	l.SessionTTL = time.Hour // only the completion-time delete can clear it
+	l.SetSessionTTL(time.Hour) // only the completion-time delete can clear it
 
 	payload := randBytes(50_000, 42)
 	c, err := core.Dial(context.Background(), core.Route{Target: addr},

@@ -39,10 +39,17 @@ type sessionState struct {
 // its session over.
 var errSuperseded = errors.New("lsl: sublink superseded by a resumed one")
 
-// DefaultSessionTTL is how long interrupted-session resume state is
-// retained when Listener.SessionTTL is left zero at Listen/NewListener
-// time.
-const DefaultSessionTTL = 15 * time.Minute
+// A Listener's defaults. They are not knobs: only tests shorten them,
+// through export_test.go.
+const (
+	// defaultHandshakeTimeout bounds the header read per connection.
+	defaultHandshakeTimeout = 15 * time.Second
+	// defaultMaxSessions bounds the resume table.
+	defaultMaxSessions = 1024
+	// defaultSessionTTL is how long an interrupted session's resume state
+	// is retained.
+	defaultSessionTTL = 15 * time.Minute
+)
 
 // maxHandshakes bounds how many connections a Listener handshakes at
 // once, handshaken sessions waiting for Accept included. Beyond it, new
@@ -52,9 +59,9 @@ const maxHandshakes = 64
 
 // Listener accepts LSL sessions at a session target. Connections are
 // handshaken concurrently — each reads its open header under its own
-// HandshakeTimeout — and Accept returns sessions in the order their
+// handshake timeout — and Accept returns sessions in the order their
 // handshakes finish, so one connection that never sends a header delays
-// no other session. Set the exported fields before the first Accept.
+// no other session.
 type Listener struct {
 	ln net.Listener
 
@@ -72,16 +79,18 @@ type Listener struct {
 	loopDone  chan struct{}    // the accept loop ended with loopErr
 	loopErr   error
 
-	// HandshakeTimeout bounds the header read per connection (default 15s).
-	HandshakeTimeout time.Duration
-	// MaxSessions bounds the resume table.
-	MaxSessions int
-	// SessionTTL bounds how long an interrupted session's resume state is
+	// Test seams, set before the first Accept.
+	//
+	// handshakeTimeout bounds the header read per connection.
+	handshakeTimeout time.Duration
+	// maxSessions bounds the resume table.
+	maxSessions int
+	// sessionTTL bounds how long an interrupted session's resume state is
 	// retained: entries idle longer than this are swept, so abandoned
-	// sessions cannot permanently occupy MaxSessions slots and block new
+	// sessions cannot permanently occupy maxSessions slots and block new
 	// resumable sessions. Non-positive disables the sweep (completed
 	// sessions are still deleted eagerly).
-	SessionTTL time.Duration
+	sessionTTL time.Duration
 }
 
 // Listen starts an LSL target listener on addr.
@@ -102,9 +111,9 @@ func NewListener(ln net.Listener) *Listener {
 		ready:            make(chan *ServerConn),
 		closed:           make(chan struct{}),
 		loopDone:         make(chan struct{}),
-		HandshakeTimeout: 15 * time.Second,
-		MaxSessions:      1024,
-		SessionTTL:       DefaultSessionTTL,
+		handshakeTimeout: defaultHandshakeTimeout,
+		maxSessions:      defaultMaxSessions,
+		sessionTTL:       defaultSessionTTL,
 	}
 }
 
@@ -186,7 +195,7 @@ func (l *Listener) acceptLoop() {
 }
 
 func (l *Listener) handshake(nc net.Conn) (*ServerConn, error) {
-	nc.SetDeadline(time.Now().Add(l.HandshakeTimeout))
+	nc.SetDeadline(time.Now().Add(l.handshakeTimeout))
 	hdr, err := wire.ReadOpenHeader(nc)
 	if err != nil {
 		return nil, err
@@ -268,7 +277,7 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 	if hdr.Flags&wire.FlagDigest != 0 {
 		st.hash = md5.New()
 	}
-	if len(l.sessions) >= l.MaxSessions {
+	if len(l.sessions) >= l.maxSessions {
 		// Evict the stalest entry to bound memory.
 		var oldest wire.SessionID
 		var when int64
@@ -284,20 +293,20 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 	return st
 }
 
-// sweepLocked evicts resume entries idle past SessionTTL. It runs during
+// sweepLocked evicts resume entries idle past sessionTTL. It runs during
 // handshakes (no background goroutine to manage), rate-limited to once
 // per quarter-TTL unless the table is at capacity — then it always runs,
 // so stale entries can never starve a new resumable session.
 func (l *Listener) sweepLocked(now time.Time) {
-	if l.SessionTTL <= 0 {
+	if l.sessionTTL <= 0 {
 		return
 	}
-	if now.Sub(l.lastSweep) < l.SessionTTL/4 && len(l.sessions) < l.MaxSessions {
+	if now.Sub(l.lastSweep) < l.sessionTTL/4 && len(l.sessions) < l.maxSessions {
 		return
 	}
 	l.lastSweep = now
 	for id, s := range l.sessions {
-		if now.Sub(time.Unix(0, s.updated.Load())) > l.SessionTTL {
+		if now.Sub(time.Unix(0, s.updated.Load())) > l.sessionTTL {
 			delete(l.sessions, id)
 		}
 	}
@@ -346,14 +355,6 @@ func (s *ServerConn) ContentLength() int64 {
 		return -1
 	}
 	return int64(s.hdr.ContentLen)
-}
-
-// Received returns the total payload bytes received across the session's
-// lifetime (including earlier sublinks of a resumed session).
-func (s *ServerConn) Received() int64 {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	return s.st.received
 }
 
 // Digesting reports whether end-to-end MD5 verification is active.

@@ -25,7 +25,7 @@ func TestListenerSilentConnDoesNotStallAccept(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.HandshakeTimeout = time.Minute
+	l.SetHandshakeTimeout(time.Minute)
 	addr := l.Addr().String()
 
 	// Ahead of the session in the accept backlog: one connection that says

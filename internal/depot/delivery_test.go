@@ -195,7 +195,7 @@ func TestDeliveryAcceptNeverComes(t *testing.T) {
 				}
 				acceptAndRead(nc, hdr, got)
 			})
-			d, depotAddr := stagedDepot(t, Config{Mux: tr.trunk, HandshakeTimeout: handshake, StageRetryInterval: 20 * time.Millisecond})
+			d, depotAddr := stagedDepot(t, Config{Mux: tr.trunk, handshakeTimeout: handshake, StageRetryInterval: 20 * time.Millisecond})
 			start := time.Now()
 			stageThrough(t, depotAddr, target, payload)
 			select {
@@ -360,7 +360,7 @@ func TestDeliveryWedgedTargetAbortsAtStageDeadline(t *testing.T) {
 // lazily seeded source draws the sequence a source seeded up front per
 // session drew.
 func TestRetryDelaysSequence(t *testing.T) {
-	d := New(Config{RetryJitterSeed: 42, StageRetryInterval: 100 * time.Millisecond, StageRetryMax: 2 * time.Second})
+	d := New(Config{retryJitterSeed: 42, StageRetryInterval: 100 * time.Millisecond, StageRetryMax: 2 * time.Second})
 	defer d.Close()
 	id := wire.SessionID{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0xff}
 	delay := d.retryDelays(id)

@@ -46,31 +46,24 @@ import (
 	"lsl/internal/xfer"
 )
 
+// relayBufferSize is the per-direction relay buffer — the paper's
+// "small, short-lived" intermediate allocation (§IV), borrowed from a
+// size-classed pool instead of allocated per session. It is not a knob:
+// in the lslsim model the cascade gain is the same with depot buffers
+// of 64 KiB, 256 KiB, 1 MiB and 4 MiB.
+const relayBufferSize = 256 << 10
+
 // Config tunes a depot.
 type Config struct {
-	// BufferSize is the per-direction relay buffer (default 256 KiB) — the
-	// paper's "small, short-lived" intermediate allocation, now borrowed
-	// from a size-classed pool instead of allocated per session.
-	BufferSize int
 	// MaxSessions caps concurrent sessions (0 = 256).
 	MaxSessions int
 	// DialTimeout bounds next-hop connection establishment (default 10s).
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds the accept dispatch's read of a stream's
-	// magic together with the rest of its open header (default 15s).
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds depot-originated control-frame writes (accept
-	// and reject frames) so a stalled peer cannot pin a handler goroutine
-	// (default 5s).
-	WriteTimeout time.Duration
 	// DrainTimeout bounds Close: in-flight sessions get this long to
 	// finish on their own before the depot cancels them (outcome
 	// "canceled"). Zero means DefaultDrainTimeout; negative drains
 	// without a bound.
 	DrainTimeout time.Duration
-	// RecentSessions sizes the finished-session ring kept for /sessions
-	// (default 64).
-	RecentSessions int
 	// Dial overrides the next-hop dialer (tests, emulation).
 	Dial core.Dialer
 	// Logf, when set, receives one line per session event.
@@ -98,11 +91,6 @@ type Config struct {
 	StageRetryInterval time.Duration
 	// StageRetryMax caps the exponential redelivery backoff (default 30s).
 	StageRetryMax time.Duration
-	// RetryJitterSeed seeds redelivery jitter. Each staged session
-	// decorrelates further with its session ID, so concurrent custody
-	// sessions never retry in lockstep against a recovering receiver.
-	// Zero draws a random per-depot seed; fix it for deterministic tests.
-	RetryJitterSeed int64
 	// StageDeadline bounds how long staged payloads are retried before
 	// being discarded.
 	StageDeadline time.Duration
@@ -113,15 +101,10 @@ type Config struct {
 	// skipping the per-session TCP handshake and cold congestion window.
 	// Without Mux a trunk hello is refused at its magic, so a mux peer
 	// falls back within one round trip; likewise non-mux next hops refuse
-	// this depot's hello and are dialed one connection per session.
+	// this depot's hello and are dialed one connection per session. A
+	// next-hop trunk carries up to 64 sessions before a second one opens
+	// and closes after 60 s idle, the link pool's defaults.
 	Mux bool
-	// LinkIdleTimeout closes a next-hop trunk that has carried no
-	// sessions for this long (default 60s; negative keeps trunks open
-	// forever). Mux only.
-	LinkIdleTimeout time.Duration
-	// LinkMaxStreams opens a second trunk to the same next hop once one
-	// carries this many concurrent sessions (default 64). Mux only.
-	LinkMaxStreams int
 	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on every accepted and
 	// dialed transport connection (zero keeps kernel defaults);
 	// TCP_NODELAY is always set on TCP sublinks.
@@ -143,6 +126,22 @@ type Config struct {
 	// handler owns the connection and must close it. Kept as an opaque
 	// callback so the depot does not depend on the gossip package.
 	OnGossip func(net.Conn)
+
+	// Test seams: in-package tests shorten these; New fills the defaults.
+	//
+	// handshakeTimeout bounds the accept dispatch's read of a stream's
+	// magic together with the rest of its open header, and a staged
+	// delivery's handshake (default 15s).
+	handshakeTimeout time.Duration
+	// writeTimeout bounds depot-originated control-frame writes (accept
+	// and reject frames) so a stalled peer cannot pin a handler goroutine
+	// (default 5s).
+	writeTimeout time.Duration
+	// retryJitterSeed seeds redelivery jitter. Each staged session
+	// decorrelates further with its session ID, so concurrent custody
+	// sessions never retry in lockstep against a recovering receiver.
+	// Zero draws a random per-depot seed.
+	retryJitterSeed int64
 }
 
 // DefaultDrainTimeout is how long Close waits for in-flight sessions
@@ -150,26 +149,20 @@ type Config struct {
 const DefaultDrainTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
-	if c.BufferSize == 0 {
-		c.BufferSize = 256 << 10
-	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 256
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 10 * time.Second
 	}
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 15 * time.Second
+	if c.handshakeTimeout == 0 {
+		c.handshakeTimeout = 15 * time.Second
 	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 5 * time.Second
+	if c.writeTimeout == 0 {
+		c.writeTimeout = 5 * time.Second
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout
-	}
-	if c.RecentSessions == 0 {
-		c.RecentSessions = DefaultRecentSessions
 	}
 	if c.Dial == nil {
 		var d net.Dialer
@@ -190,8 +183,8 @@ func (c Config) withDefaults() Config {
 	if c.StageRetryMax < c.StageRetryInterval {
 		c.StageRetryMax = c.StageRetryInterval
 	}
-	if c.RetryJitterSeed == 0 {
-		c.RetryJitterSeed = time.Now().UnixNano()
+	if c.retryJitterSeed == 0 {
+		c.retryJitterSeed = time.Now().UnixNano()
 	}
 	if c.StageDeadline == 0 {
 		c.StageDeadline = DefaultStageDeadline
@@ -214,7 +207,7 @@ type Stats struct {
 	Active        int64
 	// MaxBuffered is the high-water mark of a single relay-buffer fill —
 	// the largest read the relay loop has moved in one step, bounded by
-	// the configured buffer size.
+	// the 256 KiB relay buffer.
 	MaxBuffered int64
 	// ControlWriteFailures counts accept/reject frames dropped because the
 	// peer stalled past the write deadline.
@@ -314,11 +307,11 @@ func New(cfg Config) *Depot {
 	root, cancel := context.WithCancel(context.Background())
 	d := &Depot{
 		cfg:      cfg,
-		bufs:     xfer.PoolFor(cfg.BufferSize),
+		bufs:     xfer.PoolFor(relayBufferSize),
 		root:     root,
 		cancel:   cancel,
 		reg:      reg,
-		sessions: newSessionRegistry(cfg.RecentSessions, cfg.OnSessionEnd),
+		sessions: newSessionRegistry(recentSessions, cfg.OnSessionEnd),
 		changed:  make(chan struct{}),
 	}
 	d.accepted = reg.Counter("lsd_sessions_accepted_total",
@@ -341,7 +334,7 @@ func New(cfg Config) *Depot {
 	d.active = reg.Gauge("lsd_sessions_active",
 		"Relay sessions in flight right now.")
 	d.relayHigh = reg.Gauge("lsd_relay_buffer_high_water_bytes",
-		"Largest single relay-buffer fill observed, bounded by the configured buffer size. A direction sourced by a trunk stream borrows no relay buffer: it records the largest batch of received blocks handed to the next sublink in one write (at most 256 KiB).")
+		"Largest single relay-buffer fill observed, bounded by the 256 KiB relay buffer. A direction sourced by a trunk stream borrows no relay buffer: it records the largest batch of received blocks handed to the next sublink in one write (at most 256 KiB).")
 	d.sessionDur = reg.HistogramVec("lsd_session_duration_seconds",
 		"Session duration from header receipt to teardown, by outcome.", "outcome", durationBuckets)
 	d.sessionBytes = reg.Histogram("lsd_session_bytes",
@@ -387,12 +380,10 @@ func New(cfg Config) *Depot {
 			WindowHighWater: d.muxWindow,
 		}
 		d.nextHops = mux.NewPool(mux.PoolConfig{
-			Dial:              mux.Dialer(cfg.Dial),
-			IdleTimeout:       cfg.LinkIdleTimeout,
-			MaxStreamsPerLink: cfg.LinkMaxStreams,
-			SockBuf:           cfg.SockBuf,
-			Metrics:           d.poolMetrics,
-			Logf:              cfg.Logf,
+			Dial:    mux.Dialer(cfg.Dial),
+			SockBuf: cfg.SockBuf,
+			Metrics: d.poolMetrics,
+			Logf:    cfg.Logf,
 		})
 	}
 	// Surviving custody sessions resume redelivery immediately — they
@@ -614,7 +605,7 @@ func (d *Depot) Kill() {
 // writeControl writes an accept/reject frame under the control write
 // deadline so a stalled peer cannot pin the handler, counting drops.
 func (d *Depot) writeControl(c net.Conn, f *wire.AcceptFrame) bool {
-	c.SetWriteDeadline(time.Now().Add(d.cfg.WriteTimeout))
+	c.SetWriteDeadline(time.Now().Add(d.cfg.writeTimeout))
 	_, err := c.Write(f.Encode())
 	c.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -635,7 +626,7 @@ func (d *Depot) writeControl(c net.Conn, f *wire.AcceptFrame) bool {
 func (d *Depot) reject(nc net.Conn, id wire.SessionID, code uint8) {
 	if d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id}) {
 		halfClose(nc)
-		nc.SetReadDeadline(time.Now().Add(d.cfg.WriteTimeout))
+		nc.SetReadDeadline(time.Now().Add(d.cfg.writeTimeout))
 		io.CopyN(io.Discard, nc, wire.FirstWindow+wire.DigestLen) // best effort: any outcome ends in Close
 	}
 	nc.Close()
@@ -689,7 +680,7 @@ type session struct {
 // depot does not speak learns that within one round trip.
 func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
 	s := &session{d: d, up: nc, peer: remoteAddr(nc), start: time.Now(), state: stateHandshaking}
-	nc.SetReadDeadline(s.start.Add(d.cfg.HandshakeTimeout))
+	nc.SetReadDeadline(s.start.Add(d.cfg.handshakeTimeout))
 	head := make([]byte, wire.OpenFixedLen)
 	n, err := io.ReadAtLeast(nc, head, 4)
 	head = head[:n]
@@ -858,7 +849,7 @@ func (s *session) dial(ctx context.Context) bool {
 	// Forward the header under the control write deadline: a next hop
 	// that accepted the connection but stalled its receive window would
 	// otherwise wedge this handler past DialTimeout.
-	down.SetWriteDeadline(time.Now().Add(d.cfg.WriteTimeout))
+	down.SetWriteDeadline(time.Now().Add(d.cfg.writeTimeout))
 	_, err = down.Write(enc)
 	down.SetWriteDeadline(time.Time{})
 	if err != nil {

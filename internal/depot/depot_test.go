@@ -143,7 +143,7 @@ func TestDepotAdvancesHopIndex(t *testing.T) {
 }
 
 func TestDepotRejectsMalformedHeader(t *testing.T) {
-	d, depotAddr := runDepot(t, Config{HandshakeTimeout: time.Second})
+	d, depotAddr := runDepot(t, Config{handshakeTimeout: time.Second})
 	nc, err := net.Dial("tcp", depotAddr)
 	if err != nil {
 		t.Fatal(err)

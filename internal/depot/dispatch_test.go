@@ -129,7 +129,7 @@ func TestAcceptDispatch(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						gossiped := make(chan struct{}, 1)
 						cfg := dispatchConfig(muxOn, gossipOn, gossiped)
-						cfg.HandshakeTimeout = 10 * time.Second
+						cfg.handshakeTimeout = 10 * time.Second
 						d, addr := runDepot(t, cfg)
 						c := dialDispatch(t, addr, raw)
 						defer c.Close()
@@ -194,8 +194,8 @@ func FuzzAcceptDispatch(f *testing.F) {
 	const handshake = 50 * time.Millisecond
 	f.Fuzz(func(t *testing.T, data []byte, muxOn, gossipOn bool) {
 		cfg := dispatchConfig(muxOn, gossipOn, make(chan struct{}, 1))
-		cfg.HandshakeTimeout = handshake
-		cfg.WriteTimeout = handshake
+		cfg.handshakeTimeout = handshake
+		cfg.writeTimeout = handshake
 		cfg.DrainTimeout = handshake
 		d := New(cfg)
 		c, s := net.Pipe()

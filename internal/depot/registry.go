@@ -76,9 +76,9 @@ func (ls *liveSession) snapshot() SessionInfo {
 	return info
 }
 
-// DefaultRecentSessions is the recent-session ring capacity when
-// Config.RecentSessions is zero.
-const DefaultRecentSessions = 64
+// recentSessions is how many finished sessions a depot keeps for
+// /sessions.
+const recentSessions = 64
 
 // sessionRegistry tracks live sessions and a fixed-size ring of finished
 // ones.
@@ -94,9 +94,6 @@ type sessionRegistry struct {
 }
 
 func newSessionRegistry(capacity int, onEnd func(SessionInfo)) *sessionRegistry {
-	if capacity <= 0 {
-		capacity = DefaultRecentSessions
-	}
 	return &sessionRegistry{
 		live:   make(map[*liveSession]struct{}),
 		recent: make([]SessionInfo, capacity),

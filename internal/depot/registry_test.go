@@ -187,7 +187,7 @@ func TestRecentSessionRingWraps(t *testing.T) {
 // A peer that never reads cannot pin the handler: the reject frame write
 // must time out and be counted.
 func TestRejectWriteDeadline(t *testing.T) {
-	d := New(Config{WriteTimeout: 50 * time.Millisecond})
+	d := New(Config{writeTimeout: 50 * time.Millisecond})
 	us, them := net.Pipe()
 	defer them.Close()
 	done := make(chan struct{})

@@ -312,7 +312,7 @@ func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src pay
 }
 
 // retryDelays draws a custody session's redelivery backoff, jittered from
-// RetryJitterSeed XOR the session ID: deterministic under test, yet staged
+// retryJitterSeed XOR the session ID: deterministic under test, yet staged
 // sessions that failed together do not retry in lockstep. The source is
 // seeded at the first failure; most deliveries never draw.
 func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
@@ -320,7 +320,7 @@ func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
 	var rng *rand.Rand
 	return func(attempt int) time.Duration {
 		if rng == nil {
-			rng = rand.New(rand.NewSource(d.cfg.RetryJitterSeed ^ id.Seed()))
+			rng = rand.New(rand.NewSource(d.cfg.retryJitterSeed ^ id.Seed()))
 		}
 		return pol.Delay(attempt, rng)
 	}
@@ -341,7 +341,7 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 	}
 	stop := context.AfterFunc(ctx, func() { down.Close() })
 	defer stop()
-	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.HandshakeTimeout)}
+	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.handshakeTimeout)}
 	if fwd.Flags&wire.FlagResume == 0 {
 		opts = append(opts, core.WithEager()) // a fresh session starts at offset 0
 	}
@@ -365,7 +365,7 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 	// mid-delivery crash is retried rather than silently dropped. The
 	// drain error matters: a receiver dying here means the delivery is NOT
 	// confirmed and must be retried, not counted as delivered.
-	c.SetDeadline(time.Now().Add(d.cfg.HandshakeTimeout))
+	c.SetDeadline(time.Now().Add(d.cfg.handshakeTimeout))
 	if _, err := io.Copy(io.Discard, c); err != nil {
 		return fmt.Errorf("confirm drain: %w", err)
 	}

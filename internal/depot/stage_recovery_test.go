@@ -35,7 +35,7 @@ func journalDepot(t *testing.T, dir string, cfg Config) (*Depot, *custody.Journa
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 300 * time.Millisecond
 	}
-	cfg.RetryJitterSeed = 42
+	cfg.retryJitterSeed = 42
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestStagedSessionEndSeesCustodySettled(t *testing.T) {
 				StageRetryInterval: 20 * time.Millisecond,
 				DialTimeout:        300 * time.Millisecond,
 				DrainTimeout:       100 * time.Millisecond,
-				RetryJitterSeed:    42,
+				retryJitterSeed:    42,
 				OnSessionEnd: func(info SessionInfo) {
 					ended <- ending{info.Outcome, d.Stats().CustodyBytes, j.Live()}
 				},

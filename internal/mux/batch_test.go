@@ -249,7 +249,7 @@ func TestWriteToWaitsForFillingBlock(t *testing.T) {
 	g := gate{make(chan struct{}), make(chan struct{})}
 	cfg := LinkConfig{}.withDefaults()
 	l := newLink(&scriptConn{r: io.MultiReader(bytes.NewReader(script[:cut]), g, bytes.NewReader(script[cut:]))},
-		cfg, false, uint32(cfg.Window))
+		cfg, false, uint32(cfg.window))
 	done := make(chan error, 1)
 	go func() {
 		for {
@@ -421,7 +421,7 @@ func TestWriteToWhileLent(t *testing.T) {
 // that are blocked or about to block; each one must wake its caller, even
 // when the timer fires between the caller's expiry check and its wait.
 func TestDeadlineWakeupStress(t *testing.T) {
-	client, _ := linkPair(t, LinkConfig{Window: 4 << 10})
+	client, _ := linkPair(t, LinkConfig{window: 4 << 10})
 	const streams, rounds = 16, 200
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*streams)

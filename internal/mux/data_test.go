@@ -51,7 +51,7 @@ func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 // test's goroutine, and returns the link and the error that ended it.
 func runScript(r io.Reader) (*Link, error) {
 	cfg := LinkConfig{}.withDefaults()
-	l := newLink(&scriptConn{r: r}, cfg, false, uint32(cfg.Window))
+	l := newLink(&scriptConn{r: r}, cfg, false, uint32(cfg.window))
 	for {
 		if err := l.readFrame(); err != nil {
 			return l, err
@@ -233,7 +233,7 @@ func TestCloseDuringFill(t *testing.T) {
 	g := gate{make(chan struct{}), make(chan struct{})}
 	cfg := LinkConfig{}.withDefaults()
 	l := newLink(&scriptConn{r: io.MultiReader(bytes.NewReader(script[:cut]), g, bytes.NewReader(script[cut:]))},
-		cfg, false, uint32(cfg.Window))
+		cfg, false, uint32(cfg.window))
 	done := make(chan error, 1)
 	go func() {
 		for {

@@ -167,7 +167,7 @@ func TestHelloWindowRule(t *testing.T) {
 	const small = 64 << 10
 	cases := []struct {
 		name           string
-		dialer, answer uint32 // windows: the dialer's, and the acceptor's reply (0: a real Server with Window small)
+		dialer, answer uint32 // windows: the dialer's, and the acceptor's reply (0: a real Server with window small)
 		fails          string // what the link's verdict names, "" when the hello lands
 	}{
 		{"acceptor refuses a larger dialer window", initialWindow, 0, "hello"},
@@ -182,7 +182,7 @@ func TestHelloWindowRule(t *testing.T) {
 			srvErr := make(chan error, 1)
 			go func() {
 				if c.answer == 0 {
-					_, err := Server(peer, LinkConfig{Window: small})
+					_, err := Server(peer, LinkConfig{window: small})
 					peer.Close()
 					srvErr <- err
 					return
@@ -195,7 +195,7 @@ func TestHelloWindowRule(t *testing.T) {
 				}
 				srvErr <- err
 			}()
-			l, err := Client(nc, LinkConfig{Window: int(c.dialer)})
+			l, err := Client(nc, LinkConfig{window: int(c.dialer)})
 			if err != nil {
 				t.Fatal(err)
 			}

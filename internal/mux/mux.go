@@ -72,20 +72,6 @@ const acceptBacklog = 128
 
 // LinkConfig tunes one trunk.
 type LinkConfig struct {
-	// Window is the initial per-stream receive window granted to the peer
-	// (default 256 KiB): the first window of every stream. A stream's
-	// window then grows on its own while the window limits it (see
-	// window.go); only tests set this. It is also what a dialer sends per
-	// stream before the peer's hello arrives, so an acceptor refuses a
-	// hello that announces more than its own Window, and a dialer fails a
-	// link whose peer grants less than its own.
-	Window int
-	// WriteTimeout bounds one frame write on the underlying conn
-	// (default 30s). A trunk peer that stalls past it — by at most as
-	// much again, see armWrite — is declared dead and the link is torn
-	// down: every stream errors and resilient callers re-dial over a
-	// fresh link.
-	WriteTimeout time.Duration
 	// Logf, when set, receives one line per link event.
 	Logf func(format string, args ...interface{})
 
@@ -94,8 +80,16 @@ type LinkConfig struct {
 	// idle-timeout tracking and stream gauges.
 	StreamCount func(n int)
 
+	// window, which only tests set, is the initial per-stream receive
+	// window granted to the peer (default defaultWindow): the first window
+	// of every stream. A stream's window then grows on its own while the
+	// window limits it (see window.go). It is also what a dialer sends per
+	// stream before the peer's hello arrives, so an acceptor refuses a
+	// hello that announces more than its own window, and a dialer fails a
+	// link whose peer grants less than its own.
+	window int
 	// maxWindow caps a stream's autotuned receive window (default
-	// maxStreamWindow, never below Window). Tests pin it to Window to play
+	// maxStreamWindow, never below window). Tests pin it to window to play
 	// a peer that does not autotune.
 	maxWindow int
 
@@ -105,20 +99,25 @@ type LinkConfig struct {
 	onHello func(err error)
 }
 
+const (
+	// defaultWindow is the initial per-stream receive window a link
+	// grants.
+	defaultWindow = 256 << 10
+	// writeTimeout bounds one frame write on the underlying conn. A trunk
+	// peer that stalls past it — by at most as much again, see armWrite —
+	// is declared dead and the link is torn down: every stream errors and
+	// resilient callers re-dial over a fresh link.
+	writeTimeout = 30 * time.Second
+)
+
 func (c LinkConfig) withDefaults() LinkConfig {
-	if c.Window <= 0 {
-		c.Window = 256 << 10
-	}
-	if c.Window > wire.MaxMuxWindow {
-		c.Window = wire.MaxMuxWindow
+	if c.window <= 0 {
+		c.window = defaultWindow
 	}
 	if c.maxWindow <= 0 {
 		c.maxWindow = maxStreamWindow
 	}
-	c.maxWindow = max(c.maxWindow, c.Window)
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
+	c.maxWindow = max(c.maxWindow, c.window)
 	return c
 }
 
@@ -170,7 +169,7 @@ type Link struct {
 // hello and returns without waiting for the peer's, so streams opened at
 // once send behind it. The read loop takes the peer's hello as the link's
 // first frame and fails the link on anything else. Before that hello
-// lands a stream sends at most cfg.Window, the window this side announced;
+// lands a stream sends at most cfg.window, the window this side announced;
 // a peer that grants less fails the link, and whatever it grants beyond
 // that is added to the streams' credit. A deadline on nc set beforehand
 // bounds the hello write here and the wait for the peer's hello; the read
@@ -189,16 +188,16 @@ func Client(nc net.Conn, cfg LinkConfig) (*Link, error) {
 // exist when a refusal of the hello reaches them.
 func startClient(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	cfg = cfg.withDefaults()
-	hello := wire.MuxHello{Window: uint32(cfg.Window)}
+	hello := wire.MuxHello{Window: uint32(cfg.window)}
 	if _, err := nc.Write(hello.Encode()); err != nil {
 		return nil, fmt.Errorf("mux: send hello: %w", err)
 	}
-	return newLink(nc, cfg, true, uint32(cfg.Window)), nil
+	return newLink(nc, cfg, true, uint32(cfg.window)), nil
 }
 
 // Server performs the accept-side hello exchange on nc (reading the full
 // hello, magic included — prepend any probed bytes) and starts the link.
-// It refuses a dialer whose hello announces a window above cfg.Window: that
+// It refuses a dialer whose hello announces a window above cfg.window: that
 // dialer may send that much per stream before this side's hello reaches it.
 func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	cfg = cfg.withDefaults()
@@ -206,10 +205,10 @@ func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mux: read hello: %w", err)
 	}
-	if int(peer.Window) > cfg.Window {
-		return nil, fmt.Errorf("mux: peer hello announces a %d-byte window, above this side's %d", peer.Window, cfg.Window)
+	if int(peer.Window) > cfg.window {
+		return nil, fmt.Errorf("mux: peer hello announces a %d-byte window, above this side's %d", peer.Window, cfg.window)
 	}
-	hello := wire.MuxHello{Window: uint32(cfg.Window)}
+	hello := wire.MuxHello{Window: uint32(cfg.window)}
 	if _, err := nc.Write(hello.Encode()); err != nil {
 		return nil, fmt.Errorf("mux: send hello: %w", err)
 	}
@@ -234,7 +233,7 @@ func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link 
 		done:       make(chan struct{}),
 		hello:      make(chan struct{}),
 	}
-	l.windowHigh.Store(int64(cfg.Window))
+	l.windowHigh.Store(int64(cfg.window))
 	if !client {
 		l.helloed = true
 		close(l.hello)
@@ -532,8 +531,8 @@ func (l *Link) readHello() error {
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
-	if int(peer.Window) < l.cfg.Window {
-		return fmt.Errorf("hello: peer grants a %d-byte window, below the %d bytes streams may have sent", peer.Window, l.cfg.Window)
+	if int(peer.Window) < l.cfg.window {
+		return fmt.Errorf("hello: peer grants a %d-byte window, below the %d bytes streams may have sent", peer.Window, l.cfg.window)
 	}
 	l.nc.SetReadDeadline(time.Time{})
 	l.mu.Lock()
@@ -754,13 +753,13 @@ func (l *Link) writeLocked(buf []byte) error {
 	return err
 }
 
-// armWrite gives the frame about to be written at least WriteTimeout;
+// armWrite gives the frame about to be written at least writeTimeout;
 // wmu is held. The conn's deadline stays armed between frames and is
-// pushed out once per WriteTimeout, not set and cleared around every
+// pushed out once per writeTimeout, not set and cleared around every
 // frame, so a stalled peer is declared dead after one to two timeouts.
 func (l *Link) armWrite() {
-	if now := time.Now(); l.wdead.Sub(now) < l.cfg.WriteTimeout {
-		l.wdead = now.Add(2 * l.cfg.WriteTimeout)
+	if now := time.Now(); l.wdead.Sub(now) < writeTimeout {
+		l.wdead = now.Add(2 * writeTimeout)
 		l.nc.SetWriteDeadline(l.wdead)
 	}
 }
@@ -827,7 +826,7 @@ type Stream struct {
 }
 
 func newStream(l *Link, id uint32, credit uint32) *Stream {
-	s := &Stream{link: l, id: id, sendCredit: credit, rx: rxWindow{size: l.cfg.Window}}
+	s := &Stream{link: l, id: id, sendCredit: credit, rx: rxWindow{size: l.cfg.window}}
 	s.readCond = sync.NewCond(&s.mu)
 	s.writeCond = sync.NewCond(&s.mu)
 	s.rdeadline.cond = s.readCond
@@ -1196,7 +1195,7 @@ func (s *Stream) Close() error {
 	s.chunks = nil
 	s.filling = false
 	s.buffered = 0
-	s.link.grown.Add(-int64(s.rx.size - s.link.cfg.Window)) // the window's grown part goes back to the link budget
+	s.link.grown.Add(-int64(s.rx.size - s.link.cfg.window)) // the window's grown part goes back to the link budget
 	// An armed deadline's timer holds the stream until it fires — a 30 s
 	// confirm deadline would keep every closed stream in memory that long.
 	s.rdeadline.set(time.Time{})

@@ -177,7 +177,7 @@ func TestStreamRoundTrip(t *testing.T) {
 // so its window must stay at the initial size.
 func TestFlowControlIntegrity(t *testing.T) {
 	const window = 8 << 10
-	client, srv := linkPair(t, LinkConfig{Window: window})
+	client, srv := linkPair(t, LinkConfig{window: window})
 	cs, err := client.OpenStream()
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestFlowControlIntegrity(t *testing.T) {
 
 // TestConcurrentStreams multiplexes many echoing sessions over one trunk.
 func TestConcurrentStreams(t *testing.T) {
-	client, srv := linkPair(t, LinkConfig{Window: 16 << 10})
+	client, srv := linkPair(t, LinkConfig{window: 16 << 10})
 	const streams = 20
 	go func() {
 		for {
@@ -313,7 +313,7 @@ func TestReadDeadline(t *testing.T) {
 // TestWriteDeadlineOnCreditStall: a reader that never drains leaves the
 // writer blocked on credit; the write deadline must unblock it.
 func TestWriteDeadlineOnCreditStall(t *testing.T) {
-	client, srv := linkPair(t, LinkConfig{Window: 4 << 10})
+	client, srv := linkPair(t, LinkConfig{window: 4 << 10})
 	cs, err := client.OpenStream()
 	if err != nil {
 		t.Fatal(err)

@@ -85,12 +85,6 @@ type PoolConfig struct {
 	// Dial establishes trunk (and fallback) transport connections
 	// (default net.Dialer).
 	Dial Dialer
-	// MaxStreamsPerLink opens a second trunk to the same address once a
-	// link carries this many live streams (default 64).
-	MaxStreamsPerLink int
-	// IdleTimeout closes a trunk that has carried no streams for this
-	// long (default 60s; negative keeps idle trunks forever).
-	IdleTimeout time.Duration
 	// SockBuf sets SO_SNDBUF and SO_RCVBUF on every pool-dialed conn
 	// (trunks and classic fallbacks); zero leaves kernel defaults.
 	SockBuf int
@@ -98,6 +92,15 @@ type PoolConfig struct {
 	Metrics *PoolMetrics
 	// Logf, when set, receives one line per pool event.
 	Logf func(format string, args ...interface{})
+
+	// Test seams, which only in-package tests set:
+	//
+	// maxStreamsPerLink opens a second trunk to the same address once a
+	// link carries this many live streams (default 64).
+	maxStreamsPerLink int
+	// idleTimeout closes a trunk that has carried no streams for this
+	// long (default 60s; negative keeps idle trunks forever).
+	idleTimeout time.Duration
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -105,11 +108,11 @@ func (c PoolConfig) withDefaults() PoolConfig {
 		var d net.Dialer
 		c.Dial = d.DialContext
 	}
-	if c.MaxStreamsPerLink <= 0 {
-		c.MaxStreamsPerLink = 64
+	if c.maxStreamsPerLink <= 0 {
+		c.maxStreamsPerLink = 64
 	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60 * time.Second
+	if c.idleTimeout == 0 {
+		c.idleTimeout = 60 * time.Second
 	}
 	return c
 }
@@ -209,7 +212,7 @@ func (p *Pool) pickLocked(addr string) *pooledLink {
 			continue
 		}
 		live = append(live, pl)
-		if pick == nil && pl.link.NumStreams() < p.cfg.MaxStreamsPerLink {
+		if pick == nil && pl.link.NumStreams() < p.cfg.maxStreamsPerLink {
 			pick = pl
 		}
 	}
@@ -335,7 +338,7 @@ func (p *Pool) dialClassic(ctx context.Context, network, addr string) (net.Conn,
 }
 
 // streamCountChanged keeps the stream gauges and runs the idle timer: a
-// trunk that hits zero streams gets IdleTimeout to pick up a new session
+// trunk that hits zero streams gets idleTimeout to pick up a new session
 // before it is closed; any new stream cancels the countdown. The link
 // reports counts outside its locks, so reports can arrive out of order;
 // re-reading the count under pl.mu makes the last one to run see the
@@ -353,15 +356,15 @@ func (p *Pool) streamCountChanged(pl *pooledLink) {
 		}
 		return
 	}
-	if p.cfg.IdleTimeout < 0 || pl.link.Closed() {
+	if p.cfg.idleTimeout < 0 || pl.link.Closed() {
 		return
 	}
 	if pl.idle != nil {
 		pl.idle.Stop()
 	}
-	pl.idle = time.AfterFunc(p.cfg.IdleTimeout, func() {
+	pl.idle = time.AfterFunc(p.cfg.idleTimeout, func() {
 		if pl.link.NumStreams() == 0 {
-			p.logf("mux: closing trunk to %v after %v idle", pl.link.RemoteAddr(), p.cfg.IdleTimeout)
+			p.logf("mux: closing trunk to %v after %v idle", pl.link.RemoteAddr(), p.cfg.idleTimeout)
 			pl.link.Drain()
 		}
 	})
@@ -580,7 +583,7 @@ func (c *trunkConn) keep(p []byte) (int, bool) {
 	if !c.keeping {
 		return 0, false
 	}
-	k := min(len(p), c.st.link.cfg.Window-len(c.sent))
+	k := min(len(p), c.st.link.cfg.window-len(c.sent))
 	c.sent = append(c.sent, p[:k]...)
 	return k, true
 }

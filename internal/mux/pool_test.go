@@ -150,7 +150,7 @@ func TestPoolReusesTrunk(t *testing.T) {
 func TestPoolMaxStreamsOpensSecondTrunk(t *testing.T) {
 	addr := muxEchoServer(t)
 	met, _ := poolMetrics(t)
-	p := NewPool(PoolConfig{Metrics: met, MaxStreamsPerLink: 2})
+	p := NewPool(PoolConfig{Metrics: met, maxStreamsPerLink: 2})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -250,7 +250,7 @@ func TestPoolStreamGauge(t *testing.T) {
 func TestPoolIdleTimeoutClosesTrunk(t *testing.T) {
 	addr := muxEchoServer(t)
 	met, _ := poolMetrics(t)
-	p := NewPool(PoolConfig{Metrics: met, IdleTimeout: 100 * time.Millisecond})
+	p := NewPool(PoolConfig{Metrics: met, idleTimeout: 100 * time.Millisecond})
 	defer p.Close()
 	retired := make(chan *Link, 1)
 	p.retired = retired

@@ -3,7 +3,7 @@ package mux
 import "time"
 
 // Receive-window autotuning. A stream's receive window starts at the
-// link's initial window (LinkConfig.Window, 256 KiB) and doubles while the
+// link's initial window (defaultWindow, 256 KiB) and doubles while the
 // window, not the reader, limits the stream — what kernel receive-buffer
 // autotuning does for a classic sublink, so that a trunked session, like a
 // classic one, can keep a sublink's bandwidth-delay product in flight.

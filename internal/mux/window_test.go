@@ -39,7 +39,7 @@ func (c scriptPeer) SetWriteDeadline(time.Time) error { return nil }
 func newTunedScript(t *testing.T) *tunedScript {
 	ts := &tunedScript{t: t, now: time.Unix(1000, 0), buf: make([]byte, maxStreamWindow)}
 	cfg := LinkConfig{}.withDefaults()
-	ts.l = newLink(scriptPeer{ts: ts}, cfg, false, uint32(cfg.Window))
+	ts.l = newLink(scriptPeer{ts: ts}, cfg, false, uint32(cfg.window))
 	ts.l.now = func() time.Time { return ts.now }
 	return ts
 }
@@ -230,7 +230,7 @@ func TestWindowGrowthRule(t *testing.T) {
 	})
 	t.Run("fixed peer", func(t *testing.T) {
 		ts := newTunedScript(t)
-		ts.l.cfg.maxWindow = ts.l.cfg.Window
+		ts.l.cfg.maxWindow = ts.l.cfg.window
 		s := ts.open(1)
 		for i := 0; i < 4; i++ {
 			ts.round(s)

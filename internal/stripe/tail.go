@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -83,22 +84,17 @@ func (s *Sender) ack(index, gen int, a *Ack) {
 	s.cond.Broadcast()
 }
 
-// pruneFlushedLocked drops sent-list entries wholly inside the
-// receiver's contiguous prefix: those frames are delivered, keep their
-// byte credit, and no longer need requeueing or speculation. A frame the
-// prefix ends inside is not delivered yet and stays.
+// pruneFlushedLocked forgets frames wholly inside the receiver's
+// contiguous prefix: those frames are delivered. Sent-list entries keep
+// their byte credit and no longer need requeueing or speculation; queued
+// speculative duplicates, which carry no credit, would only be dropped on
+// arrival, so they are not written at all. A frame the prefix ends inside
+// is not delivered yet and stays.
 func (s *Sender) pruneFlushedLocked(flushed int64) {
+	delivered := func(f frame) bool { return f.off+int64(f.n) <= flushed }
 	for _, st := range s.stripes {
-		if len(st.sent) == 0 {
-			continue
-		}
-		kept := st.sent[:0]
-		for _, f := range st.sent {
-			if f.off+int64(f.n) > flushed {
-				kept = append(kept, f)
-			}
-		}
-		st.sent = kept
+		st.sent = slices.DeleteFunc(st.sent, delivered)
+		st.queue = slices.DeleteFunc(st.queue, func(f frame) bool { return f.spec && delivered(f) })
 	}
 }
 

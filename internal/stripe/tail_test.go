@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -334,5 +335,49 @@ func TestSenderFlushedInsideFrame(t *testing.T) {
 	}
 	if v, _, _ := snd.supersedeLocked(); v != 0 {
 		t.Fatal("wedged stripe with every frame flushed not superseded")
+	}
+}
+
+// TestTailDropsFlushedDuplicates: a thief's queued duplicate of a frame
+// the receiver has flushed can only be dropped on arrival, so writing it
+// wastes the thief's path. The ack whose prefix passes the frame's end
+// takes the duplicate off the thief's queue and out of its commitment; a
+// duplicate the prefix ends inside, and the thief's own frame, stay.
+func TestTailDropsFlushedDuplicates(t *testing.T) {
+	const fs = 4 << 10
+	snd, err := NewSender(wire.NewSessionID(), bytes.NewReader(make([]byte, 4*fs)), 4*fs, 2,
+		SenderConfig{FrameSize: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, thief := snd.stripes[0], snd.stripes[1]
+	own := frame{off: 3 * fs, n: fs}
+	dup := func(off int64) frame { return frame{off: off, n: fs, spec: true, victim: 0, victimGen: 1} }
+	snd.mu.Lock()
+	victim.state, victim.gen, victim.accepted = stripeLive, 1, true
+	victim.sent, victim.bytes = []frame{{off: 0, n: fs}, {off: fs, n: fs}}, 2*fs
+	thief.state, thief.gen, thief.accepted = stripeLive, 1, true
+	thief.sent, thief.bytes = []frame{{off: 2 * fs, n: fs}}, fs
+	thief.queue = []frame{own, dup(0), dup(fs)}
+	snd.mu.Unlock()
+
+	snd.ack(0, 1, &Ack{Flushed: fs + fs/2, Seen: fs + fs/2})
+	snd.mu.Lock()
+	if want := []frame{own, dup(fs)}; !slices.Equal(thief.queue, want) {
+		t.Fatalf("thief queue %+v after Flushed %d, want %+v", thief.queue, fs+fs/2, want)
+	}
+	snd.mu.Unlock()
+
+	snd.ack(0, 1, &Ack{Flushed: 3 * fs, Seen: 2 * fs})
+	snd.mu.Lock()
+	defer snd.mu.Unlock()
+	if want := []frame{own}; !slices.Equal(thief.queue, want) {
+		t.Fatalf("thief queue %+v after Flushed %d, want only its own frame", thief.queue, 3*fs)
+	}
+	if c := snd.commitmentLocked(thief); c != fs {
+		t.Fatalf("thief commitment %d B, want %d (its own frame only)", c, fs)
+	}
+	if victim.bytes+thief.bytes != 3*fs {
+		t.Fatalf("StripeBytes %d + %d, want the %d B written by owners", victim.bytes, thief.bytes, 3*fs)
 	}
 }

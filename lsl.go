@@ -73,10 +73,6 @@ type DepotConfig = depot.Config
 // DepotStats is a depot counter snapshot.
 type DepotStats = depot.Stats
 
-// DepotSessionInfo describes one live or recently finished depot session
-// (ID, route position, peers, byte counts, outcome).
-type DepotSessionInfo = depot.SessionInfo
-
 // DepotSessions is the full observable session state of a depot: live
 // sessions plus a ring of recently finished ones (see Depot.Sessions).
 type DepotSessions = depot.Snapshot
@@ -88,23 +84,6 @@ type MetricsRegistry = metrics.Registry
 // NewMetricsRegistry builds an empty registry (e.g. to host transfer
 // metrics via NewTransferMetrics next to your own instrumentation).
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// Depot session outcome labels, as recorded in the recent-session ring
-// (Depot.Sessions) and on the per-outcome metrics. "canceled" marks
-// sessions cut short when Close's drain timeout (DepotConfig.DrainTimeout)
-// expired before they finished.
-const (
-	DepotOutcomeCompleted      = depot.OutcomeCompleted
-	DepotOutcomeCanceled       = depot.OutcomeCanceled
-	DepotOutcomeRejectedBusy   = depot.OutcomeRejectedBusy
-	DepotOutcomeRejectedRoute  = depot.OutcomeRejectedRoute
-	DepotOutcomeRejectedProto  = depot.OutcomeRejectedProto
-	DepotOutcomeStagedDeliver  = depot.OutcomeStagedDeliver
-	DepotOutcomeStagedAborted  = depot.OutcomeStagedAborted
-	DepotOutcomeStagedUpFailed = depot.OutcomeStagedUpFailed
-	DepotOutcomeStagedShed     = depot.OutcomeStagedShed
-	DepotOutcomeDialFailed     = depot.OutcomeDialFailed
-)
 
 // --- durable custody (internal/custody) ---
 
@@ -120,21 +99,14 @@ type CustodyJournal = custody.Journal
 // logging.
 type CustodyConfig = custody.Config
 
-// CustodyEntry describes one session the journal holds custody of
-// (see CustodyJournal.Recovered).
-type CustodyEntry = custody.Entry
-
 // FsyncPolicy selects when the journal calls fsync.
 type FsyncPolicy = custody.FsyncPolicy
 
-// Fsync policies: FsyncAlways syncs payload and journal before the
-// depot acknowledges custody (the durable default); FsyncNever leaves
-// flushing to the OS — faster, but a host crash may lose acknowledged
-// custody (a depot process crash alone does not).
-const (
-	FsyncAlways = custody.FsyncAlways
-	FsyncNever  = custody.FsyncNever
-)
+// FsyncNever leaves flushing to the OS — faster, but a host crash may
+// lose acknowledged custody (a depot process crash alone does not). The
+// zero FsyncPolicy, the durable default, syncs payload and journal
+// before the depot acknowledges custody.
+const FsyncNever = custody.FsyncNever
 
 // ParseFsync maps the operator spellings ("always", "never"/"none",
 // "" = always) to a policy.
@@ -146,15 +118,6 @@ func ParseFsync(s string) (FsyncPolicy, error) { return custody.ParseFsync(s) }
 func OpenCustody(dir string, cfg CustodyConfig) (*CustodyJournal, error) {
 	return custody.Open(dir, cfg)
 }
-
-// Re-exported errors.
-var (
-	// ErrRejected reports a depot or target refusing the session.
-	ErrRejected = core.ErrRejected
-	// ErrDigestMismatch reports end-to-end corruption caught by the MD5
-	// trailer.
-	ErrDigestMismatch = core.ErrDigestMismatch
-)
 
 // Dial opens a session along route (see core.Dial for the protocol).
 func Dial(ctx context.Context, route Route, opts ...Option) (*Conn, error) {
@@ -210,15 +173,12 @@ var (
 // DialContext to Dial with WithDialer.
 type LinkPool = mux.Pool
 
-// LinkPoolConfig tunes a LinkPool: the dialer, streams per link, idle
-// timeout, socket buffers, metrics and logging. Peers that do not speak
-// the trunk protocol refuse its hello within one round trip and are then
-// dialed classically; that fallback has no knobs.
+// LinkPoolConfig tunes a LinkPool: the dialer, socket buffers, metrics
+// and logging. A trunk carries up to 64 sessions and closes after 60 s
+// idle. Peers that do not speak the trunk protocol refuse its hello
+// within one round trip and are then dialed classically; that fallback
+// has no knobs.
 type LinkPoolConfig = mux.PoolConfig
-
-// LinkPoolMetrics observes a pool's trunks (lsl_link_* counter family
-// plus stream gauges); any field may be nil.
-type LinkPoolMetrics = mux.PoolMetrics
 
 // NewLinkPool builds a trunk pool (see LinkPool).
 func NewLinkPool(cfg LinkPoolConfig) *LinkPool { return mux.NewPool(cfg) }

@@ -26,9 +26,6 @@ type NodeID = route.NodeID
 // LinkMetrics annotates a graph edge with forecast performance.
 type LinkMetrics = route.Metrics
 
-// Plan is a chosen session route with predicted completion time.
-type Plan = route.Plan
-
 // ForecastSeries is a named measurement stream with its selector.
 type ForecastSeries = nws.Series
 

@@ -27,9 +27,6 @@ type SimTime = netsim.Time
 // TCPConfig tunes a simulated TCP connection.
 type TCPConfig = tcpsim.Config
 
-// SimTCPConn is a simulated TCP Reno/SACK connection.
-type SimTCPConn = tcpsim.Conn
-
 // SessionConfig tunes a simulated LSL cascade.
 type SessionConfig = lslsim.SessionConfig
 
@@ -47,9 +44,6 @@ type FigureSpec = experiments.FigureSpec
 
 // FigureData is a regenerated figure.
 type FigureData = experiments.FigureData
-
-// SweepPoint is one size-point of a bandwidth sweep.
-type SweepPoint = experiments.SweepPoint
 
 // NewSimEngine builds a deterministic engine from a seed.
 func NewSimEngine(seed int64) *SimEngine { return netsim.NewEngine(seed) }
