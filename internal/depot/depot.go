@@ -232,6 +232,8 @@ type Stats struct {
 	// CustodyBytes is the live aggregate of staged payload bytes
 	// currently in custody (the budget gauge).
 	CustodyBytes int64
+	// Ready classic next-hop sockets, by result (spare.go).
+	SparesTaken, SparesFresh, SparesExpired, SparesDead, SparesFailed uint64
 }
 
 // Histogram bucket bounds for the admin metrics.
@@ -290,6 +292,9 @@ type Depot struct {
 	muxWindow   *metrics.Gauge
 	poolMetrics *mux.PoolMetrics
 	drainCh     chan struct{}
+
+	// spares keeps ready classic next-hop sockets (without Mux only).
+	spares *spares
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -358,6 +363,7 @@ func New(cfg Config) *Depot {
 	d.custodyBytes = reg.Gauge("lsl_custody_bytes",
 		"Staged payload bytes currently in custody, across all sessions.")
 	d.drainCh = make(chan struct{})
+	d.spares = newSpares(d)
 	if cfg.Mux {
 		d.linkOpened = reg.CounterVec("lsl_link_opened_total",
 			"Trunks established (hello exchange completed), by side.", "side")
@@ -392,18 +398,17 @@ func New(cfg Config) *Depot {
 	return d
 }
 
-// dialNext opens the next-hop transport for one session: a stream on a
-// warm trunk when mux is on (classic fallback for non-mux hops inside
-// the pool), a fresh tuned connection otherwise.
-func (d *Depot) dialNext(ctx context.Context, addr string) (net.Conn, error) {
-	if d.nextHops != nil {
+// dialNext opens a next-hop transport: a stream on a warm trunk when
+// mux is on (classic fallback for non-mux hops inside the pool), a fresh
+// tuned connection otherwise, or for a session a ready one (spare.go).
+func (d *Depot) dialNext(ctx context.Context, addr string, session bool) (net.Conn, error) {
+	switch {
+	case d.nextHops != nil:
 		return d.nextHops.DialContext(ctx, "tcp", addr)
+	case session:
+		return d.spares.dial(ctx, addr)
 	}
-	nc, err := d.cfg.Dial(ctx, "tcp", addr)
-	if err == nil {
-		sockopt.Tune(nc, d.cfg.SockBuf)
-	}
-	return nc, err
+	return d.spares.connect(ctx, addr)
 }
 
 // Stats snapshots the counters.
@@ -429,18 +434,24 @@ func (d *Depot) Stats() Stats {
 		StagedShed:             d.stageShed.Value(),
 		StagedRecovered:        d.stagedRecovered.Value(),
 		CustodyBytes:           d.custodyBytes.Value(),
+		SparesTaken:            d.spares.results.With("taken").Value(),
+		SparesFresh:            d.spares.results.With("fresh").Value(),
+		SparesExpired:          d.spares.results.With("expired").Value(),
+		SparesDead:             d.spares.results.With("dead").Value(),
+		SparesFailed:           d.spares.results.With("failed").Value(),
 	}
 }
 
 // WaitStats blocks until cond holds for a Stats snapshot, or returns
 // ctx.Err() once ctx ends first. cond is checked at once and again each
-// time a session goes live, a staged delivery attempt ends, or a session
-// finishes; byte counters never wake a waiter. A finishing session bumps
-// its outcome counter (Completed, Canceled, Rejected*, StagedDelivered,
-// StagedAborted, StagedShed) as the last effect before the wakeup, so a
-// cond that sees the counter also sees the session's released admission
-// slot and custody budget, its completed journal entry, its ring entry,
-// and the return of Config.OnSessionEnd.
+// time a session goes live, a staged delivery attempt ends, a session
+// finishes, or a spare count moves; byte counters never wake a waiter. A
+// finishing session bumps its outcome counter (Completed, Canceled,
+// Rejected*, StagedDelivered, StagedAborted, StagedShed) as the last
+// effect before the wakeup, so a cond that sees the counter also sees
+// the session's released admission slot and custody budget, its
+// completed journal entry, its ring entry, and the return of
+// Config.OnSessionEnd.
 func (d *Depot) WaitStats(ctx context.Context, cond func(Stats) bool) error {
 	for {
 		d.mu.Lock()
@@ -553,6 +564,7 @@ func (d *Depot) Close() error {
 	// streams and close once their sessions finish; next-hop links
 	// likewise retire as their relays complete.
 	close(d.drainCh)
+	d.spares.close()
 	if d.nextHops != nil {
 		d.nextHops.Drain()
 	}
@@ -595,6 +607,7 @@ func (d *Depot) Kill() {
 	if ln != nil {
 		ln.Close()
 	}
+	d.spares.close()
 	d.cancel()
 	d.wg.Wait()
 	if !already && d.nextHops != nil {
@@ -675,16 +688,20 @@ type session struct {
 // trunk (raw connections on a Mux depot only), "LSLG" is a forecast-gossip
 // exchange (when OnGossip is set), and anything else enters the session
 // path, whose header decoder refuses every magic but "LSL1". A refusal —
-// including a stream that ends before its magic — is counted as a proto
+// including a stream that ends inside its magic — is counted as a proto
 // rejection and closed at once, so a peer probing for a protocol this
-// depot does not speak learns that within one round trip.
+// depot does not speak learns that within one round trip. A stream that
+// ends before its first byte (a retired upstream spare) closes quietly.
+// The clock of a session starts at its first byte, its deadline at accept.
 func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
-	s := &session{d: d, up: nc, peer: remoteAddr(nc), start: time.Now(), state: stateHandshaking}
-	nc.SetReadDeadline(s.start.Add(d.cfg.handshakeTimeout))
+	nc.SetReadDeadline(time.Now().Add(d.cfg.handshakeTimeout))
 	head := make([]byte, wire.OpenFixedLen)
 	n, err := io.ReadAtLeast(nc, head, 4)
 	head = head[:n]
+	s := &session{d: d, up: nc, peer: remoteAddr(nc), start: time.Now(), state: stateHandshaking}
 	switch {
+	case n == 0 && err == io.EOF:
+		nc.Close()
 	case err != nil:
 		d.logf("depot: no magic from %v: %v", s.peer, err)
 		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
@@ -754,7 +771,7 @@ func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
 // gossip layer uses it so forecast exchanges ride the same trunks as
 // sessions instead of paying their own handshakes.
 func (d *Depot) Dialer() func(ctx context.Context, addr string) (net.Conn, error) {
-	return d.dialNext
+	return func(ctx context.Context, addr string) (net.Conn, error) { return d.dialNext(ctx, addr, false) }
 }
 
 // prefixConn replays the bytes the dispatch read ahead of the stream it
@@ -831,7 +848,7 @@ func (s *session) dial(ctx context.Context) bool {
 	s.state = stateDialing
 	next := s.next
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
-	down, err := d.dialNext(dctx, next)
+	down, err := d.dialNext(dctx, next, true)
 	cancel()
 	if err != nil {
 		d.nextHopDialFail.With(next).Inc()

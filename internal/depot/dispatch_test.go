@@ -24,9 +24,11 @@ type dispatchInput struct {
 }
 
 // dispatchInputs covers every arm of the accept dispatch: a session open,
-// a trunk hello, a gossip digest, and three things it must refuse — a
-// stripe group header (a session's payload, not a session), junk, and a
-// stream that ends before its magic.
+// a trunk hello, a gossip digest, three things it must refuse — a stripe
+// group header (a session's payload, not a session), junk, and a stream
+// that ends inside its magic — and a stream that ends before its first
+// byte (an upstream depot retiring a ready spare), closed without a
+// rejection.
 func dispatchInputs(tb testing.TB) []dispatchInput {
 	open, err := (&wire.OpenHeader{
 		Session:    wire.NewSessionID(),
@@ -47,6 +49,7 @@ func dispatchInputs(tb testing.TB) []dispatchInput {
 		{name: "stripe", data: (&stripe.GroupHeader{Count: 1, TotalLen: 10}).Encode()},
 		{name: "junk", data: []byte{0x00, 0xff, 0x13, 0x37}},
 		{name: "short", data: []byte("LS"), eof: true},
+		{name: "empty", eof: true},
 	}
 }
 
@@ -116,7 +119,8 @@ func observeArm(c net.Conn, gossiped chan struct{}) string {
 // and OnGossip, on raw connections and (on mux depots) on trunk streams.
 // Each must reach its arm; each refusal must close within a second, far
 // inside the handshake timeout, and count exactly one proto rejection —
-// a stream that dies before its magic included.
+// a stream that dies inside its magic included, but not one that ends
+// before its first byte.
 func TestAcceptDispatch(t *testing.T) {
 	for _, in := range dispatchInputs(t) {
 		for _, muxOn := range []bool{false, true} {
@@ -144,7 +148,7 @@ func TestAcceptDispatch(t *testing.T) {
 							t.Fatalf("reached %s, want %s", got, want)
 						}
 						wantProto := uint64(0)
-						if want == "refused" {
+						if want == "refused" && in.name != "empty" {
 							wantProto = 1
 						}
 						if got := d.Stats().RejectedProto; got != wantProto {

@@ -333,7 +333,7 @@ func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
 // closes the sublink.
 func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.OpenHeader, src payloadSource) error {
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
-	down, err := d.dialNext(dctx, next)
+	down, err := d.dialNext(dctx, next, true)
 	cancel()
 	if err != nil {
 		d.nextHopDialFail.With(next).Inc()
