@@ -10,7 +10,7 @@
 //	lsd -listen :5000 -stats 10s     # print counters periodically
 //	lsd -listen :5000 -admin :9090   # /metrics /healthz /sessions /debug/pprof
 //	lsd -listen :5000 -drain 10s     # bound shutdown: drain, then cancel
-//	lsd -listen :5000 -mux           # multiplex sessions over persistent trunks
+//	lsd -listen :5000 -mux           # dial persistent trunks to next hops
 //	lsd -listen :5000 -sockbuf 4194304  # 4 MiB socket buffers on every sublink
 //	lsd -listen :5000 -graph overlay.txt -self denver -admin :9090
 //	                                 # feed relay measurements into the live
@@ -52,7 +52,7 @@ func main() {
 		dialTO      = flag.Duration("dial-timeout", 0, "next-hop connection establishment timeout (0 = default 10s)")
 		stageRetry  = flag.Duration("stage-retry", 0, "staged redelivery backoff base (0 = default 2s)")
 		stageRetMax = flag.Duration("stage-retry-max", 0, "staged redelivery backoff cap (0 = default 30s)")
-		muxOn       = flag.Bool("mux", false, "multiplex sessions over persistent trunks: pool links to next hops and accept trunk links from upstream peers (non-mux peers still interoperate)")
+		muxOn       = flag.Bool("mux", false, "dial persistent trunks to next hops and multiplex sessions over them (every depot accepts trunks from upstream peers, with or without -mux)")
 		sockBuf     = flag.Int("sockbuf", 0, "SO_SNDBUF/SO_RCVBUF for every accepted and dialed connection in bytes (0 = kernel default; TCP_NODELAY is always set)")
 		graphF      = flag.String("graph", "", "overlay graph file (lslplan format): run a live logistics planner fed by this depot's relay measurements")
 		selfNode    = flag.String("self", "", "this depot's node name in the -graph overlay")

@@ -138,8 +138,9 @@ type Options struct {
 	HandshakeTimeout time.Duration
 	// Dial overrides the transport dialer. A mux.Pool's DialContext
 	// carries the first sublink as a stream on a warm trunk to the first
-	// hop (see internal/mux), falling back to a per-session connection
-	// against peers that do not speak the trunk protocol.
+	// hop (see internal/mux); a session on a trunk that a peer predating
+	// trunks refused fails with mux.ErrTrunkRefused, and the pool dials
+	// that peer per session for a while.
 	Dial Dialer
 }
 

@@ -28,8 +28,9 @@ var transports = []struct {
 }{{"classic", false}, {"trunk", true}}
 
 // scriptedTarget runs play on every session sublink dialed at it: classic
-// connections, or streams on trunks when trunk is set (a classic target
-// refuses a trunk hello at its magic, as a real one does). play gets the
+// connections, or streams on trunks when trunk is set (otherwise it
+// refuses a trunk hello at its magic, as a target that predates trunks
+// does). play gets the
 // sublink's sequence number from 1. Every sublink is closed at cleanup,
 // so a script may simply return to hold one open.
 func scriptedTarget(t *testing.T, trunk bool, play func(n int, nc net.Conn, hdr *wire.OpenHeader)) string {

@@ -94,16 +94,17 @@ type Config struct {
 	// StageDeadline bounds how long staged payloads are retried before
 	// being discarded.
 	StageDeadline time.Duration
-	// Mux enables persistent inter-hop trunks: the accept dispatch serves
-	// a raw connection opening with the trunk hello ("LSLM") as a
-	// multiplexed upstream link beside classic "LSL1" sessions on the same
-	// port, and the depot keeps warm trunks to each distinct next hop,
-	// skipping the per-session TCP handshake and cold congestion window.
-	// Without Mux a trunk hello is refused at its magic, so a mux peer
-	// falls back within one round trip; likewise non-mux next hops refuse
-	// this depot's hello and are dialed one connection per session. A
-	// next-hop trunk carries up to 64 sessions before a second one opens
-	// and closes after 60 s idle, the link pool's defaults.
+	// Mux makes the depot dial trunks to its next hops: it keeps warm
+	// trunks to each distinct next hop, skipping the per-session TCP
+	// handshake and cold congestion window. Every depot serves trunks,
+	// whatever Mux says: its accept dispatch serves a raw connection
+	// opening with the trunk hello ("LSLM") as a multiplexed upstream
+	// link beside classic "LSL1" sessions on the same port. A next hop
+	// that predates trunks refuses the hello; the session on it fails
+	// with mux.ErrTrunkRefused, and the depot dials that hop one
+	// connection per session for a while. A next-hop trunk carries up to
+	// 64 sessions before a second one opens and closes after 60 s idle,
+	// the link pool's defaults.
 	Mux bool
 	// SockBuf overrides SO_SNDBUF and SO_RCVBUF on every accepted and
 	// dialed transport connection (zero keeps kernel defaults);
@@ -280,20 +281,18 @@ type Depot struct {
 	stageShed       *metrics.Counter
 	custodyBytes    *metrics.Gauge
 
-	// Trunk state (cfg.Mux): warm links to next hops, accept-side link
-	// accounting, and the drain signal that retires accept-side links on
-	// Close once their sessions finish.
-	nextHops    *mux.Pool
-	linkOpened  *metrics.CounterVec
-	linkReused  *metrics.CounterVec
-	linkClosed  *metrics.CounterVec
-	muxStreams  *metrics.Gauge
-	muxHigh     *metrics.Gauge
-	muxWindow   *metrics.Gauge
-	poolMetrics *mux.PoolMetrics
-	drainCh     chan struct{}
+	// Trunk state: warm links to next hops (cfg.Mux only), accept-side
+	// link accounting, and the drain signal that retires accept-side links
+	// on Close once their sessions finish.
+	nextHops      *mux.Pool
+	linkOpened    *metrics.CounterVec
+	linkReused    *metrics.CounterVec
+	linkClosed    *metrics.CounterVec
+	acceptMetrics *mux.PoolMetrics
+	drainCh       chan struct{}
 
-	// spares keeps ready classic next-hop sockets (without Mux only).
+	// spares keeps ready classic next-hop sockets for the session dials
+	// of a depot that dials no trunks (Mux off).
 	spares *spares
 
 	mu     sync.Mutex
@@ -364,31 +363,34 @@ func New(cfg Config) *Depot {
 		"Staged payload bytes currently in custody, across all sessions.")
 	d.drainCh = make(chan struct{})
 	d.spares = newSpares(d)
-	if cfg.Mux {
-		d.linkOpened = reg.CounterVec("lsl_link_opened_total",
-			"Trunks established (hello exchange completed), by side.", "side")
-		d.linkReused = reg.CounterVec("lsl_link_reused_total",
-			"Sessions carried on an already-open trunk instead of a fresh TCP connection, by side.", "side")
-		d.linkClosed = reg.CounterVec("lsl_link_closed_total",
-			"Trunks torn down (idle timeout, error, shutdown), by side.", "side")
-		d.muxStreams = reg.Gauge("lsl_mux_streams",
-			"Multiplexed session streams live right now (both sides).")
-		d.muxHigh = reg.Gauge("lsl_mux_stream_high_water",
-			"Most concurrent streams observed on any one trunk.")
-		d.muxWindow = reg.Gauge("lsl_mux_window_high_water_bytes",
-			"Largest receive window any one trunk stream has granted (both sides): the initial 256 KiB until a window autotunes toward its sublink's bandwidth-delay product.")
-		d.poolMetrics = &mux.PoolMetrics{
-			LinkOpened:      d.linkOpened.With("dial"),
-			LinkReused:      d.linkReused.With("dial"),
-			LinkClosed:      d.linkClosed.With("dial"),
-			Streams:         d.muxStreams,
-			StreamHighWater: d.muxHigh,
-			WindowHighWater: d.muxWindow,
+	d.linkOpened = reg.CounterVec("lsl_link_opened_total",
+		"Trunks established (hello exchange completed), by side.", "side")
+	d.linkReused = reg.CounterVec("lsl_link_reused_total",
+		"Sessions carried on an already-open trunk instead of a fresh TCP connection, by side.", "side")
+	d.linkClosed = reg.CounterVec("lsl_link_closed_total",
+		"Trunks torn down (idle timeout, error, shutdown), by side.", "side")
+	streams := reg.Gauge("lsl_mux_streams",
+		"Multiplexed session streams live right now (both sides).")
+	streamHigh := reg.Gauge("lsl_mux_stream_high_water",
+		"Most concurrent streams observed on any one trunk.")
+	windowHigh := reg.Gauge("lsl_mux_window_high_water_bytes",
+		"Largest receive window any one trunk stream has granted (both sides): the initial 256 KiB until a window autotunes toward its sublink's bandwidth-delay product.")
+	links := func(side string) *mux.PoolMetrics {
+		return &mux.PoolMetrics{
+			LinkOpened:      d.linkOpened.With(side),
+			LinkReused:      d.linkReused.With(side),
+			LinkClosed:      d.linkClosed.With(side),
+			Streams:         streams,
+			StreamHighWater: streamHigh,
+			WindowHighWater: windowHigh,
 		}
+	}
+	d.acceptMetrics = links("accept")
+	if cfg.Mux {
 		d.nextHops = mux.NewPool(mux.PoolConfig{
 			Dial:    mux.Dialer(cfg.Dial),
 			SockBuf: cfg.SockBuf,
-			Metrics: d.poolMetrics,
+			Metrics: links("dial"),
 			Logf:    cfg.Logf,
 		})
 	}
@@ -398,9 +400,10 @@ func New(cfg Config) *Depot {
 	return d
 }
 
-// dialNext opens a next-hop transport: a stream on a warm trunk when
-// mux is on (classic fallback for non-mux hops inside the pool), a fresh
-// tuned connection otherwise, or for a session a ready one (spare.go).
+// dialNext opens a next-hop transport: a stream on a trunk when Mux is
+// on (a classic connection to a hop that lately refused a trunk, see
+// mux.Pool), a fresh tuned connection otherwise, or for a session a ready
+// one (spare.go).
 func (d *Depot) dialNext(ctx context.Context, addr string, session bool) (net.Conn, error) {
 	switch {
 	case d.nextHops != nil:
@@ -685,7 +688,7 @@ type session struct {
 // handle is the depot's one accept dispatch, for raw connections (raw)
 // and trunk streams alike. It reads the front of the stream once, under
 // the handshake timeout, and routes on the 4-byte magic: "LSLM" starts a
-// trunk (raw connections on a Mux depot only), "LSLG" is a forecast-gossip
+// trunk (raw connections only, Mux or not), "LSLG" is a forecast-gossip
 // exchange (when OnGossip is set), and anything else enters the session
 // path, whose header decoder refuses every magic but "LSL1". A refusal —
 // including a stream that ends inside its magic — is counted as a proto
@@ -705,65 +708,31 @@ func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
 	case err != nil:
 		d.logf("depot: no magic from %v: %v", s.peer, err)
 		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
-	case raw && d.cfg.Mux && wire.IsMuxMagic(head):
-		d.serveLink(ctx, &prefixConn{Conn: nc, prefix: head})
+	case raw && wire.IsMuxMagic(head):
+		d.serveLink(ctx, nc, head)
 	case d.cfg.OnGossip != nil && wire.IsGossipMagic(head):
 		nc.SetReadDeadline(time.Time{})
-		d.cfg.OnGossip(&prefixConn{Conn: nc, prefix: head})
+		d.cfg.OnGossip(mux.Unread(nc, head))
 	default:
 		s.run(ctx, head)
 	}
 }
 
-// serveLink runs one accept-side trunk: every stream the peer opens is
-// handled as an ordinary session (same admission, registry, and metrics
-// as a per-connection session). The link drains on Close — new streams
-// refused, live sessions run to completion — and is torn down outright
-// when the root context cancels.
-func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
-	link, err := mux.Server(nc, mux.LinkConfig{Logf: d.cfg.Logf})
-	if err != nil {
-		d.logf("depot: trunk handshake from %v: %v", nc.RemoteAddr(), err)
-		nc.Close()
-		return
-	}
-	d.linkOpened.With("accept").Inc()
-	d.logf("depot: trunk established from %v", nc.RemoteAddr())
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			link.Close()
-		case <-d.drainCh:
-			link.Drain()
-		case <-stop:
-		}
-	}()
-	first := true
-	for {
-		st, err := link.AcceptStream()
-		if err != nil {
-			d.linkClosed.With("accept").Inc()
-			d.logf("depot: trunk from %v closed: %v", nc.RemoteAddr(), err)
-			return
-		}
-		if first {
-			first = false
-		} else {
-			d.linkReused.With("accept").Inc()
-		}
-		d.muxStreams.Inc()
-		d.muxHigh.SetMax(int64(link.HighWater()))
-		d.muxWindow.SetMax(int64(link.WindowHighWater()))
+// serveLink runs one accept-side trunk, whose magic the dispatch read
+// as head: every stream the peer opens is handled as an ordinary session
+// (same admission, registry, and metrics as a per-connection session).
+// The link drains on Close — new streams refused, live sessions run to
+// completion — and is torn down outright when the root context cancels.
+func (d *Depot) serveLink(ctx context.Context, nc net.Conn, head []byte) {
+	peer := nc.RemoteAddr()
+	err := mux.Serve(nc, head, d.cfg.Logf, d.acceptMetrics, d.drainCh, ctx.Done(), func(st *mux.Stream) {
 		d.wg.Add(1)
-		go func(st *mux.Stream) {
+		go func() {
 			defer d.wg.Done()
-			defer d.muxStreams.Dec()
 			d.handle(ctx, st, false)
-			d.muxWindow.SetMax(int64(link.WindowHighWater())) // what the session's window grew to
-		}(st)
-	}
+		}()
+	})
+	d.logf("depot: trunk from %v closed: %v", peer, err)
 }
 
 // Dialer returns the depot's next-hop dialer: a stream on a warm mux
@@ -772,22 +741,6 @@ func (d *Depot) serveLink(ctx context.Context, nc net.Conn) {
 // sessions instead of paying their own handshakes.
 func (d *Depot) Dialer() func(ctx context.Context, addr string) (net.Conn, error) {
 	return func(ctx context.Context, addr string) (net.Conn, error) { return d.dialNext(ctx, addr, false) }
-}
-
-// prefixConn replays the bytes the dispatch read ahead of the stream it
-// hands off whole (a trunk, a gossip exchange).
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
 }
 
 func (s *session) run(ctx context.Context, head []byte) {

@@ -54,13 +54,13 @@ func dispatchInputs(tb testing.TB) []dispatchInput {
 }
 
 // wantArm is where the dispatch must send in: a trunk hello only from a
-// raw connection on a mux depot, a gossip frame only to a set OnGossip,
-// and a session open always.
-func wantArm(in string, raw, muxOn, gossipOn bool) string {
+// raw connection, Mux or not, a gossip frame only to a set OnGossip, and
+// a session open always.
+func wantArm(in string, raw, gossipOn bool) string {
 	switch {
 	case in == "open":
 		return "session"
-	case in == "trunk" && raw && muxOn:
+	case in == "trunk" && raw:
 		return "trunk"
 	case in == "gossip" && gossipOn:
 		return "gossip"
@@ -116,7 +116,7 @@ func observeArm(c net.Conn, gossiped chan struct{}) string {
 }
 
 // TestAcceptDispatch runs every input against every combination of Mux
-// and OnGossip, on raw connections and (on mux depots) on trunk streams.
+// and OnGossip, on raw connections and on trunk streams.
 // Each must reach its arm; each refusal must close within a second, far
 // inside the handshake timeout, and count exactly one proto rejection —
 // a stream that dies inside its magic included, but not one that ends
@@ -126,9 +126,6 @@ func TestAcceptDispatch(t *testing.T) {
 		for _, muxOn := range []bool{false, true} {
 			for _, gossipOn := range []bool{false, true} {
 				for _, raw := range []bool{true, false} {
-					if !raw && !muxOn {
-						continue // trunk streams exist only on mux depots
-					}
 					name := fmt.Sprintf("%s/mux=%v/gossip=%v/raw=%v", in.name, muxOn, gossipOn, raw)
 					t.Run(name, func(t *testing.T) {
 						gossiped := make(chan struct{}, 1)
@@ -143,7 +140,7 @@ func TestAcceptDispatch(t *testing.T) {
 						if in.eof {
 							c.(interface{ CloseWrite() error }).CloseWrite()
 						}
-						want := wantArm(in.name, raw, muxOn, gossipOn)
+						want := wantArm(in.name, raw, gossipOn)
 						if got := observeArm(c, gossiped); got != want {
 							t.Fatalf("reached %s, want %s", got, want)
 						}

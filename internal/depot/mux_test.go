@@ -141,16 +141,18 @@ func TestMuxedCascadeEndToEnd(t *testing.T) {
 	if v := d1.linkReused.With("dial").Value(); v != 1 {
 		t.Errorf("depot1 dial-side reuses = %d, want 1 (second session)", v)
 	}
-	// The target does not speak mux: depot2 fell back to classic there.
-	if v := d2.linkOpened.With("dial").Value(); v != 0 {
-		t.Errorf("depot2 opened %d trunks to a non-mux target, want 0", v)
+	// The target serves trunks too: depot2 carried both sessions to it on
+	// one.
+	if v := d2.linkOpened.With("dial").Value(); v != 1 {
+		t.Errorf("depot2 opened %d trunks to the target, want 1", v)
 	}
 }
 
 // TestMixedFleetInterop is the acceptance scenario: a mux client
-// completes a digest-verified transfer through a depot running WITHOUT
-// mux, then a mux depot, to a classic target. Every boundary exercises
-// the version probe and fallback.
+// completes digest-verified transfers through a depot running WITHOUT
+// mux, then a mux depot, to a target. The depot without mux dials its
+// next hop classically, but it serves the client's trunk like any depot,
+// and no dial waits out a probe timeout.
 func TestMixedFleetInterop(t *testing.T) {
 	targetAddr, got := startTarget(t)
 	_, addr2 := startDepot(t, Config{Mux: true})
@@ -162,10 +164,6 @@ func TestMixedFleetInterop(t *testing.T) {
 
 	payload := make([]byte, 256<<10)
 	rand.Read(payload)
-	// Two transfers: the first pays the refused probe against the classic
-	// depot (and depot2 against the target), the second comes straight
-	// from the negative cache. A refusal costs one round trip, not a
-	// probe timeout.
 	start := time.Now()
 	for i := 0; i < 2; i++ {
 		sendDigestPayload(t, route, payload, core.WithDialer(pool.DialContext))
@@ -174,8 +172,11 @@ func TestMixedFleetInterop(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("mixed-fleet transfers took %v: a trunk probe waited out its timeout", took)
 	}
-	if pool.Links() != 0 {
-		t.Fatalf("client holds %d trunks to a classic depot, want 0", pool.Links())
+	if pool.Links() != 1 {
+		t.Fatalf("client holds %d trunks to the depot without mux, want 1", pool.Links())
+	}
+	if o, r := d1.linkOpened.With("accept").Value(), d1.linkReused.With("accept").Value(); o != 1 || r != 1 {
+		t.Fatalf("the depot without mux accepted %d trunks and reused them %d times, want 1 and 1", o, r)
 	}
 	// Session teardown at the depot trails the client's confirm drain.
 	waitStats(t, d1, "two completions", func(st Stats) bool { return st.Completed >= 2 })
@@ -197,8 +198,7 @@ func TestMuxDepotServesClassicClients(t *testing.T) {
 	start := time.Now()
 	sendDigestPayload(t, route, payload) // no trunk pool: classic dialing
 	expectPayload(t, got, payload)
-	// The depot probes the classic target for a trunk first; the target
-	// refuses within a round trip.
+	// The depot dials the target on a trunk, which the target serves.
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("transfer took %v: the depot's trunk probe waited out its timeout", took)
 	}

@@ -178,12 +178,12 @@ func TestTrunkWindowOpensOnWANSublinks(t *testing.T) {
 	if hw <= window {
 		t.Errorf("the target's trunk windows stayed at %d bytes", hw)
 	}
-	// The depot samples its trunks' window high water as each stream is
-	// accepted: one more session shows what the first sublink grew to.
+	// The depot samples its trunks' window high water as each stream opens
+	// and closes: one more session shows what the first sublink grew to.
 	sendDigestPayload(t, route, warm, core.WithDialer(pool.DialContext))
 	<-done
 	expectPayload(t, got, warm)
-	if hw := d.muxWindow.Value(); hw <= int64(window) {
+	if hw := d.acceptMetrics.WindowHighWater.Value(); hw <= int64(window) {
 		t.Errorf("lsl_mux_window_high_water_bytes = %d on the depot, want past %d", hw, window)
 	}
 }

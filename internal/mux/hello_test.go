@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -88,17 +87,6 @@ func sessionHeader(t *testing.T) []byte {
 	return hdr
 }
 
-// asTrunkConn returns the pool conn c as the trunkConn it must be: a
-// stream on a trunk whose hello has not landed.
-func asTrunkConn(t *testing.T, c net.Conn) *trunkConn {
-	t.Helper()
-	tc, ok := c.(*trunkConn)
-	if !ok {
-		t.Fatalf("pool returned %T before the trunk's hello landed", c)
-	}
-	return tc
-}
-
 // await fails the test unless ch closes within a generous bound.
 func await(t *testing.T, ch <-chan struct{}, what string) {
 	t.Helper()
@@ -154,8 +142,8 @@ func TestPoolPipelinesStreamBehindHello(t *testing.T) {
 	if n := met.LinkOpened.Value(); n != 1 {
 		t.Fatalf("opened %d trunks, want 1", n)
 	}
-	if tc, ok := c.(*trunkConn); !ok || streamOf(tc) != tc.st {
-		t.Fatal("a conn whose hello landed does not hand writes through to its stream")
+	if _, ok := c.(*Stream); !ok {
+		t.Fatalf("the pool dialed a %T, want a *Stream", c)
 	}
 }
 
@@ -255,240 +243,61 @@ func writeParkSignal(s *Stream) <-chan struct{} {
 	return l.unlocked
 }
 
-// TestFallbackReplaysBlockedWrite: a first write larger than the trunk's
-// window sends one window on the stream and blocks on credit. When the
-// peer refuses the hello then, the session moves to a classic connection
-// that receives the whole write and the half-close, byte-exact.
-func TestFallbackReplaysBlockedWrite(t *testing.T) {
-	payload := pattern(7, initialWindow+100<<10)
+// TestTrunkRefused: a peer that predates trunks refuses the hello, here
+// once the first stream has sent a window behind it and its writer waits
+// for credit. Every stream sent behind that hello fails with
+// ErrTrunkRefused, the parked writer and a waiting reader on a second
+// stream alike; the trunk never counts as opened, and the next dial to
+// that peer goes classic.
+func TestTrunkRefused(t *testing.T) {
 	parked := make(chan (<-chan struct{}), 1)
-	classic := make(chan []byte, 1)
 	addr := scriptedPeer(t,
 		func(nc net.Conn) error {
 			_, _, err := dialerFrames(nc, func(n int, _ uint8) bool { return n >= initialWindow })
 			<-<-parked // the writer waits for credit, then the refusal lands
 			return err
 		},
-		func(nc net.Conn) error {
-			got, err := io.ReadAll(nc)
-			classic <- got
-			return err
-		})
+		func(nc net.Conn) error { return nil })
 	met, _ := poolMetrics(t)
 	p := NewPool(PoolConfig{Metrics: met})
 	defer p.Close()
+	ctx := context.Background()
 
-	c, err := p.DialContext(context.Background(), "tcp", addr)
+	first, err := p.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	tc := asTrunkConn(t, c)
-	parked <- writeParkSignal(tc.st)
-	if n, err := tc.Write(payload); n != len(payload) || err != nil {
-		t.Fatalf("write took %d of %d bytes: %v", n, len(payload), err)
-	}
-	if err := tc.CloseWrite(); err != nil {
+	defer first.Close()
+	second, err := p.DialContext(ctx, "tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-classic:
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("the classic conn got %d bytes, not the %d written", len(got), len(payload))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the classic conn never saw the half-close")
+	defer second.Close()
+	if first.(*Stream).link != second.(*Stream).link {
+		t.Fatal("the second dial opened a trunk of its own behind a pending hello")
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := second.Read(make([]byte, 1))
+		read <- err
+	}()
+	parked <- writeParkSignal(first.(*Stream))
+	if n, err := first.Write(pattern(7, initialWindow+100<<10)); n != initialWindow || !errors.Is(err, ErrTrunkRefused) {
+		t.Fatalf("the parked write took %d bytes and ended with %v, want a window and ErrTrunkRefused", n, err)
+	}
+	if err := <-read; !errors.Is(err, ErrTrunkRefused) {
+		t.Fatalf("a read on the second stream ended with %v, want ErrTrunkRefused", err)
 	}
 	if n := met.LinkOpened.Value(); n != 0 {
 		t.Fatalf("a refused trunk counted as opened (%d)", n)
 	}
-	if c2, err := p.DialContext(context.Background(), "tcp", addr); err == nil {
-		if _, ok := c2.(*net.TCPConn); !ok {
-			t.Fatalf("the next dial after a refusal got %T, not a classic conn", c2)
-		}
-		c2.Close()
-	}
-}
-
-// TestFallbackReplaysCloseWrite: a session that wrote and half-closed
-// before the refusal lands moves to a classic connection with both, and
-// reads the classic peer's answer.
-func TestFallbackReplaysCloseWrite(t *testing.T) {
-	hdr := sessionHeader(t)
-	reply := []byte("classic reply")
-	addr := scriptedPeer(t,
-		func(nc net.Conn) error { // a classic peer: it reads up to the half-close and hangs up
-			_, _, err := dialerFrames(nc, func(_ int, last uint8) bool { return last == wire.MuxClose })
-			return err
-		},
-		func(nc net.Conn) error {
-			got, err := io.ReadAll(nc)
-			if err != nil || !bytes.Equal(got, hdr) {
-				return fmt.Errorf("classic peer read %x (%v), want the session header", got, err)
-			}
-			_, err = nc.Write(reply)
-			return err
-		})
-	p := NewPool(PoolConfig{})
-	defer p.Close()
-
-	c, err := p.DialContext(context.Background(), "tcp", addr)
+	c, err := p.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	tc := asTrunkConn(t, c)
-	tc.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := tc.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(c)
-	if err != nil || !bytes.Equal(got, reply) {
-		t.Fatalf("read %q (%v), want %q", got, err, reply)
-	}
-}
-
-// deadlineConn records the deadlines set on it.
-type deadlineConn struct {
-	net.Conn
-	mu     sync.Mutex
-	rd, wd time.Time
-}
-
-func (d *deadlineConn) SetReadDeadline(t time.Time) error {
-	d.mu.Lock()
-	d.rd = t
-	d.mu.Unlock()
-	return d.Conn.SetReadDeadline(t)
-}
-
-func (d *deadlineConn) SetWriteDeadline(t time.Time) error {
-	d.mu.Lock()
-	d.wd = t
-	d.mu.Unlock()
-	return d.Conn.SetWriteDeadline(t)
-}
-
-// TestFallbackKeepsDeadlines: deadlines set while the hello is pending
-// apply to the classic conn the session moves to, and later ones go there
-// too.
-func TestFallbackKeepsDeadlines(t *testing.T) {
-	hdr := sessionHeader(t)
-	set := make(chan struct{})
-	addr := scriptedPeer(t,
-		func(nc net.Conn) error {
-			_, err := wire.ReadMuxHello(nc)
-			<-set
-			return err
-		},
-		func(nc net.Conn) error {
-			got := make([]byte, len(hdr))
-			if _, err := io.ReadFull(nc, got); err != nil || !bytes.Equal(got, hdr) {
-				return fmt.Errorf("classic peer read %x (%v), want the session header", got, err)
-			}
-			io.Copy(io.Discard, nc)
-			return nil
-		})
-	var mu sync.Mutex
-	var conns []*deadlineConn
-	dial := func(ctx context.Context, network, a string) (net.Conn, error) {
-		var d net.Dialer
-		nc, err := d.DialContext(ctx, network, a)
-		if err != nil {
-			return nil, err
-		}
-		dc := &deadlineConn{Conn: nc}
-		mu.Lock()
-		conns = append(conns, dc)
-		mu.Unlock()
-		return dc, nil
-	}
-	p := NewPool(PoolConfig{Dial: dial})
-	defer p.Close()
-
-	c, err := p.DialContext(context.Background(), "tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tc := asTrunkConn(t, c)
-	dl := time.Now().Add(time.Hour)
-	c.SetDeadline(dl)
-	close(set)
-	await(t, tc.st.link.hello, "the refusal never landed")
-	if _, err := c.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(conns) != 2 {
-		mu.Unlock()
-		t.Fatalf("%d conns dialed, want the trunk and one classic conn", len(conns))
-	}
-	cl := conns[1]
-	mu.Unlock()
-	cl.mu.Lock()
-	rd, wd := cl.rd, cl.wd
-	cl.mu.Unlock()
-	if !rd.Equal(dl) || !wd.Equal(dl) {
-		t.Fatalf("classic conn deadlines read %v, write %v; want both %v", rd, wd, dl)
-	}
-	c.SetReadDeadline(time.Now().Add(-time.Second))
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read past the deadline set after the move: %v", err)
-	}
-}
-
-// TestFallbackAfterWriteDeadline: a write that hits its deadline while
-// the hello is pending reports what the stream sent, none of it here, and
-// the copy keeps only that; when the peer then refuses the hello, the
-// caller's retry reaches the classic conn once.
-func TestFallbackAfterWriteDeadline(t *testing.T) {
-	hdr := sessionHeader(t)
-	refuse := make(chan struct{})
-	classic := make(chan []byte, 1)
-	addr := scriptedPeer(t,
-		func(nc net.Conn) error {
-			_, err := wire.ReadMuxHello(nc)
-			<-refuse
-			return err
-		},
-		func(nc net.Conn) error {
-			got, err := io.ReadAll(nc)
-			classic <- got
-			return err
-		})
-	p := NewPool(PoolConfig{})
-	defer p.Close()
-
-	c, err := p.DialContext(context.Background(), "tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tc := asTrunkConn(t, c)
-	tc.SetWriteDeadline(time.Now().Add(-time.Second))
-	if n, err := tc.Write(hdr); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("write past its deadline: %d bytes, %v", n, err)
-	}
-	tc.SetWriteDeadline(time.Time{})
-	close(refuse)
-	await(t, tc.st.link.hello, "the refusal never landed")
-	if _, err := tc.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-classic:
-		if !bytes.Equal(got, hdr) {
-			t.Fatalf("the classic conn got %x, want the header once", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the classic conn never saw the half-close")
+	if _, ok := c.(*net.TCPConn); !ok {
+		t.Fatalf("the next dial after a refusal got %T, not a classic conn", c)
 	}
 }
 

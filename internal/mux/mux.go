@@ -64,6 +64,12 @@ var (
 	ErrStreamReset = errors.New("mux: stream reset")
 	// ErrWriteClosed reports a write after CloseWrite.
 	ErrWriteClosed = errors.New("mux: write on closed stream direction")
+	// ErrTrunkRefused fails the streams sent behind a dialer's hello when
+	// the link dies before the peer's hello lands: the peer predates
+	// trunks and refused the hello at its magic, or went away first. It is
+	// transient: a pool dials that peer classically for a while, so a
+	// retry goes through.
+	ErrTrunkRefused = errors.New("mux: peer refused the trunk")
 )
 
 // acceptBacklog bounds streams opened by the peer but not yet accepted;
@@ -196,10 +202,22 @@ func startClient(nc net.Conn, cfg LinkConfig) (*Link, error) {
 }
 
 // Server performs the accept-side hello exchange on nc (reading the full
-// hello, magic included — prepend any probed bytes) and starts the link.
-// It refuses a dialer whose hello announces a window above cfg.window: that
-// dialer may send that much per stream before this side's hello reaches it.
+// hello, magic included — prepend any probed bytes, or see Serve) and
+// starts the link. It refuses a dialer whose hello announces a window
+// above cfg.window: that dialer may send that much per stream before this
+// side's hello reaches it.
 func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
+	l, err := startServer(nc, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go l.readLoop()
+	return l, nil
+}
+
+// startServer is Server without starting the read loop, so that whatever
+// the link's callbacks need is in place before the first stream arrives.
+func startServer(nc net.Conn, cfg LinkConfig) (*Link, error) {
 	cfg = cfg.withDefaults()
 	peer, err := wire.ReadMuxHello(nc)
 	if err != nil {
@@ -213,9 +231,7 @@ func Server(nc net.Conn, cfg LinkConfig) (*Link, error) {
 		return nil, fmt.Errorf("mux: send hello: %w", err)
 	}
 	nc.SetDeadline(time.Time{})
-	l := newLink(nc, cfg, false, peer.Window)
-	go l.readLoop()
-	return l, nil
+	return newLink(nc, cfg, false, peer.Window), nil
 }
 
 func newLink(nc net.Conn, cfg LinkConfig, client bool, sendWindow uint32) *Link {
@@ -360,9 +376,6 @@ func (l *Link) Closed() bool {
 // RemoteAddr names the trunk peer.
 func (l *Link) RemoteAddr() net.Addr { return l.nc.RemoteAddr() }
 
-// LocalAddr names the trunk's local end.
-func (l *Link) LocalAddr() net.Addr { return l.nc.LocalAddr() }
-
 func (l *Link) notifyStreamCount(n int) {
 	if l.cfg.StreamCount != nil {
 		l.cfg.StreamCount(n)
@@ -375,9 +388,12 @@ func (l *Link) closeWithError(err error) {
 		l.mu.Unlock()
 		return
 	}
+	pending := !l.helloed
+	if pending && err != ErrLinkClosed && err != ErrPoolClosed {
+		err = fmt.Errorf("%w: %w", ErrTrunkRefused, err) // never a trunk
+	}
 	l.closed = true
 	l.err = err
-	pending := !l.helloed
 	l.helloed = true
 	streams := make([]*Stream, 0, len(l.streams))
 	for _, s := range l.streams {
@@ -764,10 +780,16 @@ func (l *Link) armWrite() {
 	}
 }
 
-// wrote kills the link when a frame write failed.
+// wrote kills the link when a frame write failed. It returns the write's
+// error, or ErrTrunkRefused when the peer refused the hello: the write
+// failed because of that.
 func (l *Link) wrote(err error) error {
-	if err != nil {
-		l.closeWithError(fmt.Errorf("mux: link write: %w", err))
+	if err == nil {
+		return nil
+	}
+	l.closeWithError(fmt.Errorf("mux: link write: %w", err))
+	if <-l.hello; errors.Is(l.helloErr, ErrTrunkRefused) {
+		return l.helloErr
 	}
 	return err
 }
@@ -833,9 +855,6 @@ func newStream(l *Link, id uint32, credit uint32) *Stream {
 	s.wdeadline.cond = s.writeCond
 	return s
 }
-
-// Link returns the trunk carrying the stream.
-func (s *Stream) Link() *Link { return s.link }
 
 // reserve picks where the read loop reads the next n-byte DATA payload:
 // at off in the tail chunk's block when it has n bytes to spare — so a
@@ -999,8 +1018,7 @@ func (s *Stream) grantLocked() int {
 // chunks off the front of the list — never the block the read loop is
 // filling — and grants the peer credit for them as Read would. Then it
 // writes the batch in one vectored write: coalesced DATA frames when w is
-// a *Stream (or a pool conn whose trunk's hello has landed, see streamOf),
-// one writev (net.Buffers) otherwise. The blocks belong to the
+// a *Stream, one writev (net.Buffers) otherwise. The blocks belong to the
 // batch until that write returns and go back to the pool after it. It
 // returns the bytes w took, and io.EOF once the peer's CLOSE drains.
 func (s *Stream) WriteBatchTo(w io.Writer) (int, error) {
@@ -1018,7 +1036,7 @@ func (s *Stream) WriteBatchTo(w io.Writer) (int, error) {
 		vec[i] = (*c.bp)[c.off:c.end]
 	}
 	var wrote int
-	if ds := streamOf(w); ds != nil {
+	if ds, ok := w.(*Stream); ok {
 		wrote, err = ds.send(vec, n)
 	} else {
 		s.lbuf = vec

@@ -1,6 +1,6 @@
-// The link pool: warm trunks per destination, with transparent fallback
-// to one-connection-per-session for peers that do not speak the trunk
-// protocol, so mixed fleets interoperate.
+// The link pool: warm trunks per destination on the dial side, and Serve,
+// the accept side every depot and target runs for a trunk its accept
+// dispatch recognized.
 package mux
 
 import (
@@ -8,9 +8,8 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lsl/internal/metrics"
@@ -82,11 +81,11 @@ func (m *PoolMetrics) streams(delta int, l *Link) {
 
 // PoolConfig tunes a link pool.
 type PoolConfig struct {
-	// Dial establishes trunk (and fallback) transport connections
+	// Dial establishes trunk (and classic) transport connections
 	// (default net.Dialer).
 	Dial Dialer
 	// SockBuf sets SO_SNDBUF and SO_RCVBUF on every pool-dialed conn
-	// (trunks and classic fallbacks); zero leaves kernel defaults.
+	// (trunks and classic conns); zero leaves kernel defaults.
 	SockBuf int
 	// Metrics observes the pool.
 	Metrics *PoolMetrics
@@ -117,14 +116,12 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// A peer that does not speak the trunk protocol refuses the hello within
-// one round trip, since LSL targets and depots check its magic first; the
-// pool then dials it classically for negativeTTL before probing again.
-// No dial waits for that verdict: the first sessions send behind the
-// hello at once (trunkConn). probeTimeout bounds the wait for the peer's
-// hello — it only matters for an older peer that waits for a whole open
-// header before answering — and the classic dial that replaces a refused
-// trunk.
+// Every depot and target serves trunks, so only a peer that predates them
+// refuses the hello; it does so within one round trip, at the magic. The
+// streams sent behind that hello fail with ErrTrunkRefused, and the pool
+// dials the peer classically for negativeTTL before it offers a trunk
+// again. probeTimeout bounds the wait for the peer's hello, which only a
+// peer that waits for a whole open header before answering makes long.
 const (
 	probeTimeout = 5 * time.Second
 	negativeTTL  = 60 * time.Second
@@ -132,8 +129,8 @@ const (
 
 // Pool keeps warm trunks per destination address. DialContext matches
 // core.Dialer, so a pool drops in anywhere a transport dialer goes: it
-// returns a multiplexed stream when the peer speaks the trunk protocol
-// and a classic per-session connection when it does not.
+// returns a multiplexed stream, or a classic per-session connection to a
+// peer that recently refused a trunk.
 type Pool struct {
 	cfg PoolConfig
 
@@ -148,10 +145,28 @@ type Pool struct {
 }
 
 type pooledLink struct {
+	gauge
+	idle *time.Timer // guarded by gauge.mu
+}
+
+// gauge follows one link's live stream count into m's stream gauges.
+type gauge struct {
+	m       *PoolMetrics
 	link    *Link
 	mu      sync.Mutex
-	idle    *time.Timer
-	streams int // live streams the gauge counts for this link
+	streams int // live streams the gauges count for this link
+}
+
+// updateLocked moves the gauges by the change in the link's stream count
+// since the last update and returns the count; g.mu is held. The link
+// reports counts outside its locks, so reports can arrive out of order;
+// re-reading the count under g.mu makes the last one to run see the
+// latest count.
+func (g *gauge) updateLocked() int {
+	n := g.link.NumStreams()
+	g.m.streams(n-g.streams, g.link)
+	g.streams = n
+	return n
 }
 
 // NewPool builds a link pool.
@@ -169,13 +184,12 @@ func (p *Pool) logf(format string, args ...interface{}) {
 	}
 }
 
-// DialContext opens a session transport to addr: a stream on a warm
-// trunk when one has capacity, a stream on a fresh trunk when the peer is
-// not known to refuse trunks, or a classic connection otherwise. It never
-// waits for a trunk's hello: a stream on a trunk whose hello has not
-// landed comes wrapped (trunkConn), and moves to a classic connection
-// transparently if the peer refuses the hello. The returned conn is
-// always usable exactly like a per-session TCP connection.
+// DialContext opens a session transport to addr: a *Stream on a warm
+// trunk when one has capacity, else a *Stream on a fresh trunk, or a
+// classic connection to a peer that refused a trunk within negativeTTL.
+// It never waits for a trunk's hello: a fresh trunk's first streams send
+// behind it at once. If the peer refuses the hello, those streams fail
+// with ErrTrunkRefused, and a retry goes classic.
 func (p *Pool) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -193,8 +207,9 @@ func (p *Pool) DialContext(ctx context.Context, network, addr string) (net.Conn,
 	p.mu.Unlock()
 
 	if pl != nil {
-		if st, err := p.openOn(pl); err == nil {
-			return p.session(ctx, network, addr, st), nil
+		if st, err := pl.link.OpenStream(); err == nil {
+			p.cfg.Metrics.reused()
+			return st, nil
 		}
 		// The warm link died under us (or filled up in a race); fall
 		// through and dial fresh.
@@ -205,45 +220,36 @@ func (p *Pool) DialContext(ctx context.Context, network, addr string) (net.Conn,
 // pickLocked returns a live link to addr with stream capacity, pruning
 // dead ones.
 func (p *Pool) pickLocked(addr string) *pooledLink {
-	live := p.links[addr][:0]
-	var pick *pooledLink
-	for _, pl := range p.links[addr] {
-		if pl.link.Closed() {
-			continue
-		}
-		live = append(live, pl)
-		if pick == nil && pl.link.NumStreams() < p.cfg.maxStreamsPerLink {
-			pick = pl
+	for _, pl := range p.pruneLocked(addr, func(pl *pooledLink) bool { return pl.link.Closed() }) {
+		if pl.link.NumStreams() < p.cfg.maxStreamsPerLink {
+			return pl
 		}
 	}
+	return nil
+}
+
+// pruneLocked drops the links to addr that gone reports, and addr with
+// its last link, and returns the links left.
+func (p *Pool) pruneLocked(addr string, gone func(*pooledLink) bool) []*pooledLink {
+	live := slices.DeleteFunc(p.links[addr], gone)
 	if len(live) == 0 {
 		delete(p.links, addr)
 	} else {
 		p.links[addr] = live
 	}
-	return pick
-}
-
-func (p *Pool) openOn(pl *pooledLink) (*Stream, error) {
-	st, err := pl.link.OpenStream()
-	if err != nil {
-		return nil, err
-	}
-	p.cfg.Metrics.reused()
-	return st, nil
+	return live
 }
 
 // dialTrunk opens a fresh trunk to addr and a stream on it, without
-// waiting for the peer's hello (see session). The hello's verdict arrives
-// through helloVerdict.
+// waiting for the peer's hello. The hello's verdict arrives through
+// helloVerdict.
 func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, error) {
-	nc, err := p.cfg.Dial(ctx, network, addr)
+	nc, err := p.dialClassic(ctx, network, addr)
 	if err != nil {
 		return nil, err
 	}
-	sockopt.Tune(nc, p.cfg.SockBuf)
 	nc.SetReadDeadline(time.Now().Add(probeTimeout))
-	pl := &pooledLink{}
+	pl := &pooledLink{gauge: gauge{m: p.cfg.Metrics}}
 	link, err := startClient(nc, LinkConfig{
 		Logf:        p.cfg.Logf,
 		StreamCount: func(int) { p.streamCountChanged(pl) },
@@ -251,11 +257,7 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 	})
 	if err != nil {
 		nc.Close()
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		p.refused(addr, err)
-		return p.dialClassic(ctx, network, addr)
+		return nil, err
 	}
 	pl.link = link
 	// The first stream opens before the read loop starts: a peer that
@@ -272,30 +274,26 @@ func (p *Pool) dialTrunk(ctx context.Context, network, addr string) (net.Conn, e
 	}
 	p.links[addr] = append(p.links[addr], pl)
 	p.mu.Unlock()
-	return p.session(ctx, network, addr, st), nil
+	return st, nil
 }
 
 // helloVerdict takes a fresh trunk's hello verdict (LinkConfig.onHello).
 // A trunk counts as opened once its hello lands. A peer that answered
-// with anything else, or hung up, does not speak the trunk protocol
-// (targets and non-mux depots close the conn on the bad magic): it goes
-// into the negative cache, so later dials skip straight to classic until
-// the TTL expires. A trunk the pool closed itself first is neither.
+// with anything else, or hung up, predates trunks (it closes the conn on
+// the bad magic): it goes into the negative cache, so later dials skip
+// straight to classic until the TTL expires. A trunk the pool closed
+// itself first is neither.
 func (p *Pool) helloVerdict(addr string, err error) {
 	switch {
 	case err == nil:
 		p.cfg.Metrics.opened()
 		p.logf("mux: trunk to %s established", addr)
-	case !errors.Is(err, ErrLinkClosed):
-		p.refused(addr, err)
+	case errors.Is(err, ErrTrunkRefused):
+		p.mu.Lock()
+		p.nonMux[addr] = time.Now().Add(negativeTTL)
+		p.mu.Unlock()
+		p.logf("mux: %s refused a trunk (%v), dialing it per session for %v", addr, err, negativeTTL)
 	}
-}
-
-func (p *Pool) refused(addr string, err error) {
-	p.mu.Lock()
-	p.nonMux[addr] = time.Now().Add(negativeTTL)
-	p.mu.Unlock()
-	p.logf("mux: %s is not trunk-capable (%v), falling back to per-session dialing", addr, err)
 }
 
 // watch retires a trunk once it is dead: counted closed if it was counted
@@ -315,19 +313,6 @@ func (p *Pool) watch(addr string, pl *pooledLink) {
 	}
 }
 
-// session returns the conn a session gets for st: the stream itself once
-// its trunk's hello has landed, a trunkConn until then.
-func (p *Pool) session(ctx context.Context, network, addr string, st *Stream) net.Conn {
-	select {
-	case <-st.link.hello:
-		if st.link.helloErr == nil {
-			return st
-		}
-	default:
-	}
-	return &trunkConn{st: st, pool: p, ctx: context.WithoutCancel(ctx), network: network, addr: addr, keeping: true}
-}
-
 func (p *Pool) dialClassic(ctx context.Context, network, addr string) (net.Conn, error) {
 	nc, err := p.cfg.Dial(ctx, network, addr)
 	if err != nil {
@@ -339,17 +324,11 @@ func (p *Pool) dialClassic(ctx context.Context, network, addr string) (net.Conn,
 
 // streamCountChanged keeps the stream gauges and runs the idle timer: a
 // trunk that hits zero streams gets idleTimeout to pick up a new session
-// before it is closed; any new stream cancels the countdown. The link
-// reports counts outside its locks, so reports can arrive out of order;
-// re-reading the count under pl.mu makes the last one to run see the
-// latest count, and the gauge moves by the change since the previous one.
+// before it is closed; any new stream cancels the countdown.
 func (p *Pool) streamCountChanged(pl *pooledLink) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	n := pl.link.NumStreams()
-	p.cfg.Metrics.streams(n-pl.streams, pl.link)
-	pl.streams = n
-	if n > 0 {
+	if pl.updateLocked() > 0 {
 		if pl.idle != nil {
 			pl.idle.Stop()
 			pl.idle = nil
@@ -372,18 +351,8 @@ func (p *Pool) streamCountChanged(pl *pooledLink) {
 
 func (p *Pool) remove(addr string, dead *pooledLink) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	live := p.links[addr][:0]
-	for _, pl := range p.links[addr] {
-		if pl != dead {
-			live = append(live, pl)
-		}
-	}
-	if len(live) == 0 {
-		delete(p.links, addr)
-	} else {
-		p.links[addr] = live
-	}
+	p.pruneLocked(addr, func(pl *pooledLink) bool { return pl == dead })
+	p.mu.Unlock()
 }
 
 // Links reports the live trunk count (observability and tests).
@@ -416,7 +385,8 @@ func (p *Pool) Drain() {
 	}
 }
 
-// Close tears down every trunk; subsequent dials fail.
+// Close tears down every trunk; their streams and subsequent dials fail
+// with ErrPoolClosed.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -431,371 +401,82 @@ func (p *Pool) Close() error {
 	p.links = make(map[string][]*pooledLink)
 	p.mu.Unlock()
 	for _, pl := range all {
-		pl.link.Close()
+		pl.link.closeWithError(ErrPoolClosed)
 	}
 	return nil
 }
 
-// trunkConn is the session conn for a stream opened on a trunk whose
-// hello has not landed: the session sends at once, behind the hello,
-// instead of a round trip later. Until the verdict it keeps a copy of
-// what the stream may have sent, which the trunk's initial window bounds:
-// before the peer's hello nothing grants the stream more credit. When the
-// hello lands the copy goes and every call passes to the stream. When the
-// peer refuses it — a classic peer reads LSLM as a bad magic and hangs up
-// — the session moves to a classic connection: the copy is replayed
-// there, then the half-close if one was asked for, under the deadlines
-// set so far, and every call goes there from then on. A stream error
-// while the hello is pending waits for that verdict instead of failing
-// the session; a deadline, a Write after CloseWrite or a Close is the
-// caller's own and returns as it is.
-type trunkConn struct {
-	st      *Stream
-	pool    *Pool
-	ctx     context.Context // the dial's, without its cancellation: the classic dial outlives it
-	network string
-	addr    string
-
-	onTrunk atomic.Bool // the hello landed: every call is the stream's
-
-	wmu sync.Mutex // serializes Write and CloseWrite, and so the copy
-
-	mu         sync.Mutex
-	keeping    bool   // the copy is live: no verdict acted on yet
-	sent       []byte // the copy
-	closeWrite bool   // CloseWrite came while keeping
-	rdl, wdl   time.Time
-	closed     bool
-	stopDial   context.CancelFunc
-	classic    net.Conn // the conn moved to, set once dialed
-
-	moveOnce sync.Once
-	moveErr  error
-}
-
-// streamOf returns the trunk stream a write to w goes to directly, if
-// any: w itself, or the stream under a trunkConn whose hello has landed.
-// It keeps the hand-through (Stream.WriteBatchTo) on a session's first
-// trunk.
-func streamOf(w io.Writer) *Stream {
-	switch w := w.(type) {
-	case *Stream:
-		return w
-	case *trunkConn:
-		if w.onTrunk.Load() {
-			return w.st
-		}
-	}
-	return nil
-}
-
-// settle acts on the hello's verdict after a stream call that ended with
-// err (nil for a call that succeeded, or that found the copy already
-// given up). Any other stream error than the caller's own — a deadline, a
-// call after CloseWrite or Close — means the trunk is going down, so it
-// waits for the verdict. It returns the classic conn to go on over when
-// the peer refused the hello. Otherwise it returns nil and the error to
-// report: err when the hello landed or is still pending, ErrPoolClosed
-// when the pool closed the trunk first.
-func (c *trunkConn) settle(err error) (net.Conn, error) {
-	l := c.st.link
-	if err != nil && err != ErrWriteClosed && err != ErrLinkClosed && !errors.Is(err, os.ErrDeadlineExceeded) {
-		<-l.hello
-	}
-	select {
-	case <-l.hello:
-	default:
-		return nil, err
-	}
-	switch {
-	case l.helloErr == nil:
-		if c.onTrunk.CompareAndSwap(false, true) {
-			c.mu.Lock()
-			c.keeping, c.sent = false, nil
-			c.mu.Unlock()
-		}
-		return nil, err
-	case errors.Is(l.helloErr, ErrLinkClosed):
-		return nil, ErrPoolClosed
-	}
-	c.moveOnce.Do(func() { c.moveErr = c.move() })
-	if c.moveErr != nil {
-		return nil, c.moveErr
-	}
-	return c.classic, nil
-}
-
-// move carries the session over to a classic connection: it dials the
-// peer, applies the deadlines set so far, and replays the copy and a
-// half-close that came while the hello was pending. A Close cancels the
-// dial.
-func (c *trunkConn) move() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return net.ErrClosed
-	}
-	ctx, stop := context.WithTimeout(c.ctx, probeTimeout)
-	c.stopDial = stop
-	c.mu.Unlock()
-	nc, err := c.pool.dialClassic(ctx, c.network, c.addr)
-	stop()
-	c.mu.Lock()
-	if err == nil && c.closed {
-		nc.Close()
-		err = net.ErrClosed
-	}
+// Serve runs the accept side of a trunk on nc, whose first bytes, head,
+// an accept dispatch has already read off it (the trunk magic at least).
+// It answers the hello, then hands every stream the peer opens to handle,
+// one at a time on the calling goroutine, until the link ends; handle
+// starts the stream's own goroutine, and while it blocks, later streams
+// wait in the link's accept backlog. A read deadline the caller set on nc
+// bounds the hello. The link drains once drain closes — new streams are
+// reset, live ones run to completion — and closes at once when stop does
+// (a nil channel never fires). m, which may be nil, counts the link and
+// its streams as a pool counts its own. Serve returns why the link ended.
+func Serve(nc net.Conn, head []byte, logf func(string, ...interface{}), m *PoolMetrics, drain, stop <-chan struct{}, handle func(*Stream)) error {
+	g := &gauge{m: m}
+	link, err := startServer(Unread(nc, head), LinkConfig{
+		Logf:        logf,
+		StreamCount: func(int) { g.mu.Lock(); g.updateLocked(); g.mu.Unlock() },
+	})
 	if err != nil {
-		c.mu.Unlock()
+		nc.Close()
 		return err
 	}
-	nc.SetReadDeadline(c.rdl)
-	nc.SetWriteDeadline(c.wdl)
-	c.classic = nc
-	sent, closeWrite := c.sent, c.closeWrite
-	c.keeping, c.sent = false, nil
-	c.mu.Unlock()
-	if len(sent) > 0 {
-		if _, err := nc.Write(sent); err != nil {
+	g.link = link
+	go link.readLoop()
+	m.opened()
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-stop:
+			link.Close()
+		case <-drain:
+			link.Drain()
+		case <-done:
+		}
+	}()
+	for first := true; ; first = false {
+		st, err := link.AcceptStream()
+		if err != nil {
+			m.closed()
 			return err
 		}
-	}
-	if closeWrite {
-		return halfClose(nc)
-	}
-	return nil
-}
-
-// halfClose half-closes a classic conn that can.
-func halfClose(nc net.Conn) error {
-	if cw, ok := nc.(interface{ CloseWrite() error }); ok {
-		return cw.CloseWrite()
-	}
-	return nil
-}
-
-// keep copies the head of p that the stream may send before the verdict;
-// the copy never outgrows the trunk's initial window, the stream's credit
-// until the peer's hello. It reports false once the copy is given up.
-func (c *trunkConn) keep(p []byte) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.keeping {
-		return 0, false
-	}
-	k := min(len(p), c.st.link.cfg.window-len(c.sent))
-	c.sent = append(c.sent, p[:k]...)
-	return k, true
-}
-
-// unkeep takes the last k copied bytes back off the copy, which the
-// stream did not send after all; false if the copy was already given up.
-func (c *trunkConn) unkeep(k int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.keeping {
-		return false
-	}
-	c.sent = c.sent[:len(c.sent)-k]
-	return true
-}
-
-// Write sends p on the stream, keeping a copy while the hello is pending,
-// or on the classic conn the session moved to.
-func (c *trunkConn) Write(p []byte) (int, error) {
-	if c.onTrunk.Load() {
-		return c.st.Write(p)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	k, kept := c.keep(p)
-	if !kept {
-		cl, err := c.settle(nil)
-		switch {
-		case err != nil:
-			return 0, err
-		case cl != nil:
-			return cl.Write(p)
+		if !first {
+			m.reused()
 		}
-		return c.st.Write(p)
+		handle(st)
 	}
-	n, err := c.st.Write(p)
-	cl, err := c.settle(err)
-	if cl == nil && err != nil && n < k && !c.unkeep(k-n) {
-		cl, err = c.settle(err) // the copy moved on meanwhile
-	}
-	if cl == nil {
-		return n, err
-	}
-	m, err := cl.Write(p[k:]) // the move replayed p[:k]
-	return k + m, err
 }
 
-// CloseWrite half-closes the stream, or the classic conn the session
-// moved to; one that came while the hello was pending is replayed there.
-func (c *trunkConn) CloseWrite() error {
-	if c.onTrunk.Load() {
-		return c.st.CloseWrite()
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.mu.Lock()
-	kept := c.keeping
-	c.closeWrite = kept
-	c.mu.Unlock()
-	if kept {
-		cl, err := c.settle(c.st.CloseWrite())
-		if cl != nil {
-			return nil // the move replayed the half-close
-		}
-		return err
-	}
-	cl, err := c.settle(nil)
-	switch {
-	case err != nil:
-		return err
-	case cl != nil:
-		return halfClose(cl)
-	}
-	return c.st.CloseWrite()
+// Unread returns nc with head, bytes an accept dispatch has already read
+// off it, put back in front of what is still to come.
+func Unread(nc net.Conn, head []byte) net.Conn { return &prefixConn{Conn: nc, prefix: head} }
+
+type prefixConn struct {
+	net.Conn
+	prefix []byte
 }
 
-// Read reads from the stream, or from the classic conn the session moved
-// to.
-func (c *trunkConn) Read(p []byte) (int, error) {
-	if c.onTrunk.Load() {
-		return c.st.Read(p)
+func (p *prefixConn) Read(b []byte) (int, error) {
+	if len(p.prefix) > 0 {
+		n := copy(b, p.prefix)
+		p.prefix = p.prefix[n:]
+		return n, nil
 	}
-	return c.read(p, nil)
+	return p.Conn.Read(b)
 }
 
-// WriteBatchTo hands a batch of the stream's payload to w (Stream's
-// WriteBatchTo), or one read's worth from the classic conn the session
-// moved to.
-func (c *trunkConn) WriteBatchTo(w io.Writer) (int, error) {
-	if c.onTrunk.Load() {
-		return c.st.WriteBatchTo(w)
-	}
-	return c.read(nil, w)
-}
-
-// read is Read into p, or WriteBatchTo to w when w is set, before the
-// conn has settled on the stream. Payload arrives only behind the peer's
-// hello, so any call that returns some settles it there.
-func (c *trunkConn) read(p []byte, w io.Writer) (int, error) {
-	cl := c.classicConn()
-	if cl == nil {
-		var n int
-		var err error
-		if w != nil {
-			n, err = c.st.WriteBatchTo(w)
-		} else {
-			n, err = c.st.Read(p)
-		}
-		if cl, err = c.settle(err); cl == nil {
-			return n, err
-		}
-	}
-	if w == nil {
-		return cl.Read(p)
-	}
-	bp := blocks.Get()
-	defer putBlock(bp)
-	n, err := cl.Read(*bp)
-	if n == 0 {
-		return 0, err
-	}
-	wrote, werr := w.Write((*bp)[:n])
-	if werr == nil && wrote < n {
-		werr = io.ErrShortWrite
-	}
-	if werr != nil {
-		return wrote, werr
-	}
-	return wrote, err
-}
-
-// classicConn returns the classic conn the session moved to, or nil. A
-// reader may use it while the move still replays the copy.
-func (c *trunkConn) classicConn() net.Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.classic
-}
-
-// Close closes the stream and the classic conn, and cancels a move's dial.
-func (c *trunkConn) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	cl, stop := c.classic, c.stopDial
-	c.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	c.st.Close()
-	if cl != nil {
-		return cl.Close()
-	}
-	return nil
-}
-
-// SetDeadline sets both deadlines.
-func (c *trunkConn) SetDeadline(t time.Time) error {
-	c.SetReadDeadline(t)
-	return c.SetWriteDeadline(t)
-}
-
-// SetReadDeadline sets the read deadline where the session is, and
-// keeps it for a move.
-func (c *trunkConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.rdl = t
-	cl := c.classic
-	c.mu.Unlock()
-	if cl != nil {
-		return cl.SetReadDeadline(t)
-	}
-	return c.st.SetReadDeadline(t)
-}
-
-// SetWriteDeadline sets the write deadline where the session is, and
-// keeps it for a move.
-func (c *trunkConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.wdl = t
-	cl := c.classic
-	c.mu.Unlock()
-	if cl != nil {
-		return cl.SetWriteDeadline(t)
-	}
-	return c.st.SetWriteDeadline(t)
-}
-
-// LocalAddr reports the local address of the conn the session is on.
-func (c *trunkConn) LocalAddr() net.Addr {
-	if cl := c.classicConn(); cl != nil {
-		return cl.LocalAddr()
-	}
-	return c.st.LocalAddr()
-}
-
-// RemoteAddr reports the peer address of the conn the session is on.
-func (c *trunkConn) RemoteAddr() net.Addr {
-	if cl := c.classicConn(); cl != nil {
-		return cl.RemoteAddr()
-	}
-	return c.st.RemoteAddr()
-}
-
-// Compile-time checks: streams and the conns wrapping them satisfy
-// net.Conn, the half-close interface the relay's EOF propagation relies
-// on, and the batch source the data plane hands blocks through.
+// Compile-time checks: streams satisfy net.Conn, the half-close interface
+// the relay's EOF propagation relies on, and the batch source the data
+// plane hands blocks through.
 var (
 	_ net.Conn                        = (*Stream)(nil)
 	_ interface{ CloseWrite() error } = (*Stream)(nil)
 	_ xfer.BatchSource                = (*Stream)(nil)
 	_ io.WriterTo                     = (*Stream)(nil)
-	_ net.Conn                        = (*trunkConn)(nil)
-	_ interface{ CloseWrite() error } = (*trunkConn)(nil)
-	_ xfer.BatchSource                = (*trunkConn)(nil)
 )

@@ -2,6 +2,7 @@ package mux
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -50,10 +51,9 @@ func muxEchoServer(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// classicServer is a session target that does not speak the trunk
-// protocol. Like every LSL target it reads an open header first, so a
-// trunk hello is refused as a bad magic; it counts those refused probes
-// and echoes each session's payload.
+// classicServer is a session target that predates trunks. It reads an
+// open header first, so a trunk hello is refused as a bad magic; it
+// counts those refused probes and echoes each session's payload.
 func classicServer(t *testing.T) (string, *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -175,9 +175,10 @@ func TestPoolMaxStreamsOpensSecondTrunk(t *testing.T) {
 	}
 }
 
-// TestPoolFallsBackToClassic dials a peer that does not speak the trunk
-// protocol three times: the first dial's probe is refused within a round
-// trip, and the negative cache spares the other two a probe of their own.
+// TestPoolFallsBackToClassic dials a peer that predates trunks three
+// times: the first session's trunk is refused within a round trip and the
+// session fails with ErrTrunkRefused; the negative cache sends the other
+// two classic, with no probe of their own.
 func TestPoolFallsBackToClassic(t *testing.T) {
 	addr, probes := classicServer(t)
 	met, _ := poolMetrics(t)
@@ -190,13 +191,25 @@ func TestPoolFallsBackToClassic(t *testing.T) {
 	}
 
 	start := time.Now()
-	for i := 0; i < 3; i++ {
+	c, err := p.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err = c.Write(hdr); err == nil {
+		_, err = c.Read(make([]byte, 1))
+	}
+	if !errors.Is(err, ErrTrunkRefused) {
+		t.Fatalf("a session on a refused trunk ended with %v, want ErrTrunkRefused", err)
+	}
+	c.Close()
+	for i := 0; i < 2; i++ {
 		c, err := p.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := c.(*Stream); ok {
-			t.Fatal("got a mux stream from a non-mux peer")
+			t.Fatal("got a mux stream from a peer that refused a trunk")
 		}
 		if _, err := c.Write(hdr); err != nil {
 			t.Fatal(err)
@@ -208,7 +221,7 @@ func TestPoolFallsBackToClassic(t *testing.T) {
 		t.Fatalf("three dials took %v: the probe waited out a timeout", took)
 	}
 	if got := met.LinkOpened.Value(); got != 0 {
-		t.Fatalf("no trunks should open against a classic peer, got %d", got)
+		t.Fatalf("no trunks should open against a pre-trunk peer, got %d", got)
 	}
 	if got := probes.Load(); got != 1 {
 		t.Fatalf("peer saw %d trunk probes across three dials, want 1", got)

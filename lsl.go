@@ -167,17 +167,17 @@ var (
 // --- persistent trunks (internal/mux) ---
 
 // LinkPool keeps warm multiplexed trunks per destination. Its DialContext
-// is a drop-in Dialer: sessions to trunk-capable peers share pooled TCP
-// links (no per-session connect), everything else falls back to classic
-// dialing transparently. Use one pool per process and pass its
+// is a drop-in Dialer: sessions to a depot or target share pooled TCP
+// links (no per-session connect). Use one pool per process and pass its
 // DialContext to Dial with WithDialer.
 type LinkPool = mux.Pool
 
 // LinkPoolConfig tunes a LinkPool: the dialer, socket buffers, metrics
 // and logging. A trunk carries up to 64 sessions and closes after 60 s
-// idle. Peers that do not speak the trunk protocol refuse its hello
-// within one round trip and are then dialed classically; that fallback
-// has no knobs.
+// idle. Every depot and target serves trunks; a peer that predates them
+// refuses the hello within one round trip, the sessions sent behind it
+// fail with a transient error (Transfer retries them), and the pool
+// dials that peer classically for 60 s. None of this has knobs.
 type LinkPoolConfig = mux.PoolConfig
 
 // NewLinkPool builds a trunk pool (see LinkPool).
