@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -88,6 +89,145 @@ func TestListenerSilentConnDoesNotStallAccept(t *testing.T) {
 	var ne net.Error
 	if _, err := silent.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("silent connection read %v after Close, want it closed", err)
+	}
+}
+
+// dialN opens n connections to addr and writes b on each.
+func dialN(t *testing.T, addr string, n int, b []byte) []net.Conn {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	return conns
+}
+
+// expectClosed fails unless the listener closed c within 5 s.
+func expectClosed(t *testing.T, c net.Conn, what string) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err := io.Copy(io.Discard, c)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("%s still open after 5 s", what)
+	}
+}
+
+// A connection that sends the trunk magic and stops inside the rest of
+// its hello holds a handshake slot, as one that stops inside its open
+// header does. With every slot held by such connections a real session
+// waits for one, and Close ends them all. Once their handshake timeout
+// passes, a real session is accepted again.
+func TestListenerBoundsSilentTrunkHellos(t *testing.T) {
+	t.Run("held", func(t *testing.T) {
+		l, err := core.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		l.SetHandshakeTimeout(time.Minute)
+		go l.Accept()
+		addr := l.Addr().String()
+		silent := dialN(t, addr, core.MaxHandshakes+1, wire.MagicMux[:])
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		defer cancel()
+		if c, err := core.Dial(ctx, core.Route{Target: addr}); err == nil {
+			c.Close()
+			t.Fatal("a session was handshaken while every slot was held by a silent trunk hello")
+		}
+		l.Close()
+		for i, c := range silent {
+			expectClosed(t, c, fmt.Sprintf("silent trunk hello %d", i))
+		}
+	})
+	t.Run("expired", func(t *testing.T) {
+		l, err := core.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		l.SetHandshakeTimeout(200 * time.Millisecond)
+		addr := l.Addr().String()
+		accepted := make(chan *core.ServerConn, 1)
+		go func() {
+			if sc, err := l.Accept(); err == nil {
+				accepted <- sc
+			}
+		}()
+		dialN(t, addr, core.MaxHandshakes+1, wire.MagicMux[:])
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		c, err := core.Dial(ctx, core.Route{Target: addr})
+		if err != nil {
+			t.Fatalf("session behind silent trunk hellos that timed out: %v", err)
+		}
+		defer c.Close()
+		select {
+		case sc := <-accepted:
+			sc.Close()
+		case <-time.After(10 * time.Second):
+			t.Fatal("Accept did not return the session")
+		}
+	})
+}
+
+// A Listener serves at most MaxTrunks trunks: the hello past them is
+// closed unanswered, and a classic session still gets in. Close ends the
+// trunks it serves, idle as they are.
+func TestListenerBoundsTrunks(t *testing.T) {
+	l, err := core.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan *core.ServerConn, 1)
+	go func() {
+		if sc, err := l.Accept(); err == nil {
+			accepted <- sc
+		}
+	}()
+	addr := l.Addr().String()
+	hello := (&wire.MuxHello{Window: 64 << 10}).Encode()
+	var served []net.Conn
+	refused := 0
+	for _, c := range dialN(t, addr, core.MaxTrunks+1, hello) {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := wire.ReadMuxHello(c); err == nil {
+			served = append(served, c)
+			continue
+		}
+		refused++
+		expectClosed(t, c, "the trunk hello past the bound")
+	}
+	if len(served) != core.MaxTrunks || refused != 1 {
+		t.Fatalf("%d trunks served and %d refused, want %d and 1", len(served), refused, core.MaxTrunks)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := core.Dial(ctx, core.Route{Target: addr})
+	if err != nil {
+		t.Fatalf("session beside %d trunks: %v", core.MaxTrunks, err)
+	}
+	defer c.Close()
+	select {
+	case sc := <-accepted:
+		sc.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept did not return the session")
+	}
+
+	l.Close()
+	for i, c := range served {
+		expectClosed(t, c, fmt.Sprintf("idle trunk %d", i))
 	}
 }
 
