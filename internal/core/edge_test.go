@@ -95,27 +95,37 @@ func TestSendReaderFreshSession(t *testing.T) {
 
 func TestTruncatedStreamDetected(t *testing.T) {
 	// Initiator declares 1000 bytes, sends 500, closes: the target must
-	// report truncation, not silently accept.
-	errs := make(chan error, 1)
-	addr, _ := startTarget(t, func(sc *core.ServerConn) {
-		defer sc.Close()
-		_, err := io.Copy(io.Discard, sc)
-		errs <- err
-	})
-	c, err := core.Dial(context.Background(), core.Route{Target: addr},
-		core.WithDigest(), core.WithContentLength(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Write(make([]byte, 500))
-	c.Close() // abort without trailer
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Fatal("truncation not detected")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("timeout")
+	// report truncation, not silently accept, whether or not the session
+	// carries a digest.
+	for _, tc := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"digest", []core.Option{core.WithDigest(), core.WithContentLength(1000)}},
+		{"length-only", []core.Option{core.WithContentLength(1000)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := make(chan error, 1)
+			addr, _ := startTarget(t, func(sc *core.ServerConn) {
+				defer sc.Close()
+				_, err := io.Copy(io.Discard, sc)
+				errs <- err
+			})
+			c, err := core.Dial(context.Background(), core.Route{Target: addr}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Write(make([]byte, 500))
+			c.Close() // abort short of the declared length
+			select {
+			case err := <-errs:
+				if err == nil {
+					t.Fatal("truncation not detected")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("timeout")
+			}
+		})
 	}
 }
 

@@ -430,10 +430,11 @@ func (s *ServerConn) Digesting() bool { return s.remaining >= 0 }
 
 // Read returns payload bytes. With digesting active it stops at the
 // declared content length, consumes and verifies the MD5 trailer, and then
-// returns io.EOF on success or ErrDigestMismatch on corruption. The read
-// that completes a digesting payload waits for the trailer before it
-// returns those last bytes, so an initiator must never hold the trailer
-// back behind anything the target has not answered yet.
+// returns io.EOF on success or ErrDigestMismatch on corruption. A stream
+// of declared length that ends short of it reads as truncated, digest or
+// not. The read that completes a digesting payload waits for the trailer
+// before it returns those last bytes, so an initiator must never hold the
+// trailer back behind anything the target has not answered yet.
 func (s *ServerConn) Read(p []byte) (int, error) {
 	if s.failed != nil {
 		return 0, s.failed
@@ -461,6 +462,9 @@ func (s *ServerConn) Read(p []byte) (int, error) {
 		return n, fmt.Errorf("lsl: stream truncated %d bytes early", s.remaining)
 	}
 	if err == io.EOF && s.remaining < 0 {
+		if owed := s.owed(); owed > 0 {
+			return n, fmt.Errorf("lsl: stream truncated %d bytes early", owed)
+		}
 		// Unverified stream completed; forget the session.
 		s.l.dropSession(s.hdr.Session, s.st)
 	}
@@ -471,6 +475,18 @@ func (s *ServerConn) Read(p []byte) (int, error) {
 		return n, nil
 	}
 	return n, err
+}
+
+// owed is how many declared payload bytes a session without a digest
+// has yet to receive: an EOF short of the declared length is a cut
+// stream, not a completed one. It is 0 when the length is unknown.
+func (s *ServerConn) owed() int64 {
+	if s.hdr.ContentLen == wire.UnknownLength {
+		return 0
+	}
+	s.st.mu.Lock()
+	defer s.st.mu.Unlock()
+	return int64(s.hdr.ContentLen) - s.st.received
 }
 
 func (s *ServerConn) finishDigest() error {

@@ -10,7 +10,8 @@
 // one state directory:
 //
 //   - per-session payload files (<session-hex>.payload), written and
-//     fsynced before the session is journaled;
+//     fsynced, with the state directory, before the session is
+//     journaled;
 //   - an append-only journal (custody.journal) of length-prefixed,
 //     CRC32-guarded records: an admit record carrying the session's
 //     routing header fields once its payload is durable, and a done
@@ -18,11 +19,13 @@
 //
 // The commit protocol orders payload-then-journal: a crash between the
 // two leaves an orphan payload file (removed by the next Open's
-// compaction) but never a journaled session without its bytes. Open
-// scans the journal, truncates a torn tail at the first corrupt record
-// (a partially flushed append), drops entries whose payload file is
-// missing or short, rewrites the journal with only live entries, and
-// hands the survivors to the depot for re-admission.
+// compaction) but never a journaled session without its bytes. An
+// append that fails part-way is cut back at once, so no record is ever
+// appended behind a torn one. Open scans the journal, truncates a torn
+// tail at the first corrupt record (a partially flushed append), drops
+// entries whose payload file is missing or short, rewrites the journal
+// with only live entries, and hands the survivors to the depot for
+// re-admission.
 package custody
 
 import (
@@ -35,6 +38,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"lsl/internal/wire"
 )
@@ -247,11 +251,19 @@ type Journal struct {
 
 	mu        sync.Mutex
 	f         *os.File
+	size      int64 // journal length through its last whole record
+	torn      error // set when a failed append could not be cut back
 	live      map[wire.SessionID]Entry
 	liveBytes int64
 	dead      int
 	recovered []Entry
 	closed    bool
+
+	// Test seams, nil in production: observe sees each durability step
+	// of a commit as it starts, and write stands in for the journal
+	// file's Write on every append.
+	observe func(step string)
+	write   func(f *os.File, p []byte) (int, error)
 }
 
 // Open loads (or creates) the journal under dir, repairs a torn tail,
@@ -387,13 +399,16 @@ func (j *Journal) rewriteLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a].String() < ids[b].String() })
+	var size int64
 	for _, id := range ids {
 		e := j.live[id]
-		if _, err := tf.Write(frameRecord(encodeAdmit(&e))); err != nil {
+		n, err := tf.Write(frameRecord(encodeAdmit(&e)))
+		if err != nil {
 			tf.Close()
 			os.Remove(tmp)
 			return err
 		}
+		size += int64(n)
 	}
 	if j.cfg.Fsync == FsyncAlways {
 		if err := tf.Sync(); err != nil {
@@ -408,7 +423,6 @@ func (j *Journal) rewriteLocked() error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	j.syncDir()
 	if j.f != nil {
 		j.f.Close()
 	}
@@ -417,20 +431,73 @@ func (j *Journal) rewriteLocked() error {
 		return err
 	}
 	j.f = f
+	j.size = size
 	j.dead = 0
-	return nil
+	return j.syncDir()
 }
 
-// syncDir fsyncs the state directory so renames and unlinks are durable
-// (best effort — some filesystems refuse directory fsync).
-func (j *Journal) syncDir() {
+// syncDir fsyncs the state directory under FsyncAlways, so a new spill
+// file, a rename or an unlink is durable. A filesystem that cannot fsync
+// a directory (EINVAL, ENOTSUP) leaves it best effort; any other error
+// is returned.
+func (j *Journal) syncDir() error {
 	if j.cfg.Fsync != FsyncAlways {
-		return
+		return nil
 	}
-	if df, err := os.Open(j.dir); err == nil {
-		df.Sync()
-		df.Close()
+	j.note("sync dir")
+	df, err := os.Open(j.dir)
+	if err != nil {
+		return err
 	}
+	defer df.Close()
+	return dirSyncErr(df.Sync())
+}
+
+// dirSyncErr drops the errors of a filesystem without directory fsync.
+func dirSyncErr(err error) error {
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported) {
+		return nil
+	}
+	return err
+}
+
+// note tells the observe seam that a durability step starts.
+func (j *Journal) note(step string) {
+	if j.observe != nil {
+		j.observe(step)
+	}
+}
+
+// appendLocked writes one record at the journal's end and, under
+// FsyncAlways, syncs it. A write that fails cuts the journal back to its
+// last whole record: Open reads a torn record as the journal's end, so
+// every admit appended behind one would be lost on recovery. If the cut
+// fails too, the journal refuses every later append.
+func (j *Journal) appendLocked(body []byte) error {
+	if j.torn != nil {
+		return j.torn
+	}
+	rec := frameRecord(body)
+	j.note("append")
+	var n int
+	var err error
+	if j.write != nil {
+		n, err = j.write(j.f, rec)
+	} else {
+		n, err = j.f.Write(rec)
+	}
+	if err != nil {
+		if terr := j.f.Truncate(j.size); terr != nil {
+			j.torn = fmt.Errorf("custody: journal torn after %d bytes: %w", j.size, terr)
+		}
+		return err
+	}
+	j.size += int64(n)
+	if j.cfg.Fsync == FsyncAlways {
+		j.note("sync journal")
+		return j.f.Sync()
+	}
+	return nil
 }
 
 // Recovered returns the custody sessions that survived the last Open,
@@ -462,97 +529,15 @@ func (j *Journal) payloadPath(id wire.SessionID) string {
 	return filepath.Join(j.dir, id.String()+PayloadSuffix)
 }
 
-// Stager streams one session's payload to its spill file; Commit makes
-// the custody durable (fsync payload, journal the admit record, fsync
-// journal), Abort discards it. Exactly one of the two must be called.
-type Stager struct {
-	j    *Journal
-	e    Entry
-	f    *os.File
-	n    int64
-	done bool
-}
-
-// Stage opens a payload spill file for e. Bytes written through the
-// returned Stager are not custody until Commit returns nil.
-func (j *Journal) Stage(e Entry) (*Stager, error) {
-	if err := e.validate(); err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	closed := j.closed
-	j.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	f, err := os.OpenFile(j.payloadPath(e.Session), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
-		return nil, err
-	}
-	return &Stager{j: j, e: e, f: f}, nil
-}
-
-// Write appends payload bytes to the spill file.
-func (s *Stager) Write(p []byte) (int, error) {
-	n, err := s.f.Write(p)
-	s.n += int64(n)
-	return n, err
-}
-
-// Commit finishes the stage: the payload must be complete (Total bytes
-// written), it is pushed to stable storage per the fsync policy, and the
-// admit record lands in the journal. After Commit returns nil the
-// session survives a crash.
-func (s *Stager) Commit() error {
-	if s.done {
-		return errors.New("custody: stager already finished")
-	}
-	if s.n != s.e.Total {
-		s.Abort()
-		return fmt.Errorf("custody: short stage: %d of %d bytes", s.n, s.e.Total)
-	}
-	s.done = true
-	if s.j.cfg.Fsync == FsyncAlways {
-		if err := s.f.Sync(); err != nil {
-			s.f.Close()
-			os.Remove(s.j.payloadPath(s.e.Session))
-			return err
-		}
-	}
-	if err := s.f.Close(); err != nil {
-		os.Remove(s.j.payloadPath(s.e.Session))
-		return err
-	}
-	return s.j.admit(s.e)
-}
-
-// Abort discards the spill file; the session never entered custody.
-func (s *Stager) Abort() {
-	if s.done {
-		return
-	}
-	s.done = true
-	s.f.Close()
-	os.Remove(s.j.payloadPath(s.e.Session))
-}
-
 // admit appends the admit record under the journal lock.
 func (j *Journal) admit(e Entry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		os.Remove(j.payloadPath(e.Session))
 		return ErrClosed
 	}
-	if _, err := j.f.Write(frameRecord(encodeAdmit(&e))); err != nil {
-		os.Remove(j.payloadPath(e.Session))
+	if err := j.appendLocked(encodeAdmit(&e)); err != nil {
 		return err
-	}
-	if j.cfg.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			os.Remove(j.payloadPath(e.Session))
-			return err
-		}
 	}
 	j.live[e.Session] = e
 	j.liveBytes += e.Total
@@ -572,13 +557,8 @@ func (j *Journal) Complete(id wire.SessionID, delivered bool) error {
 	if !ok {
 		return nil
 	}
-	if _, err := j.f.Write(frameRecord(encodeDone(id, delivered))); err != nil {
+	if err := j.appendLocked(encodeDone(id, delivered)); err != nil {
 		return err
-	}
-	if j.cfg.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
 	}
 	delete(j.live, id)
 	j.liveBytes -= e.Total

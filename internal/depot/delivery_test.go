@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lsl/internal/core"
+	"lsl/internal/custody"
 	"lsl/internal/mux"
 	"lsl/internal/wire"
 )
@@ -124,6 +125,20 @@ func forwardHeader(target string, flags uint16, contentLen int) *wire.OpenHeader
 	}
 }
 
+// memStage is payload committed to an in-memory custody stage, for
+// attempts a test drives itself.
+func memStage(t *testing.T, payload []byte) *custody.Stager {
+	t.Helper()
+	st := custody.StageInMemory(int64(len(payload)))
+	if _, err := st.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // stageThrough uploads payload (digested) into the depot's custody for
 // target and returns once custody is committed.
 func stageThrough(t *testing.T, depotAddr, target string, payload []byte) {
@@ -169,7 +184,7 @@ func TestDeliveryRejectedBehindPipelinedPayload(t *testing.T) {
 					nc.Close()
 				})
 				d, _ := stagedDepot(t, Config{Mux: tr.trunk})
-				err := d.attemptDelivery(context.Background(), target, forwardHeader(target, 0, len(payload)), memSource(payload))
+				err := d.attemptDelivery(context.Background(), target, forwardHeader(target, 0, len(payload)), memStage(t, payload))
 				if perr := <-sawPayload; perr != nil {
 					t.Fatalf("no payload behind the header before the accept: %v", perr)
 				}
@@ -296,7 +311,7 @@ func TestDeliveryResumeStaysSynchronous(t *testing.T) {
 			})
 			d, _ := stagedDepot(t, Config{Mux: tr.trunk})
 			fwd := forwardHeader(target, wire.FlagResume|wire.FlagDigest, len(payload))
-			if err := d.attemptDelivery(context.Background(), target, fwd, memSource(stored)); err != nil {
+			if err := d.attemptDelivery(context.Background(), target, fwd, memStage(t, stored)); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-early; err != nil {

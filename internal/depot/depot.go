@@ -650,7 +650,8 @@ func (d *Depot) reject(nc net.Conn, id wire.SessionID, code uint8) {
 
 // sessionState names a session's position in its lifecycle. A relay
 // runs handshaking → dialing → relaying; a staged session runs
-// handshaking → uploading → delivering. Every session, including one
+// handshaking → uploading (its first delivery attempt already under way)
+// → delivering from the custody commit on. Every session, including one
 // recovered from the custody journal (which starts at delivering), leaves
 // through session.finish into done.
 type sessionState uint8

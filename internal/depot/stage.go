@@ -1,12 +1,12 @@
 package depot
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"lsl/internal/backoff"
@@ -22,11 +22,17 @@ import (
 // anonymous clients. A session opened with wire.FlagStaged is accepted by
 // the first depot itself: it takes custody of the complete payload
 // (bounded by MaxStageBytes per session and MaxTotalStageBytes across
-// sessions), acknowledges the initiator, and then delivers the payload
-// over the remaining route asynchronously, retrying while the downstream
-// is unreachable. The end-to-end MD5 trailer is stored and forwarded
+// sessions), acknowledges the initiator, and delivers the payload over
+// the remaining route asynchronously, retrying while the downstream is
+// unreachable. The end-to-end MD5 trailer is stored and forwarded
 // verbatim, so integrity verification still happens at the ultimate
 // receiver.
+//
+// Delivery is cut-through: the first attempt starts at admission and
+// forwards the payload as the upload writes it, through the session's
+// custody.Stager, which holds the last byte back until custody commits.
+// A target therefore never completes a payload the depot has not
+// committed, and an upload that fails fails the attempt with it.
 //
 // Custody is durable when Config.Custody carries a write-ahead journal
 // (internal/custody): the payload is spilled to a per-session file and
@@ -64,45 +70,54 @@ const (
 	DefaultTotalStageFactor = 4
 )
 
-// payloadSource opens one redelivery attempt's view of a custody payload;
-// a resumed delivery seeks it to the target's offset (core's SendReader).
-// Journal-backed sources open the spill file per attempt, so a custody
-// session pins no payload heap between attempts; memory-backed sources
-// (no journal) wrap the buffered bytes.
-type payloadSource interface {
-	Open() (io.ReadSeekCloser, error)
+// custodyRun is what a staged session's delivery shares with its upload,
+// which it starts beside (cut-through). ctx is the delivery's context:
+// the depot's root, cut short by an upload that fails and, from commit
+// on, by the stage deadline.
+type custodyRun struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{} // closed once the upload has ended
+	err    error         // the upload's error; nil once custody committed
+	timer  *time.Timer   // the stage deadline, armed at commit
 }
 
-// memSource is the in-memory custody buffer (journal-less depots).
-type memSource []byte
-
-func (m memSource) Open() (io.ReadSeekCloser, error) { return memReader{bytes.NewReader(m)}, nil }
-
-// memReader is one attempt's view of a memSource; closing it is a no-op.
-type memReader struct{ *bytes.Reader }
-
-func (memReader) Close() error { return nil }
-
-// journalSource streams a custody payload from its write-ahead spill
-// file.
-type journalSource struct {
-	j  *custody.Journal
-	id wire.SessionID
+func newCustodyRun(ctx context.Context) *custodyRun {
+	r := &custodyRun{done: make(chan struct{})}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	return r
 }
 
-func (s journalSource) Open() (io.ReadSeekCloser, error) {
-	f, err := s.j.OpenPayload(s.id)
+// end records the upload's outcome: a failed upload fails the attempt in
+// flight, a committed one starts the stage deadline.
+func (r *custodyRun) end(err error, deadline time.Duration) {
+	r.err = err
 	if err != nil {
-		return nil, err
+		r.cancel()
+	} else {
+		r.timer = time.AfterFunc(deadline, r.cancel)
 	}
-	return f, nil
+	close(r.done)
+}
+
+// stop releases the run once its delivery has returned.
+func (r *custodyRun) stop() {
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	r.cancel()
 }
 
 // stage runs the custody path for a staged session: admit against both
-// stage budgets, read the whole stream (durably when journaled), confirm
-// custody, deliver in the background. The session stays in the live
-// registry until delivery succeeds, is abandoned, or is cancelled by
-// shutdown.
+// stage budgets, then upload and deliver at once. The session goes live
+// at admission, and its first delivery attempt starts right behind the
+// CodeOK frame, reading the payload through the stage as the upload
+// writes it; the stage holds the last byte back until custody commits
+// (durably when journaled). Once committed, the depot confirms custody
+// to the initiator and this handler returns; the delivery goroutine ends
+// the session, an upload that failed included. The session stays in the
+// live registry until delivery succeeds, is abandoned, or is cancelled
+// by shutdown.
 func (s *session) stage(ctx context.Context) {
 	d, hdr := s.d, s.hdr
 	s.state = stateUploading
@@ -140,15 +155,18 @@ func (s *session) stage(ctx context.Context) {
 		s.finish(nil, OutcomeStagedUpFailed, 0)
 		return
 	}
-	src, err := d.stagePayload(ctx, s.up, hdr, total)
+	st, err := d.openStage(hdr, total)
 	if err != nil {
-		if ctx.Err() != nil {
-			d.logf("depot: staged session %s upload canceled by shutdown", hdr.Session)
-			s.finish(d.canceled, OutcomeCanceled, 0)
-			return
-		}
-		d.logf("depot: staged session %s upload failed: %v", hdr.Session, err)
+		d.logf("depot: staged session %s cannot stage: %v", hdr.Session, err)
 		s.finish(nil, OutcomeStagedUpFailed, 0)
+		return
+	}
+	s.ls = d.sessions.add(s.info())
+	d.notify()
+	run := newCustodyRun(ctx)
+	s.deliver(ctx, st, run)
+	if err := d.stagePayload(ctx, s.up, st, total, &s.ls.bytesFwd); err != nil {
+		run.end(err, 0) // the delivery ends the session
 		return
 	}
 	d.staged.Inc()
@@ -162,23 +180,17 @@ func (s *session) stage(ctx context.Context) {
 		hdr.Session, total, hdr.RemainingHops()[1:])
 	s.up.Close()
 	s.up = nil
-	s.deliver(ctx, src)
+	s.state = stateDelivering
+	run.end(nil, d.cfg.StageDeadline)
 }
 
-// stagePayload reads the complete custody payload from the initiator:
-// into the write-ahead journal's spill file (committed before return)
-// when one is configured, into process memory otherwise.
-func (d *Depot) stagePayload(ctx context.Context, up net.Conn, hdr *wire.OpenHeader, total int64) (payloadSource, error) {
-	stop := context.AfterFunc(ctx, func() { up.Close() })
-	defer stop()
+// openStage opens a staged session's custody stage: a spill file in the
+// write-ahead journal when one is configured, process memory otherwise.
+func (d *Depot) openStage(hdr *wire.OpenHeader, total int64) (*custody.Stager, error) {
 	if d.cfg.Custody == nil {
-		buf := make([]byte, total)
-		if _, err := io.ReadFull(up, buf); err != nil {
-			return nil, err
-		}
-		return memSource(buf), nil
+		return custody.StageInMemory(total), nil
 	}
-	st, err := d.cfg.Custody.Stage(custody.Entry{
+	return d.cfg.Custody.Stage(custody.Entry{
 		Session:    hdr.Session,
 		Flags:      hdr.Flags,
 		HopIndex:   hdr.HopIndex,
@@ -187,39 +199,54 @@ func (d *Depot) stagePayload(ctx context.Context, up net.Conn, hdr *wire.OpenHea
 		Offset:     hdr.Offset,
 		Total:      total,
 	})
-	if err != nil {
-		return nil, err
-	}
-	n, err := xfer.CopyCounted(st, io.LimitReader(up, total), d.bufs, xfer.CopyConfig{})
-	if err != nil {
-		st.Abort()
-		return nil, err
-	}
-	if n != total {
-		st.Abort()
-		return nil, fmt.Errorf("short custody upload: %d of %d bytes: %w", n, total, io.ErrUnexpectedEOF)
-	}
-	if err := st.Commit(); err != nil {
-		return nil, err
-	}
-	return journalSource{j: d.cfg.Custody, id: hdr.Session}, nil
 }
 
-// deliver enters a custody session into the live registry and runs its
-// redelivery loop on a goroutine of its own, so the upload's handler (a
-// trunk stream's among them) returns once custody is committed. The loop
-// ends the session through finish, which settles the journal entry and
-// the custody budget.
-func (s *session) deliver(ctx context.Context, src payloadSource) {
+// stagePayload copies the complete custody payload from the initiator
+// into st, crediting live as it lands, and commits it; a failed upload
+// aborts the stage. An upload that sends nothing for handshakeTimeout
+// fails: its delivery already holds a sublink to the next hop, and a
+// stalled initiator must not keep that open.
+func (d *Depot) stagePayload(ctx context.Context, up net.Conn, st *custody.Stager, total int64, live *atomic.Uint64) error {
+	stop := context.AfterFunc(ctx, func() { up.Close() })
+	defer stop()
+	src := io.LimitReader(idleReader{up, d.cfg.handshakeTimeout}, total)
+	n, err := xfer.CopyCounted(st, src, d.bufs, xfer.CopyConfig{
+		Counters: []xfer.Adder{xfer.AtomicAdder{U: live}},
+	})
+	if err == nil && n != total {
+		err = fmt.Errorf("short custody upload: %d of %d bytes: %w", n, total, io.ErrUnexpectedEOF)
+	}
+	if err != nil {
+		st.Abort()
+		return err
+	}
+	return st.Commit()
+}
+
+// idleReader reads c with a read deadline idle past each read's start.
+type idleReader struct {
+	c    net.Conn
+	idle time.Duration
+}
+
+func (r idleReader) Read(p []byte) (int, error) {
+	r.c.SetReadDeadline(time.Now().Add(r.idle))
+	return r.c.Read(p)
+}
+
+// deliver runs a live custody session's delivery on a goroutine of its
+// own, so the upload's handler (a trunk stream's among them) returns
+// once custody is committed. The delivery ends the session through
+// finish, which settles the journal entry and the custody budget; it
+// waits for the upload's outcome first, so a session whose upload fails
+// ends there too.
+func (s *session) deliver(ctx context.Context, st *custody.Stager, run *custodyRun) {
 	d := s.d
-	s.state = stateDelivering
-	s.ls = d.sessions.add(s.info())
-	s.ls.bytesFwd.Add(uint64(s.custody))
-	d.notify()
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		err := d.deliverStaged(ctx, s.hdr, src)
+		err := d.deliverStaged(ctx, s.hdr, st, run)
+		run.stop()
 		switch {
 		case err == nil:
 			s.finish(d.stagedDelivered, OutcomeStagedDeliver, 0)
@@ -227,6 +254,9 @@ func (s *session) deliver(ctx context.Context, src payloadSource) {
 		case ctx.Err() != nil:
 			s.finish(d.canceled, OutcomeCanceled, 0)
 			d.logf("depot: staged session %s canceled by shutdown: %v", s.hdr.Session, err)
+		case run.err != nil:
+			s.finish(nil, OutcomeStagedUpFailed, 0)
+			d.logf("depot: staged session %s upload failed: %v", s.hdr.Session, run.err)
 		default:
 			s.finish(d.stagedAborted, OutcomeStagedAborted, 0)
 			d.logf("depot: staged session %s abandoned: %v", s.hdr.Session, err)
@@ -263,36 +293,50 @@ func (d *Depot) recoverCustody() {
 			ContentLen: e.ContentLen,
 			Offset:     e.Offset,
 		}
-		s := &session{d: d, hdr: hdr, peer: "recovered", start: time.Now(), custody: e.Total}
+		s := &session{d: d, hdr: hdr, peer: "recovered", start: time.Now(), state: stateDelivering, custody: e.Total}
 		s.next, _ = hdr.NextHop()
 		d.custodyBytes.Add(e.Total)
 		d.stagedRecovered.Inc()
 		d.logf("depot: recovered staged session %s from custody journal (%d bytes)", hdr.Session, e.Total)
-		s.deliver(d.root, journalSource{j: d.cfg.Custody, id: hdr.Session})
+		s.ls = d.sessions.add(s.info())
+		s.ls.bytesFwd.Add(uint64(e.Total))
+		d.notify()
+		run := newCustodyRun(d.root)
+		run.end(nil, d.cfg.StageDeadline)
+		s.deliver(d.root, d.cfg.Custody.Committed(e), run)
 	}
 }
 
 // deliverStaged pushes a custody payload over the remaining route,
 // retrying with capped exponential backoff until the stage deadline or
-// cancellation. The deadline bounds an attempt in flight too: it closes
-// the sublink, so a target that accepts and stops reading cannot hold a
-// delivery until shutdown. Shutdown (ctx) and giving up (the deadline)
-// stay distinct errors for the caller's accounting.
-func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, src payloadSource) error {
+// cancellation, all under run's context. The first attempt may start
+// while the upload is still running; it counts only once the upload has
+// ended, and an upload that failed ends the delivery with it. The
+// deadline bounds an attempt in flight too: it closes the sublink, so a
+// target that accepts and stops reading cannot hold a delivery until
+// shutdown. Shutdown (ctx) and giving up (the deadline) stay distinct
+// errors for the caller's accounting.
+func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, st *custody.Stager, run *custodyRun) error {
 	next, ok := hdr.NextHop()
 	if !ok {
+		<-run.done
 		return fmt.Errorf("staged session terminates at a depot")
 	}
 	fwd := *hdr
 	fwd.HopIndex++
 	fwd.Flags &^= wire.FlagStaged // downstream runs as an ordinary session
 	delay := d.retryDelays(fwd.Session)
-	sctx, cancel := context.WithTimeout(ctx, d.cfg.StageDeadline)
-	defer cancel()
+	sctx := run.ctx
 	for attempt := 1; ; attempt++ {
 		d.stagedAttempts.Inc()
-		err := d.attemptDelivery(sctx, next, &fwd, src)
+		err := d.attemptDelivery(sctx, next, &fwd, st)
 		d.notify()
+		if attempt == 1 {
+			<-run.done
+			if run.err != nil {
+				return fmt.Errorf("upload failed: %w", run.err)
+			}
+		}
 		if err == nil {
 			return nil
 		}
@@ -328,10 +372,10 @@ func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
 
 // attemptDelivery is one delivery of a custody payload to next: dial, open
 // through core.Forward, stream, wait for the target's EOF. The payload
-// rides behind the header unless the header asks to resume, whose accept
-// names the offset to start at. ctx firing (shutdown, the stage deadline)
-// closes the sublink.
-func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.OpenHeader, src payloadSource) error {
+// follows the header without waiting for the accept unless the header
+// asks to resume, whose accept names the offset to start at. ctx firing
+// (shutdown, the stage deadline) closes the sublink.
+func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.OpenHeader, st *custody.Stager) error {
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
 	down, err := d.dialNext(dctx, next, true)
 	cancel()
@@ -342,18 +386,27 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 	stop := context.AfterFunc(ctx, func() { down.Close() })
 	defer stop()
 	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.handshakeTimeout)}
-	if fwd.Flags&wire.FlagResume == 0 {
-		opts = append(opts, core.WithEager()) // a fresh session starts at offset 0
+	fresh := fwd.Flags&wire.FlagResume == 0 // a fresh session starts at offset 0
+	if fresh {
+		opts = append(opts, core.WithEager())
 	}
 	c, err := core.Forward(down, fwd, opts...)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	// The payload opens fresh per attempt: journal-backed custody streams
-	// from the spill file, so nothing is pinned while the session sits in
-	// retry backoff.
-	payload, err := src.Open()
+	if fresh {
+		// Send the header now, not with the first payload bytes: a first
+		// attempt's payload is still arriving from the upload, and the
+		// target handshakes in the meantime.
+		if _, err := c.Write(nil); err != nil {
+			return err
+		}
+	}
+	// The payload opens fresh per attempt: the first follows the upload,
+	// and journal-backed custody streams later ones from the spill file,
+	// so nothing is pinned while the session sits in retry backoff.
+	payload, err := st.Follow()
 	if err != nil {
 		return fmt.Errorf("custody payload: %w", err)
 	}
