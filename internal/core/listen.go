@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"lsl/internal/mux"
-	"lsl/internal/sockopt"
 	"lsl/internal/wire"
 )
 
@@ -52,50 +51,29 @@ const (
 	defaultSessionTTL = 15 * time.Minute
 )
 
-// maxHandshakes bounds how many connections and trunk streams a
-// Listener handshakes at once, handshaken sessions waiting for Accept
-// and trunk hellos included. Beyond it, new connections wait in the
-// kernel's accept backlog and new streams in their trunk's, so a flood
-// of silent connections or streams cannot grow goroutines without limit.
-const maxHandshakes = 64
-
-// maxTrunks bounds how many trunks a Listener serves at once. A trunk
-// holds one of these for its life instead of a handshake slot, so trunks
-// can never starve their own streams of handshake slots. A hello beyond
-// the bound is closed unanswered: its dialer reads that as a refusal
-// (mux.ErrTrunkRefused) and dials this target per session for a while.
-const maxTrunks = 64
-
-// Listener accepts LSL sessions at a session target. Connections are
-// handshaken concurrently — each reads its open header under its own
-// handshake timeout — and Accept returns sessions in the order their
-// handshakes finish, so one connection that never sends a header delays
-// no other session. A connection that opens with the trunk hello is
-// served as a trunk (mux.Serve), and each of its streams is handshaken
-// like a connection of its own.
+// Listener accepts LSL sessions at a session target. Its accept front
+// (mux.Front) handshakes connections and trunk streams concurrently —
+// each reads its open header under its own handshake timeout — and
+// Accept returns sessions in the order their handshakes finish, so one
+// connection that never sends a header delays no other session. A
+// handshaken session holds its handshake slot until Accept takes it.
 type Listener struct {
-	ln net.Listener
+	ln    net.Listener
+	front *mux.Front
 
-	// mu guards the resume table, lastSweep and handshaking; no
-	// sessionState.mu is ever taken while it is held.
-	mu          sync.Mutex
-	sessions    map[wire.SessionID]*sessionState
-	lastSweep   time.Time
-	handshaking map[net.Conn]struct{} // closed by Close mid-handshake
+	// mu guards the resume table and lastSweep; no sessionState.mu is
+	// ever taken while it is held.
+	mu        sync.Mutex
+	sessions  map[wire.SessionID]*sessionState
+	lastSweep time.Time
 
 	startOnce sync.Once
-	closeOnce sync.Once
-	slots     chan struct{}    // one per connection or stream in its handshake or waiting for Accept
-	trunks    chan struct{}    // one per trunk being served
 	ready     chan *ServerConn // handshaken sessions, in completion order
-	closed    chan struct{}    // closed by Close
 	loopDone  chan struct{}    // the accept loop ended with loopErr
 	loopErr   error
 
 	// Test seams, set before the first Accept.
 	//
-	// handshakeTimeout bounds the header read per connection.
-	handshakeTimeout time.Duration
 	// maxSessions bounds the resume table.
 	maxSessions int
 	// sessionTTL bounds how long an interrupted session's resume state is
@@ -117,19 +95,16 @@ func Listen(addr string) (*Listener, error) {
 
 // NewListener wraps an existing net.Listener (tests, emulation).
 func NewListener(ln net.Listener) *Listener {
-	return &Listener{
-		ln:               ln,
-		sessions:         make(map[wire.SessionID]*sessionState),
-		handshaking:      make(map[net.Conn]struct{}),
-		slots:            make(chan struct{}, maxHandshakes),
-		trunks:           make(chan struct{}, maxTrunks),
-		ready:            make(chan *ServerConn),
-		closed:           make(chan struct{}),
-		loopDone:         make(chan struct{}),
-		handshakeTimeout: defaultHandshakeTimeout,
-		maxSessions:      defaultMaxSessions,
-		sessionTTL:       defaultSessionTTL,
+	l := &Listener{
+		ln:          ln,
+		sessions:    make(map[wire.SessionID]*sessionState),
+		ready:       make(chan *ServerConn),
+		loopDone:    make(chan struct{}),
+		maxSessions: defaultMaxSessions,
+		sessionTTL:  defaultSessionTTL,
 	}
+	l.front = mux.NewFront(ln, l.accept, mux.FrontConfig{HandshakeTimeout: defaultHandshakeTimeout})
+	return l
 }
 
 // Addr returns the bound address.
@@ -139,24 +114,18 @@ func (l *Listener) Addr() net.Addr { return l.ln.Addr() }
 // streams still in their handshake are closed, and every trunk drains,
 // closing once the last session on it closes. Sessions Accept already
 // returned are the caller's.
-func (l *Listener) Close() error {
-	err := l.ln.Close()
-	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		close(l.closed)
-		for nc := range l.handshaking {
-			nc.Close()
-		}
-		l.mu.Unlock()
-	})
-	return err
-}
+func (l *Listener) Close() error { return l.front.Close() }
 
 // Accept blocks for the next valid session. Transport connections whose
 // headers are malformed or mis-routed are rejected and skipped. Once the
 // underlying listener fails (Close included), Accept returns its error.
 func (l *Listener) Accept() (*ServerConn, error) {
-	l.startOnce.Do(func() { go l.acceptLoop() })
+	l.startOnce.Do(func() {
+		go func() {
+			l.loopErr = l.front.Serve()
+			close(l.loopDone)
+		}()
+	})
 	select {
 	case sc := <-l.ready:
 		return sc, nil
@@ -165,103 +134,27 @@ func (l *Listener) Accept() (*ServerConn, error) {
 	}
 }
 
-// acceptLoop takes connections off the listener and handshakes each on
-// its own goroutine, at most maxHandshakes at a time.
-func (l *Listener) acceptLoop() {
-	for {
-		select {
-		case l.slots <- struct{}{}:
-		case <-l.closed: // the listener is closed too: Accept fails below
-		}
-		nc, err := l.ln.Accept()
-		if err != nil {
-			l.loopErr = err
-			close(l.loopDone)
-			return
-		}
-		sockopt.Tune(nc, 0)
-		l.start(nc, true)
-	}
-}
-
-// start handshakes nc, which holds a slot, on its own goroutine: a
-// connection off the listener (raw) or a stream on a trunk.
-func (l *Listener) start(nc net.Conn, raw bool) {
-	l.mu.Lock()
-	select {
-	case <-l.closed:
-		l.mu.Unlock()
-		nc.Close()
-		<-l.slots
-		return
-	default:
-	}
-	l.handshaking[nc] = struct{}{}
-	l.mu.Unlock()
-	go l.serve(nc, raw)
-}
-
-// serve reads the front of nc under the handshake timeout. A connection
-// opening with the trunk magic goes on as a trunk once its whole hello
-// is in, read under the slot like a session's header; anything else is
-// handshaken as a session and handed to Accept.
-func (l *Listener) serve(nc net.Conn, raw bool) {
-	nc.SetDeadline(time.Now().Add(l.handshakeTimeout))
-	head := make([]byte, wire.OpenFixedLen)
-	n, err := io.ReadAtLeast(nc, head, 4)
-	head = head[:n]
-	trunk := raw && err == nil && wire.IsMuxMagic(head)
+// accept is the Listener's part of the accept front (mux.Handler): a
+// session's handshake, then its hand-off to Accept.
+func (l *Listener) accept(nc net.Conn, head []byte, err error) func() {
 	var sc *ServerConn
-	switch {
-	case trunk && n < wire.MuxHelloLen:
-		head = head[:wire.MuxHelloLen]
-		_, err = io.ReadFull(nc, head[n:])
-	case err == nil && !trunk:
+	if err == nil {
 		sc, err = l.handshake(nc, head)
 	}
-	l.mu.Lock()
-	delete(l.handshaking, nc)
-	l.mu.Unlock()
-	switch {
-	case err != nil:
+	if err != nil {
 		nc.Close() // a bad client must not kill the accept loop
-	case trunk:
-		<-l.slots
-		l.serveTrunk(nc, head)
-		return
-	default:
+		return nil
+	}
+	return func() {
 		select {
 		case l.ready <- sc:
-		case <-l.closed:
+		case <-l.loopDone: // closed
 			nc.Close()
 		}
 	}
-	<-l.slots
 }
 
-// serveTrunk serves a trunk whose hello serve read as head until it ends,
-// holding one of maxTrunks slots; with none free it closes nc. The
-// trunk's streams take handshake slots like connections, and it drains
-// once Close is called.
-func (l *Listener) serveTrunk(nc net.Conn, head []byte) {
-	select {
-	case l.trunks <- struct{}{}:
-		defer func() { <-l.trunks }()
-	default:
-		nc.Close()
-		return
-	}
-	mux.Serve(nc, head, nil, nil, l.closed, nil, func(st *mux.Stream) {
-		select {
-		case l.slots <- struct{}{}:
-			l.start(st, false)
-		case <-l.closed:
-			st.Close()
-		}
-	})
-}
-
-// handshake finishes reading the open header whose first bytes serve
+// handshake finishes reading the open header whose first bytes the front
 // read as head, and answers it.
 func (l *Listener) handshake(nc net.Conn, head []byte) (*ServerConn, error) {
 	hdr, err := wire.FinishOpenHeader(head, nc)
@@ -287,7 +180,6 @@ func (l *Listener) handshake(nc net.Conn, head []byte) (*ServerConn, error) {
 	if _, err := nc.Write(acc.Encode()); err != nil {
 		return nil, err
 	}
-	nc.SetDeadline(time.Time{})
 
 	sc.remaining = -1
 	if digest {

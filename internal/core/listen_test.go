@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"lsl/internal/core"
+	"lsl/internal/depot"
+	"lsl/internal/mux"
 	"lsl/internal/wire"
 )
 
@@ -121,31 +124,114 @@ func expectClosed(t *testing.T, c net.Conn, what string) {
 	}
 }
 
-// A connection that sends the trunk magic and stops inside the rest of
-// its hello holds a handshake slot, as one that stops inside its open
-// header does. With every slot held by such connections a real session
-// waits for one, and Close ends them all. Once their handshake timeout
-// passes, a real session is accepted again.
-func TestListenerBoundsSilentTrunkHellos(t *testing.T) {
-	t.Run("held", func(t *testing.T) {
+// frontOwners are the two owners of the accept front, a target's
+// Listener and a depot, each started on a fresh loopback port. Both get
+// the front's bounds; only the Listener's handshake timeout can be
+// shortened from here, so the rows below wait on neither's. probe
+// reports whether a session opened within wait was handshaken: at a
+// Listener, core.Dial succeeds and Accept returns that session (or the
+// test fails); a depot, its last hop, answers a raw header with a route
+// rejection.
+var frontOwners = []struct {
+	name  string
+	start func(t *testing.T) (addr string, probe func(wait time.Duration) bool, stop func())
+}{
+	{"listener", func(t *testing.T) (string, func(time.Duration) bool, func()) {
 		l, err := core.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer l.Close()
+		t.Cleanup(func() { l.Close() })
 		l.SetHandshakeTimeout(time.Minute)
-		go l.Accept()
 		addr := l.Addr().String()
-		silent := dialN(t, addr, core.MaxHandshakes+1, wire.MagicMux[:])
-		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-		defer cancel()
-		if c, err := core.Dial(ctx, core.Route{Target: addr}); err == nil {
-			c.Close()
-			t.Fatal("a session was handshaken while every slot was held by a silent trunk hello")
+		accepted := make(chan *core.ServerConn, 1)
+		go func() {
+			for {
+				sc, err := l.Accept()
+				if err != nil {
+					return
+				}
+				select {
+				case accepted <- sc:
+				default:
+					sc.Close()
+				}
+			}
+		}()
+		probe := func(wait time.Duration) bool {
+			ctx, cancel := context.WithTimeout(context.Background(), wait)
+			defer cancel()
+			c, err := core.Dial(ctx, core.Route{Target: addr})
+			if err != nil {
+				return false
+			}
+			defer c.Close()
+			select {
+			case sc := <-accepted:
+				sc.Close()
+				if sc.SessionID() != c.SessionID() {
+					t.Fatalf("accepted session %s, want %s", sc.SessionID(), c.SessionID())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Accept did not return the session")
+			}
+			return true
 		}
-		l.Close()
-		for i, c := range silent {
-			expectClosed(t, c, fmt.Sprintf("silent trunk hello %d", i))
+		return addr, probe, func() { l.Close() }
+	}},
+	{"depot", func(t *testing.T) (string, func(time.Duration) bool, func()) {
+		addr, d := startDepot(t, depot.Config{})
+		return addr, func(wait time.Duration) bool { return answersRaw(t, addr, wait) }, func() { d.Close() }
+	}},
+}
+
+// answersRaw reports whether the owner at addr answers a raw open header
+// naming addr its last hop with an accept frame within wait.
+func answersRaw(t *testing.T, addr string, wait time.Duration) bool {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hdr, err := (&wire.OpenHeader{Session: wire.NewSessionID(), Route: []string{addr}, ContentLen: wire.UnknownLength}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(wait))
+	_, err = wire.ReadAcceptFrame(c)
+	return err == nil
+}
+
+// A connection that says nothing, or sends the trunk magic and stops
+// inside the rest of its hello, holds a handshake slot, as one that stops
+// inside its open header does. 200 of them hold at most MaxHandshakes
+// handshakes, at a target and at a depot alike: a real session waits for
+// a slot, no goroutine is spent on the connections beyond the bound, and
+// Close ends them all. Once their handshake timeout passes, a real
+// session is accepted again.
+func TestListenerBoundsSilentTrunkHellos(t *testing.T) {
+	t.Run("held", func(t *testing.T) {
+		for _, owner := range frontOwners {
+			t.Run(owner.name, func(t *testing.T) {
+				addr, probe, stop := owner.start(t)
+				base := runtime.NumGoroutine()
+				silent := dialN(t, addr, 100, nil)
+				silent = append(silent, dialN(t, addr, 100, wire.MagicMux[:])...)
+				if probe(500 * time.Millisecond) {
+					t.Fatal("a session was handshaken while every slot was held by a silent connection")
+				}
+				if n := runtime.NumGoroutine() - base; n > mux.MaxHandshakes+8 {
+					t.Fatalf("%d more goroutines with %d silent connections, want about %d", n, len(silent), mux.MaxHandshakes)
+				}
+				stop()
+				for i, c := range silent {
+					expectClosed(t, c, fmt.Sprintf("silent connection %d", i))
+				}
+			})
 		}
 	})
 	t.Run("expired", func(t *testing.T) {
@@ -162,7 +248,7 @@ func TestListenerBoundsSilentTrunkHellos(t *testing.T) {
 				accepted <- sc
 			}
 		}()
-		dialN(t, addr, core.MaxHandshakes+1, wire.MagicMux[:])
+		dialN(t, addr, mux.MaxHandshakes+1, wire.MagicMux[:])
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		c, err := core.Dial(ctx, core.Route{Target: addr})
@@ -179,55 +265,53 @@ func TestListenerBoundsSilentTrunkHellos(t *testing.T) {
 	})
 }
 
-// A Listener serves at most MaxTrunks trunks: the hello past them is
-// closed unanswered, and a classic session still gets in. Close ends the
-// trunks it serves, idle as they are.
+// A target or a depot serves at most MaxTrunks trunks: the hello past
+// them is closed unanswered, which a link pool reads as a refusal, and a
+// classic session still gets in. Close ends the trunks it serves, idle as
+// they are.
 func TestListenerBoundsTrunks(t *testing.T) {
-	l, err := core.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	accepted := make(chan *core.ServerConn, 1)
-	go func() {
-		if sc, err := l.Accept(); err == nil {
-			accepted <- sc
-		}
-	}()
-	addr := l.Addr().String()
-	hello := (&wire.MuxHello{Window: 64 << 10}).Encode()
-	var served []net.Conn
-	refused := 0
-	for _, c := range dialN(t, addr, core.MaxTrunks+1, hello) {
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := wire.ReadMuxHello(c); err == nil {
-			served = append(served, c)
-			continue
-		}
-		refused++
-		expectClosed(t, c, "the trunk hello past the bound")
-	}
-	if len(served) != core.MaxTrunks || refused != 1 {
-		t.Fatalf("%d trunks served and %d refused, want %d and 1", len(served), refused, core.MaxTrunks)
-	}
+	for _, owner := range frontOwners {
+		t.Run(owner.name, func(t *testing.T) {
+			addr, probe, stop := owner.start(t)
+			hello := (&wire.MuxHello{Window: 64 << 10}).Encode()
+			var served []net.Conn
+			refused := 0
+			for _, c := range dialN(t, addr, mux.MaxTrunks+1, hello) {
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := wire.ReadMuxHello(c); err == nil {
+					served = append(served, c)
+					continue
+				}
+				refused++
+				expectClosed(t, c, "the trunk hello past the bound")
+			}
+			if len(served) != mux.MaxTrunks || refused != 1 {
+				t.Fatalf("%d trunks served and %d refused, want %d and 1", len(served), refused, mux.MaxTrunks)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	c, err := core.Dial(ctx, core.Route{Target: addr})
-	if err != nil {
-		t.Fatalf("session beside %d trunks: %v", core.MaxTrunks, err)
-	}
-	defer c.Close()
-	select {
-	case sc := <-accepted:
-		sc.Close()
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept did not return the session")
-	}
+			pool := mux.NewPool(mux.PoolConfig{})
+			defer pool.Close()
+			c, err := pool.DialContext(context.Background(), "tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err = c.Write([]byte("LSL1")); err == nil {
+				_, err = c.Read(make([]byte, 1))
+			}
+			c.Close()
+			if !errors.Is(err, mux.ErrTrunkRefused) {
+				t.Fatalf("a stream on the trunk past the bound ended with %v, want mux.ErrTrunkRefused", err)
+			}
 
-	l.Close()
-	for i, c := range served {
-		expectClosed(t, c, fmt.Sprintf("idle trunk %d", i))
+			if !probe(5 * time.Second) {
+				t.Fatalf("no session handshaken beside %d trunks", mux.MaxTrunks)
+			}
+			stop()
+			for i, c := range served {
+				expectClosed(t, c, fmt.Sprintf("idle trunk %d", i))
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"lsl/internal/custody"
 	"lsl/internal/metrics"
 	"lsl/internal/mux"
-	"lsl/internal/sockopt"
 	"lsl/internal/wire"
 	"lsl/internal/xfer"
 )
@@ -97,7 +96,7 @@ type Config struct {
 	// Mux makes the depot dial trunks to its next hops: it keeps warm
 	// trunks to each distinct next hop, skipping the per-session TCP
 	// handshake and cold congestion window. Every depot serves trunks,
-	// whatever Mux says: its accept dispatch serves a raw connection
+	// whatever Mux says: its accept front serves a raw connection
 	// opening with the trunk hello ("LSLM") as a multiplexed upstream
 	// link beside classic "LSL1" sessions on the same port. A next hop
 	// that predates trunks refuses the hello; the session on it fails
@@ -121,8 +120,8 @@ type Config struct {
 	// closure so the depot does not depend on the planner package.
 	PlanView func() interface{}
 	// OnGossip, when set, receives inbound forecast-gossip exchanges: the
-	// accept dispatch hands a connection or trunk stream opening with the
-	// "LSLG" magic over whole, magic included, with no read deadline.
+	// accept front hands a connection or trunk stream opening with the
+	// "LSLG" magic over whole, magic included, with no deadline.
 	// Unset, such a connection is refused like any foreign protocol. The
 	// handler owns the connection and must close it. Kept as an opaque
 	// callback so the depot does not depend on the gossip package.
@@ -130,7 +129,7 @@ type Config struct {
 
 	// Test seams: in-package tests shorten these; New fills the defaults.
 	//
-	// handshakeTimeout bounds the accept dispatch's read of a stream's
+	// handshakeTimeout bounds the accept front's read of a stream's
 	// magic together with the rest of its open header, and a staged
 	// delivery's handshake (default 15s).
 	handshakeTimeout time.Duration
@@ -281,22 +280,20 @@ type Depot struct {
 	stageShed       *metrics.Counter
 	custodyBytes    *metrics.Gauge
 
-	// Trunk state: warm links to next hops (cfg.Mux only), accept-side
-	// link accounting, and the drain signal that retires accept-side links
-	// on Close once their sessions finish.
+	// Trunk state: warm links to next hops (cfg.Mux only) and accept-side
+	// link accounting.
 	nextHops      *mux.Pool
 	linkOpened    *metrics.CounterVec
 	linkReused    *metrics.CounterVec
 	linkClosed    *metrics.CounterVec
 	acceptMetrics *mux.PoolMetrics
-	drainCh       chan struct{}
 
 	// spares keeps ready classic next-hop sockets for the session dials
 	// of a depot that dials no trunks (Mux off).
 	spares *spares
 
 	mu     sync.Mutex
-	ln     net.Listener
+	front  *mux.Front
 	closed bool
 	// changed is closed and replaced (under mu) by notify, waking every
 	// WaitStats.
@@ -361,7 +358,6 @@ func New(cfg Config) *Depot {
 		"Staged sessions refused because the global custody budget was exhausted.")
 	d.custodyBytes = reg.Gauge("lsl_custody_bytes",
 		"Staged payload bytes currently in custody, across all sessions.")
-	d.drainCh = make(chan struct{})
 	d.spares = newSpares(d)
 	d.linkOpened = reg.CounterVec("lsl_link_opened_total",
 		"Trunks established (hello exchange completed), by side.", "side")
@@ -501,72 +497,68 @@ func (d *Depot) ListenAndServe(addr string) error {
 	return d.Serve(ln)
 }
 
-// Serve runs the accept loop on ln until Close (or a permanent accept
-// error). Each session runs on its own goroutine under the depot-root
-// context.
+// Serve runs the accept front (mux.Front), with a target's bounds, on ln
+// until Close or a permanent accept error. Each session runs on its own
+// goroutine under the depot-root context.
 func (d *Depot) Serve(ln net.Listener) error {
+	front := mux.NewFront(ln, d.accept, mux.FrontConfig{
+		HandshakeTimeout: d.cfg.handshakeTimeout, SockBuf: d.cfg.SockBuf,
+		Logf: d.cfg.Logf, Metrics: d.acceptMetrics, Go: d.spawn,
+	})
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		ln.Close()
 		return errors.New("depot: closed")
 	}
-	d.ln = ln
+	d.front = front
 	d.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			d.mu.Lock()
-			closed := d.closed
-			d.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		sockopt.Tune(nc, d.cfg.SockBuf)
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.handle(d.root, nc, true)
-		}()
+	err := front.Serve()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil
 	}
+	return err
+}
+
+// spawn runs f on its own goroutine on the depot's wait group.
+func (d *Depot) spawn(f func()) {
+	d.wg.Add(1)
+	go func() { defer d.wg.Done(); f() }()
 }
 
 // Addr returns the bound address once Serve has started.
 func (d *Depot) Addr() net.Addr {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.ln == nil {
+	if d.front == nil {
 		return nil
 	}
-	return d.ln.Addr()
+	return d.front.Addr()
 }
 
-// Close stops the accept loop, gives in-flight sessions (relays
-// mid-stream and staged deliveries mid-retry) the drain timeout to finish
-// on their own, then cancels the remainder via the root context and waits
-// for them to unwind. Cancelled sessions are recorded with the "canceled"
-// outcome, so Close returns within roughly the drain timeout plus one
-// teardown round-trip. A second Close is a no-op.
+// Close stops the accept front (what is still in its handshake closes at
+// once, upstream trunks drain), gives in-flight sessions the drain timeout
+// to finish on their own, then cancels the rest via the root context and
+// waits for them to unwind, recorded as "canceled": Close returns within
+// about the drain timeout plus one teardown round-trip. A second Close is
+// a no-op.
 func (d *Depot) Close() error {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	already, front := d.closed, d.front
+	d.closed = true
+	d.mu.Unlock()
+	if already {
 		d.wg.Wait()
 		return nil
 	}
-	d.closed = true
-	ln := d.ln
-	d.mu.Unlock()
 	var err error
-	if ln != nil {
-		err = ln.Close()
+	if front != nil {
+		err = front.Close()
 	}
-	// Start draining trunks on both sides: accept-side links refuse new
-	// streams and close once their sessions finish; next-hop links
-	// likewise retire as their relays complete.
-	close(d.drainCh)
+	// Next-hop trunks retire as their relays complete, like the
+	// accept-side ones the front drains.
 	d.spares.close()
 	if d.nextHops != nil {
 		d.nextHops.Drain()
@@ -594,28 +586,15 @@ func (d *Depot) Close() error {
 	return err
 }
 
-// Kill hard-stops the depot: the listener closes and the root context
-// cancels immediately, with no drain — in-flight relays and staged
-// deliveries are cut mid-stream, exactly as a crash or SIGKILL would cut
-// them. Custody journal entries for undelivered staged sessions stay on
-// disk for the next process to recover. Chaos drills and the
-// crash-recovery tests use this; operators wanting a graceful stop use
-// Close.
+// Kill hard-stops the depot: the root context cancels at once, with no
+// drain, and then the depot closes as in Close — in-flight relays and
+// staged deliveries are cut mid-stream, exactly as a crash or SIGKILL
+// would cut them. Custody journal entries for undelivered staged sessions
+// stay on disk for the next process to recover. Chaos drills and the
+// crash-recovery tests use this; a graceful stop is Close.
 func (d *Depot) Kill() {
-	d.mu.Lock()
-	already := d.closed
-	d.closed = true
-	ln := d.ln
-	d.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	d.spares.close()
 	d.cancel()
-	d.wg.Wait()
-	if !already && d.nextHops != nil {
-		d.nextHops.Close()
-	}
+	d.Close()
 }
 
 // writeControl writes an accept/reject frame under the control write
@@ -686,54 +665,24 @@ type session struct {
 	ls       *liveSession
 }
 
-// handle is the depot's one accept dispatch, for raw connections (raw)
-// and trunk streams alike. It reads the front of the stream once, under
-// the handshake timeout, and routes on the 4-byte magic: "LSLM" starts a
-// trunk (raw connections only, Mux or not), "LSLG" is a forecast-gossip
-// exchange (when OnGossip is set), and anything else enters the session
-// path, whose header decoder refuses every magic but "LSL1". A refusal —
-// including a stream that ends inside its magic — is counted as a proto
-// rejection and closed at once, so a peer probing for a protocol this
-// depot does not speak learns that within one round trip. A stream that
-// ends before its first byte (a retired upstream spare) closes quietly.
-// The clock of a session starts at its first byte, its deadline at accept.
-func (d *Depot) handle(ctx context.Context, nc net.Conn, raw bool) {
-	nc.SetReadDeadline(time.Now().Add(d.cfg.handshakeTimeout))
-	head := make([]byte, wire.OpenFixedLen)
-	n, err := io.ReadAtLeast(nc, head, 4)
-	head = head[:n]
+// accept is the depot's part of the accept front (mux.Handler), for
+// connections and trunk streams alike: "LSLG" is gossip when OnGossip is
+// set, anything else a session, whose decoder refuses every magic but
+// "LSL1". A refusal, or a stream that ends inside its magic, counts as a
+// proto rejection and closes at once. A session's clock starts at its
+// first byte; its handshake slot goes back once its header is in.
+func (d *Depot) accept(nc net.Conn, head []byte, err error) func() {
 	s := &session{d: d, up: nc, peer: remoteAddr(nc), start: time.Now(), state: stateHandshaking}
 	switch {
-	case n == 0 && err == io.EOF:
-		nc.Close()
 	case err != nil:
 		d.logf("depot: no magic from %v: %v", s.peer, err)
 		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
-	case raw && wire.IsMuxMagic(head):
-		d.serveLink(ctx, nc, head)
 	case d.cfg.OnGossip != nil && wire.IsGossipMagic(head):
-		nc.SetReadDeadline(time.Time{})
-		d.cfg.OnGossip(mux.Unread(nc, head))
-	default:
-		s.run(ctx, head)
+		return func() { d.spawn(func() { d.cfg.OnGossip(mux.Unread(nc, head)) }) }
+	case s.handshake(head):
+		return func() { d.spawn(func() { s.run(d.root) }) }
 	}
-}
-
-// serveLink runs one accept-side trunk, whose magic the dispatch read
-// as head: every stream the peer opens is handled as an ordinary session
-// (same admission, registry, and metrics as a per-connection session).
-// The link drains on Close — new streams refused, live sessions run to
-// completion — and is torn down outright when the root context cancels.
-func (d *Depot) serveLink(ctx context.Context, nc net.Conn, head []byte) {
-	peer := nc.RemoteAddr()
-	err := mux.Serve(nc, head, d.cfg.Logf, d.acceptMetrics, d.drainCh, ctx.Done(), func(st *mux.Stream) {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.handle(ctx, st, false)
-		}()
-	})
-	d.logf("depot: trunk from %v closed: %v", peer, err)
+	return nil
 }
 
 // Dialer returns the depot's next-hop dialer: a stream on a warm mux
@@ -744,10 +693,7 @@ func (d *Depot) Dialer() func(ctx context.Context, addr string) (net.Conn, error
 	return func(ctx context.Context, addr string) (net.Conn, error) { return d.dialNext(ctx, addr, false) }
 }
 
-func (s *session) run(ctx context.Context, head []byte) {
-	if !s.handshake(head) {
-		return
-	}
+func (s *session) run(ctx context.Context) {
 	if s.hdr.Flags&wire.FlagStaged != 0 {
 		s.stage(ctx)
 		return
@@ -758,8 +704,8 @@ func (s *session) run(ctx context.Context, head []byte) {
 	s.relay(ctx)
 }
 
-// handshake finishes reading the open header the dispatch read head of
-// (under the dispatch's handshake deadline) and validates it.
+// handshake finishes reading the open header the front read head of
+// (under the front's handshake deadline) and validates it.
 func (s *session) handshake(head []byte) bool {
 	d := s.d
 	hdr, err := wire.FinishOpenHeader(head, s.up)
@@ -768,7 +714,6 @@ func (s *session) handshake(head []byte) bool {
 		s.finish(d.rejectedProto, OutcomeRejectedProto, 0)
 		return false
 	}
-	s.up.SetReadDeadline(time.Time{})
 	s.hdr = hdr
 	s.next, _ = hdr.NextHop()
 	if hdr.Final() {

@@ -7,9 +7,11 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
+	"lsl/internal/core"
 	"lsl/internal/mux"
 	"lsl/internal/stripe"
 	"lsl/internal/wire"
@@ -23,12 +25,12 @@ type dispatchInput struct {
 	eof  bool
 }
 
-// dispatchInputs covers every arm of the accept dispatch: a session open,
-// a trunk hello, a gossip digest, three things it must refuse — a stripe
-// group header (a session's payload, not a session), junk, and a stream
-// that ends inside its magic — and a stream that ends before its first
-// byte (an upstream depot retiring a ready spare), closed without a
-// rejection.
+// dispatchInputs covers every arm of the accept front and its owners'
+// handlers: a session open, a trunk hello, a gossip digest, three things
+// it must refuse — a stripe group header (a session's payload, not a
+// session), junk, and a stream that ends inside its magic — and a stream
+// that ends before its first byte (an upstream depot retiring a ready
+// spare), closed without a rejection.
 func dispatchInputs(tb testing.TB) []dispatchInput {
 	open, err := (&wire.OpenHeader{
 		Session:    wire.NewSessionID(),
@@ -53,9 +55,10 @@ func dispatchInputs(tb testing.TB) []dispatchInput {
 	}
 }
 
-// wantArm is where the dispatch must send in: a trunk hello only from a
-// raw connection, Mux or not, a gossip frame only to a set OnGossip, and
-// a session open always.
+// wantArm is where the front must send in: a trunk hello only from a raw
+// connection, Mux or not, a gossip frame only to a set OnGossip (a
+// Listener has none), and a session open always (a Listener refuses the
+// depot route with an accept frame).
 func wantArm(in string, raw, gossipOn bool) string {
 	switch {
 	case in == "open":
@@ -115,14 +118,42 @@ func observeArm(c net.Conn, gossiped chan struct{}) string {
 	}
 }
 
-// TestAcceptDispatch runs every input against every combination of Mux
-// and OnGossip, on raw connections and on trunk streams.
-// Each must reach its arm; each refusal must close within a second, far
-// inside the handshake timeout, and count exactly one proto rejection —
-// a stream that dies inside its magic included, but not one that ends
-// before its first byte.
+// TestAcceptDispatch runs every input against a depot with every
+// combination of Mux and OnGossip, and against a core.Listener, on raw
+// connections and on trunk streams. Each must reach its arm, and each
+// refusal must close within a second, far inside the handshake timeout.
+// At a depot a refusal counts exactly one proto rejection — a stream
+// that dies inside its magic included, but not one that ends before its
+// first byte; a Listener hands none of them to Accept.
 func TestAcceptDispatch(t *testing.T) {
 	for _, in := range dispatchInputs(t) {
+		for _, raw := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/listener/raw=%v", in.name, raw), func(t *testing.T) {
+				l, err := core.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				accepted := make(chan *core.ServerConn, 1)
+				go func() {
+					if sc, err := l.Accept(); err == nil {
+						accepted <- sc
+					}
+				}()
+				c := dialDispatch(t, l.Addr().String(), raw)
+				defer c.Close()
+				sendInput(t, c, in)
+				if got, want := observeArm(c, nil), wantArm(in.name, raw, false); got != want {
+					t.Fatalf("reached %s, want %s", got, want)
+				}
+				select {
+				case sc := <-accepted:
+					sc.Close()
+					t.Fatal("Accept returned a session")
+				default:
+				}
+			})
+		}
 		for _, muxOn := range []bool{false, true} {
 			for _, gossipOn := range []bool{false, true} {
 				for _, raw := range []bool{true, false} {
@@ -134,12 +165,7 @@ func TestAcceptDispatch(t *testing.T) {
 						d, addr := runDepot(t, cfg)
 						c := dialDispatch(t, addr, raw)
 						defer c.Close()
-						if _, err := c.Write(in.data); err != nil {
-							t.Fatal(err)
-						}
-						if in.eof {
-							c.(interface{ CloseWrite() error }).CloseWrite()
-						}
+						sendInput(t, c, in)
 						want := wantArm(in.name, raw, gossipOn)
 						if got := observeArm(c, gossiped); got != want {
 							t.Fatalf("reached %s, want %s", got, want)
@@ -158,8 +184,20 @@ func TestAcceptDispatch(t *testing.T) {
 	}
 }
 
-// dialDispatch opens a raw connection to the depot, or a stream on a
-// fresh trunk to it.
+// sendInput writes in on c, and ends c's write side behind it if it says
+// so.
+func sendInput(t *testing.T, c net.Conn, in dispatchInput) {
+	t.Helper()
+	if _, err := c.Write(in.data); err != nil {
+		t.Fatal(err)
+	}
+	if in.eof {
+		c.(interface{ CloseWrite() error }).CloseWrite()
+	}
+}
+
+// dialDispatch opens a raw connection to addr, or a stream on a fresh
+// trunk to it.
 func dialDispatch(t *testing.T, addr string, raw bool) net.Conn {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
@@ -182,46 +220,114 @@ func dialDispatch(t *testing.T, addr string, raw bool) net.Conn {
 	return st
 }
 
-// FuzzAcceptDispatch feeds arbitrary first bytes to the dispatch of a
-// depot with any combination of Mux and OnGossip, over net.Pipe with a
-// short handshake timeout. Within that timeout (plus scheduling slack)
-// the depot must answer or close; it must never panic; and once the peer
-// hangs up every admission slot must be back.
+// listenOnce is a net.Listener that hands out one connection, then
+// blocks until it is closed.
+type listenOnce struct {
+	nc     chan net.Conn
+	addr   net.Addr
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newListenOnce(nc net.Conn) *listenOnce {
+	l := &listenOnce{nc: make(chan net.Conn, 1), addr: nc.LocalAddr(), closed: make(chan struct{})}
+	l.nc <- nc
+	return l
+}
+
+func (l *listenOnce) Accept() (net.Conn, error) {
+	select {
+	case nc := <-l.nc:
+		return nc, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *listenOnce) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *listenOnce) Addr() net.Addr { return l.addr }
+
+// hurried caps every deadline set through SetDeadline at d from now: a
+// Listener's handshake timeout is not a knob, so a test shortens it on
+// the connection.
+type hurried struct {
+	net.Conn
+	d time.Duration
+}
+
+func (h hurried) SetDeadline(t time.Time) error {
+	if cap := time.Now().Add(h.d); !t.IsZero() && t.After(cap) {
+		t = cap
+	}
+	return h.Conn.SetDeadline(t)
+}
+
+// FuzzAcceptDispatch feeds arbitrary first bytes over net.Pipe, with a
+// short handshake timeout, to the accept front of a depot with any
+// combination of Mux and OnGossip (Depot.Serve), or of a core.Listener
+// (Listener.Accept), each on a listener that hands out that one pipe.
+// Within that timeout (plus scheduling slack) the owner must answer or
+// close; it must never panic; and once the peer hangs up a depot's
+// handling must end with every admission slot back.
 func FuzzAcceptDispatch(f *testing.F) {
 	for _, in := range dispatchInputs(f) {
-		f.Add(in.data, false, false)
-		f.Add(in.data, true, true)
+		f.Add(in.data, false, false, false)
+		f.Add(in.data, true, true, false)
+	}
+	for _, in := range dispatchInputs(f) {
+		f.Add(in.data, false, false, true)
 	}
 	const handshake = 50 * time.Millisecond
-	f.Fuzz(func(t *testing.T, data []byte, muxOn, gossipOn bool) {
-		cfg := dispatchConfig(muxOn, gossipOn, make(chan struct{}, 1))
-		cfg.handshakeTimeout = handshake
-		cfg.writeTimeout = handshake
-		cfg.DrainTimeout = handshake
-		d := New(cfg)
+	f.Fuzz(func(t *testing.T, data []byte, muxOn, gossipOn, listener bool) {
 		c, s := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			d.handle(d.root, s, true)
-		}()
+		var d *Depot
+		if listener {
+			l := core.NewListener(newListenOnce(hurried{s, handshake}))
+			defer l.Close()
+			go func() {
+				if sc, err := l.Accept(); err == nil {
+					sc.Close()
+				}
+			}()
+		} else {
+			cfg := dispatchConfig(muxOn, gossipOn, make(chan struct{}, 1))
+			cfg.handshakeTimeout = handshake
+			cfg.writeTimeout = handshake
+			cfg.DrainTimeout = handshake
+			d = New(cfg)
+			go d.Serve(newListenOnce(s))
+		}
 		wrote := make(chan struct{})
 		go func() {
 			defer close(wrote)
-			c.Write(data) // returns once the depot read it all or either end closed
+			c.Write(data) // returns once the owner read it all or either end closed
 		}()
 
 		c.SetReadDeadline(time.Now().Add(handshake + time.Second))
 		n, err := c.Read(make([]byte, 1))
 		if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("depot neither answered nor closed %q within its handshake timeout", data)
+			t.Fatalf("front neither answered nor closed %q within its handshake timeout", data)
 		}
 		c.Close()
 		<-wrote
+		if d == nil {
+			return
+		}
+		// The depot answered or closed, so it already handles the pipe on
+		// its wait group.
+		handled := make(chan struct{})
+		go func() {
+			d.wg.Wait()
+			close(handled)
+		}()
 		select {
-		case <-done:
+		case <-handled:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("dispatch of %q still running after the peer hung up", data)
+			t.Fatalf("handling of %q still running after the peer hung up", data)
 		}
 		d.Close()
 		if a := d.Stats().Active; a != 0 {

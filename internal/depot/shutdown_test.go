@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lsl/internal/core"
+	"lsl/internal/mux"
 	"lsl/internal/wire"
 )
 
@@ -158,4 +159,90 @@ func TestDepotCloseIdleIsImmediate(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
+}
+
+// TestDepotStopCutsHandshakes: Close and Kill close what is still in its
+// handshake at once instead of waiting out the handshake timeout — a
+// silent connection, a trunk stream stopped inside its magic, and an
+// upstream depot's ready spare parked on this depot. Each case parks its
+// connection and then refuses junk behind it: the accept front takes
+// connections off the listener and streams off a trunk in order, so once
+// the junk is refused the parked one is in its handshake. What the stop
+// cuts is not counted as a protocol rejection.
+func TestDepotStopCutsHandshakes(t *testing.T) {
+	const handshake = time.Minute
+	for _, park := range []struct {
+		name string
+		park func(t *testing.T, addr string) (behind net.Conn)
+	}{
+		{"silent", func(t *testing.T, addr string) net.Conn {
+			dialRaw(t, addr)
+			return dialRaw(t, addr)
+		}},
+		{"trunk-magic", func(t *testing.T, addr string) net.Conn {
+			link, err := mux.Client(dialRaw(t, addr), mux.LinkConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { link.Close() })
+			var st [2]*mux.Stream
+			for i := range st {
+				if st[i], err = link.OpenStream(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := st[0].Write(wire.MagicMux[:2]); err != nil {
+				t.Fatal(err)
+			}
+			return st[1]
+		}},
+		{"spare", func(t *testing.T, addr string) net.Conn {
+			target, got := startTarget(t)
+			up, upAddr := runSpareDepot(t, Config{}, &spareDial{}, 0, time.Hour)
+			payload := bytes.Repeat([]byte("spare"), 1000)
+			sendDigestPayload(t, core.Route{Via: []string{upAddr, addr}, Target: target}, payload)
+			expectPayload(t, got, payload)
+			waitStats(t, up, "a spare parked on the next depot", func(st Stats) bool { return st.SparesFresh == 1 })
+			return dialRaw(t, addr)
+		}},
+	} {
+		for _, stop := range []struct {
+			name string
+			stop func(*Depot)
+		}{
+			{"Close", func(d *Depot) { d.Close() }},
+			{"Kill", (*Depot).Kill},
+		} {
+			t.Run(park.name+"/"+stop.name, func(t *testing.T) {
+				cfg := Config{}
+				cfg.handshakeTimeout = handshake
+				d, addr := runDepot(t, cfg)
+				behind := park.park(t, addr)
+				defer behind.Close()
+				if _, err := behind.Write([]byte("junk")); err != nil {
+					t.Fatal(err)
+				}
+				waitStats(t, d, "the junk refused", func(st Stats) bool { return st.RejectedProto == 1 })
+				start := time.Now()
+				stop.stop(d)
+				if took := time.Since(start); took > handshake/10 {
+					t.Fatalf("%s took %v with a connection in its handshake", stop.name, took)
+				}
+				if n := d.Stats().RejectedProto; n != 1 {
+					t.Fatalf("%d proto rejections after %s, want the junk's 1: what it cut is no protocol fault", n, stop.name)
+				}
+			})
+		}
+	}
+}
+
+// dialRaw opens a connection to addr, closed when the test ends.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	return nc
 }

@@ -19,7 +19,7 @@ import (
 const (
 	spareSlow    = time.Millisecond // a hop keeps spares from this connect time; loopback and LAN take ~0.1 ms
 	spareSlowRun = 2                // slow connects in a row that make a hop slow: one scheduler stall does not
-	sparesPerHop = 2                // idle and dialing; each holds one of a peer core.Listener's 64 handshake slots
+	sparesPerHop = 2                // idle and dialing; each holds one of a peer's mux.MaxHandshakes, target or depot
 	spareTTL     = 5 * time.Second  // far inside the 15 s a peer gives a connection to send its header
 )
 

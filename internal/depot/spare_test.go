@@ -398,8 +398,8 @@ func TestSpareNotForGossipOrTrunks(t *testing.T) {
 
 // TestSessionClockStartsAtFirstByte: a connection that idles before its
 // header (an upstream depot's spare) is not billed for the wait. The
-// empty write returns only once the dispatch is reading, so the session
-// would have started before sent if the clock ran from accept.
+// empty write returns only once the accept front is reading, so the
+// session would have started before sent if the clock ran from accept.
 func TestSessionClockStartsAtFirstByte(t *testing.T) {
 	d := New(Config{Dial: func(context.Context, string, string) (net.Conn, error) {
 		return nil, errors.New("no next hop")
@@ -407,7 +407,7 @@ func TestSessionClockStartsAtFirstByte(t *testing.T) {
 	defer d.Close()
 	c, s := net.Pipe()
 	defer c.Close()
-	go d.handle(d.root, s, true)
+	go d.Serve(newListenOnce(s))
 	if _, err := c.Write(nil); err != nil {
 		t.Fatal(err)
 	}

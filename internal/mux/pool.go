@@ -1,6 +1,5 @@
-// The link pool: warm trunks per destination on the dial side, and Serve,
-// the accept side every depot and target runs for a trunk its accept
-// dispatch recognized.
+// The link pool: warm trunks per destination on the dial side. The accept
+// side is the accept front (front.go).
 package mux
 
 import (
@@ -404,71 +403,6 @@ func (p *Pool) Close() error {
 		pl.link.closeWithError(ErrPoolClosed)
 	}
 	return nil
-}
-
-// Serve runs the accept side of a trunk on nc, whose first bytes, head,
-// an accept dispatch has already read off it (the trunk magic at least).
-// It answers the hello, then hands every stream the peer opens to handle,
-// one at a time on the calling goroutine, until the link ends; handle
-// starts the stream's own goroutine, and while it blocks, later streams
-// wait in the link's accept backlog. A read deadline the caller set on nc
-// bounds the hello. The link drains once drain closes — new streams are
-// reset, live ones run to completion — and closes at once when stop does
-// (a nil channel never fires). m, which may be nil, counts the link and
-// its streams as a pool counts its own. Serve returns why the link ended.
-func Serve(nc net.Conn, head []byte, logf func(string, ...interface{}), m *PoolMetrics, drain, stop <-chan struct{}, handle func(*Stream)) error {
-	g := &gauge{m: m}
-	link, err := startServer(Unread(nc, head), LinkConfig{
-		Logf:        logf,
-		StreamCount: func(int) { g.mu.Lock(); g.updateLocked(); g.mu.Unlock() },
-	})
-	if err != nil {
-		nc.Close()
-		return err
-	}
-	g.link = link
-	go link.readLoop()
-	m.opened()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-stop:
-			link.Close()
-		case <-drain:
-			link.Drain()
-		case <-done:
-		}
-	}()
-	for first := true; ; first = false {
-		st, err := link.AcceptStream()
-		if err != nil {
-			m.closed()
-			return err
-		}
-		if !first {
-			m.reused()
-		}
-		handle(st)
-	}
-}
-
-// Unread returns nc with head, bytes an accept dispatch has already read
-// off it, put back in front of what is still to come.
-func Unread(nc net.Conn, head []byte) net.Conn { return &prefixConn{Conn: nc, prefix: head} }
-
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
 }
 
 // Compile-time checks: streams satisfy net.Conn, the half-close interface
