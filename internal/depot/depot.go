@@ -47,9 +47,10 @@ import (
 
 // relayBufferSize is the per-direction relay buffer — the paper's
 // "small, short-lived" intermediate allocation (§IV), borrowed from a
-// size-classed pool instead of allocated per session. It is not a knob:
-// in the lslsim model the cascade gain is the same with depot buffers
-// of 64 KiB, 256 KiB, 1 MiB and 4 MiB.
+// size-classed pool instead of allocated per session. On Linux, where a
+// classic relay splices TCP to TCP, it is the capacity of the pooled
+// kernel pipe instead. It is not a knob: in the lslsim model the cascade
+// gain is the same with depot buffers of 64 KiB, 256 KiB, 1 MiB and 4 MiB.
 const relayBufferSize = 256 << 10
 
 // Config tunes a depot.
@@ -776,7 +777,9 @@ func (s *session) dial(ctx context.Context) bool {
 	d.accepted.Inc()
 	s.ls = d.sessions.add(s.info())
 	d.notify()
-	d.logf("depot: session %s %v -> %s (hop %d/%d)", s.hdr.Session, s.up.RemoteAddr(), next, s.hdr.HopIndex, len(s.hdr.Route))
+	if d.cfg.Logf != nil { // boxing the arguments allocates, logger or not
+		d.logf("depot: session %s %v -> %s (hop %d/%d)", s.hdr.Session, s.up.RemoteAddr(), next, s.hdr.HopIndex, len(s.hdr.Route))
+	}
 	return true
 }
 
@@ -790,19 +793,15 @@ func (s *session) relay(ctx context.Context) {
 		s.up.Close()
 		s.down.Close()
 	})
-	var wg sync.WaitGroup
-	wg.Add(2)
+	fwd := make(chan struct{})
 	go func() {
-		defer wg.Done()
 		s.pump(ctx, s.down, s.up, &s.ls.bytesFwd, d.bytesFwd) // forward: payload toward the target
 		halfClose(s.down)
+		close(fwd)
 	}()
-	go func() {
-		defer wg.Done()
-		s.pump(ctx, s.up, s.down, &s.ls.bytesBck, d.bytesBack) // backward: accept frame and replies
-		halfClose(s.up)
-	}()
-	wg.Wait()
+	s.pump(ctx, s.up, s.down, &s.ls.bytesBck, d.bytesBack) // backward: accept frame and replies
+	halfClose(s.up)
+	<-fwd
 	canceled := !stop()
 	d.sessionBytes.Observe(float64(s.ls.bytesFwd.Load() + s.ls.bytesBck.Load()))
 	if canceled {
@@ -811,7 +810,9 @@ func (s *session) relay(ctx context.Context) {
 		return
 	}
 	s.finish(d.completed, OutcomeCompleted, 0)
-	d.logf("depot: session %s done in %v", s.hdr.Session, time.Since(s.start).Round(time.Millisecond))
+	if d.cfg.Logf != nil {
+		d.logf("depot: session %s done in %v", s.hdr.Session, time.Since(s.start).Round(time.Millisecond))
+	}
 }
 
 // pump moves one direction through the shared data plane, crediting the

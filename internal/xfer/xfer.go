@@ -11,7 +11,9 @@
 // allocation: a session borrows a buffer for exactly as long as bytes are
 // moving and returns it on the way out. A source that already holds its
 // bytes in buffers of its own (a trunk stream, BatchSource) hands them to
-// the destination instead, and no relay buffer is borrowed at all.
+// the destination instead, and no relay buffer is borrowed at all. On
+// Linux a copy between two TCP connections splices through a pooled
+// kernel pipe, and the bytes never enter user space.
 package xfer
 
 import (
@@ -24,8 +26,9 @@ import (
 // Pool hands out fixed-size copy buffers backed by a sync.Pool. All
 // buffers from one Pool have the same length (its size class).
 type Pool struct {
-	size int
-	p    sync.Pool
+	size  int
+	p     sync.Pool
+	pipes sync.Pool // kernel pipes of at least size bytes (splice path)
 }
 
 // NewPool builds a pool whose buffers are size bytes long. Sizes must be
@@ -112,7 +115,8 @@ type CopyConfig struct {
 	// session's live byte counter, the depot-wide direction total, ...).
 	Counters []Adder
 	// HighWater, when set, records the largest single read — the relay
-	// buffer fill level. On a hand-through from a BatchSource no buffer
+	// buffer fill level; on the splice path the largest round, at most
+	// the pipe's capacity. On a hand-through from a BatchSource no buffer
 	// is borrowed, and it records the largest batch instead: the most
 	// received bytes held out of the source's window while the
 	// destination write was under way.
@@ -134,10 +138,14 @@ type CopyConfig struct {
 // only after it has been written downstream, so counters never run ahead
 // of the receiver. A src that is a BatchSource writes its batches to dst
 // itself and no buffer is borrowed; the counters, HighWater and Ctx then
-// apply per batch.
+// apply per batch. Between two *net.TCPConn on Linux the bytes move by
+// splice(2) through a pipe from pool, the same per round.
 func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int64, error) {
 	if bs, ok := src.(BatchSource); ok {
 		return copyBatches(dst, bs, cfg)
+	}
+	if n, handled, err := copySplice(dst, src, pool, &cfg); handled {
+		return n, err
 	}
 	bp := pool.Get()
 	defer pool.Put(bp)
