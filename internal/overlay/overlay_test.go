@@ -40,10 +40,11 @@ func TestParsePlansEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := g.PlanTransfer("ucsb", "uiuc", 64<<20)
+	plans, err := g.RankCandidates("ucsb", "uiuc", 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := plans[0]
 	if !plan.UsesDepots() {
 		t.Fatal("case1-like overlay should cascade for 64M")
 	}

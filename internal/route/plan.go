@@ -37,18 +37,6 @@ func (p Plan) UsesDepots() bool { return len(p.Hops) > 2 }
 // planner (header parsing, buffer copy, dial).
 const DepotDelaySeconds = 0.002
 
-// PlanTransfer picks the best session route for a size-byte transfer from
-// src to dst: the first of RankCandidates, i.e. the plan with the smallest
-// predicted completion time (which may be the direct one — LSL is
-// "voluntarily utilized ... can be employed selectively").
-func (g *Graph) PlanTransfer(src, dst NodeID, size int64) (Plan, error) {
-	plans, err := g.RankCandidates(src, dst, size)
-	if err != nil {
-		return Plan{}, err
-	}
-	return plans[0], nil
-}
-
 func (g *Graph) depotList(src, dst NodeID) []NodeID {
 	var out []NodeID
 	for _, id := range g.Nodes() {
@@ -60,13 +48,13 @@ func (g *Graph) depotList(src, dst NodeID) []NodeID {
 	return out
 }
 
-// tryCascade evaluates src -> via... -> dst.
-func (g *Graph) tryCascade(src, dst NodeID, size int64, directSec float64, via ...NodeID) (Plan, bool) {
-	hops := append(append([]NodeID{src}, via...), dst)
+// tryCascade evaluates hops[0] -> ... -> hops[len-1], reading each leg
+// from the shortest-path tree rooted at its first node.
+func (g *Graph) tryCascade(trees map[NodeID]spTree, size int64, directSec float64, hops ...NodeID) (Plan, bool) {
 	var legs []tcpmodel.PathParams
 	var legPaths [][]NodeID
 	for i := 0; i+1 < len(hops); i++ {
-		path, _, err := g.MinLatencyPath(hops[i], hops[i+1])
+		path, _, err := trees[hops[i]].path(hops[i+1])
 		if err != nil {
 			return Plan{}, false
 		}
@@ -110,11 +98,18 @@ func (p Plan) Addrs(g *Graph) (via []string, target string, err error) {
 // RankCandidates evaluates the direct connection and every single- and
 // two-depot cascade over the graph's depot nodes, using the analytic TCP
 // model on each leg's min-latency path, and returns the plans sorted by
-// predicted completion time; ties keep that enumeration order. It is the
-// candidate list consumed by PlanTransfer, the live planner
+// predicted completion time; ties keep that enumeration order, so the
+// first plan is the one to use (which may be the direct one — LSL is
+// "voluntarily utilized ... can be employed selectively"). Every leg
+// starts at src or at a depot, so one shortest-path tree per such node
+// serves them all. It is the candidate list consumed by the live planner
 // (internal/logistics) and the diagnostic output of cmd/lslplan.
 func (g *Graph) RankCandidates(src, dst NodeID, size int64) ([]Plan, error) {
-	directPath, _, err := g.MinLatencyPath(src, dst)
+	if err := g.checkEnds(src, dst); err != nil {
+		return nil, fmt.Errorf("route: no direct path %s->%s: %w", src, dst, err)
+	}
+	trees := map[NodeID]spTree{src: g.shortestPaths(src, nil)}
+	directPath, _, err := trees[src].path(dst)
 	if err != nil {
 		return nil, fmt.Errorf("route: no direct path %s->%s: %w", src, dst, err)
 	}
@@ -131,7 +126,8 @@ func (g *Graph) RankCandidates(src, dst NodeID, size int64) ([]Plan, error) {
 	}}
 	depots := g.depotList(src, dst)
 	for _, d := range depots {
-		if p, ok := g.tryCascade(src, dst, size, directSec, d); ok {
+		trees[d] = g.shortestPaths(d, nil)
+		if p, ok := g.tryCascade(trees, size, directSec, src, d, dst); ok {
 			plans = append(plans, p)
 		}
 	}
@@ -140,7 +136,7 @@ func (g *Graph) RankCandidates(src, dst NodeID, size int64) ([]Plan, error) {
 			if i == j {
 				continue
 			}
-			if p, ok := g.tryCascade(src, dst, size, directSec, d1, d2); ok {
+			if p, ok := g.tryCascade(trees, size, directSec, src, d1, d2, dst); ok {
 				plans = append(plans, p)
 			}
 		}

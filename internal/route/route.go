@@ -134,115 +134,88 @@ var ErrNoPath = errors.New("route: no path")
 // MinLatencyPath runs Dijkstra on edge RTTs and returns the node sequence
 // (inclusive of src and dst) and the summed RTT.
 func (g *Graph) MinLatencyPath(src, dst NodeID) ([]NodeID, float64, error) {
-	const inf = math.MaxFloat64
-	dist := map[NodeID]float64{}
-	prev := map[NodeID]NodeID{}
-	visited := map[NodeID]bool{}
-	for id := range g.nodes {
-		dist[id] = inf
+	if err := g.checkEnds(src, dst); err != nil {
+		return nil, 0, err
 	}
+	return g.shortestPaths(src, &dst).path(dst)
+}
+
+func (g *Graph) checkEnds(src, dst NodeID) error {
 	if _, ok := g.nodes[src]; !ok {
-		return nil, 0, fmt.Errorf("route: unknown source %s", src)
+		return fmt.Errorf("route: unknown source %s", src)
 	}
 	if _, ok := g.nodes[dst]; !ok {
-		return nil, 0, fmt.Errorf("route: unknown destination %s", dst)
+		return fmt.Errorf("route: unknown destination %s", dst)
 	}
-	dist[src] = 0
+	return nil
+}
+
+// spTree is a shortest-path tree on edge RTTs rooted at ids[root].
+type spTree struct {
+	ids  []NodeID // every node, sorted
+	idx  map[NodeID]int
+	root int
+	dist []float64 // math.MaxFloat64: not reached
+	prev []int
+}
+
+// shortestPaths runs Dijkstra on edge RTTs (which must not be negative)
+// from src, which must be a node, until it settles *stop, or over every
+// node src reaches when stop is nil. A node's path is final once it is
+// settled, so a whole tree returns the same path to each node as a
+// search stopped at that node.
+func (g *Graph) shortestPaths(src NodeID, stop *NodeID) spTree {
 	ids := g.Nodes()
+	t := spTree{ids: ids, idx: make(map[NodeID]int, len(ids)), dist: make([]float64, len(ids)), prev: make([]int, len(ids))}
+	for i, id := range ids {
+		t.idx[id] = i
+		t.dist[i] = math.MaxFloat64
+	}
+	t.root = t.idx[src]
+	t.dist[t.root] = 0
+	visited := make([]bool, len(ids))
 	for {
 		// Linear extract-min: depot overlays are small. Scanning in ID
 		// order makes the lowest ID win a tie, so equal-latency paths
 		// resolve the same way on every call.
-		var u NodeID
-		best := inf
-		found := false
-		for _, id := range ids {
-			if d := dist[id]; !visited[id] && d < best {
-				u, best, found = id, d, true
+		u, best := -1, math.MaxFloat64
+		for i, d := range t.dist {
+			if !visited[i] && d < best {
+				u, best = i, d
 			}
 		}
-		if !found {
-			break
-		}
-		if u == dst {
+		if u < 0 || stop != nil && ids[u] == *stop {
 			break
 		}
 		visited[u] = true
-		for _, e := range g.adj[u] {
-			if nd := dist[u] + e.M.RTTSeconds; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = u
+		for _, e := range g.adj[ids[u]] {
+			v := t.idx[e.To]
+			if nd := t.dist[u] + e.M.RTTSeconds; nd < t.dist[v] {
+				t.dist[v] = nd
+				t.prev[v] = u
 			}
 		}
 	}
-	if dist[dst] == inf {
-		return nil, 0, ErrNoPath
-	}
-	return rebuild(prev, src, dst), dist[dst], nil
+	return t
 }
 
-// WidestPath maximizes the bottleneck bandwidth from src to dst (edges
-// with zero bandwidth are treated as unconstrained).
-func (g *Graph) WidestPath(src, dst NodeID) ([]NodeID, float64, error) {
-	width := map[NodeID]float64{}
-	prev := map[NodeID]NodeID{}
-	visited := map[NodeID]bool{}
-	if _, ok := g.nodes[src]; !ok {
-		return nil, 0, fmt.Errorf("route: unknown source %s", src)
-	}
-	if _, ok := g.nodes[dst]; !ok {
-		return nil, 0, fmt.Errorf("route: unknown destination %s", dst)
-	}
-	width[src] = math.Inf(1)
-	ids := g.Nodes()
-	for {
-		var u NodeID
-		best := 0.0
-		found := false
-		for _, id := range ids { // ID order: the lowest ID wins a tie
-			if w := width[id]; !visited[id] && w > best {
-				u, best, found = id, w, true
-			}
-		}
-		if !found {
-			break
-		}
-		if u == dst {
-			break
-		}
-		visited[u] = true
-		for _, e := range g.adj[u] {
-			bw := e.M.BandwidthBps
-			if bw == 0 {
-				bw = math.Inf(1)
-			}
-			w := math.Min(width[u], bw)
-			if w > width[e.To] {
-				width[e.To] = w
-				prev[e.To] = u
-			}
-		}
-	}
-	if width[dst] == 0 {
+// path returns the tree's node sequence from its root to dst (inclusive)
+// and the summed RTT.
+func (t spTree) path(dst NodeID) ([]NodeID, float64, error) {
+	v, ok := t.idx[dst]
+	if !ok || t.dist[v] == math.MaxFloat64 {
 		return nil, 0, ErrNoPath
 	}
-	return rebuild(prev, src, dst), width[dst], nil
-}
-
-func rebuild(prev map[NodeID]NodeID, src, dst NodeID) []NodeID {
-	var rev []NodeID
-	for at := dst; ; {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
-		at = prev[at]
+	n := 1
+	for at := v; at != t.root; at = t.prev[at] {
+		n++
 	}
-	out := make([]NodeID, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	out := make([]NodeID, n)
+	for at := v; n > 0; at = t.prev[at] {
+		n--
+		out[n] = t.ids[at]
 	}
-	return out
+	return out, t.dist[v], nil
 }
 
 // legParams aggregates the edges of a node sequence into one TCP hop for

@@ -58,39 +58,6 @@ func TestMinLatencyUnknownNodes(t *testing.T) {
 	}
 }
 
-func TestWidestPathPicksFatter(t *testing.T) {
-	g := diamond(
-		Metrics{RTTSeconds: 0.01, BandwidthBps: 5e6}, Metrics{RTTSeconds: 0.01, BandwidthBps: 5e6},
-		Metrics{RTTSeconds: 0.05, BandwidthBps: 1e8}, Metrics{RTTSeconds: 0.05, BandwidthBps: 1e8},
-	)
-	path, width, err := g.WidestPath("src", "dst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path[1] != "mid2" {
-		t.Fatalf("path=%v", path)
-	}
-	if width != 1e8 {
-		t.Fatalf("width=%v", width)
-	}
-}
-
-func TestWidestPathBottleneckProperty(t *testing.T) {
-	// The widest path's bottleneck must be >= any single alternative's.
-	g := diamond(
-		Metrics{BandwidthBps: 3e6, RTTSeconds: 0.01}, Metrics{BandwidthBps: 9e6, RTTSeconds: 0.01},
-		Metrics{BandwidthBps: 7e6, RTTSeconds: 0.01}, Metrics{BandwidthBps: 4e6, RTTSeconds: 0.01},
-	)
-	_, width, err := g.WidestPath("src", "dst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// alternatives: min(3,9)=3 and min(7,4)=4 -> widest is 4.
-	if width != 4e6 {
-		t.Fatalf("width=%v", width)
-	}
-}
-
 func TestAddEdgeRequiresNodes(t *testing.T) {
 	g := NewGraph()
 	g.AddNode(Node{ID: "a"})
@@ -114,12 +81,19 @@ func paperGraph() *Graph {
 	return g
 }
 
-func TestPlanPrefersDepotForLargeTransfers(t *testing.T) {
-	g := paperGraph()
-	plan, err := g.PlanTransfer("ucsb", "uiuc", 64<<20)
+// best is the head of the ranking: the plan a caller executes.
+func best(t *testing.T, g *Graph, src, dst NodeID, size int64) Plan {
+	t.Helper()
+	plans, err := g.RankCandidates(src, dst, size)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plans[0]
+}
+
+func TestPlanPrefersDepotForLargeTransfers(t *testing.T) {
+	g := paperGraph()
+	plan := best(t, g, "ucsb", "uiuc", 64<<20)
 	if !plan.UsesDepots() {
 		t.Fatalf("64MB plan should cascade: %+v", plan)
 	}
@@ -133,10 +107,7 @@ func TestPlanPrefersDepotForLargeTransfers(t *testing.T) {
 
 func TestPlanPrefersDirectForTinyTransfers(t *testing.T) {
 	g := paperGraph()
-	plan, err := g.PlanTransfer("ucsb", "uiuc", 8<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := best(t, g, "ucsb", "uiuc", 8<<10)
 	if plan.UsesDepots() {
 		t.Fatalf("8KB plan should stay direct: %+v", plan)
 	}
@@ -147,10 +118,7 @@ func TestPlanPrefersDirectForTinyTransfers(t *testing.T) {
 
 func TestPlanAddrs(t *testing.T) {
 	g := paperGraph()
-	plan, err := g.PlanTransfer("ucsb", "uiuc", 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := best(t, g, "ucsb", "uiuc", 64<<20)
 	via, target, err := plan.Addrs(g)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +134,7 @@ func TestPlanAddrs(t *testing.T) {
 func TestPlanAddrsMissing(t *testing.T) {
 	g := paperGraph()
 	g.AddNode(Node{ID: "uiuc"}) // clobber the address
-	plan, _ := g.PlanTransfer("ucsb", "uiuc", 64<<20)
+	plan := best(t, g, "ucsb", "uiuc", 64<<20)
 	if _, _, err := plan.Addrs(g); err == nil {
 		t.Fatal("missing addr should error")
 	}
@@ -213,10 +181,7 @@ func TestTwoDepotCascadeConsidered(t *testing.T) {
 	g.AddDuplex("s", "d1", leg)
 	g.AddDuplex("d1", "d2", leg)
 	g.AddDuplex("d2", "t", leg)
-	plan, err := g.PlanTransfer("s", "t", 128<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := best(t, g, "s", "t", 128<<20)
 	if len(plan.Hops) != 4 {
 		t.Fatalf("want two-depot cascade, got %v", plan.Hops)
 	}

@@ -225,10 +225,11 @@ func TestPublicPlanning(t *testing.T) {
 	g.AddNode(lsl.GraphNode{ID: "b"})
 	g.AddDuplex("a", "mid", lsl.LinkMetrics{RTTSeconds: 0.03, BandwidthBps: 1e8, LossProb: 2e-4})
 	g.AddDuplex("mid", "b", lsl.LinkMetrics{RTTSeconds: 0.03, BandwidthBps: 1e8, LossProb: 2e-4})
-	plan, err := g.PlanTransfer("a", "b", 64<<20)
+	plans, err := g.RankCandidates("a", "b", 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := plans[0]
 	if !plan.UsesDepots() {
 		t.Fatal("large lossy transfer should cascade")
 	}
