@@ -311,11 +311,11 @@ func runStriped(route lsl.Route, src io.ReaderAt, size int64, stripes, retries i
 	if !quiet {
 		el := time.Since(start)
 		fmt.Fprintf(os.Stderr,
-			"lslcat: group %s: %d bytes over %d stripes in %v = %.2f Mbit/s (heals %d, replans %d, abandoned %d, rebalances %d, speculated %d, tail %v)\n",
+			"lslcat: group %s: %d bytes over %d stripes in %v = %.2f Mbit/s (heals %d, replans %d, abandoned %d, rebalances %d, tail %v)\n",
 			res.Group, res.Bytes, res.Stripes, el.Round(time.Millisecond),
 			float64(res.Bytes)*8/el.Seconds()/1e6,
 			res.Heals, res.Replans, res.Abandoned, res.Rebalances,
-			res.FramesSpeculated, res.Tail.Round(time.Millisecond))
+			res.Tail.Round(time.Millisecond))
 		for i, r := range res.Routes {
 			log.Printf("stripe %d: %d bytes via %v", i, res.StripeBytes[i], r.Hops())
 		}

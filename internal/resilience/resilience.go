@@ -138,8 +138,6 @@ type Metrics struct {
 	StripeHeals *metrics.Counter
 	// FramesReassigned is lsl_stripe_frames_reassigned_total.
 	FramesReassigned *metrics.Counter
-	// FramesSpeculated is lsl_stripe_frames_speculated_total.
-	FramesSpeculated *metrics.Counter
 	// Tail is lsl_stripe_tail_ns: time each group spent between the frame
 	// source running dry and the last stripe draining.
 	Tail *metrics.Histogram
@@ -166,9 +164,7 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		StripeHeals: reg.Counter("lsl_stripe_stripe_heals_total",
 			"Individual stripes re-attached after a mid-flow failure."),
 		FramesReassigned: reg.Counter("lsl_stripe_frames_reassigned_total",
-			"Frames requeued off dead or abandoned stripes."),
-		FramesSpeculated: reg.Counter("lsl_stripe_frames_speculated_total",
-			"Tail frames duplicated onto faster stripes speculatively."),
+			"Frames requeued off dead, abandoned or superseded stripes."),
 		Tail: reg.Histogram("lsl_stripe_tail_ns",
 			"End-of-stream tail per group: frame source dry to group drained (ns).",
 			[]float64{1e6, 5e6, 10e6, 25e6, 50e6, 100e6, 250e6, 1e9, 5e9}),

@@ -69,13 +69,13 @@ type StripedResult struct {
 	Abandoned int
 	// Rebalances counts mid-flow weight recomputations.
 	Rebalances int64
-	// FramesReassigned counts frames requeued off dead stripes.
+	// FramesReassigned counts frames requeued off dead, abandoned or
+	// superseded stripes.
 	FramesReassigned int64
-	// FramesStolen is always 0: the sender no longer steals queued
-	// frames (speculation and supersession reclaim the tail).
-	FramesStolen int64
-	// FramesSpeculated counts tail frames duplicated onto faster stripes.
-	FramesSpeculated int64
+	// FramesStolen and FramesSpeculated are always 0: the sender neither
+	// steals queued frames nor duplicates tail frames (a wedged stripe is
+	// superseded and its frames requeue, counted in FramesReassigned).
+	FramesStolen, FramesSpeculated int64
 	// Superseded counts wedged stripes retired with their frames
 	// re-delivered elsewhere.
 	Superseded int
@@ -286,7 +286,6 @@ events:
 	res.Replans = ps.failovers
 	res.Rebalances = st.Rebalances
 	res.FramesReassigned = st.Reassigned
-	res.FramesSpeculated = st.Speculated
 	res.Superseded = int(st.Superseded)
 	res.Confirmed = st.Confirmed
 	res.Tail = st.Tail
@@ -302,7 +301,6 @@ events:
 	ps.mu.Unlock()
 	met.Rebalances.Add(uint64(res.Rebalances))
 	met.FramesReassigned.Add(uint64(res.FramesReassigned))
-	met.FramesSpeculated.Add(uint64(res.FramesSpeculated))
 	met.Transfers.With(outcomeOf(ctx, runErr)).Inc()
 	if runErr != nil {
 		return res, fmt.Errorf("resilience: %s: %w", ps, runErr)

@@ -190,9 +190,9 @@ func (c *frameTap) CloseWrite() error { return c.Conn.(*net.TCPConn).CloseWrite(
 
 // A first hop that accepts the TCP connection and then never reads or
 // answers must degrade the group, not wedge it: with no accept within the
-// stuck timeout the stripe counts as wedged, its frames are duplicated
-// onto the healthy stripe, and it is superseded — well inside a context
-// far shorter than one handshake timeout.
+// stuck timeout the stripe counts as wedged and is superseded, its frames
+// requeued onto the healthy stripe — well inside a context far shorter
+// than one handshake timeout.
 func TestStripedTransferBlackHoleFirstHop(t *testing.T) {
 	hole, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -236,9 +236,8 @@ func TestStripedTransferCleanPath(t *testing.T) {
 
 // The end-of-stream tail acceptance case: one of two stripes wedges —
 // its connection stays up but writes block forever — with frames still
-// in flight. The group must speculatively duplicate the wedged stripe's
-// unconfirmed tail on the healthy stripe, supersede the dead weight
-// (requeueing whatever it still had queued), and confirm by receiver
+// in flight. The group must supersede the dead weight, requeue its
+// unconfirmed frames onto the healthy stripe, and confirm by receiver
 // ack — byte-exact, with no frame double-counted in the per-stripe
 // attribution.
 func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
@@ -272,8 +271,8 @@ func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
 	}
 	st.wait(t, payload)
 
-	if res.FramesSpeculated < 1 {
-		t.Fatalf("frames speculated=%d, want >= 1 (the wedged in-flight frame)", res.FramesSpeculated)
+	if res.FramesReassigned < 1 {
+		t.Fatalf("frames reassigned=%d, want >= 1 (the wedged in-flight frame)", res.FramesReassigned)
 	}
 	if res.Superseded < 1 {
 		t.Fatalf("superseded=%d, want >= 1 — the wedged stripe cannot end on its own", res.Superseded)
@@ -292,8 +291,8 @@ func TestStripedTransferReclaimsStalledStripe(t *testing.T) {
 		t.Fatalf("stripe bytes sum %d, want %d — a duplicate was double-counted (%v)",
 			sum, len(payload), res.StripeBytes)
 	}
-	if got := smet.FramesSpeculated.Value(); got < 1 {
-		t.Fatalf("lsl_stripe_frames_speculated_total=%d, want >= 1", got)
+	if got := smet.FramesReassigned.Value(); got < 1 {
+		t.Fatalf("lsl_stripe_frames_reassigned_total=%d, want >= 1", got)
 	}
 	if got := smet.Tail.Count(); got != 1 {
 		t.Fatalf("lsl_stripe_tail_ns count=%d, want 1 observation", got)

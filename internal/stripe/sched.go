@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -43,13 +42,10 @@ const defaultQueueFrames = 4
 
 // Tail-reclamation tuning (see tail.go).
 const (
-	// speculateRatio is the receiver-measured rate ratio a thief must
-	// have over a merely slow (not wedged) victim before it duplicates
-	// the victim's sent frames.
-	speculateRatio = 1.5
-	// defaultStuckTimeout is how long one frame write may block before
-	// the stripe is treated as wedged (rate 0) and, once every one of its
-	// frames is covered by another stripe, superseded outright.
+	// defaultStuckTimeout is how long one frame write may block, or a
+	// pipelined open wait for its accept, before the stripe is treated as
+	// wedged: it takes no new frames and is superseded once its frames
+	// have somewhere to go.
 	defaultStuckTimeout = 750 * time.Millisecond
 	// defaultInflightHorizon sizes the adaptive per-stripe in-flight byte
 	// budget: acked-throughput × horizon, a bandwidth-delay-product-style
@@ -71,27 +67,10 @@ const (
 	maxInflightBudget = 64 << 20
 )
 
-// frame is one dispatch unit. A speculative duplicate (spec) is a copy,
-// queued on a thief stripe, of a frame that stripe victim's generation
-// victimGen has sent (or is wedged mid-write on) but the receiver has not
-// yet confirmed: the victim keeps owning the frame and its byte credit.
+// frame is one dispatch unit: n payload bytes at stream offset off.
 type frame struct {
-	off       int64
-	n         int
-	spec      bool
-	victim    int
-	victimGen int
-}
-
-// specRec records one completed speculative write, keyed by frame offset
-// in Sender.specDone. Coverage is only valid while both generations
-// still stand.
-type specRec struct {
-	victim    int
-	victimGen int
-	thief     int
-	thiefGen  int
-	n         int
+	off int64
+	n   int
 }
 
 // SenderConfig tunes a Sender. The zero value is usable.
@@ -122,7 +101,7 @@ type stripeState struct {
 	w          io.Writer // this generation's stream, until the Sender closes it
 	accepted   bool      // this generation's peer accepted the stream
 	attachedAt time.Time // when this generation attached
-	queue      []frame   // dispatched, not yet picked up: own frames, then duplicates
+	queue      []frame   // dispatched, not yet picked up
 	inflight   bool
 	cur        frame     // frame the worker is writing right now
 	writeStart time.Time // when the in-flight frame write began
@@ -179,12 +158,7 @@ type Sender struct {
 	sinceRebalance int64
 	rebalances     int64
 	reassigned     int64
-	speculated     int64
 	superseded     int64
-
-	// Speculative duplicates written by a thief, unconfirmed, keyed by
-	// frame offset (those still queued ride their thief's queue).
-	specDone map[int64]specRec
 
 	// Receiver feedback, from the backward channels.
 	ackedFlushed    int64
@@ -227,7 +201,6 @@ func NewSender(group wire.SessionID, src io.ReaderAt, total int64, stripes int, 
 		queueFrames:    defaultQueueFrames,
 		stuckTimeout:   defaultStuckTimeout,
 		stripes:        make([]*stripeState, stripes),
-		specDone:       make(map[int64]specRec),
 		ackAccepted:    make([]int64, stripes),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -260,9 +233,9 @@ type acceptor interface{ AwaitAccept() error }
 // carries frames at once, and the verdict becomes part of the stripe's
 // lifecycle: a refusal is a stripe-down like a failed write, carrying the
 // accept's error; no accept within the stuck timeout makes the stripe
-// wedged (rate 0, no new frames), so speculation and supersession move its
-// frames to accepted stripes; and the stripe can finish only once
-// accepted. Any other writer counts as accepted from the start.
+// wedged (no new frames), so supersession moves its frames to accepted
+// stripes; and the stripe can finish only once accepted. Any other writer
+// counts as accepted from the start.
 //
 // A duplex stream — an io.Reader that can also half-close or take a
 // deadline, as a connection can — has a backward channel: the stripe
@@ -419,35 +392,27 @@ func (s *Sender) Abandon(index int, err error) {
 // in-flight one, the queued ones, and those written but not confirmed,
 // which come off the stripe's byte count (they died with the stream, and
 // whichever stripe rewrites them gets the credit, so StripeBytes always
-// sums to the delivered stream length). Speculative duplicates it carried
-// are dropped, not requeued: their victims still own those frames. Any
-// coverage it provided as a thief, or held as a victim, is invalidated.
+// sums to the delivered stream length) — except an in-flight frame the
+// receiver has already flushed, which is credited to the stripe instead.
 // Its worker and channel reader retire on the bumped generation. It
 // returns how many frames requeued and the stream, which the caller
 // closes off the lock.
 func (s *Sender) retireLocked(index, state int, err error) (int, io.Writer) {
 	st := s.stripes[index]
 	n := len(s.requeue)
-	if st.inflight && !st.cur.spec {
+	if st.inflight && s.flushedLocked(st.cur) {
+		st.bytes += int64(st.cur.n) // the receiver has it
+	} else if st.inflight {
 		s.requeue = append(s.requeue, st.cur)
 	}
 	st.inflight = false
-	for _, f := range st.queue {
-		if !f.spec {
-			s.requeue = append(s.requeue, f)
-		}
-	}
+	s.requeue = append(s.requeue, st.queue...)
 	st.queue = nil
 	for _, f := range st.sent {
 		st.bytes -= int64(f.n)
 	}
 	s.requeue = append(s.requeue, st.sent...)
 	st.sent = nil
-	for off, rec := range s.specDone {
-		if rec.thief == index || rec.victim == index {
-			delete(s.specDone, off)
-		}
-	}
 	n = len(s.requeue) - n
 	s.reassigned += int64(n)
 	st.gen++
@@ -515,23 +480,15 @@ func (s *Sender) worker(index, gen int, w io.Writer) {
 	for {
 		s.mu.Lock()
 		var f frame
-	pick:
 		for {
 			if st.gen != gen || s.failErr != nil || s.done {
 				s.mu.Unlock()
 				return
 			}
-			for len(st.queue) > 0 {
+			if len(st.queue) > 0 {
 				f = st.queue[0]
 				st.queue = st.queue[1:]
-				if !f.spec {
-					break pick
-				}
-				// A victim that died, healed, or was superseded since the
-				// duplicate was queued no longer owns this frame: skip it.
-				if vs := s.stripes[f.victim]; vs.gen == f.victimGen && victimHoldsFrames(vs.state) {
-					break pick
-				}
+				break
 			}
 			if s.quiescentLocked() && s.mayEndLocked(back) {
 				// Commit to the end frame before unlocking so the
@@ -582,29 +539,15 @@ func (s *Sender) worker(index, gen int, w io.Writer) {
 
 		s.mu.Lock()
 		if st.gen != gen {
-			// The retirement requeued cur already; the duplicate the
-			// receiver may see is dropped there.
+			// The retirement requeued (or credited) cur already; the
+			// duplicate the receiver may see is dropped there.
 			s.mu.Unlock()
 			return
 		}
 		st.inflight = false
 		st.pipeWritten += int64(f.n)
-		if f.spec {
-			// The duplicate is on the wire, but the frame still belongs to
-			// its victim: record coverage, never credit the thief's sent
-			// list, so StripeBytes cannot double-count. Attribution moves
-			// only if the victim is later superseded.
-			vs := s.stripes[f.victim]
-			if vs.gen == f.victimGen && victimHoldsFrames(vs.state) {
-				s.specDone[f.off] = specRec{
-					victim: f.victim, victimGen: f.victimGen,
-					thief: index, thiefGen: gen, n: f.n,
-				}
-			}
-		} else {
-			st.sent = append(st.sent, f)
-			st.bytes += int64(f.n)
-		}
+		st.sent = append(st.sent, f)
+		st.bytes += int64(f.n)
 		if sec := elapsed.Seconds(); sec > 0 {
 			bps := float64(f.n) / sec
 			if st.ewmaBps == 0 {
@@ -643,16 +586,6 @@ func (s *Sender) end(w io.Writer, back bool) error {
 		_ = d.SetDeadline(time.Now().Add(unwindTimeout))
 	}
 	return nil
-}
-
-// victimHoldsFrames reports whether a stripe in the given state still
-// owns its sent-but-unconfirmed frames (so duplicating them helps).
-func victimHoldsFrames(state int) bool {
-	switch state {
-	case stripeLive, stripeEnding, stripeUnwinding, stripeFinished:
-		return true
-	}
-	return false
 }
 
 // rebalanceLocked resets each live stripe's weight to its observed
@@ -810,35 +743,26 @@ func (s *Sender) dispatchLocked() error {
 				} else {
 					s.nextOff += int64(f.n)
 				}
-				// Own frames go ahead of the speculative duplicates
-				// queued on the stripe.
-				st := s.stripes[i]
-				j := len(st.queue)
-				for j > 0 && st.queue[j-1].spec {
-					j--
-				}
-				st.queue = slices.Insert(st.queue, j, f)
+				s.stripes[i].queue = append(s.stripes[i].queue, f)
 				s.cond.Broadcast()
 				continue
 			}
 			if s.drainedLocked() {
 				return fmt.Errorf("stripe: frames remain but every stripe is finished or abandoned (%w)", s.firstStripeErrLocked())
 			}
-			// Frames exist but no stripe has budget. A wedged stripe whose
-			// every frame is already covered elsewhere can still be retired
-			// here, freeing the group to make progress.
-			if s.runMaintenance(false) {
+			// Frames exist but no stripe has budget: a wedged stripe may
+			// be holding it.
+			if s.supersede() {
 				continue
 			}
 			s.cond.Wait()
 			continue
 		}
-		// The frame source is dry: the end-of-stream tail begins. Reclaim
-		// work from slow stripes before the group drains.
+		// The frame source is dry: the end-of-stream tail begins.
 		if s.tailStart.IsZero() {
 			s.tailStart = time.Now()
 		}
-		if s.runMaintenance(true) {
+		if s.supersede() {
 			continue
 		}
 		if s.drainedLocked() {
@@ -849,47 +773,34 @@ func (s *Sender) dispatchLocked() error {
 	}
 }
 
-// runMaintenance runs one round of tail reclamation — supersede, else
-// speculate — and acts on it outside the lock: it closes a superseded
-// stripe's stream, which unblocks the wedged write (the worker then
-// retires on its stale generation, so no down event or heal follows), and
-// logs. It is called with s.mu held and returns with it held; a true
-// return means state changed and the dispatch loop should re-evaluate.
-// Speculation only makes sense once the frame source is dry (sourceDry);
-// supersession helps whenever a wedged stripe blocks the group.
-func (s *Sender) runMaintenance(sourceDry bool) bool {
+// supersede retires a wedged stripe, if supersedeLocked may, and acts on
+// it outside the lock: it closes the stripe's stream, which unblocks the
+// wedged write (the worker then retires on its stale generation, so no
+// down event or heal follows), and logs. It is called with s.mu held and
+// returns with it held; a true return means state changed and the
+// dispatch loop should re-evaluate.
+func (s *Sender) supersede() bool {
 	sup, requeued, w := s.supersedeLocked()
-	victim, thief, dup := -1, -1, 0
-	if sup < 0 && sourceDry {
-		victim, thief, dup = s.speculateLocked()
-	}
-	if sup < 0 && dup == 0 {
+	if sup < 0 {
 		return false
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	defer s.mu.Lock()
-	switch {
-	case sup >= 0:
-		closeStream(w)
-		if s.logf != nil {
-			s.logf("stripe %d superseded: wedged, all frames covered (%d requeued)", sup, requeued)
-		}
-	case s.logf != nil:
-		s.logf("stripe speculate: %d tail frames of %d duplicated on %d", dup, victim, thief)
+	closeStream(w)
+	if s.logf != nil {
+		s.logf("stripe %d superseded: wedged (%d frames requeued)", sup, requeued)
 	}
 	return true
 }
 
 // quiescentLocked reports the end phase: the frame source is dry and no
-// frame a stripe owns is queued, requeued or in flight. Speculative
-// duplicates do not count; their victims still own those frames.
+// frame is queued, requeued or in flight.
 func (s *Sender) quiescentLocked() bool {
 	if s.nextOff < s.total || len(s.requeue) > 0 {
 		return false
 	}
 	for _, st := range s.stripes {
-		if (len(st.queue) > 0 && !st.queue[0].spec) || (st.inflight && !st.cur.spec) {
+		if len(st.queue) > 0 || st.inflight {
 			return false
 		}
 	}
@@ -933,19 +844,16 @@ type Stats struct {
 	// to the stream length once Confirmed.
 	AcceptedBytes []int64
 	// Delivered is the per-stripe attribution to report: AcceptedBytes
-	// once Confirmed (speculative duplicates excluded), StripeBytes
-	// otherwise.
+	// once Confirmed (duplicates excluded), StripeBytes otherwise.
 	Delivered []int64
-	// QueuedBytes is each stripe's committed bytes — queued, speculative
-	// and in-flight frames plus unacknowledged pipe contents — the
-	// quantity the in-flight budget bounds.
+	// QueuedBytes is each stripe's committed bytes — queued and in-flight
+	// frames plus unacknowledged pipe contents — the quantity the
+	// in-flight budget bounds.
 	QueuedBytes []int64
 	// Rebalances counts throughput-driven weight recomputations,
-	// Reassigned frames requeued off retired stripes, Speculated tail
-	// frames queued as speculative duplicates on faster stripes, and
-	// Superseded wedged stripes retired with their frames re-delivered
-	// elsewhere.
-	Rebalances, Reassigned, Speculated, Superseded int64
+	// Reassigned frames requeued off retired stripes, and Superseded
+	// wedged stripes retired with their frames re-delivered elsewhere.
+	Rebalances, Reassigned, Superseded int64
 	// Confirmed reports that the receiver acked the whole stream as
 	// flushed (only possible over streams with a backward channel).
 	Confirmed bool
@@ -965,7 +873,6 @@ func (s *Sender) Stats() Stats {
 		QueuedBytes:   make([]int64, len(s.stripes)),
 		Rebalances:    s.rebalances,
 		Reassigned:    s.reassigned,
-		Speculated:    s.speculated,
 		Superseded:    s.superseded,
 		Confirmed:     s.confirmed,
 		Tail:          s.tailDur,

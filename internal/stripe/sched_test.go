@@ -419,8 +419,8 @@ func TestSenderAcklessLiveWritersNeverSteal(t *testing.T) {
 		if sb := snd.Stats().StripeBytes; sb[0] != 3*sb[1] {
 			t.Fatalf("run %d: weight 3:1 produced split %d:%d", run, sb[0], sb[1])
 		}
-		if n := snd.Stats().Speculated + snd.Stats().Reassigned; n != 0 {
-			t.Fatalf("run %d: %d frames speculated or reassigned between live stripes", run, n)
+		if n := snd.Stats().Reassigned; n != 0 {
+			t.Fatalf("run %d: %d frames reassigned between live stripes", run, n)
 		}
 	}
 }

@@ -251,7 +251,7 @@ var copyBufs = sync.Pool{New: func() any { b := make([]byte, copyBufSize); retur
 // frames it replays that the receiver already holds — flushed or pending —
 // are dropped silently. A stream that dies inside the frame passing
 // through leaves that frame partly flushed; a later copy with exactly its
-// bounds (a replay, a requeue, a speculative duplicate) finishes it from
+// bounds (a replay, a requeue, an older sender's duplicate) finishes it from
 // the first byte still missing. This is what makes sender-side stripe
 // healing possible without per-frame acknowledgements.
 type Receiver struct {
@@ -385,11 +385,12 @@ const (
 
 // classifyLocked places a frame of n > 0 bytes at off. Replays are
 // tolerated: healing a dead stripe re-sends every frame of its last
-// generation, and tail speculation deliberately duplicates a slow
-// stripe's final frames on a fast one — so a frame wholly inside the
-// flushed prefix, or equal in length to a buffered pending frame at the
-// same offset, is a drop, and a copy of the head frame with its exact
-// bounds finishes it. Any other overlap with the flushed prefix, the
+// generation, a superseded or abandoned stripe's unconfirmed frames
+// requeue onto the survivors although some may have landed, and older
+// senders duplicate a slow stripe's final frames on a fast one — so a
+// frame wholly inside the flushed prefix, or equal in length to a
+// buffered pending frame at the same offset, is a drop, and a copy of the
+// head frame with its exact bounds finishes it. Any other overlap with the flushed prefix, the
 // head or a pending frame at the same offset fails — frame boundaries are
 // fixed when the sender dispatches them, so a mismatched boundary means
 // corruption, not healing. So does a frame reaching past the declared

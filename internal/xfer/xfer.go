@@ -121,9 +121,6 @@ type CopyConfig struct {
 	// received bytes held out of the source's window while the
 	// destination write was under way.
 	HighWater MaxSetter
-	// Progress, when set, is called with each chunk's size after it is
-	// written (rate estimation, per-transfer progress).
-	Progress func(n int)
 	// Ctx, when set, cancels the copy between chunks. A read or write
 	// blocked on a dead peer does not observe Ctx on its own — the owner
 	// of the transport must close it on cancellation (the depot's session
@@ -218,12 +215,9 @@ func (cfg *CopyConfig) canceled() error {
 	}
 }
 
-// credit reports n bytes written downstream to the counters and Progress.
+// credit reports n bytes written downstream to the counters.
 func (cfg *CopyConfig) credit(n int) {
 	for _, c := range cfg.Counters {
 		c.Add(uint64(n))
-	}
-	if cfg.Progress != nil {
-		cfg.Progress(n)
 	}
 }

@@ -49,9 +49,8 @@ func TestCopyCountedCounts(t *testing.T) {
 	var high maxGauge
 	var progress int
 	n, err := CopyCounted(&dst, bytes.NewReader(payload), NewPool(512), CopyConfig{
-		Counters:  []Adder{AtomicAdder{U: &live}, &total},
+		Counters:  []Adder{AtomicAdder{U: &live}, &total, adderFunc(func(n uint64) { progress += int(n) })},
 		HighWater: &high,
-		Progress:  func(n int) { progress += n },
 	})
 	if err != nil || n != int64(len(payload)) {
 		t.Fatalf("n=%d err=%v", n, err)
@@ -140,11 +139,10 @@ func TestCopyCountedHandsThrough(t *testing.T) {
 	var dst bytes.Buffer
 	var live atomic.Uint64
 	var high maxGauge
-	var progress []int
+	var progress []uint64
 	n, err := CopyCounted(&dst, &batchSource{batches()}, NewPool(16), CopyConfig{
-		Counters:  []Adder{AtomicAdder{U: &live}},
+		Counters:  []Adder{AtomicAdder{U: &live}, adderFunc(func(n uint64) { progress = append(progress, n) })},
 		HighWater: &high,
-		Progress:  func(n int) { progress = append(progress, n) },
 	})
 	if err != nil || n != 1350 || dst.Len() != 1350 || !bytes.Equal(dst.Bytes(), bytes.Join(batches(), nil)) {
 		t.Fatalf("n=%d err=%v dst=%d bytes", n, err, dst.Len())
@@ -156,7 +154,7 @@ func TestCopyCountedHandsThrough(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n, err = CopyCounted(io.Discard, &batchSource{batches()}, NewPool(16), CopyConfig{
 		Ctx:      ctx,
-		Progress: func(n int) { cancel() },
+		Counters: []Adder{adderFunc(func(uint64) { cancel() })},
 	})
 	if !errors.Is(err, context.Canceled) || n != 300 {
 		t.Fatalf("canceled after the first batch: n=%d err=%v", n, err)
@@ -187,6 +185,11 @@ func BenchmarkCopyCounted(b *testing.B) {
 }
 
 type counter struct{ v uint64 }
+
+// adderFunc is an Adder that hands each credit to a test's function.
+type adderFunc func(n uint64)
+
+func (f adderFunc) Add(n uint64) { f(n) }
 
 func (c *counter) Add(n uint64) { c.v += n }
 
