@@ -31,7 +31,7 @@ type sessionState struct {
 	received int64
 
 	// updated is the last activity in unix nanoseconds, for the resume
-	// table's TTL sweep and eviction, which read it under Listener.mu.
+	// table's eviction, which reads it under Listener.mu.
 	updated atomic.Int64
 }
 
@@ -46,9 +46,8 @@ const (
 	defaultHandshakeTimeout = 15 * time.Second
 	// defaultMaxSessions bounds the resume table.
 	defaultMaxSessions = 1024
-	// defaultSessionTTL is how long an interrupted session's resume state
-	// is retained.
-	defaultSessionTTL = 15 * time.Minute
+	// refuseTimeout bounds a refusal's frame write and then its drain.
+	refuseTimeout = 5 * time.Second
 )
 
 // Listener accepts LSL sessions at a session target. Its accept front
@@ -61,27 +60,19 @@ type Listener struct {
 	ln    net.Listener
 	front *mux.Front
 
-	// mu guards the resume table and lastSweep; no sessionState.mu is
-	// ever taken while it is held.
-	mu        sync.Mutex
-	sessions  map[wire.SessionID]*sessionState
-	lastSweep time.Time
+	// mu guards the resume table; no sessionState.mu is ever taken while
+	// it is held.
+	mu       sync.Mutex
+	sessions map[wire.SessionID]*sessionState
 
 	startOnce sync.Once
 	ready     chan *ServerConn // handshaken sessions, in completion order
 	loopDone  chan struct{}    // the accept loop ended with loopErr
 	loopErr   error
 
-	// Test seams, set before the first Accept.
-	//
-	// maxSessions bounds the resume table.
+	// maxSessions bounds the resume table; when it is full, the entry
+	// idle longest is evicted. A test seam, set before the first Accept.
 	maxSessions int
-	// sessionTTL bounds how long an interrupted session's resume state is
-	// retained: entries idle longer than this are swept, so abandoned
-	// sessions cannot permanently occupy maxSessions slots and block new
-	// resumable sessions. Non-positive disables the sweep (completed
-	// sessions are still deleted eagerly).
-	sessionTTL time.Duration
 }
 
 // Listen starts an LSL target listener on addr.
@@ -101,7 +92,6 @@ func NewListener(ln net.Listener) *Listener {
 		ready:       make(chan *ServerConn),
 		loopDone:    make(chan struct{}),
 		maxSessions: defaultMaxSessions,
-		sessionTTL:  defaultSessionTTL,
 	}
 	l.front = mux.NewFront(ln, l.accept, mux.FrontConfig{HandshakeTimeout: defaultHandshakeTimeout})
 	return l
@@ -163,14 +153,14 @@ func (l *Listener) handshake(nc net.Conn, head []byte) (*ServerConn, error) {
 	}
 	if !hdr.Final() {
 		// We are a target, not a depot: refuse to forward.
-		nc.Write((&wire.AcceptFrame{Code: wire.CodeRejectRoute, Session: hdr.Session}).Encode())
+		Refuse(nc, &wire.AcceptFrame{Code: wire.CodeRejectRoute, Session: hdr.Session}, refuseTimeout)
 		return nil, fmt.Errorf("lsl: non-final header at target (hop %d of %d)", hdr.HopIndex, len(hdr.Route))
 	}
 	digest := hdr.Flags&wire.FlagDigest != 0
 	if digest && hdr.ContentLen == wire.UnknownLength {
 		// The trailer's position is unknowable: refuse before any state
 		// is registered or accepted.
-		nc.Write((&wire.AcceptFrame{Code: wire.CodeRejectProto, Session: hdr.Session}).Encode())
+		Refuse(nc, &wire.AcceptFrame{Code: wire.CodeRejectProto, Session: hdr.Session}, refuseTimeout)
 		return nil, ErrNeedLength
 	}
 
@@ -186,6 +176,28 @@ func (l *Listener) handshake(nc net.Conn, head []byte) (*ServerConn, error) {
 		sc.remaining = int64(hdr.ContentLen) - offset
 	}
 	return sc, nil
+}
+
+// Refuse writes a reject frame under timeout and lets go of the transport
+// without a reset chasing the frame. An initiator that pipelines its
+// payload behind the header is still sending: closing on unread bytes
+// makes the kernel answer with RST, and a reset can cost the peer the
+// frame it has not read yet. So half-close, then discard what arrives
+// until EOF, the timeout, or as much as a pipelined initiator sends
+// before the verdict — one first window and a digest trailer — whichever
+// comes first, and only then close. It returns the frame write's error.
+func Refuse(nc net.Conn, f *wire.AcceptFrame, timeout time.Duration) error {
+	nc.SetWriteDeadline(time.Now().Add(timeout))
+	_, err := nc.Write(f.Encode())
+	if err == nil {
+		if cw, ok := nc.(closeWriter); ok {
+			cw.CloseWrite()
+		}
+		nc.SetReadDeadline(time.Now().Add(timeout))
+		io.CopyN(io.Discard, nc, wire.FirstWindow+wire.DigestLen) // best effort: any outcome ends in Close
+	}
+	nc.Close()
+	return err
 }
 
 // takeOver makes s the sublink that counts payload into its session's
@@ -227,7 +239,6 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 	now := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sweepLocked(now)
 	if st, ok := l.sessions[hdr.Session]; ok && hdr.Flags&wire.FlagResume != 0 {
 		st.updated.Store(now.UnixNano())
 		return st
@@ -238,7 +249,8 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 		st.hash = md5.New()
 	}
 	if len(l.sessions) >= l.maxSessions {
-		// Evict the stalest entry to bound memory.
+		// Evict the stalest entry: the cap bounds memory, and an abandoned
+		// session can never keep a live one out.
 		var oldest wire.SessionID
 		var when int64
 		first := true
@@ -251,25 +263,6 @@ func (l *Listener) sessionFor(hdr *wire.OpenHeader) *sessionState {
 	}
 	l.sessions[hdr.Session] = st
 	return st
-}
-
-// sweepLocked evicts resume entries idle past sessionTTL. It runs during
-// handshakes (no background goroutine to manage), rate-limited to once
-// per quarter-TTL unless the table is at capacity — then it always runs,
-// so stale entries can never starve a new resumable session.
-func (l *Listener) sweepLocked(now time.Time) {
-	if l.sessionTTL <= 0 {
-		return
-	}
-	if now.Sub(l.lastSweep) < l.sessionTTL/4 && len(l.sessions) < l.maxSessions {
-		return
-	}
-	l.lastSweep = now
-	for id, s := range l.sessions {
-		if now.Sub(time.Unix(0, s.updated.Load())) > l.sessionTTL {
-			delete(l.sessions, id)
-		}
-	}
 }
 
 // ResumeStates reports how many interrupted sessions currently hold

@@ -444,3 +444,43 @@ func TestListenerRefusesDigestWithoutLength(t *testing.T) {
 		t.Fatal("Accept did not return the valid session")
 	}
 }
+
+// A target refuses to forward a non-final header. An initiator that
+// pipelines its payload behind the header is still sending then, and the
+// refusal must end the sublink without a reset: the reject frame, then a
+// clean EOF, with the payload that kept arriving swallowed.
+func TestListenerRefuseLingersBehindPipelinedPayload(t *testing.T) {
+	addr, _ := startTarget(t, func(sc *core.ServerConn) { sc.Close() })
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := &wire.OpenHeader{
+		Session:    wire.NewSessionID(),
+		Route:      []string{addr, "127.0.0.1:1"},
+		ContentLen: wire.UnknownLength,
+	}
+	enc, err := hdr.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		nc.Write(append(enc, bytes.Repeat([]byte{0x5A}, 1<<20)...)) // the target need not take it all
+	}()
+	defer func() { nc.Close(); <-wrote }()
+
+	acc, err := wire.ReadAcceptFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc.Code != wire.CodeRejectRoute || acc.Session != hdr.Session {
+		t.Fatalf("frame = %s for %s, want %s for this session",
+			wire.CodeString(acc.Code), acc.Session, wire.CodeString(wire.CodeRejectRoute))
+	}
+	if rest, err := io.ReadAll(nc); err != nil || len(rest) != 0 {
+		t.Fatalf("after the reject frame: %d bytes, %v; want a clean EOF, not a reset", len(rest), err)
+	}
+}

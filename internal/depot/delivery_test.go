@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/md5"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -283,43 +284,57 @@ func TestDeliveryResetMidPayloadRetries(t *testing.T) {
 	}
 }
 
-// A resuming delivery waits for the accept — the target names the offset
-// the payload continues from — and sends exactly the stored bytes past it.
-func TestDeliveryResumeStaysSynchronous(t *testing.T) {
+// Custody holds a staged session's whole payload, so a staged session
+// that also asks to resume (no library client opens one; a foreign one
+// may) is delivered as a fresh one: the target sees neither flag, and
+// the payload follows the header from byte 0 without waiting for the
+// accept.
+func TestDeliveryOfResumingStagedSessionStartsFresh(t *testing.T) {
 	payload := bytes.Repeat([]byte("resume"), 50000)
 	stored := withTrailer(payload)
-	const offset = 123457
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			early := make(chan error, 1)
 			got := make(chan []byte, 1)
 			target := scriptedTarget(t, tr.trunk, func(_ int, nc net.Conn, hdr *wire.OpenHeader) {
-				nc.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-				var ne net.Error
-				if n, err := nc.Read(make([]byte, 1)); n > 0 {
-					early <- errors.New("payload arrived before the accept")
-				} else if !errors.As(err, &ne) || !ne.Timeout() {
-					early <- err
-				} else {
+				nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+				head := make([]byte, 1024)
+				_, err := io.ReadFull(nc, head)
+				switch {
+				case hdr.Flags&(wire.FlagResume|wire.FlagStaged) != 0:
+					early <- fmt.Errorf("target saw header flags %#x", hdr.Flags)
+				case err != nil:
+					early <- fmt.Errorf("no payload ahead of the accept: %w", err)
+				default:
 					early <- nil
 				}
-				nc.Write((&wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session, Offset: offset}).Encode())
-				nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-				data, _ := io.ReadAll(nc)
+				nc.Write((&wire.AcceptFrame{Code: wire.CodeOK, Session: hdr.Session}).Encode())
+				rest, _ := io.ReadAll(nc)
 				hangUp(nc)
-				got <- data
+				got <- append(head, rest...)
 			})
-			d, _ := stagedDepot(t, Config{Mux: tr.trunk})
-			fwd := forwardHeader(target, wire.FlagResume|wire.FlagDigest, len(payload))
-			if err := d.attemptDelivery(context.Background(), target, fwd, memStage(t, stored)); err != nil {
+			d, depotAddr := stagedDepot(t, Config{Mux: tr.trunk})
+			c, err := core.Dial(context.Background(),
+				core.Route{Via: []string{depotAddr}, Target: target},
+				core.WithStaged(), core.WithResume(), core.WithDigest(),
+				core.WithContentLength(int64(len(payload))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.SendReader(bytes.NewReader(payload)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AwaitCustody(); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-early; err != nil {
 				t.Fatal(err)
 			}
-			if data := <-got; !bytes.Equal(data, stored[offset:]) {
-				t.Fatalf("target got %d bytes, want the %d stored bytes past offset %d", len(data), len(stored)-offset, offset)
+			if data := <-got; !bytes.Equal(data, stored) {
+				t.Fatalf("target got %d bytes, want the %d stored bytes from byte 0", len(data), len(stored))
 			}
+			waitStats(t, d, "the delivery", func(st Stats) bool { return st.StagedDelivered == 1 })
 		})
 	}
 }

@@ -604,28 +604,23 @@ func (d *Depot) writeControl(c net.Conn, f *wire.AcceptFrame) bool {
 	c.SetWriteDeadline(time.Now().Add(d.cfg.writeTimeout))
 	_, err := c.Write(f.Encode())
 	c.SetWriteDeadline(time.Time{})
+	d.controlWritten(f, err)
+	return err == nil
+}
+
+// controlWritten counts and logs a control frame's failed write.
+func (d *Depot) controlWritten(f *wire.AcceptFrame, err error) {
 	if err != nil {
 		d.ctrlWriteFail.Inc()
 		d.logf("depot: session %s %s frame write failed: %v", f.Session, wire.CodeString(f.Code), err)
 	}
-	return err == nil
 }
 
-// reject writes a reject frame under the control write deadline and lets
-// go of the transport without a reset chasing the frame. An initiator
-// that pipelines its payload behind the header is still sending: closing
-// on unread bytes makes the kernel answer with RST, and a reset can cost
-// the peer the frame it has not read yet. So half-close, then discard
-// what arrives until EOF, the write timeout, or as much as a pipelined
-// initiator sends before the verdict — one first window and a digest
-// trailer — whichever comes first, and only then close.
+// reject refuses a session the way a target does (core.Refuse): the frame
+// under the control write deadline, then a lingering close.
 func (d *Depot) reject(nc net.Conn, id wire.SessionID, code uint8) {
-	if d.writeControl(nc, &wire.AcceptFrame{Code: code, Session: id}) {
-		halfClose(nc)
-		nc.SetReadDeadline(time.Now().Add(d.cfg.writeTimeout))
-		io.CopyN(io.Discard, nc, wire.FirstWindow+wire.DigestLen) // best effort: any outcome ends in Close
-	}
-	nc.Close()
+	f := &wire.AcceptFrame{Code: code, Session: id}
+	d.controlWritten(f, core.Refuse(nc, f, d.cfg.writeTimeout))
 }
 
 // sessionState names a session's position in its lifecycle. A relay
@@ -795,11 +790,11 @@ func (s *session) relay(ctx context.Context) {
 	})
 	fwd := make(chan struct{})
 	go func() {
-		s.pump(ctx, s.down, s.up, &s.ls.bytesFwd, d.bytesFwd) // forward: payload toward the target
+		s.pump(s.down, s.up, &s.ls.bytesFwd, d.bytesFwd) // forward: payload toward the target
 		halfClose(s.down)
 		close(fwd)
 	}()
-	s.pump(ctx, s.up, s.down, &s.ls.bytesBck, d.bytesBack) // backward: accept frame and replies
+	s.pump(s.up, s.down, &s.ls.bytesBck, d.bytesBack) // backward: accept frame and replies
 	halfClose(s.up)
 	<-fwd
 	canceled := !stop()
@@ -819,11 +814,10 @@ func (s *session) relay(ctx context.Context) {
 // session's live byte counter and the depot total as chunks land so
 // /sessions shows in-flight progress, and tracking the buffer high-water
 // mark.
-func (s *session) pump(ctx context.Context, dst io.Writer, src io.Reader, live *atomic.Uint64, total *metrics.Counter) int64 {
+func (s *session) pump(dst io.Writer, src io.Reader, live *atomic.Uint64, total *metrics.Counter) int64 {
 	n, _ := xfer.CopyCounted(dst, src, s.d.bufs, xfer.CopyConfig{
 		Counters:  []xfer.Adder{xfer.AtomicAdder{U: live}, total},
 		HighWater: s.d.relayHigh,
-		Ctx:       ctx,
 	})
 	return n
 }

@@ -324,7 +324,10 @@ func (d *Depot) deliverStaged(ctx context.Context, hdr *wire.OpenHeader, st *cus
 	}
 	fwd := *hdr
 	fwd.HopIndex++
-	fwd.Flags &^= wire.FlagStaged // downstream runs as an ordinary session
+	// Downstream runs as an ordinary, fresh session: custody holds the
+	// whole payload, so a header that also asked to resume is delivered
+	// from byte 0.
+	fwd.Flags &^= wire.FlagStaged | wire.FlagResume
 	delay := d.retryDelays(fwd.Session)
 	sctx := run.ctx
 	for attempt := 1; ; attempt++ {
@@ -372,8 +375,7 @@ func (d *Depot) retryDelays(id wire.SessionID) func(attempt int) time.Duration {
 
 // attemptDelivery is one delivery of a custody payload to next: dial, open
 // through core.Forward, stream, wait for the target's EOF. The payload
-// follows the header without waiting for the accept unless the header
-// asks to resume, whose accept names the offset to start at. ctx firing
+// follows the header without waiting for the accept. ctx firing
 // (shutdown, the stage deadline) closes the sublink.
 func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.OpenHeader, st *custody.Stager) error {
 	dctx, cancel := context.WithTimeout(ctx, d.cfg.DialTimeout)
@@ -385,23 +387,16 @@ func (d *Depot) attemptDelivery(ctx context.Context, next string, fwd *wire.Open
 	}
 	stop := context.AfterFunc(ctx, func() { down.Close() })
 	defer stop()
-	opts := []core.Option{core.WithHandshakeTimeout(d.cfg.handshakeTimeout)}
-	fresh := fwd.Flags&wire.FlagResume == 0 // a fresh session starts at offset 0
-	if fresh {
-		opts = append(opts, core.WithEager())
-	}
-	c, err := core.Forward(down, fwd, opts...)
+	c, err := core.Forward(down, fwd, core.WithHandshakeTimeout(d.cfg.handshakeTimeout), core.WithEager())
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	if fresh {
-		// Send the header now, not with the first payload bytes: a first
-		// attempt's payload is still arriving from the upload, and the
-		// target handshakes in the meantime.
-		if _, err := c.Write(nil); err != nil {
-			return err
-		}
+	// Send the header now, not with the first payload bytes: a first
+	// attempt's payload is still arriving from the upload, and the target
+	// handshakes in the meantime.
+	if _, err := c.Write(nil); err != nil {
+		return err
 	}
 	// The payload opens fresh per attempt: the first follows the upload,
 	// and journal-backed custody streams later ones from the spill file,

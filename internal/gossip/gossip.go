@@ -40,11 +40,20 @@ import (
 	"lsl/internal/wire"
 )
 
-// Defaults used when a Config field is zero.
+// DefaultInterval is the mean round interval when Config.Interval is zero.
+const DefaultInterval = 5 * time.Second
+
+// An exchange's bounds and a failing peer's backoff. They are not knobs:
+// only tests change the last two, on a Gossiper before it runs.
 const (
-	DefaultInterval        = 5 * time.Second
-	DefaultDialTimeout     = 3 * time.Second
-	DefaultExchangeTimeout = 5 * time.Second
+	// dialTimeout bounds connection establishment; exchangeTimeout the
+	// whole framed exchange after that.
+	dialTimeout     = 3 * time.Second
+	exchangeTimeout = 5 * time.Second
+	// A failing peer is retried after a delay from backoffBase doubling to
+	// backoffMax, jittered.
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 10 * time.Second
 )
 
 // DefaultFanout is how many eligible peers one round dials.
@@ -95,14 +104,6 @@ type Config struct {
 	// the depot passes its trunk-pool dialer so gossip rides warm
 	// multiplexed trunks where they exist.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// DialTimeout bounds connection establishment (default 3s);
-	// ExchangeTimeout bounds the whole framed exchange after that
-	// (default 5s).
-	DialTimeout     time.Duration
-	ExchangeTimeout time.Duration
-	// Backoff shapes per-peer retry delays after failures (zero value:
-	// 100ms doubling to 10s).
-	Backoff backoff.Policy
 	// Metrics receives the lsl_gossip_* counters when set.
 	Metrics *Metrics
 	// Logf, when set, receives one line per failed exchange.
@@ -131,6 +132,11 @@ type Gossiper struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	peers []*peerState
+
+	// Test seams (export_test.go), set by New to exchangeTimeout and
+	// backoffBase doubling to backoffMax.
+	exchangeTimeout time.Duration
+	backoff         backoff.Policy
 }
 
 // New validates cfg and builds a Gossiper. It does not start any
@@ -146,12 +152,6 @@ func New(cfg Config) (*Gossiper, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.ExchangeTimeout <= 0 {
-		cfg.ExchangeTimeout = DefaultExchangeTimeout
-	}
 	if cfg.Dial == nil {
 		var d net.Dialer
 		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
@@ -163,9 +163,11 @@ func New(cfg Config) (*Gossiper, error) {
 		seed = time.Now().UnixNano()
 	}
 	g := &Gossiper{
-		cfg:  cfg,
-		self: string(cfg.Planner.Self()),
-		rng:  rand.New(rand.NewSource(seed)),
+		cfg:             cfg,
+		self:            string(cfg.Planner.Self()),
+		rng:             rand.New(rand.NewSource(seed)),
+		exchangeTimeout: exchangeTimeout,
+		backoff:         backoff.Policy{Base: backoffBase, Max: backoffMax},
 	}
 	seen := make(map[string]bool)
 	for _, addr := range cfg.Peers {
@@ -260,7 +262,7 @@ func (g *Gossiper) settle(ps *peerState, merged int, err error) {
 	if err != nil {
 		ps.fails++
 		ps.lastErr = err.Error()
-		ps.nextTry = now.Add(g.cfg.Backoff.Delay(ps.fails, g.rng))
+		ps.nextTry = now.Add(g.backoff.Delay(ps.fails, g.rng))
 		if m := g.cfg.Metrics; m != nil {
 			m.PeersUnreachable.Inc()
 		}
@@ -283,14 +285,14 @@ func (g *Gossiper) exchangeWith(ctx context.Context, ps *peerState) (merged int,
 			m.RoundNS.Observe(float64(time.Since(start)))
 		}
 	}()
-	dctx, cancel := context.WithTimeout(ctx, g.cfg.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	conn, err := g.cfg.Dial(dctx, ps.addr)
 	cancel()
 	if err != nil {
 		return 0, fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(g.cfg.ExchangeTimeout))
+	conn.SetDeadline(time.Now().Add(g.exchangeTimeout))
 
 	mine := g.cfg.Planner.ExportObservations(wire.MaxGossipEntries)
 
@@ -333,7 +335,7 @@ func (g *Gossiper) exchangeWith(ctx context.Context, ps *peerState) (merged int,
 // serving depot.
 func (g *Gossiper) ServeConn(conn net.Conn) {
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(g.cfg.ExchangeTimeout))
+	conn.SetDeadline(time.Now().Add(g.exchangeTimeout))
 
 	theirs, err := wire.ReadGossipFrame(conn)
 	if err != nil || theirs.Kind != wire.GossipDigest {

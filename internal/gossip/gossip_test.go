@@ -173,13 +173,13 @@ func TestRoundBacksOffUnreachablePeer(t *testing.T) {
 	g, err := gossip.New(gossip.Config{
 		Planner: newPlanner(t, "depA"),
 		Peers:   []string{dead},
-		Backoff: backoff.Policy{Base: time.Minute, Max: time.Minute},
 		Metrics: met,
 		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.SetBackoff(backoff.Policy{Base: time.Minute, Max: time.Minute})
 	if n := g.RunRound(context.Background()); n != 0 {
 		t.Fatalf("merged %d from a dead peer", n)
 	}
@@ -200,14 +200,14 @@ func TestRoundBacksOffUnreachablePeer(t *testing.T) {
 // Garbage on the accept side must neither panic nor wedge the handler.
 func TestServeConnToleratesGarbage(t *testing.T) {
 	g, err := gossip.New(gossip.Config{
-		Planner:         newPlanner(t, "depA"),
-		Peers:           []string{"unused:1"},
-		ExchangeTimeout: 500 * time.Millisecond,
-		Seed:            1,
+		Planner: newPlanner(t, "depA"),
+		Peers:   []string{"unused:1"},
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.SetExchangeTimeout(500 * time.Millisecond)
 	for _, payload := range [][]byte{
 		nil,
 		[]byte("GET / HTTP/1.1\r\n\r\n"),
@@ -284,7 +284,6 @@ func TestRunStopsOnCancel(t *testing.T) {
 		Planner:  newPlanner(t, "depA"),
 		Peers:    []string{"127.0.0.1:1"},
 		Interval: 10 * time.Millisecond,
-		Backoff:  backoff.Policy{Base: time.Hour, Max: time.Hour},
 		Seed:     1,
 		Dial: func(context.Context, string) (net.Conn, error) {
 			once()
@@ -294,6 +293,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.SetBackoff(backoff.Policy{Base: time.Hour, Max: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { g.Run(ctx); close(done) }()
@@ -307,15 +307,6 @@ func TestRunStopsOnCancel(t *testing.T) {
 }
 
 // ---- the acceptance case ----
-
-func fastPolicy() resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts:   4,
-		Backoff:       backoff.Policy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-		FailoverAfter: 2,
-		JitterSeed:    1,
-	}
-}
 
 func randBytes(n int, seed int64) []byte {
 	b := make([]byte, n)
@@ -510,11 +501,7 @@ func TestGossipConvergenceAcceptance(t *testing.T) {
 	_, err = resilience.Transfer(context.Background(),
 		core.Route{Via: []string{depAAddr}, Target: serverAddr},
 		bytes.NewReader(randBytes(10_000, 7)), 10_000,
-		resilience.WithPolicy(resilience.Policy{
-			MaxAttempts: 2,
-			Backoff:     backoff.Policy{Base: 5 * time.Millisecond, Max: 10 * time.Millisecond},
-			JitterSeed:  1,
-		}))
+		resilience.WithPolicy(resilience.Policy{MaxAttempts: 2}))
 	if err == nil {
 		t.Fatal("probe transfer through depA succeeded; edge E was not killed")
 	}
@@ -569,7 +556,7 @@ func TestGossipConvergenceAcceptance(t *testing.T) {
 	res, err := resilience.Transfer(context.Background(),
 		core.Route{Target: serverAddr},
 		bytes.NewReader(payload), int64(len(payload)),
-		resilience.WithPolicy(fastPolicy()),
+		resilience.WithPolicy(resilience.Policy{MaxAttempts: 4}),
 		resilience.WithPlanner(plB),
 		resilience.WithLogf(t.Logf))
 	if err != nil {

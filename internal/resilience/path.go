@@ -51,7 +51,7 @@ func (ps *pathSet) addPath(r core.Route) *path {
 		set:   ps,
 		index: len(ps.paths),
 		route: r,
-		rng:   rand.New(rand.NewSource(ps.pol.JitterSeed + int64(len(ps.paths))*7919)),
+		rng:   rand.New(rand.NewSource(ps.pol.jitterSeed + int64(len(ps.paths))*7919)),
 	}
 	ps.paths = append(ps.paths, p)
 	return p
@@ -96,7 +96,7 @@ func (p *path) next(ctx context.Context) error {
 		return ctx.Err()
 	}
 	ps.met.Retries.Inc()
-	return backoff.Sleep(ctx, ps.pol.Backoff.Delay(n-1, p.rng))
+	return backoff.Sleep(ctx, ps.pol.backoff.Delay(n-1, p.rng))
 }
 
 // failed digests a failed attempt and reports whether the error is
@@ -104,7 +104,7 @@ func (p *path) next(ctx context.Context) error {
 // names the dead one; an in-session break poisons the whole route), fed
 // to the planner, and answered by moving the path: onto the best planned
 // candidate no sibling path holds, or — without a planner — past a first
-// hop that refused FailoverAfter dials in a row (the paper's loose source
+// hop that refused failoverAfter dials in a row (the paper's loose source
 // routes are advisory: the cascade degrades rather than dies).
 func (p *path) failed(err error) bool {
 	ps := p.set
@@ -153,7 +153,7 @@ func (p *path) failed(err error) bool {
 			p.route, moved = next, true
 			ps.planner.RecordReplan()
 		}
-	} else if ps.planner == nil && ps.pol.FailoverAfter > 0 && p.firstHopFails >= ps.pol.FailoverAfter {
+	} else if ps.planner == nil && ps.pol.failoverAfter > 0 && p.firstHopFails >= ps.pol.failoverAfter {
 		p.route.Via, moved = p.route.Via[1:], true
 	}
 	if moved {

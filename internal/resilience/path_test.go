@@ -61,7 +61,7 @@ func TestPathHealLoop(t *testing.T) {
 		},
 		{
 			name:        "budget spent wraps ErrExhausted with the last error",
-			pol:         Policy{MaxAttempts: 3, FailoverAfter: -1},
+			pol:         Policy{MaxAttempts: 3, failoverAfter: -1},
 			routes:      []core.Route{via("a:1")},
 			script:      []error{dialErr("a:1"), dialErr("a:1"), errReset, nil},
 			wantErr:     []error{ErrExhausted, errReset},
@@ -70,7 +70,7 @@ func TestPathHealLoop(t *testing.T) {
 		},
 		{
 			name:        "first-hop dial failures drop Via[0]; other failures reset the count",
-			pol:         Policy{FailoverAfter: 2},
+			pol:         Policy{failoverAfter: 2},
 			routes:      []core.Route{via("a:1", "b:1")},
 			script:      []error{dialErr("a:1"), errReset, dialErr("a:1"), dialErr("a:1"), nil},
 			wantOutcome: OutcomeDelivered,
@@ -92,7 +92,7 @@ func TestPathHealLoop(t *testing.T) {
 		},
 		{
 			name:        "cancel during backoff",
-			pol:         Policy{Backoff: backoff.Policy{Base: time.Hour, Max: time.Hour}},
+			pol:         Policy{backoff: backoff.Policy{Base: time.Hour, Max: time.Hour}},
 			routes:      []core.Route{via("a:1")},
 			script:      []error{errReset, nil},
 			cancelOn:    1,
@@ -108,10 +108,10 @@ func TestPathHealLoop(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			pol := tc.pol
-			if pol.Backoff.Base == 0 {
-				pol.Backoff = backoff.Policy{Base: 1, Max: 1}
+			if pol.backoff.Base == 0 {
+				pol.backoff = backoff.Policy{Base: 1, Max: 1}
 			}
-			pol.JitterSeed = 1
+			pol.jitterSeed = 1
 			var attempts int
 			ps := &pathSet{config: &config{met: &Metrics{}}, pol: pol.withDefaults(), target: "t:1"}
 			// failed logs once per transient failure, before it backs off.

@@ -72,30 +72,37 @@ type Policy struct {
 	// transfer, or each stripe of a group), first try included
 	// (default 8).
 	MaxAttempts int
-	// Backoff shapes the delay between attempts (default 100ms base
-	// doubling to a 5s cap).
-	Backoff backoff.Policy
-	// FailoverAfter is how many consecutive first-hop dial failures mark
-	// the head depot dead and drop it from the route (default 2; negative
-	// disables failover).
-	FailoverAfter int
-	// JitterSeed seeds the backoff jitter; 0 derives the seed from the
-	// session ID, so a pinned session retries on a reproducible schedule.
-	JitterSeed int64
+
+	// Test seams (export_test.go); zero means the default.
+	backoff       backoff.Policy // default backoffBase doubling to backoffMax
+	failoverAfter int            // default defaultFailoverAfter; negative disables failover
+	jitterSeed    int64          // default derived from the session ID
 }
+
+// The retry loop's defaults. They are not knobs: only tests change them.
+const (
+	// Attempts back off from backoffBase doubling to backoffMax, with
+	// jitter seeded from the session ID, so a pinned session retries on a
+	// reproducible schedule.
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+	// defaultFailoverAfter consecutive first-hop dial failures mark the
+	// head depot dead and drop it from the route.
+	defaultFailoverAfter = 2
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 8
 	}
-	if p.Backoff.Base <= 0 {
-		p.Backoff.Base = 100 * time.Millisecond
+	if p.backoff.Base <= 0 {
+		p.backoff.Base = backoffBase
 	}
-	if p.Backoff.Max <= 0 {
-		p.Backoff.Max = 5 * time.Second
+	if p.backoff.Max <= 0 {
+		p.backoff.Max = backoffMax
 	}
-	if p.FailoverAfter == 0 {
-		p.FailoverAfter = 2
+	if p.failoverAfter == 0 {
+		p.failoverAfter = defaultFailoverAfter
 	}
 	return p
 }
@@ -267,8 +274,8 @@ func begin(kind string, opts []Option, target string, size int64) *pathSet {
 		cfg.session = wire.NewSessionID()
 	}
 	pol := cfg.policy.withDefaults()
-	if pol.JitterSeed == 0 {
-		pol.JitterSeed = cfg.session.Seed()
+	if pol.jitterSeed == 0 {
+		pol.jitterSeed = cfg.session.Seed()
 	}
 	return &pathSet{config: cfg, pol: pol, kind: kind, target: target, size: size}
 }

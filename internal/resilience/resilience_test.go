@@ -25,12 +25,10 @@ import (
 
 // fastPolicy keeps retry tests quick and deterministic.
 func fastPolicy() resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts:   10,
-		Backoff:       backoff.Policy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-		FailoverAfter: 2,
-		JitterSeed:    1,
-	}
+	pol := resilience.Policy{MaxAttempts: 10}
+	pol.SetBackoff(backoff.Policy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond})
+	pol.SetJitterSeed(1)
+	return pol
 }
 
 // verifyingTarget is a session target that reassembles a session's
@@ -329,7 +327,7 @@ func TestTransferExhaustsAgainstDeadWorld(t *testing.T) {
 	payload := randBytes(100, 6)
 	pol := fastPolicy()
 	pol.MaxAttempts = 3
-	pol.FailoverAfter = -1 // no Via to drop anyway
+	pol.SetFailoverAfter(-1) // no Via to drop anyway
 	res, err := resilience.Transfer(context.Background(),
 		core.Route{Target: "127.0.0.1:1"},
 		bytes.NewReader(payload), int64(len(payload)),
@@ -345,7 +343,7 @@ func TestTransferExhaustsAgainstDeadWorld(t *testing.T) {
 func TestTransferCancelledMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pol := fastPolicy()
-	pol.Backoff = backoff.Policy{Base: 10 * time.Second, Max: 10 * time.Second}
+	pol.SetBackoff(backoff.Policy{Base: 10 * time.Second, Max: 10 * time.Second})
 	payload := randBytes(100, 7)
 	start := time.Now()
 	_, err := resilience.Transfer(ctx,

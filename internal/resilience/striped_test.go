@@ -416,7 +416,7 @@ func TestStripedTransferAbandonsHopelessStripe(t *testing.T) {
 	pol.MaxAttempts = 3
 	// Keep plannerless failover from dropping the dead depot and dialing
 	// the target directly — this case wants the budget to run out.
-	pol.FailoverAfter = 100
+	pol.SetFailoverAfter(100)
 	fn := faultnet.New(nil)
 	deadDepot := "127.0.0.1:1" // nothing listens here
 	fn.Script(deadDepot,

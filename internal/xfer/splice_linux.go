@@ -135,9 +135,6 @@ func copySplice(dst io.Writer, src io.Reader, pool *Pool, cfg *CopyConfig) (int6
 	pp.src, pp.dst = rs, rd
 	var moved int64
 	for {
-		if err := cfg.canceled(); err != nil {
-			return moved, true, err
-		}
 		n, err := pp.round()
 		if n > 0 {
 			if cfg.HighWater != nil {

@@ -17,7 +17,6 @@
 package xfer
 
 import (
-	"context"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -108,8 +107,8 @@ type BatchSource interface {
 	WriteBatchTo(w io.Writer) (int, error)
 }
 
-// CopyConfig threads per-session observability and lifecycle into one
-// counted copy. The zero value is a plain pooled copy.
+// CopyConfig threads per-session observability into one counted copy.
+// The zero value is a plain pooled copy.
 type CopyConfig struct {
 	// Counters are credited with each chunk after it is written (the
 	// session's live byte counter, the depot-wide direction total, ...).
@@ -121,12 +120,6 @@ type CopyConfig struct {
 	// received bytes held out of the source's window while the
 	// destination write was under way.
 	HighWater MaxSetter
-	// Ctx, when set, cancels the copy between chunks. A read or write
-	// blocked on a dead peer does not observe Ctx on its own — the owner
-	// of the transport must close it on cancellation (the depot's session
-	// watchdog does exactly that); the next Read/Write then fails and the
-	// copy unwinds.
-	Ctx context.Context
 }
 
 // CopyCounted moves bytes from src to dst through a buffer borrowed from
@@ -134,8 +127,8 @@ type CopyConfig struct {
 // src is not an error. Each chunk is credited to every configured counter
 // only after it has been written downstream, so counters never run ahead
 // of the receiver. A src that is a BatchSource writes its batches to dst
-// itself and no buffer is borrowed; the counters, HighWater and Ctx then
-// apply per batch. Between two *net.TCPConn on Linux the bytes move by
+// itself and no buffer is borrowed; the counters and HighWater then apply
+// per batch. Between two *net.TCPConn on Linux the bytes move by
 // splice(2) through a pipe from pool, the same per round.
 func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int64, error) {
 	if bs, ok := src.(BatchSource); ok {
@@ -149,9 +142,6 @@ func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int6
 	buf := *bp
 	var moved int64
 	for {
-		if err := cfg.canceled(); err != nil {
-			return moved, err
-		}
 		n, rerr := src.Read(buf)
 		if n > 0 {
 			if cfg.HighWater != nil {
@@ -182,9 +172,6 @@ func CopyCounted(dst io.Writer, src io.Reader, pool *Pool, cfg CopyConfig) (int6
 func copyBatches(dst io.Writer, src BatchSource, cfg CopyConfig) (int64, error) {
 	var moved int64
 	for {
-		if err := cfg.canceled(); err != nil {
-			return moved, err
-		}
 		n, err := src.WriteBatchTo(dst)
 		if n > 0 {
 			if cfg.HighWater != nil {
@@ -199,19 +186,6 @@ func copyBatches(dst io.Writer, src BatchSource, cfg CopyConfig) (int64, error) 
 		if err != nil {
 			return moved, err
 		}
-	}
-}
-
-// canceled reports Ctx's error once it is done.
-func (cfg *CopyConfig) canceled() error {
-	if cfg.Ctx == nil {
-		return nil
-	}
-	select {
-	case <-cfg.Ctx.Done():
-		return cfg.Ctx.Err()
-	default:
-		return nil
 	}
 }
 

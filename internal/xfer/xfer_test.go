@@ -2,7 +2,6 @@ package xfer
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"strings"
@@ -101,16 +100,6 @@ func TestCopyCountedShortWrite(t *testing.T) {
 	}
 }
 
-func TestCopyCountedCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var dst bytes.Buffer
-	n, err := CopyCounted(&dst, strings.NewReader("abcd"), NewPool(4), CopyConfig{Ctx: ctx})
-	if !errors.Is(err, context.Canceled) || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-}
-
 // batchSource hands its batches to the writer in order, then io.EOF; a
 // copy that reads it through a buffer instead fails.
 type batchSource struct{ batches [][]byte }
@@ -130,8 +119,7 @@ func (s *batchSource) WriteBatchTo(w io.Writer) (int, error) {
 
 // TestCopyCountedHandsThrough: a BatchSource writes its own batches; the
 // copy credits the counters per batch after the write, records the
-// largest batch as its high-water mark, checks Ctx between batches and
-// stops at a destination's error.
+// largest batch as its high-water mark, and stops at a destination's error.
 func TestCopyCountedHandsThrough(t *testing.T) {
 	batches := func() [][]byte {
 		return [][]byte{bytes.Repeat([]byte("a"), 300), bytes.Repeat([]byte("b"), 1000), bytes.Repeat([]byte("c"), 50)}
@@ -149,15 +137,6 @@ func TestCopyCountedHandsThrough(t *testing.T) {
 	}
 	if live.Load() != 1350 || high.v != 1000 || len(progress) != 3 || progress[1] != 1000 {
 		t.Fatalf("live=%d high=%d progress=%v; want 1350, the largest batch, one call per batch", live.Load(), high.v, progress)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	n, err = CopyCounted(io.Discard, &batchSource{batches()}, NewPool(16), CopyConfig{
-		Ctx:      ctx,
-		Counters: []Adder{adderFunc(func(uint64) { cancel() })},
-	})
-	if !errors.Is(err, context.Canceled) || n != 300 {
-		t.Fatalf("canceled after the first batch: n=%d err=%v", n, err)
 	}
 
 	var total counter

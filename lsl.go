@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 
-	"lsl/internal/backoff"
 	"lsl/internal/core"
 	"lsl/internal/custody"
 	"lsl/internal/depot"
@@ -189,13 +188,12 @@ func NewLinkPool(cfg LinkPoolConfig) *LinkPool { return mux.NewPool(cfg) }
 // retries, failovers, and the route that carried the final sublink.
 type TransferResult = resilience.Result
 
-// TransferPolicy tunes the retry/failover loop (zero value = defaults:
-// 8 attempts, 100ms..5s backoff, failover after 2 dead first-hop dials).
+// TransferPolicy sets a transfer's attempt budget per path, MaxAttempts
+// (zero value = 8). The rest of the retry loop is fixed: backoff from
+// 100ms doubling to 5s with jitter seeded from the session ID, and,
+// without a planner, failover past a first-hop depot after 2 dial
+// failures in a row.
 type TransferPolicy = resilience.Policy
-
-// BackoffPolicy shapes retry delays: capped exponential with equal jitter
-// (used by TransferPolicy.Backoff and the depot's staged redelivery).
-type BackoffPolicy = backoff.Policy
 
 // TransferOption tunes one Transfer call.
 type TransferOption = resilience.Option

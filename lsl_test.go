@@ -135,10 +135,7 @@ func TestPublicTransferAPI(t *testing.T) {
 	_, err = lsl.Transfer(context.Background(),
 		lsl.Route{Target: deadAddr}, bytes.NewReader(payload), int64(len(payload)),
 		lsl.WithTransferMetrics(met),
-		lsl.WithTransferPolicy(lsl.TransferPolicy{
-			MaxAttempts: 2,
-			Backoff:     lsl.BackoffPolicy{Base: time.Millisecond, Max: 5 * time.Millisecond},
-		}))
+		lsl.WithTransferPolicy(lsl.TransferPolicy{MaxAttempts: 2}))
 	if err == nil {
 		t.Fatal("transfer to a dead target succeeded")
 	}

@@ -146,12 +146,16 @@ func markReferenced(surface map[string]bool, name string) {
 	}
 }
 
-// configTypes are the session path's public config structs:
-// lsl.DepotConfig, lsl.LinkPoolConfig and lsl.Listener.
+// configTypes are the public config structs of the session path and of
+// recovery: lsl.DepotConfig, lsl.LinkPoolConfig, lsl.Listener,
+// lsl.TransferPolicy, lsl.GossipConfig and lsl.CustodyConfig.
 var configTypes = []struct{ pkg, name string }{
 	{"lsl/internal/depot", "Config"},
 	{"lsl/internal/mux", "PoolConfig"},
 	{"lsl/internal/core", "Listener"},
+	{"lsl/internal/resilience", "Policy"},
+	{"lsl/internal/gossip", "Config"},
+	{"lsl/internal/custody", "Config"},
 }
 
 // A settable field is a knob too. One that only tests or its own package

@@ -85,7 +85,9 @@ func NewPlannerMetrics(reg *MetricsRegistry) *PlannerMetrics { return logistics.
 type Gossiper = gossip.Gossiper
 
 // GossipConfig configures a Gossiper: the planner to share, the peer
-// depot addresses to exchange with, and the round cadence.
+// depot addresses to exchange with, and the round cadence. An exchange's
+// bounds are fixed (3s to dial, 5s for the exchange), and a failing peer
+// is retried after a jittered backoff from 100ms doubling to 10s.
 type GossipConfig = gossip.Config
 
 // GossipMetrics is the gossiper's counter set (lsl_gossip_*).

@@ -11,7 +11,7 @@ import (
 )
 
 // maxTestSleeps bounds the time.Sleep calls left in tests outside bench/.
-const maxTestSleeps = 10
+const maxTestSleeps = 7
 
 // A test that sleeps is usually waiting for something it could wait on
 // instead: a depot's WaitStats, a channel a handler closes, a wrapper on

@@ -182,11 +182,7 @@ func TestStripedTransferHealsViaPublicAPI(t *testing.T) {
 
 	res, err := lsl.StripedTransfer(context.Background(), routes,
 		bytes.NewReader(payload), int64(len(payload)),
-		lsl.WithTransferPolicy(lsl.TransferPolicy{
-			MaxAttempts: 10,
-			Backoff:     lsl.BackoffPolicy{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-			JitterSeed:  1,
-		}),
+		lsl.WithTransferPolicy(lsl.TransferPolicy{MaxAttempts: 10}),
 		lsl.WithTransferDialer(fn.DialContext),
 		lsl.WithStripeFrameSize(32<<10),
 		lsl.WithTransferLogf(t.Logf))
